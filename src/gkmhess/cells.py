@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .gkm import HessenbergFunction
+from .linalg import row_reduce
 from .perms import Permutation
 from .polys import MultiPoly
 from .reach import CellDigraph, build_cell_digraph, set_reachable
@@ -274,24 +275,8 @@ def _sign(sigma: Sequence[int]) -> int:
 
 
 def det_fraction(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination (small sizes)."""
-    m = [row[:] for row in matrix]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+    """Exact determinant of a square matrix by sparse Gauss–Jordan."""
+    return row_reduce(dict(enumerate(row)) for row in matrix)[2]
 
 
 def minor_at_point(chart: CellChart, rows, cols, assignment: Sequence[Fraction]) -> Fraction:

@@ -18,6 +18,7 @@ formula degree by degree.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -228,36 +229,16 @@ def verify_closed_expansion(n: int) -> ClosedExpansionReport:
         for w in g_set(n, k):
             a_hat = tuple(erased_composition(w.descent_composition()))
             observed[a_hat] = observed.get(a_hat, 0) + 1
-            dim += _multinomial(n, a_hat)
+            dim += math.factorial(n) // math.prod(map(math.factorial, a_hat))
         if observed != expected_type_multiset(n, k):
             agree_types = False
         if dim != eulerian_number(n, k):
             agree_dims = False
         total += dim
-    factorial = 1
-    for m in range(2, n + 1):
-        factorial *= m
     return ClosedExpansionReport(
         n=n,
         agree_types=agree_types,
         agree_dims=agree_dims,
-        total_dimension=total if total == factorial else 0,
+        total_dimension=total if total == math.factorial(n) else 0,
     )
 
-
-def _multinomial(n: int, parts: tuple[int, ...]) -> int:
-    out = 1
-    remaining = n
-    for p in parts:
-        out *= _binomial(remaining, p)
-        remaining -= p
-    return out
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

@@ -10,8 +10,10 @@ downward edge labels as its value at ``w``.
 For the permutohedral Hessenberg function every basis class has a closed
 form; for arbitrary ``h`` the flow-up class is reconstructed by exact linear
 interpolation over the support, processing fixed points in increasing
-Coxeter length and carrying undetermined rational parameters until the edge
-conditions pin them down (or leave genuine freedom, which is reported).
+Coxeter length and carrying undetermined rational parameters.  The affine
+relations that the edge conditions force among those parameters are solved
+once, at the end, with the shared exact kernel of ``linalg``; parameters
+that no relation pins down are genuine freedom, which is reported.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .gkm import GkmGraph, HessenbergFunction, l_h
+from .linalg import row_reduce
 from .perms import Permutation
 from .polys import MultiPoly
 from .reach import support_A
@@ -213,146 +216,62 @@ def _monomials(n: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(out, reverse=True)
 
 
-class _ParamPoly:
-    """A polynomial with coefficients affine in global rational parameters.
-
-    Stored as ``parts[k]`` for parameter id ``k`` (id 0 is the constant
-    part): the value is ``parts[0] + sum params_k * parts[k]``.
-    """
-
-    __slots__ = ("n", "parts")
-
-    def __init__(self, n: int, parts: dict[int, MultiPoly] | None = None):
-        self.n = n
-        self.parts = {k: p for k, p in (parts or {}).items() if not p.is_zero}
-
-    @classmethod
-    def known(cls, poly: MultiPoly) -> "_ParamPoly":
-        return cls(poly.nvars, {0: poly})
-
-    def concrete(self) -> MultiPoly:
-        """The polynomial with every parameter set to zero."""
-        return self.parts.get(0, MultiPoly.zero(self.n))
-
-    def param_ids(self):
-        return [k for k in self.parts if k]
-
-    def substitute_param(self, pid: int, replacement: dict[int, Fraction]) -> "_ParamPoly":
-        """Replace parameter ``pid`` by an affine combination of others."""
-        if pid not in self.parts:
-            return self
-        pivot = self.parts[pid]
-        parts = {k: p for k, p in self.parts.items() if k != pid}
-        for k, coeff in replacement.items():
-            if coeff:
-                parts[k] = parts.get(k, MultiPoly.zero(self.n)) + pivot * coeff
-        return _ParamPoly(self.n, parts)
-
-
 def _solve_vertex(
     n: int,
     degree: int,
-    edge_constraints: list[tuple[int, int, "_ParamPoly"]],
+    edge_constraints: list[tuple[int, int, dict[int, MultiPoly]]],
     next_param: int,
-) -> tuple["_ParamPoly", list[dict[int, Fraction]], int]:
+) -> tuple[dict[int, MultiPoly], list[dict[int, Fraction]], int]:
     """Solve for one fixed-point value subject to edge congruences.
 
-    Each constraint ``(a, b, rhs)`` demands that the unknown agree with
-    ``rhs`` after substituting ``t_a := t_b`` (divisibility by ``t_a - t_b``).
-    Returns the general solution as a parameter polynomial, plus any affine
-    relations among pre-existing parameters forced by consistency.
+    Values are parameter polynomials ``{k: poly}`` meaning
+    ``sum_k p_k * poly`` with ``p_0 = 1``.  Each constraint ``(a, b, rhs)``
+    demands that the unknown agree with ``rhs`` after substituting
+    ``t_a := t_b`` (divisibility by ``t_a - t_b``).  Unknown monomials are
+    columns ``0..ncols-1`` and parameter ``k`` is column ``ncols + k``.
+    Returns the general solution, with one new parameter per free monomial,
+    and the affine relations among existing parameters that consistency
+    forces.
     """
     monos = _monomials(n, degree)
-    mono_index = {m: k for k, m in enumerate(monos)}
     ncols = len(monos)
-
-    # rows: coefficient vector over unknown monomials, then affine rhs parts
-    rows: list[list[Fraction]] = []
-    rhs_parts: list[dict[int, Fraction]] = []
-
+    rows: list[dict[int, Fraction]] = []
     for a, b, rhs in edge_constraints:
-        # image monomials of the substitution t_a := t_b
-        images: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for mono in monos:
+        # the substitution t_a := t_b maps each unknown monomial to an image
+        images: dict[tuple[int, ...], dict[int, int]] = {}
+        for col, mono in enumerate(monos):
             img = list(mono)
             img[b - 1] += img[a - 1]
             img[a - 1] = 0
-            images.setdefault(tuple(img), {})[mono_index[mono]] = Fraction(1)
-        rhs_sub = {k: p.substitute_var(a, b) for k, p in rhs.parts.items()}
+            images.setdefault(tuple(img), {})[col] = 1
+        rhs_sub = {k: p.substitute_var(a, b) for k, p in rhs.items()}
         touched = set(images)
         for p in rhs_sub.values():
             touched.update(p.terms)
         for img in sorted(touched):
-            row = [Fraction(0)] * ncols
-            for col, coeff in images.get(img, {}).items():
-                row[col] = coeff
-            affine = {
-                k: Fraction(p.terms.get(img, 0)) for k, p in rhs_sub.items()
-                if p.terms.get(img, 0)
-            }
+            row = dict(images.get(img, {}))
+            for k, p in rhs_sub.items():
+                if img in p.terms:
+                    row[ncols + k] = p.terms[img]
             rows.append(row)
-            rhs_parts.append(affine)
 
-    # Gaussian elimination on [rows | rhs_parts]
-    pivots: dict[int, int] = {}  # column -> row index
-    relations: list[dict[int, Fraction]] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next(
-            (k for k in range(r, len(rows)) if rows[k][col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        rhs_parts[r], rhs_parts[pivot_row] = rhs_parts[pivot_row], rhs_parts[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        rhs_parts[r] = {k: v * inv for k, v in rhs_parts[r].items()}
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                factor = rows[k][col]
-                rows[k] = [v - factor * p for v, p in zip(rows[k], rows[r])]
-                merged = dict(rhs_parts[k])
-                for key, val in rhs_parts[r].items():
-                    merged[key] = merged.get(key, Fraction(0)) - factor * val
-                rhs_parts[k] = {key: val for key, val in merged.items() if val}
-        pivots[col] = r
-        r += 1
-
-    # rows beyond the pivot count: consistency conditions on parameters
-    for k in range(r, len(rows)):
-        if any(rows[k]):
-            raise AssertionError("elimination left a nonzero row unpivoted")
-        if rhs_parts[k]:
-            relations.append(rhs_parts[k])
-
+    pivots, leftover, _det = row_reduce(rows, bound=ncols)
     free_cols = [col for col in range(ncols) if col not in pivots]
     new_params = {col: next_param + idx for idx, col in enumerate(free_cols)}
-    next_param += len(free_cols)
 
-    # assemble the solution: pivot columns from rhs, free columns as params
+    # pivot monomials take the rhs parts and minus the free monomials
     parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
-
-    def add(pid: int, mono: tuple[int, ...], coeff: Fraction):
-        if coeff:
-            bucket = parts.setdefault(pid, {})
-            bucket[mono] = bucket.get(mono, Fraction(0)) + coeff
-
-    for col, row_index in pivots.items():
-        mono = monos[col]
-        for pid, coeff in rhs_parts[row_index].items():
-            add(pid, mono, coeff)
-        # free columns feed back into pivot columns with opposite sign
-        for fcol in free_cols:
-            if rows[row_index][fcol]:
-                add(new_params[fcol], mono, -rows[row_index][fcol])
-    for fcol in free_cols:
-        add(new_params[fcol], monos[fcol], Fraction(1))
-
-    solution = _ParamPoly(
-        n, {pid: MultiPoly(n, bucket) for pid, bucket in parts.items()}
-    )
-    return solution, relations, next_param
+    for col, row in pivots.items():
+        for k, coeff in row.items():
+            if k >= ncols:
+                parts.setdefault(k - ncols, {})[monos[col]] = coeff
+            elif k != col:
+                parts.setdefault(new_params[k], {})[monos[col]] = -coeff
+    for col, pid in new_params.items():
+        parts.setdefault(pid, {})[monos[col]] = Fraction(1)
+    solution = {pid: MultiPoly(n, bucket) for pid, bucket in parts.items()}
+    relations = [{k - ncols: v for k, v in row.items()} for row in leftover]
+    return solution, relations, next_param + len(free_cols)
 
 
 def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationResult:
@@ -362,8 +281,10 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
     At each one, the divisibility conditions along edges into already-known
     values (including zero values off the support) form a small exact linear
     system for the homogeneous value of degree ``l_h(w)``; leftover freedom
-    becomes rational parameters, which later consistency conditions may
-    eliminate.  Remaining parameters are reported and set to zero in the
+    becomes rational parameters.  The affine relations among parameters that
+    later consistency conditions force are collected and solved once, at the
+    end, for the newest parameter of each; the solution is substituted into
+    every value.  Remaining parameters are reported and set to zero in the
     returned representative, keeping its support minimal.
     """
     n = h.n
@@ -374,77 +295,61 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
     if order[0] != w:
         raise AssertionError("support must have w as its unique length-minimal point")
 
-    values: dict[Permutation, _ParamPoly] = {}
-    values[w] = _ParamPoly.known(top_value(w, h))
+    values: dict[Permutation, dict[int, MultiPoly]] = {w: {0: top_value(w, h)}}
     lengths = {u: u.coxeter_length() for u in order}
     next_param = 1
-    pending_relations: list[dict[int, Fraction]] = []
-
-    def apply_relations():
-        nonlocal pending_relations
-        while pending_relations:
-            relation = pending_relations.pop()
-            # affine relation: const + sum coeff_k * param_k == 0
-            live = [(k, v) for k, v in relation.items() if k and v]
-            if not live:
-                if relation.get(0):
-                    raise InfeasibleInterpolationError(
-                        f"inconsistent flow-up system for w={w}, h={h}"
-                    )
-                continue
-            pid, coeff = max(live)
-            replacement = {
-                k: -v / coeff for k, v in relation.items() if k != pid
-            }
-            for u in list(values):
-                values[u] = values[u].substitute_param(pid, replacement)
-            pending_relations = [
-                _sub_relation(rel, pid, replacement) for rel in pending_relations
-            ]
+    relations: list[dict[int, Fraction]] = []
 
     # check the fixed value at w against its own off-support edge conditions
     for target, label, _pair in graph.neighbors(w):
         if target not in support:
             a, b = _label_pair(label)
-            if not values[w].concrete().substitute_var(a, b).is_zero:
+            if not values[w][0].substitute_var(a, b).is_zero:
                 raise InfeasibleInterpolationError(
                     f"top value violates an off-support edge at w={w}, h={h}"
                 )
 
     for u in order[1:]:
-        constraints: list[tuple[int, int, _ParamPoly]] = []
+        constraints: list[tuple[int, int, dict[int, MultiPoly]]] = []
         for target, label, _pair in graph.neighbors(u):
             a, b = _label_pair(label)
             if target in support:
                 if lengths[target] < lengths[u]:
                     constraints.append((a, b, values[target]))
             else:
-                constraints.append((a, b, _ParamPoly(n, {})))
-        solution, relations, next_param = _solve_vertex(
+                constraints.append((a, b, {}))
+        values[u], found, next_param = _solve_vertex(
             n, degree, constraints, next_param
         )
-        values[u] = solution
-        pending_relations.extend(relations)
-        apply_relations()
+        relations.extend(found)
 
-    remaining = sorted({pid for v in values.values() for pid in v.param_ids()})
-    concrete = EquivariantClass(
-        n, {u: v.concrete() for u, v in values.items()}
+    # parameter k is column -k, so each pivot is the newest parameter of its
+    # relation; column 0 is the constant, and a constant-only row is 0 = c
+    solved, inconsistent, _det = row_reduce(
+        [{-k: v for k, v in relation.items()} for relation in relations], bound=0
     )
+    if inconsistent:
+        raise InfeasibleInterpolationError(
+            f"inconsistent flow-up system for w={w}, h={h}"
+        )
+    zero = MultiPoly.zero(n)
+    concrete: dict[Permutation, MultiPoly] = {}
+    remaining: set[int] = set()
+    for u, parts in values.items():
+        parts = dict(parts)
+        for col, row in solved.items():
+            pivot = parts.pop(-col, None)
+            if pivot is not None:
+                for k, coeff in row.items():
+                    if k != col:
+                        parts[-k] = parts.get(-k, zero) - pivot * coeff
+        concrete[u] = parts.pop(0, zero)
+        remaining.update(k for k, p in parts.items() if not p.is_zero)
     return InterpolationResult(
-        cls=concrete, unique=not remaining, free_parameters=len(remaining)
+        cls=EquivariantClass(n, concrete),
+        unique=not remaining,
+        free_parameters=len(remaining),
     )
-
-
-def _sub_relation(relation: dict[int, Fraction], pid: int,
-                  replacement: dict[int, Fraction]) -> dict[int, Fraction]:
-    if pid not in relation:
-        return relation
-    scale = relation[pid]
-    out = {k: v for k, v in relation.items() if k != pid}
-    for k, v in replacement.items():
-        out[k] = out.get(k, Fraction(0)) + scale * v
-    return {k: v for k, v in out.items() if v}
 
 
 def _label_pair(label: MultiPoly) -> tuple[int, int]:

@@ -17,6 +17,7 @@ class and give the coset-representative bookkeeping.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,17 +75,11 @@ class BlockSubgroups:
 
     @property
     def coarse_order(self) -> int:
-        out = 1
-        for block in self.coarse_blocks:
-            out *= _factorial(len(block))
-        return out
+        return math.prod(math.factorial(len(block)) for block in self.coarse_blocks)
 
     @property
     def fine_order(self) -> int:
-        out = 1
-        for block in self.fine_blocks:
-            out *= _factorial(len(block))
-        return out
+        return math.prod(math.factorial(len(block)) for block in self.fine_blocks)
 
     def coarse_simple_generators(self) -> list[int]:
         """Indices i with both values i, i+1 in one coarse block."""
@@ -94,13 +89,6 @@ class BlockSubgroups:
                 if i + 1 in block:
                     out.append(i)
         return sorted(out)
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for k in range(2, m + 1):
-        out *= k
-    return out
 
 
 def block_subgroups(w: Permutation) -> BlockSubgroups:
@@ -320,6 +308,7 @@ def verify_wz_completeness(a: Composition) -> bool:
 
 
 _MOD_PRIME = 2_147_483_647  # 2^31 - 1
+_FALLBACK_PRIME = 2_147_483_629
 
 
 def _rank_mod_p(rows: list[list[int]], p: int = _MOD_PRIME) -> int:
@@ -348,17 +337,19 @@ def _rank_mod_p(rows: list[list[int]], p: int = _MOD_PRIME) -> int:
     return rank
 
 
+def _certified_rank(rows: list[list[int]], expected: int) -> int:
+    """Rank of integer rows, retried at a second prime when short of
+    ``expected``: a rank mod p never exceeds the rational rank, so the
+    larger one is the better lower bound."""
+    rank = _rank_mod_p(rows)
+    if rank != expected:
+        rank = max(rank, _rank_mod_p(rows, p=_FALLBACK_PRIME))
+    return rank
+
+
 def _vector_to_ints(vec: dict[Permutation, Fraction], order) -> list[int]:
-    denominator = 1
-    for value in vec.values():
-        denominator = denominator * value.denominator // _gcd(denominator, value.denominator)
+    denominator = math.lcm(*(value.denominator for value in vec.values()))
     return [int(vec.get(w, Fraction(0)) * denominator) for w in order]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def coset_orbit_vectors(
@@ -483,8 +474,8 @@ def verify_decomposition(
     dimension ``n!/|block subgroup|`` whose stabilizer is exactly that
     subgroup; the spans over all generators are independent and fill the
     degree.  Full-rank certificates run modulo a large prime, which is
-    exact in the passing direction; a failed modular rank falls back to
-    further primes before reporting failure.
+    exact in the passing direction; a short modular rank, per module or of
+    the direct sum, is retried at a second prime before reporting failure.
     """
     h = HessenbergFunction.permutohedral(n)
     if matrices is None:
@@ -502,14 +493,12 @@ def verify_decomposition(
         vec = reduce_to_ordinary(hat, k, h, basis)
         orbit = coset_orbit_vectors(w, vec, matrices)
         rows = [_vector_to_ints(v, order) for v in orbit]
-        expected_dim = _factorial(n) // groups.coarse_order
+        expected_dim = math.factorial(n) // groups.coarse_order
         if len(rows) != expected_dim:
             raise AssertionError(
                 f"coset walk found {len(rows)} cosets, expected {expected_dim}"
             )
-        rank = _rank_mod_p(rows)
-        if rank != expected_dim:
-            rank = max(rank, _rank_mod_p(rows, p=2_147_483_629))
+        rank = _certified_rank(rows, expected_dim)
         stabilizer_ok = _stabilizer_exact(w, vec, matrices, groups)
         a = w.descent_composition()
         modules.append(
@@ -525,8 +514,7 @@ def verify_decomposition(
         stacked.extend(rows)
 
     total = sum(m.dim_expected for m in modules)
-    full_rank = _rank_mod_p(stacked)
-    direct_sum = full_rank == total
+    direct_sum = _certified_rank(stacked, total) == total
 
     observed_types: dict[tuple[int, ...], int] = {}
     for m in modules:

@@ -19,9 +19,9 @@ cases, by the positions of the values ``i`` and ``i+1`` in ``w``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .classes import (
     EquivariantClass,
@@ -222,10 +222,6 @@ def build_auxiliary_class(w: Permutation, i: int) -> EquivariantClass:
     return total
 
 
-# sigma_w^(i), kept under the name the rest of the code uses
-build_sigma_w_i = build_auxiliary_class
-
-
 class _SiExpansionCache:
     """Memoized expansions of ``s_i . sigma_w`` over the basis classes.
 
@@ -246,7 +242,7 @@ class _SiExpansionCache:
             return hit
         if key in self.in_progress:
             raise RecursionError(f"cyclic expansion request at w={w}, i={i}")
-        if len(self.in_progress) > _factorial(self.n):
+        if len(self.in_progress) > math.factorial(self.n):
             raise RecursionError("expansion recursion exceeded the depth guard")
         self.in_progress.add(key)
         try:
@@ -303,14 +299,6 @@ def _add(acc: dict, key: Permutation, poly: MultiPoly, n: int) -> None:
     acc[key] = acc.get(key, MultiPoly.zero(n)) + poly
 
 
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 _caches: dict[int, _SiExpansionCache] = {}
 
 
@@ -319,14 +307,6 @@ def perm_si_action(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
     w = Permutation(w)
     cache = _caches.setdefault(len(w), _SiExpansionCache(len(w)))
     return cache.expansion(w, i)
-
-
-def apply_perm_to_expansion(
-    u: Permutation, expansion: dict[Permutation, MultiPoly]
-) -> dict[Permutation, MultiPoly]:
-    """Expansion of ``u .`` applied to an expansion, permutohedral case."""
-    cache = _caches.setdefault(len(u), _SiExpansionCache(len(u)))
-    return cache._apply_word(u.reduced_word(), expansion)
 
 
 # -- action matrices -----------------------------------------------------------

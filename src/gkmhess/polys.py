@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Coeff = int | Fraction
 
@@ -323,17 +323,3 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Mul
         result = result + MultiPoly(nvars, {tuple(exps): sign * coeff}, names)
     return result
 
-
-def poly_substitute(p: MultiPoly, u) -> MultiPoly:
-    return p.substitute_permutation(u)
-
-
-def poly_divide_linear(p: MultiPoly, linear: MultiPoly) -> MultiPoly | None:
-    return p.divide_linear(linear)
-
-
-def prod(polys: Iterable[MultiPoly], nvars: int) -> MultiPoly:
-    result = MultiPoly.one(nvars)
-    for p in polys:
-        result = result * p
-    return result

@@ -3,17 +3,20 @@
 Coefficient vectors over partitions of ``n`` in one of the classical bases
 (monomial, elementary, complete homogeneous, power sum, Schur).  Transition
 matrices are built once per degree by brute-force expansion in ``n``
-variables and exact linear solves, so every conversion round-trips
-bit-exactly.  The involution swapping elementary and complete homogeneous
-generators acts by retagging in the e/h pair of bases.
+variables and inverted with the shared exact kernel of ``linalg``, so every
+conversion round-trips bit-exactly.  The involution swapping elementary and
+complete homogeneous generators acts by retagging in the e/h pair of bases.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import row_reduce
 from .perms import partitions
 from .polys import MultiPoly
 
@@ -134,25 +137,20 @@ def _transition_to_m(basis: str, n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _transition_from_m(basis: str, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse transition: columns express m-elements over the basis."""
+    """Inverse transition: columns express m-elements over the basis.
+
+    Row-reduces ``[A | I]``, where ``A`` has the columns of
+    ``_transition_to_m``; the right half of the reduced rows is ``A^-1``.
+    """
     cols = _transition_to_m(basis, n)
     size = len(cols)
-    # invert the matrix whose columns are cols
-    aug = [
-        [cols[c][r] for c in range(size)] + [Fraction(int(r == c)) for c in range(size)]
-        for r in range(size)
+    augmented = [
+        {**{c: cols[c][r] for c in range(size)}, size + r: 1} for r in range(size)
     ]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
+    inverse, _leftover, _det = row_reduce(augmented, bound=size)
     return tuple(
-        tuple(aug[r][size + c] for r in range(size)) for c in range(size)
+        tuple(Fraction(inverse[r].get(size + c, 0)) for r in range(size))
+        for c in range(size)
     )
 
 
@@ -258,13 +256,7 @@ class SymFunc:
 
 def z_mu(mu: tuple[int, ...]) -> int:
     """Centralizer order of the cycle type: prod i^{m_i} m_i!."""
-    out = 1
-    for part in set(mu):
-        count = mu.count(part)
-        out *= part**count
-        for k in range(2, count + 1):
-            out *= k
-    return out
+    return math.prod(part**m * math.factorial(m) for part, m in Counter(mu).items())
 
 
 def cycle_type_representative(mu: tuple[int, ...]):

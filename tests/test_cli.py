@@ -121,6 +121,13 @@ def test_determinism():
         ("support_24135.json", ("support", "--n", "5", "--h", "3,3,4,5,5", "--w", "24135")),
         ("gkm_graph_233.json", ("gkm-graph", "--n", "3", "--h", "2,3,3")),
         ("verify_wz_4.json", ("verify", "wz", "--n", "4", "--seed", "3")),
+        # non-unique interpolations: pins the representative, not only the
+        # flow-up contract
+        ("class_1243_2444.json", ("class", "--w", "1243", "--h", "2,4,4,4")),
+        ("class_2134_3344.json", ("class", "--w", "2134", "--h", "3,3,4,4")),
+        ("class_1423_3444.json", ("class", "--w", "1423", "--h", "3,4,4,4")),
+        ("class_2314_3444.json", ("class", "--w", "2314", "--h", "3,4,4,4")),
+        ("class_21345_33455.json", ("class", "--w", "21345", "--h", "3,3,4,5,5")),
     ],
 )
 def test_golden_outputs(golden, args):

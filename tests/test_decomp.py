@@ -254,3 +254,20 @@ def test_decomposition_n5_k2_module_types():
     types = sorted(m.module_type for m in report.modules)
     assert types == sorted([(5,), (3, 2), (4, 1), (3, 2), (2, 2, 1), (3, 2)])
     assert report.total_dim == 1 + 3 * 10 + 5 + 30 == 66
+
+
+def test_unlucky_prime_falls_back_for_every_rank(monkeypatch):
+    # a rank that comes out short at the first prime must be retried, for
+    # each module and for the direct sum alike
+    from gkmhess import decomp
+
+    exact = decomp._rank_mod_p
+
+    def unlucky(rows, p=decomp._MOD_PRIME):
+        rank = exact(rows, p)
+        return rank - 1 if p == decomp._MOD_PRIME else rank
+
+    monkeypatch.setattr(decomp, "_rank_mod_p", unlucky)
+    report = verify_decomposition(4, 1)
+    assert report.passed and report.direct_sum
+    assert all(m.dim_computed == m.dim_expected for m in report.modules)

@@ -298,3 +298,16 @@ def test_example_48_identity_general_h():
     s1 = Permutation.simple(1, 4)
     lhs = dot(s1, total) - total
     assert lhs == classes["1243"].scale(lf(2, 1, 4))
+
+
+def test_dot_rules_suite_reports_bugs_instead_of_skipping(monkeypatch):
+    # only a non-unique basis may be booked as skipped; any other error is
+    # a failure of the suite
+    from gkmhess import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("bug in the rule check")
+
+    monkeypatch.setattr(cli, "dashed_rule_check", broken)
+    with pytest.raises(KeyError):
+        cli.verify_dot_rules(3, cli.RunConfig())

@@ -1,0 +1,68 @@
+import itertools
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from gkmhess.cells import _sign
+from gkmhess.decomp import _rank_mod_p
+from gkmhess.linalg import row_reduce
+
+
+def matrices(entries, max_size=4, square=True):
+    @st.composite
+    def build(draw):
+        rows = draw(st.integers(0, max_size))
+        cols = rows if square else draw(st.integers(1, max_size + 1))
+        return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+    return build()
+
+
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+# low-rank and singular inputs are common with mostly small integers
+small_ints = st.integers(-2, 2)
+
+
+def leibniz(matrix):
+    size = len(matrix)
+    return sum(
+        _sign(sigma) * math.prod(matrix[r][sigma[r]] for r in range(size))
+        for sigma in itertools.permutations(range(size))
+    )
+
+
+def sparse(matrix):
+    return [dict(enumerate(row)) for row in matrix]
+
+
+@given(matrices(st.one_of(fractions, small_ints.map(Fraction))))
+@settings(max_examples=200)
+def test_determinant_matches_leibniz(matrix):
+    assert row_reduce(sparse(matrix))[2] == leibniz(matrix)
+
+
+@given(matrices(st.integers(-5, 5), max_size=5, square=False))
+@settings(max_examples=200)
+def test_rank_matches_modular_rank(matrix):
+    # entries and sizes this small keep every minor far below the prime
+    pivots, leftover, _det = row_reduce(sparse(matrix))
+    assert not leftover
+    assert len(pivots) == _rank_mod_p(matrix)
+
+
+@given(matrices(st.integers(-3, 3), max_size=4, square=False), st.integers(0, 5))
+@settings(max_examples=200)
+def test_bounded_pivots_give_rref_and_relations(matrix, bound):
+    pivots, leftover, _det = row_reduce(sparse(matrix), bound=bound)
+    for col, row in pivots.items():
+        assert col < bound and row[col] == 1
+        assert min(row) == col
+        assert all(other not in row for other in pivots if other != col)
+    for row in leftover:
+        assert row and min(row) >= bound
+    # the reduced rows span exactly the row space of the input
+    reduced = list(pivots.values()) + leftover
+    rank = _rank_mod_p(matrix)
+    assert len(row_reduce(reduced)[0]) == rank
+    assert len(row_reduce(sparse(matrix) + reduced)[0]) == rank
