@@ -3,8 +3,9 @@
 
 Mirrors `gkmhess verify all` but reports one timed line per suite, which is
 handy when profiling larger n.  Suites whose desk-scale guarantees stop
-below the requested n are still run at the requested size; expect the
-decomposition and Coxeter suites to dominate beyond n = 6.
+below the requested n are still run at the requested size.  At n = 6 the
+Poincare and classes suites take the longest; the decomposition suite,
+which works on ordinary vectors only, is among the quick ones.
 """
 
 import argparse

@@ -36,6 +36,7 @@ from .dot import (
     dashed_rule_check,
     dot,
     full_flag_si_rule_check,
+    generator_matrix,
     perm_si_action,
     unique_interpolated_basis,
 )
@@ -80,13 +81,11 @@ class RunConfig:
 def _parse_h(text: str | None, n: int | None) -> HessenbergFunction:
     if text is None:
         raise ValueError("a Hessenberg function is required (--h or --permutohedral)")
+    if text in ("permutohedral", "fullflag") and n is None:
+        raise ValueError(f"--h {text} needs --n")
     if text == "permutohedral":
-        if n is None:
-            raise SystemExit(2)
         return HessenbergFunction.permutohedral(n)
     if text == "fullflag":
-        if n is None:
-            raise SystemExit(2)
         return HessenbergFunction.full_flag(n)
     return HessenbergFunction.from_string(text)
 
@@ -227,6 +226,8 @@ def cmd_expand(args, config: RunConfig) -> int:
 def cmd_dot(args, config: RunConfig) -> int:
     w = Permutation.from_one_line(args.w)
     n = len(w)
+    if not 1 <= args.gen < n:
+        raise ValueError(f"--gen {args.gen} outside [1,{n - 1}]")
     if args.permutohedral:
         expansion = perm_si_action(w, args.gen)
         _emit(
@@ -285,7 +286,9 @@ def cmd_action_matrix(args, config: RunConfig) -> int:
 
 
 def cmd_decompose(args, config: RunConfig) -> int:
-    report = verify_decomposition(args.n, args.k)
+    h = HessenbergFunction.permutohedral(args.n)
+    matrices = {i: generator_matrix(i, args.k, h) for i in range(1, args.n)}
+    report = verify_decomposition(args.n, args.k, matrices)
     payload = {
         "n": args.n,
         "k": args.k,
@@ -307,21 +310,13 @@ def cmd_decompose(args, config: RunConfig) -> int:
         ],
     }
     if args.emit_basis:
-        from .decomp import coset_orbit_vectors, sigma_hat
-        from .classes import reduce_to_ordinary
-        from .dot import generator_matrix
+        from .decomp import coset_orbit_vectors, sigma_hat_vector
 
-        h = HessenbergFunction.permutohedral(args.n)
-        basis = {w: permutohedral_class(w) for w in Permutation.all(args.n)}
-        matrices = {i: generator_matrix(i, args.k, h) for i in range(1, args.n)}
-        emitted = []
-        for m in report.modules:
-            vec = reduce_to_ordinary(sigma_hat(m.w), args.k, h, basis)
-            for v in coset_orbit_vectors(m.w, vec, matrices):
-                emitted.append(
-                    {str(b): str(c) for b, c in sorted(v.items())}
-                )
-        payload["basis_vectors"] = emitted
+        payload["basis_vectors"] = [
+            {str(b): str(c) for b, c in sorted(v.items())}
+            for m in report.modules
+            for v in coset_orbit_vectors(m.w, sigma_hat_vector(m.w, matrices), matrices)
+        ]
     _emit(payload, config)
     return 0 if report.passed else 1
 
@@ -538,7 +533,7 @@ def verify_dot_rules(n: int, config: RunConfig) -> dict:
 
 
 def verify_coxeter(n: int, config: RunConfig) -> dict:
-    from .dot import ActionMatrix, degree_basis, generator_matrix
+    from .dot import ActionMatrix, degree_basis
 
     h = HessenbergFunction.permutohedral(n)
     failures = []

@@ -8,6 +8,10 @@ element; symmetrizing such a class over cosets of the block subgroup of its
 erased composition produces a generator whose orbit spans one permutation
 module, and the modules over all generators decompose the whole degree.
 
+The check runs in ordinary cohomology: a symmetrized class and its orbit
+come from the generator matrices of the dot action by one walk over cosets;
+the equivariant ``sigma_hat`` is the reference they are tested against.
+
 The lattice graphs attached to compositions organize the permutations with
 a fixed descent composition as words in commuting simple reflections; they
 drive the positivity statement for the leading part of each symmetrized
@@ -23,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classes import EquivariantClass, permutohedral_class, reduce_to_ordinary
+from .classes import EquivariantClass, permutohedral_class
 from .dot import ActionMatrix, degree_basis, dot, generator_matrix
 from .gkm import HessenbergFunction
 from .perms import Composition, Permutation
@@ -77,35 +81,18 @@ class BlockSubgroups:
     def coarse_order(self) -> int:
         return math.prod(math.factorial(len(block)) for block in self.coarse_blocks)
 
-    @property
-    def fine_order(self) -> int:
-        return math.prod(math.factorial(len(block)) for block in self.fine_blocks)
-
     def coarse_simple_generators(self) -> list[int]:
         """Indices i with both values i, i+1 in one coarse block."""
-        out = []
-        for block in self.coarse_blocks:
-            for i in sorted(block):
-                if i + 1 in block:
-                    out.append(i)
-        return sorted(out)
+        return sorted(i for block in self.coarse_blocks for i in block if i + 1 in block)
 
 
 def block_subgroups(w: Permutation) -> BlockSubgroups:
-    n = len(w)
+    def blocks(cuts):
+        cuts = (0,) + tuple(sorted(cuts)) + (len(w),)
+        return tuple(frozenset(w(m) for m in range(a + 1, b + 1)) for a, b in zip(cuts, cuts[1:]))
+
     descents = w.descents()
-    fine_cuts = (0,) + descents + (n,)
-    fine = tuple(
-        frozenset(w(m) for m in range(fine_cuts[s] + 1, fine_cuts[s + 1] + 1))
-        for s in range(len(fine_cuts) - 1)
-    )
-    erased = tuple(sorted(erase(descents)))
-    coarse_cuts = (0,) + erased + (n,)
-    coarse = tuple(
-        frozenset(w(m) for m in range(coarse_cuts[t] + 1, coarse_cuts[t + 1] + 1))
-        for t in range(len(coarse_cuts) - 1)
-    )
-    return BlockSubgroups(w=w, fine_blocks=fine, coarse_blocks=coarse)
+    return BlockSubgroups(w=w, fine_blocks=blocks(descents), coarse_blocks=blocks(erase(descents)))
 
 
 def _block_preserving_perms(blocks: tuple[frozenset[int], ...], n: int):
@@ -349,7 +336,34 @@ def _certified_rank(rows: list[list[int]], expected: int) -> int:
 
 def _vector_to_ints(vec: dict[Permutation, Fraction], order) -> list[int]:
     denominator = math.lcm(*(value.denominator for value in vec.values()))
-    return [int(vec.get(w, Fraction(0)) * denominator) for w in order]
+    return [int(vec[w] * denominator) if w in vec else 0 for w in order]
+
+
+def _coset_walk(blocks, vec: dict[Permutation, Fraction], generators,
+                matrices: dict[int, ActionMatrix]) -> list[dict[Permutation, Fraction]]:
+    """Vectors ``u . vec``, one per coset ``u H`` of the stabilizer ``H`` of
+    the value blocks, walked breadth first by the steps ``s_i``, ``i`` in
+    ``generators``.  A coset is keyed by the image sets of the blocks, so a
+    step swaps the values ``i`` and ``i+1`` in the key.  The blocks must be
+    intervals of values: ``H`` is then parabolic, and each coset is first
+    reached through its minimal representative."""
+    for block in blocks:
+        if max(block) - min(block) + 1 != len(block):
+            raise ValueError(f"block {sorted(block)} is not an interval of values")
+    start = tuple(blocks)
+    vectors = {start: vec}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for key in frontier:
+            for i in generators:
+                pair = {i, i + 1}
+                moved = tuple(b ^ pair if len(b & pair) == 1 else b for b in key)
+                if moved not in vectors:
+                    vectors[moved] = matrices[i].apply_vector(vectors[key])
+                    nxt.append(moved)
+        frontier = nxt
+    return list(vectors.values())
 
 
 def coset_orbit_vectors(
@@ -357,34 +371,27 @@ def coset_orbit_vectors(
     vec: dict[Permutation, Fraction],
     matrices: dict[int, ActionMatrix],
 ) -> list[dict[Permutation, Fraction]]:
-    """Ordinary vectors ``u . vec`` for one representative of each coset of
-    the stabilizing block subgroup, walked by single generator steps."""
-    n = len(w)
+    """Ordinary vectors ``u . vec`` for the minimal representative ``u`` of
+    each coset of the coarse block subgroup; the coarse blocks of ``w`` must
+    be intervals of values (``ValueError`` otherwise), as for generators."""
+    coarse = block_subgroups(w).coarse_blocks
+    return _coset_walk(coarse, vec, range(1, len(w)), matrices)
+
+
+def sigma_hat_vector(w: Permutation,
+                     matrices: dict[int, ActionMatrix]) -> dict[Permutation, Fraction]:
+    """Ordinary image of ``sigma_hat(w)``: the reduction commutes with the
+    dot action and takes the class of ``w`` to ``e_w``, so it is the sum of
+    ``v . e_w`` over the minimal coset representatives ``v`` of the fine
+    block subgroup in the coarse one.  The fine blocks must be intervals of
+    values (``ValueError`` otherwise), which holds exactly for generators."""
     groups = block_subgroups(w)
-    coarse = [tuple(sorted(b)) for b in groups.coarse_blocks]
-
-    def signature(u: Permutation):
-        return tuple(frozenset(u(x) for x in block) for block in coarse)
-
-    start = Permutation.identity(n)
-    seen_perms = {start}
-    vectors = {signature(start): vec}
-    frontier = [(start, vec)]
-    while frontier:
-        nxt = []
-        for u, current in frontier:
-            for i in range(1, n):
-                moved = Permutation.simple(i, n) * u
-                if moved in seen_perms:
-                    continue
-                seen_perms.add(moved)
-                moved_vec = matrices[i].apply_vector(current)
-                key = signature(moved)
-                if key not in vectors:
-                    vectors[key] = moved_vec
-                nxt.append((moved, moved_vec))
-        frontier = nxt
-    return list(vectors.values())
+    total: dict[Permutation, Fraction] = {}
+    for vec in _coset_walk(groups.fine_blocks, {w: Fraction(1)},
+                           groups.coarse_simple_generators(), matrices):
+        for v, c in vec.items():
+            total[v] = total.get(v, 0) + c
+    return {v: c for v, c in total.items() if c}
 
 
 @dataclass
@@ -466,22 +473,21 @@ def verify_decomposition(
     n: int,
     k: int,
     matrices: dict[int, ActionMatrix] | None = None,
-    basis: dict[Permutation, EquivariantClass] | None = None,
 ) -> DecompositionReport:
     """Check the degree-k permutation-module decomposition exactly.
 
     Per generator: the orbit of the symmetrized class spans a module of
     dimension ``n!/|block subgroup|`` whose stabilizer is exactly that
     subgroup; the spans over all generators are independent and fill the
-    degree.  Full-rank certificates run modulo a large prime, which is
-    exact in the passing direction; a short modular rank, per module or of
-    the direct sum, is retried at a second prime before reporting failure.
+    degree.  The symmetrized class and its orbit are ordinary vectors built
+    from the generator matrices (``sigma_hat_vector``, ``coset_orbit_vectors``).
+    Full-rank certificates run modulo a large prime, which is exact in the
+    passing direction; a short modular rank, per module or of the direct
+    sum, is retried at a second prime before reporting failure.
     """
     h = HessenbergFunction.permutohedral(n)
     if matrices is None:
         matrices = {i: generator_matrix(i, k, h) for i in range(1, n)}
-    if basis is None:
-        basis = {w: permutohedral_class(w) for w in Permutation.all(n)}
     order = degree_basis(h, k)
     generators = g_set(n, k)
 
@@ -489,8 +495,7 @@ def verify_decomposition(
     stacked: list[list[int]] = []
     for w in generators:
         groups = block_subgroups(w)
-        hat = sigma_hat(w)
-        vec = reduce_to_ordinary(hat, k, h, basis)
+        vec = sigma_hat_vector(w, matrices)
         orbit = coset_orbit_vectors(w, vec, matrices)
         rows = [_vector_to_ints(v, order) for v in orbit]
         expected_dim = math.factorial(n) // groups.coarse_order
@@ -542,10 +547,4 @@ def _stabilizer_exact(
     other simple reflection moves it (exactness then follows from the
     dimension count)."""
     inside = set(groups.coarse_simple_generators())
-    n = len(w)
-    for i in range(1, n):
-        moved = matrices[i].apply_vector(vec)
-        fixed = moved == {k: v for k, v in vec.items() if v}
-        if (i in inside) != fixed:
-            return False
-    return True
+    return all((i in inside) == (matrices[i].apply_vector(vec) == vec) for i in range(1, len(w)))

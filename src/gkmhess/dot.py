@@ -424,9 +424,12 @@ def unique_interpolated_basis(h: HessenbergFunction) -> dict[Permutation, Equiva
 
 def action_matrix(u: Permutation, k: int, h: HessenbergFunction,
                   basis: dict[Permutation, EquivariantClass] | None = None) -> ActionMatrix:
-    """Matrix of an arbitrary group element via a reduced word."""
-    order = degree_basis(h, k)
-    result = ActionMatrix.identity(k, h, order)
-    for gen in u.reduced_word():
-        result = result.compose(generator_matrix(gen, k, h, basis))
+    """Matrix of a group element via a reduced word, one matrix per distinct letter."""
+    word = u.reduced_word()
+    if word and basis is None and not (h.is_permutohedral() or h.is_full_flag()):
+        basis = unique_interpolated_basis(h)
+    matrices = {gen: generator_matrix(gen, k, h, basis) for gen in set(word)}
+    result = ActionMatrix.identity(k, h, degree_basis(h, k))
+    for gen in word:
+        result = result.compose(matrices[gen])
     return result

@@ -102,6 +102,22 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("h", ["permutohedral", "fullflag"])
+def test_named_h_without_n_is_a_usage_error(h, capsys):
+    from gkmhess import cli
+
+    assert cli.main(["gkm-graph", "--h", h]) == 2
+    assert "--n" in capsys.readouterr().err
+
+
+def test_dot_generator_out_of_range_is_a_usage_error():
+    for extra in (("--permutohedral",), ("--h", "2,3,4,4")):
+        for gen in ("0", "4"):
+            proc = run_cli("dot", "--w", "1234", "--gen", gen, *extra)
+            assert proc.returncode == 2
+            assert "--gen" in proc.stderr
+
+
 def test_unknown_subcommand_exit_code():
     proc = run_cli("frobulate")
     assert proc.returncode == 2
@@ -128,6 +144,9 @@ def test_determinism():
         ("class_1423_3444.json", ("class", "--w", "1423", "--h", "3,4,4,4")),
         ("class_2314_3444.json", ("class", "--w", "2314", "--h", "3,4,4,4")),
         ("class_21345_33455.json", ("class", "--w", "21345", "--h", "3,3,4,5,5")),
+        # the orbit vectors of every module, in walk order
+        ("decompose_4_2_basis.json", ("decompose", "--n", "4", "--k", "2", "--emit-basis")),
+        ("decompose_5_2_basis.json", ("decompose", "--n", "5", "--k", "2", "--emit-basis")),
     ],
 )
 def test_golden_outputs(golden, args):

@@ -5,6 +5,7 @@ from gkmhess.decomp import (
     admissible_decomposition,
     block_subgroups,
     composition_graph,
+    coset_orbit_vectors,
     descent_class,
     erase,
     erased_composition,
@@ -13,11 +14,13 @@ from gkmhess.decomp import (
     g_set,
     generator_permutation,
     sigma_hat,
+    sigma_hat_vector,
     symmetrizer_coset_reps,
     verify_decomposition,
     verify_wz_completeness,
     w_z,
 )
+from gkmhess.dot import generator_matrix
 from gkmhess.gkm import HessenbergFunction
 from gkmhess.perms import Composition, Permutation
 
@@ -271,3 +274,26 @@ def test_unlucky_prime_falls_back_for_every_rank(monkeypatch):
     report = verify_decomposition(4, 1)
     assert report.passed and report.direct_sum
     assert all(m.dim_computed == m.dim_expected for m in report.modules)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sigma_hat_vector_matches_equivariant_reduction(n):
+    # the matrix-built ordinary vector against the reduced equivariant class
+    h = HessenbergFunction.permutohedral(n)
+    basis = {w: permutohedral_class(w) for w in Permutation.all(n)}
+    for k in range(n):
+        matrices = {i: generator_matrix(i, k, h) for i in range(1, n)}
+        for w in g_set(n, k):
+            expected = reduce_to_ordinary(sigma_hat(w), k, h, basis)
+            assert sigma_hat_vector(w, matrices) == {v: c for v, c in expected.items() if c}
+
+
+def test_coset_walks_need_interval_blocks():
+    # 2143 has the coarse blocks {1,2,4} and {3}: not a parabolic subgroup
+    w = Permutation.from_one_line("2143")
+    h = HessenbergFunction.permutohedral(4)
+    matrices = {i: generator_matrix(i, 2, h) for i in range(1, 4)}
+    with pytest.raises(ValueError):
+        coset_orbit_vectors(w, {w: 1}, matrices)
+    with pytest.raises(ValueError):
+        sigma_hat_vector(w, matrices)

@@ -311,3 +311,30 @@ def test_dot_rules_suite_reports_bugs_instead_of_skipping(monkeypatch):
     monkeypatch.setattr(cli, "dashed_rule_check", broken)
     with pytest.raises(KeyError):
         cli.verify_dot_rules(3, cli.RunConfig())
+
+
+def test_action_matrix_interpolates_the_basis_once(monkeypatch):
+    # a word with repeated letters interpolates each class of the basis
+    # once, not once per letter, and still multiplies the letters in order
+    import importlib
+    import math
+
+    dot_module = importlib.import_module("gkmhess.dot")  # the package exports dot()
+    h = HessenbergFunction((2, 3, 3, 4))
+    u = Permutation.longest(4)
+    basis = dot_module.unique_interpolated_basis(h)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return interpolate_class(*args, **kwargs)
+
+    monkeypatch.setattr(dot_module, "interpolate_class", counted)
+    for k in range(3):
+        calls.clear()
+        matrix = action_matrix(u, k, h)
+        assert len(calls) == math.factorial(4)
+        expected = ActionMatrix.identity(k, h, degree_basis(h, k))
+        for gen in u.reduced_word():
+            expected = expected.compose(generator_matrix(gen, k, h, basis))
+        assert matrix == expected
