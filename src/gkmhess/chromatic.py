@@ -136,7 +136,7 @@ def frobenius_of_degree(
         matrix = _matrix_of(rep, k, h, matrices_by_generator)
         chi = matrix.trace()
         if chi:
-            coeffs[mu] = chi / z_mu(mu)
+            coeffs[mu] = Fraction(chi, z_mu(mu))
     return SymFunc(n, "p", coeffs).to_basis("h")
 
 

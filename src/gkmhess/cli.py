@@ -90,6 +90,15 @@ def _parse_h(text: str | None, n: int | None) -> HessenbergFunction:
     return HessenbergFunction.from_string(text)
 
 
+def _parse_h_for(w: Permutation, text: str | None, n: int | None,
+                 flag: str = "--w") -> HessenbergFunction:
+    """``--h`` for the permutation given as ``flag``; their lengths must agree."""
+    h = _parse_h(text, n)
+    if h.n != len(w):
+        raise ValueError(f"{flag} has length {len(w)} but --h has length {h.n}")
+    return h
+
+
 def _emit(payload: dict, config: RunConfig) -> None:
     payload = {"schema": SCHEMA, **payload}
     if config.output == "table":
@@ -128,8 +137,8 @@ def cmd_gkm_graph(args, config: RunConfig) -> int:
 
 
 def cmd_support(args, config: RunConfig) -> int:
-    h = _parse_h(args.h, args.n)
     w = Permutation.from_one_line(args.w)
+    h = _parse_h_for(w, args.h, args.n)
     members = support_A(w, h).sorted()
     _emit(
         {"n": h.n, "h": list(h), "w": str(w), "support": [str(u) for u in members]},
@@ -140,7 +149,7 @@ def cmd_support(args, config: RunConfig) -> int:
 
 def cmd_cell_chart(args, config: RunConfig) -> int:
     w = Permutation.from_one_line(args.w)
-    h = _parse_h(args.h, len(w))
+    h = _parse_h_for(w, args.h, len(w))
     c = (
         EigenvalueVector(tuple(Fraction(v) for v in args.eigenvalues.split(",")))
         if args.eigenvalues
@@ -173,7 +182,7 @@ def cmd_class(args, config: RunConfig) -> int:
         cls = permutohedral_class(w)
         unique = True
     else:
-        h = _parse_h(args.h, len(w))
+        h = _parse_h_for(w, args.h, len(w))
         result = interpolate_class(w, h)
         cls, unique = result.cls, result.unique
     _emit(
@@ -241,7 +250,7 @@ def cmd_dot(args, config: RunConfig) -> int:
             config,
         )
         return 0
-    h = _parse_h(args.h, n)
+    h = _parse_h_for(w, args.h, n)
     result = interpolate_class(w, h)
     if not result.unique:
         _emit({"error": "uncertified", "reason": "interpolation not unique",
@@ -264,7 +273,10 @@ def cmd_dot(args, config: RunConfig) -> int:
 def cmd_action_matrix(args, config: RunConfig) -> int:
     u = Permutation.from_one_line(args.perm)
     n = len(u)
-    h = _parse_h(args.h, n)
+    h = _parse_h_for(u, args.h, n, "--perm")
+    top = sum(h(i) - i for i in range(1, n + 1))
+    if not 0 <= args.k <= top:
+        raise ValueError(f"degree {args.k} outside [0,{top}]")
     matrix = action_matrix(u, args.k, h)
     order = matrix.basis_order
     dense = [

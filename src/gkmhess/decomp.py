@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .classes import EquivariantClass, permutohedral_class
 from .dot import ActionMatrix, degree_basis, dot, generator_matrix
 from .gkm import HessenbergFunction
 from .perms import Composition, Permutation
+from .polys import Coeff
 
 
 def erase(descents) -> frozenset[int]:
@@ -334,13 +334,13 @@ def _certified_rank(rows: list[list[int]], expected: int) -> int:
     return rank
 
 
-def _vector_to_ints(vec: dict[Permutation, Fraction], order) -> list[int]:
+def _vector_to_ints(vec: dict[Permutation, Coeff], order) -> list[int]:
     denominator = math.lcm(*(value.denominator for value in vec.values()))
     return [int(vec[w] * denominator) if w in vec else 0 for w in order]
 
 
-def _coset_walk(blocks, vec: dict[Permutation, Fraction], generators,
-                matrices: dict[int, ActionMatrix]) -> list[dict[Permutation, Fraction]]:
+def _coset_walk(blocks, vec: dict[Permutation, Coeff], generators,
+                matrices: dict[int, ActionMatrix]) -> list[dict[Permutation, Coeff]]:
     """Vectors ``u . vec``, one per coset ``u H`` of the stabilizer ``H`` of
     the value blocks, walked breadth first by the steps ``s_i``, ``i`` in
     ``generators``.  A coset is keyed by the image sets of the blocks, so a
@@ -368,9 +368,9 @@ def _coset_walk(blocks, vec: dict[Permutation, Fraction], generators,
 
 def coset_orbit_vectors(
     w: Permutation,
-    vec: dict[Permutation, Fraction],
+    vec: dict[Permutation, Coeff],
     matrices: dict[int, ActionMatrix],
-) -> list[dict[Permutation, Fraction]]:
+) -> list[dict[Permutation, Coeff]]:
     """Ordinary vectors ``u . vec`` for the minimal representative ``u`` of
     each coset of the coarse block subgroup; the coarse blocks of ``w`` must
     be intervals of values (``ValueError`` otherwise), as for generators."""
@@ -379,15 +379,15 @@ def coset_orbit_vectors(
 
 
 def sigma_hat_vector(w: Permutation,
-                     matrices: dict[int, ActionMatrix]) -> dict[Permutation, Fraction]:
+                     matrices: dict[int, ActionMatrix]) -> dict[Permutation, Coeff]:
     """Ordinary image of ``sigma_hat(w)``: the reduction commutes with the
     dot action and takes the class of ``w`` to ``e_w``, so it is the sum of
     ``v . e_w`` over the minimal coset representatives ``v`` of the fine
     block subgroup in the coarse one.  The fine blocks must be intervals of
     values (``ValueError`` otherwise), which holds exactly for generators."""
     groups = block_subgroups(w)
-    total: dict[Permutation, Fraction] = {}
-    for vec in _coset_walk(groups.fine_blocks, {w: Fraction(1)},
+    total: dict[Permutation, Coeff] = {}
+    for vec in _coset_walk(groups.fine_blocks, {w: 1},
                            groups.coarse_simple_generators(), matrices):
         for v, c in vec.items():
             total[v] = total.get(v, 0) + c
@@ -539,7 +539,7 @@ def verify_decomposition(
 
 def _stabilizer_exact(
     w: Permutation,
-    vec: dict[Permutation, Fraction],
+    vec: dict[Permutation, Coeff],
     matrices: dict[int, ActionMatrix],
     groups: BlockSubgroups,
 ) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 from .classes import (
     EquivariantClass,
@@ -31,7 +31,7 @@ from .classes import (
 )
 from .gkm import EdgeKind, HessenbergFunction, edge_kind, l_h
 from .perms import Permutation
-from .polys import MultiPoly
+from .polys import Coeff, MultiPoly
 
 
 def dot(u: Permutation, p: EquivariantClass) -> EquivariantClass:
@@ -318,23 +318,28 @@ class UncertifiedActionError(RuntimeError):
 
 @dataclass
 class ActionMatrix:
-    """Exact matrix of a group element on one ordinary cohomology degree."""
+    """Exact matrix of a group element on one ordinary cohomology degree.
+
+    Entries are exact: ``int`` where integral, ``Fraction`` otherwise.  Mixed
+    ``int``/``Fraction`` arithmetic is exact, so products and traces stay
+    ``int`` as long as the entries are.
+    """
 
     degree: int
     h: HessenbergFunction
     basis_order: tuple[Permutation, ...]
-    columns: dict[Permutation, dict[Permutation, Fraction]]
+    columns: dict[Permutation, dict[Permutation, Coeff]]
 
-    def entry(self, row: Permutation, col: Permutation) -> Fraction:
-        return self.columns.get(col, {}).get(row, Fraction(0))
+    def entry(self, row: Permutation, col: Permutation) -> Coeff:
+        return self.columns.get(col, {}).get(row, 0)
 
-    def apply_vector(self, vec: dict[Permutation, Fraction]) -> dict[Permutation, Fraction]:
-        out: dict[Permutation, Fraction] = {}
+    def apply_vector(self, vec: dict[Permutation, Coeff]) -> dict[Permutation, Coeff]:
+        out: dict[Permutation, Coeff] = {}
         for col, coeff in vec.items():
             if not coeff:
                 continue
             for row, val in self.columns.get(col, {}).items():
-                acc = out.get(row, Fraction(0)) + coeff * val
+                acc = out.get(row, 0) + coeff * val
                 if acc:
                     out[row] = acc
                 else:
@@ -364,27 +369,30 @@ class ActionMatrix:
                  basis_order: tuple[Permutation, ...]) -> "ActionMatrix":
         return cls(
             degree, h, basis_order,
-            {w: {w: Fraction(1)} for w in basis_order},
+            {w: {w: 1} for w in basis_order},
         )
 
-    def trace(self) -> Fraction:
-        return sum(
-            (self.columns.get(w, {}).get(w, Fraction(0)) for w in self.basis_order),
-            Fraction(0),
-        )
+    def trace(self) -> Coeff:
+        return sum(self.columns.get(w, {}).get(w, 0) for w in self.basis_order)
 
 
+@lru_cache(maxsize=256)
 def degree_basis(h: HessenbergFunction, k: int) -> tuple[Permutation, ...]:
+    """The ``w`` with ``l_h(w) = k``, in the order of ``Permutation.all``.
+
+    Cached with a fixed bound: every generator matrix and every composed
+    product of a degree asks for it, and it scans all of S_n.
+    """
     return tuple(w for w in Permutation.all(h.n) if l_h(w, h) == k)
 
 
-def _ordinary_column(expansion: dict[Permutation, MultiPoly], h, k) -> dict[Permutation, Fraction]:
-    column: dict[Permutation, Fraction] = {}
+def _ordinary_column(expansion: dict[Permutation, MultiPoly], h, k) -> dict[Permutation, Coeff]:
+    column: dict[Permutation, Coeff] = {}
     for v, coeff in expansion.items():
         if l_h(v, h) == k:
             constant = coeff.constant_term()
             if constant:
-                column[v] = Fraction(constant)
+                column[v] = constant
     return column
 
 
@@ -392,7 +400,7 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction,
                      basis: dict[Permutation, EquivariantClass] | None = None) -> ActionMatrix:
     """Matrix of ``s_i`` on ordinary degree-2k cohomology."""
     order = degree_basis(h, k)
-    columns: dict[Permutation, dict[Permutation, Fraction]] = {}
+    columns: dict[Permutation, dict[Permutation, Coeff]] = {}
     if h.is_permutohedral():
         for w in order:
             columns[w] = _ordinary_column(perm_si_action(w, i), h, k)

@@ -164,6 +164,8 @@ class SymFunc:
             raise ValueError(f"unknown basis {basis!r}")
         self.n = n
         self.basis = basis
+        if any(isinstance(c, float) for c in coeffs.values()):
+            raise TypeError("coefficients must be exact (int or Fraction), not float")
         self.coeffs = {
             tuple(lam): Fraction(c) for lam, c in coeffs.items() if c
         }

@@ -10,7 +10,7 @@ from gkmhess.chromatic import (
     verify_closed_expansion,
     verify_shareshian_wachs,
 )
-from gkmhess.gkm import HessenbergFunction
+from gkmhess.gkm import HessenbergFunction, poincare_coefficients
 from gkmhess.symfunc import SymFunc, cycle_type_representative, partition_list, z_mu
 
 
@@ -94,6 +94,24 @@ def test_frobenius_degree_zero_is_trivial_module():
         h = HessenbergFunction.permutohedral(n)
         f = frobenius_of_degree(h, 0)
         assert f.coeffs == {(n,): Fraction(1)}
+
+
+@pytest.mark.parametrize("family", ["permutohedral", "full_flag"])
+def test_frobenius_coefficients_are_exact_fractions(family):
+    # int traces over z_mu must not pass through float division
+    h = getattr(HessenbergFunction, family)(4)
+    for k in range(len(poincare_coefficients(h))):
+        f = frobenius_of_degree(h, k)
+        for basis in ("h", "p"):
+            coeffs = f.to_basis(basis).coeffs.values()
+            assert all(type(c) is Fraction and 24 % c.denominator == 0 for c in coeffs)
+
+
+def test_symfunc_rejects_float_coefficients():
+    with pytest.raises(TypeError):
+        SymFunc(3, "p", {(3,): 1 / 3})
+    with pytest.raises(TypeError):
+        SymFunc(3, "p", {(2, 1): 2.0})
 
 
 def test_frobenius_n5_k2_example():

@@ -118,6 +118,32 @@ def test_dot_generator_out_of_range_is_a_usage_error():
             assert "--gen" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["class", "--w", "123", "--h", "2,3,4,4"],
+    ["support", "--h", "2,3,4,4", "--w", "12"],
+    ["cell-chart", "--w", "12345", "--h", "2,3,4,4"],
+    ["dot", "--w", "123", "--gen", "1", "--h", "2,3,4,4"],
+    ["action-matrix", "--perm", "213", "--h", "2,3,4,4", "--k", "1"],
+], ids=lambda argv: argv[0])
+def test_permutation_length_must_match_h(argv, capsys):
+    from gkmhess import cli
+
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    flag = "--perm" if "--perm" in argv else "--w"
+    length = len(argv[argv.index(flag) + 1])
+    assert f"{flag} has length {length} but --h has length 4" in err
+
+
+@pytest.mark.parametrize("k", ["-1", "4", "9"])
+def test_action_matrix_degree_out_of_range_is_a_usage_error(k, capsys):
+    from gkmhess import cli
+
+    argv = ["action-matrix", "--k", k, "--perm", "2134", "--h", "permutohedral"]
+    assert cli.main(argv) == 2
+    assert f"degree {k} outside [0,3]" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exit_code():
     proc = run_cli("frobulate")
     assert proc.returncode == 2

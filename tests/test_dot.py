@@ -228,6 +228,26 @@ def test_trace_of_identity_gives_poincare():
     assert tuple(int(t) for t in traces) == poincare_coefficients(h)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", ["permutohedral", "full_flag"])
+def test_generator_matrix_entries_are_exact_ints(n, family):
+    h = getattr(HessenbergFunction, family)(n)
+    for k in range(len(poincare_coefficients(h))):
+        for i in range(1, n):
+            for column in generator_matrix(i, k, h).columns.values():
+                assert all(type(v) is int for v in column.values())
+
+
+@pytest.mark.parametrize("h", list(HessenbergFunction.all(4)), ids=str)
+def test_degree_bases_partition_s_n(h):
+    coeffs = poincare_coefficients(h)
+    bases = [degree_basis(h, k) for k in range(len(coeffs))]
+    assert tuple(len(b) for b in bases) == coeffs
+    assert sorted(w for b in bases for w in b) == list(Permutation.all(4))
+    # one scan of S_n per (h, k): a repeated request returns the cached tuple
+    assert all(degree_basis(h, k) is b for k, b in enumerate(bases))
+
+
 def test_action_matrix_word_independent():
     # different reduced words of the same element give equal matrices
     h = HessenbergFunction.permutohedral(4)
