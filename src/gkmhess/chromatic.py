@@ -1,8 +1,9 @@
 """Chromatic quasisymmetric functions and graded Frobenius characteristics.
 
 The incomparability graph of a Hessenberg function has an edge ``{j, i}``
-for every ``j < i <= h(j)``.  Colorings are weighted by ascents: edges
-``{j, i}`` with ``j < i`` and a strictly smaller color at ``j``.  Each
+for every Hessenberg pair ``(j, i)`` in ``h.pairs``.  Colorings are
+weighted by ascents: edges ``{j, i}`` with ``j < i`` and a strictly smaller
+color at ``j``.  Each
 t-coefficient must come out symmetric, which the construction asserts by
 comparing rearranged contents.
 
@@ -38,14 +39,6 @@ class SymmetryViolationError(AssertionError):
     """A t-coefficient failed to be a symmetric function."""
 
 
-def incomparability_edges(h: HessenbergFunction) -> list[tuple[int, int]]:
-    return [
-        (j, i)
-        for j in range(1, h.n + 1)
-        for i in range(j + 1, h(j) + 1)
-    ]
-
-
 def chromatic_qsym(h: HessenbergFunction) -> list[SymFunc]:
     """Graded chromatic symmetric function, one m-basis vector per t-degree.
 
@@ -54,12 +47,11 @@ def chromatic_qsym(h: HessenbergFunction) -> list[SymFunc]:
     basis element is the count at the sorted content.
     """
     n = h.n
-    edges = incomparability_edges(h)
-    top = len(edges)
+    top = len(h.pairs)
     counts: dict[tuple[int, ...], list[int]] = {}
 
     neighbors: list[list[tuple[int, bool]]] = [[] for _ in range(n + 1)]
-    for j, i in edges:
+    for j, i in h.pairs:
         neighbors[i].append((j, True))  # earlier endpoint, ascent if smaller color
 
     def color(vertex: int, coloring: list[int], ascents: int) -> None:
@@ -170,7 +162,7 @@ def verify_shareshian_wachs(h: HessenbergFunction, n: int | None = None) -> SwRe
     if n is None:
         n = h.n
     graded = chromatic_qsym(h)
-    top = sum(h(i) - i for i in range(1, n + 1))
+    top = len(h.pairs)
     basis = None
     if not (h.is_permutohedral() or h.is_full_flag()):
         from .dot import unique_interpolated_basis

@@ -1,11 +1,14 @@
 """Equivariant cohomology classes as fixed-point value maps.
 
 A class assigns a polynomial in ``t1..tn`` to every permutation, subject to
-the divisibility condition along moment-graph edges: the label of an edge
-divides the difference of the endpoint values.  The geometric basis element
-attached to ``(w, h)`` is supported on the fixed points of the closed minus
-cell, is homogeneous of degree ``l_h(w)``, and takes the product of the
-downward edge labels as its value at ``w``.
+the divisibility condition along moment-graph edges: the label ``t_a - t_b``
+of an edge divides the difference of the endpoint values.  Both the check
+and the interpolation test it one way, as the difference vanishing under
+``t_a := t_b``; a label becomes a polynomial only as a factor of a class
+value or in a reported violation.  The geometric basis element attached to ``(w, h)``
+is supported on the fixed points of the closed minus cell, is homogeneous
+of degree ``l_h(w)``, and takes the product of the downward edge labels as
+its value at ``w``.
 
 For the permutohedral Hessenberg function every basis class has a closed
 form; for arbitrary ``h`` the flow-up class is reconstructed by exact linear
@@ -108,15 +111,14 @@ def gkm_check(p: EquivariantClass, h: HessenbergFunction) -> tuple[bool, GkmViol
     checked: set[tuple] = set()
     for v in sorted(p.support()):
         pv = p.value(v)
-        for target, label, _pair in graph.neighbors(v):
+        for target, a, b in graph.neighbors(v):
             key = (v, target) if v < target else (target, v)
             if key in checked:
                 continue
             checked.add(key)
             diff = pv - p.value(target)
-            if diff.is_zero:
-                continue
-            if diff.divide_linear(label) is None:
+            if not diff.substitute_var(a, b).is_zero:
+                label = MultiPoly.linear_form(a, b, p.n)
                 return False, GkmViolation(v, target, label, diff)
     return True, None
 
@@ -125,8 +127,8 @@ def top_value(w: Permutation, h: HessenbergFunction) -> MultiPoly:
     """Product of the labels on oriented edges leaving ``w``."""
     graph = GkmGraph(h)
     result = MultiPoly.one(h.n)
-    for _target, label, _pair in graph.oriented_out(w):
-        result = result * label
+    for _target, a, b in graph.oriented_out(w):
+        result = result * MultiPoly.linear_form(a, b, h.n)
     return result
 
 
@@ -186,9 +188,9 @@ def smooth_point_value(w: Permutation, v: Permutation, h: HessenbergFunction,
     """Product of labels on edges out of ``v`` leaving the support."""
     graph = GkmGraph(h)
     result = MultiPoly.one(h.n)
-    for target, label, _pair in graph.neighbors(v):
+    for target, a, b in graph.neighbors(v):
         if target not in support:
-            result = result * label
+            result = result * MultiPoly.linear_form(a, b, h.n)
     return result
 
 
@@ -301,9 +303,8 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
     relations: list[dict[int, Fraction]] = []
 
     # check the fixed value at w against its own off-support edge conditions
-    for target, label, _pair in graph.neighbors(w):
+    for target, a, b in graph.neighbors(w):
         if target not in support:
-            a, b = _label_pair(label)
             if not values[w][0].substitute_var(a, b).is_zero:
                 raise InfeasibleInterpolationError(
                     f"top value violates an off-support edge at w={w}, h={h}"
@@ -311,8 +312,7 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
 
     for u in order[1:]:
         constraints: list[tuple[int, int, dict[int, MultiPoly]]] = []
-        for target, label, _pair in graph.neighbors(u):
-            a, b = _label_pair(label)
+        for target, a, b in graph.neighbors(u):
             if target in support:
                 if lengths[target] < lengths[u]:
                     constraints.append((a, b, values[target]))
@@ -350,20 +350,6 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
         unique=not remaining,
         free_parameters=len(remaining),
     )
-
-
-def _label_pair(label: MultiPoly) -> tuple[int, int]:
-    """Decompose an edge label ``t_a - t_b`` into (a, b)."""
-    a = b = None
-    for exps, coeff in label.terms.items():
-        index = next(k for k, e in enumerate(exps) if e)
-        if coeff == 1:
-            a = index + 1
-        else:
-            b = index + 1
-    if a is None or b is None:
-        raise ValueError(f"not a difference of variables: {label}")
-    return a, b
 
 
 # -- basis expansion and ordinary reduction ----------------------------------

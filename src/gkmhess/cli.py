@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,17 +49,14 @@ SCHEMA = 1
 @dataclass
 class RunConfig:
     seed: int = 0
-    threads: int = 1
     output: str = "json"
     oracle_seeds: int = 3
     h_filter: str | None = None
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        threads = int(os.environ.get("GKM_HESS_THREADS", "1"))
         return cls(
             seed=args.seed,
-            threads=max(1, threads),
             output=args.format,
             oracle_seeds=getattr(args, "seeds", 3),
             h_filter=getattr(args, "h", None),
@@ -69,13 +64,6 @@ class RunConfig:
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
-
-    def map(self, fn, items):
-        items = list(items)
-        if self.threads > 1 and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                return list(pool.map(fn, items))
-        return [fn(item) for item in items]
 
 
 def _parse_h(text: str | None, n: int | None) -> HessenbergFunction:
@@ -120,8 +108,8 @@ def cmd_gkm_graph(args, config: RunConfig) -> int:
     h = _parse_h(args.h, args.n)
     graph = GkmGraph(h)
     edges = [
-        {"src": str(v), "dst": str(w), "label": f"t{v(pair[1])}-t{v(pair[0])}"}
-        for v, w, _label, pair in graph.edges()
+        {"src": str(v), "dst": str(w), "label": f"t{a}-t{b}"}
+        for v, w, a, b in graph.edges()
     ]
     edges.sort(key=lambda e: (e["src"], e["dst"]))
     _emit(
@@ -204,6 +192,8 @@ def cmd_expand(args, config: RunConfig) -> int:
         data = json.load(handle)
     n = data["n"]
     h = _parse_h(args.h, n)
+    if h.n != n:
+        raise ValueError(f"the class has n = {n} but --h has length {h.n}")
     from .classes import EquivariantClass
 
     values = {
@@ -274,7 +264,7 @@ def cmd_action_matrix(args, config: RunConfig) -> int:
     u = Permutation.from_one_line(args.perm)
     n = len(u)
     h = _parse_h_for(u, args.h, n, "--perm")
-    top = sum(h(i) - i for i in range(1, n + 1))
+    top = len(h.pairs)
     if not 0 <= args.k <= top:
         raise ValueError(f"degree {args.k} outside [0,{top}]")
     matrix = action_matrix(u, args.k, h)
@@ -356,28 +346,21 @@ def _result(name: str, passed: bool, **details) -> dict:
 
 def verify_supports(n: int, config: RunConfig) -> dict:
     if n <= 4:
-        pairs = [
+        instances = [
             (h, w) for h in HessenbergFunction.all(n) for w in Permutation.all(n)
         ]
     else:
         rng = config.rng()
         perms = list(Permutation.all(n))
-        pairs = [
+        instances = [
             (HessenbergFunction.random(n, rng), rng.choice(perms))
             for _ in range(200)
         ]
-    instances = [
-        (w, h, config.seed + index) for index, (h, w) in enumerate(pairs)
-    ]
-
-    def check(item):
-        w, h, seed = item
-        rng = random.Random(seed)
+    failures = []
+    for index, (h, w) in enumerate(instances):
+        rng = random.Random(config.seed + index)
         if support_A(w, h).members != fixed_point_oracle(w, h, rng, seeds=config.oracle_seeds):
-            return {"w": str(w), "h": str(h)}
-        return None
-
-    failures = [f for f in config.map(check, instances) if f]
+            failures.append({"w": str(w), "h": str(h)})
     return _result(
         "supports", not failures, instances=len(instances), failures=failures[:5]
     )

@@ -386,10 +386,12 @@ def degree_basis(h: HessenbergFunction, k: int) -> tuple[Permutation, ...]:
     return tuple(w for w in Permutation.all(h.n) if l_h(w, h) == k)
 
 
-def _ordinary_column(expansion: dict[Permutation, MultiPoly], h, k) -> dict[Permutation, Coeff]:
+def _ordinary_column(expansion: dict[Permutation, MultiPoly],
+                     degree_set: frozenset[Permutation]) -> dict[Permutation, Coeff]:
+    """Constant terms of the expansion at the fixed points of the degree."""
     column: dict[Permutation, Coeff] = {}
     for v, coeff in expansion.items():
-        if l_h(v, h) == k:
+        if v in degree_set:
             constant = coeff.constant_term()
             if constant:
                 column[v] = constant
@@ -400,20 +402,21 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction,
                      basis: dict[Permutation, EquivariantClass] | None = None) -> ActionMatrix:
     """Matrix of ``s_i`` on ordinary degree-2k cohomology."""
     order = degree_basis(h, k)
+    degree_set = frozenset(order)
     columns: dict[Permutation, dict[Permutation, Coeff]] = {}
     if h.is_permutohedral():
         for w in order:
-            columns[w] = _ordinary_column(perm_si_action(w, i), h, k)
+            columns[w] = _ordinary_column(perm_si_action(w, i), degree_set)
     elif h.is_full_flag():
         for w in order:
-            columns[w] = _ordinary_column(full_flag_si_expansion(w, i), h, k)
+            columns[w] = _ordinary_column(full_flag_si_expansion(w, i), degree_set)
     else:
         if basis is None:
             basis = unique_interpolated_basis(h)
         si = Permutation.simple(i, h.n)
         for w in order:
             expansion = expand_in_basis(dot(si, basis[w]), basis, h)
-            columns[w] = _ordinary_column(expansion, h, k)
+            columns[w] = _ordinary_column(expansion, degree_set)
     return ActionMatrix(k, h, order, columns)
 
 

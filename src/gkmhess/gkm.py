@@ -1,10 +1,15 @@
 """Hessenberg functions and the moment (GKM) graph of Hess(S, h).
 
-Vertices of the graph are the permutations of [n].  For each pair
-``j < i <= h(j)`` there is an edge ``w -> w s_{j,i}`` labeled
-``t_{w(i)} - t_{w(j)}``; the two directions of an edge carry opposite
-labels.  The oriented subgraph keeps ``v -> w`` when ``len(v) > len(w)``
-in Coxeter length.
+The Hessenberg pairs ``j < i <= h(j)`` are enumerated once, as
+``HessenbergFunction.pairs``; the moment graph, ``l_h``, the cell digraph
+and the incomparability graph are all read off them.
+
+Vertices of the graph are the permutations of [n].  For each pair there is
+an edge ``w -> w s_{j,i}`` labeled ``t_a - t_b`` with ``a = w(i)`` and
+``b = w(j)``; the label is carried as its variable indices ``(a, b)``, and
+the two directions of an edge carry ``(a, b)`` and ``(b, a)``.  The
+oriented subgraph keeps ``v -> w`` when ``len(v) > len(w)`` in Coxeter
+length.
 """
 
 from __future__ import annotations
@@ -14,11 +19,16 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .perms import Permutation
-from .polys import MultiPoly
 
 
 class HessenbergFunction(tuple):
-    """Weakly increasing ``h : [n] -> [n]`` with ``h(i) >= i``."""
+    """Weakly increasing ``h : [n] -> [n]`` with ``h(i) >= i``.
+
+    ``pairs`` holds the Hessenberg pairs ``(j, i)`` with ``j < i <= h(j)``,
+    lexicographically; there are as many as the top cohomology degree.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
 
     def __new__(cls, values: Iterable[int]) -> "HessenbergFunction":
         values = tuple(values)
@@ -28,7 +38,11 @@ class HessenbergFunction(tuple):
                 raise ValueError(f"h({i}) = {v} outside [{i},{n}]")
         if any(values[k] > values[k + 1] for k in range(n - 1)):
             raise ValueError(f"not weakly increasing: {values}")
-        return super().__new__(cls, values)
+        self = super().__new__(cls, values)
+        self.pairs = tuple(
+            (j, i) for j in range(1, n + 1) for i in range(j + 1, values[j - 1] + 1)
+        )
+        return self
 
     @property
     def n(self) -> int:
@@ -89,60 +103,46 @@ class GkmGraph:
     def __init__(self, h: HessenbergFunction):
         self.h = h
         self.n = h.n
-        # position pairs (j, i) giving an edge at every vertex
-        self.pairs = [
-            (j, i)
-            for j in range(1, self.n + 1)
-            for i in range(j + 1, h(j) + 1)
-        ]
 
     def vertices(self) -> Iterator[Permutation]:
         return Permutation.all(self.n)
 
-    def neighbors(self, w: Permutation) -> list[tuple[Permutation, MultiPoly, tuple[int, int]]]:
-        """Edges out of ``w``: (target, label, position pair)."""
+    def neighbors(self, w: Permutation) -> list[tuple[Permutation, int, int]]:
+        """Edges out of ``w``: (target, a, b) with label ``t_a - t_b``."""
         out = []
-        for j, i in self.pairs:
+        for j, i in self.h.pairs:
             images = list(w)
             images[j - 1], images[i - 1] = images[i - 1], images[j - 1]
-            target = Permutation(images)
-            label = MultiPoly.linear_form(w[i - 1], w[j - 1], self.n)
-            out.append((target, label, (j, i)))
+            out.append((Permutation(images), w[i - 1], w[j - 1]))
         return out
 
-    def edges(self) -> Iterator[tuple[Permutation, Permutation, MultiPoly, tuple[int, int]]]:
-        """Each geometric edge once, as (v, w, label(v->w), pair)."""
+    def edges(self) -> Iterator[tuple[Permutation, Permutation, int, int]]:
+        """Each geometric edge once, as (v, w, a, b) with label(v->w) = t_a - t_b."""
         for v in self.vertices():
-            for w, label, pair in self.neighbors(v):
+            for w, a, b in self.neighbors(v):
                 if v < w:
-                    yield v, w, label, pair
+                    yield v, w, a, b
 
-    def oriented_out(self, w: Permutation) -> list[tuple[Permutation, MultiPoly, tuple[int, int]]]:
+    def oriented_out(self, w: Permutation) -> list[tuple[Permutation, int, int]]:
         """Edges of the oriented subgraph leaving ``w`` (targets of smaller length)."""
         lw = w.coxeter_length()
         out = []
-        for v, label, pair in self.neighbors(w):
-            lv = v.coxeter_length()
+        for edge in self.neighbors(w):
+            lv = edge[0].coxeter_length()
             assert lv != lw, "transposition cannot preserve length"
             if lv < lw:
-                out.append((v, label, pair))
+                out.append(edge)
         return out
 
 
 def l_h(w: Permutation, h: HessenbergFunction) -> int:
     """Count of pairs ``j < i <= h(j)`` with ``w(j) > w(i)``."""
-    return sum(
-        1
-        for j in range(1, h.n + 1)
-        for i in range(j + 1, h(j) + 1)
-        if w[j - 1] > w[i - 1]
-    )
+    return sum(1 for j, i in h.pairs if w[j - 1] > w[i - 1])
 
 
 def poincare_coefficients(h: HessenbergFunction) -> tuple[int, ...]:
     """Coefficient of q^{2k} is the number of w with l_h(w) = k."""
-    top = sum(h(i) - i for i in range(1, h.n + 1))
-    counts = [0] * (top + 1)
+    counts = [0] * (len(h.pairs) + 1)
     for w in Permutation.all(h.n):
         counts[l_h(w, h)] += 1
     return tuple(counts)

@@ -208,43 +208,6 @@ class MultiPoly:
             total += prod
         return _norm(Fraction(total)) if isinstance(total, Fraction) else total
 
-    # -- exact division by a linear polynomial -----------------------------
-
-    def divide_linear(self, linear: "MultiPoly") -> "MultiPoly | None":
-        """Exact quotient by a polynomial of total degree 1, else ``None``.
-
-        Peels off the highest power of the last variable occurring in the
-        divisor; the remainder shrinks strictly in that variable, so the
-        loop ends with either an exact quotient or a nonzero remainder.
-        """
-        if linear.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if linear.degree() != 1:
-            raise ValueError("divisor must have total degree 1")
-        self._check(linear)
-        pivot = max(
-            i for e in linear.terms for i in range(self.nvars) if sum(e) == 1 and e[i]
-        )
-        pivot_exps = tuple(1 if k == pivot else 0 for k in range(self.nvars))
-        pivot_coeff = linear.terms[pivot_exps]
-
-        quotient = MultiPoly.zero(self.nvars, self.names)
-        remainder = self
-        while True:
-            top = max((e[pivot] for e in remainder.terms), default=0)
-            if top == 0:
-                break
-            layer = {}
-            for exps, coeff in remainder.terms.items():
-                if exps[pivot] == top:
-                    lowered = list(exps)
-                    lowered[pivot] -= 1
-                    layer[tuple(lowered)] = Fraction(coeff) / Fraction(pivot_coeff)
-            piece = MultiPoly(self.nvars, layer, self.names)
-            quotient = quotient + piece
-            remainder = remainder - piece * linear
-        return quotient if remainder.is_zero else None
-
     # -- canonical text form ------------------------------------------------
 
     def _name(self, index: int) -> str:

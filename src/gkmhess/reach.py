@@ -50,14 +50,7 @@ class CellDigraph:
 
 
 def build_cell_digraph(w: Permutation, h: HessenbergFunction) -> CellDigraph:
-    n = h.n
-    edges = [
-        (j, i)
-        for j in range(1, n + 1)
-        for i in range(j + 1, h(j) + 1)
-        if w[j - 1] < w[i - 1]
-    ]
-    return CellDigraph(n, edges)
+    return CellDigraph(h.n, [(j, i) for j, i in h.pairs if w[j - 1] < w[i - 1]])
 
 
 def vertex_reachable(g: CellDigraph, j: int, i: int) -> bool:

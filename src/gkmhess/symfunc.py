@@ -192,6 +192,8 @@ class SymFunc:
         return self + other.scale(-1)
 
     def scale(self, factor) -> "SymFunc":
+        if isinstance(factor, float):
+            raise TypeError("scale factor must be exact (int or Fraction), not float")
         return SymFunc(
             self.n, self.basis,
             {lam: c * Fraction(factor) for lam, c in self.coeffs.items()},

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from gkmhess.chromatic import (
     chromatic_qsym,
     frobenius_of_degree,
-    incomparability_edges,
     verify_closed_expansion,
     verify_shareshian_wachs,
 )
@@ -15,8 +14,8 @@ from gkmhess.symfunc import SymFunc, cycle_type_representative, partition_list, 
 
 
 def test_incomparability_edges():
-    assert incomparability_edges(HessenbergFunction((2, 3, 3))) == [(1, 2), (2, 3)]
-    assert incomparability_edges(HessenbergFunction((1, 2, 3))) == []
+    assert HessenbergFunction((2, 3, 3)).pairs == ((1, 2), (2, 3))
+    assert HessenbergFunction((1, 2, 3)).pairs == ()
 
 
 def test_edgeless_graph_chromatic():
@@ -112,6 +111,13 @@ def test_symfunc_rejects_float_coefficients():
         SymFunc(3, "p", {(3,): 1 / 3})
     with pytest.raises(TypeError):
         SymFunc(3, "p", {(2, 1): 2.0})
+
+
+def test_symfunc_scale_rejects_float_factor():
+    p3 = SymFunc(3, "p", {(3,): 1})
+    with pytest.raises(TypeError):
+        p3.scale(0.1)
+    assert p3.scale(Fraction(1, 10)).coeffs == {(3,): Fraction(1, 10)}
 
 
 def test_frobenius_n5_k2_example():

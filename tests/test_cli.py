@@ -173,6 +173,7 @@ def test_determinism():
         # the orbit vectors of every module, in walk order
         ("decompose_4_2_basis.json", ("decompose", "--n", "4", "--k", "2", "--emit-basis")),
         ("decompose_5_2_basis.json", ("decompose", "--n", "5", "--k", "2", "--emit-basis")),
+        ("gkm_graph_2344.json", ("gkm-graph", "--n", "4", "--h", "2,3,4,4")),
     ],
 )
 def test_golden_outputs(golden, args):
@@ -181,6 +182,16 @@ def test_golden_outputs(golden, args):
     expected = (pathlib.Path(__file__).parent / "golden" / golden).read_text()
     proc = run_cli(*args)
     assert proc.stdout == expected
+
+
+def test_expand_class_size_must_match_h(tmp_path):
+    data = run_json("class", "--permutohedral", "--w", "1324")
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("expand", "--input", str(path), "--h", "2,3,3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "the class has n = 4 but --h has length 3" in proc.stderr
 
 
 def test_expand_uncertified_h_exits_one(tmp_path):

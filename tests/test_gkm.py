@@ -15,7 +15,7 @@ from gkmhess.reach import build_cell_digraph
 def test_smallest_case_is_degenerate_but_valid():
     h = HessenbergFunction((1,))
     assert poincare_coefficients(h) == (1,)
-    assert len(GkmGraph(h).pairs) == 0
+    assert h.pairs == ()
 
 
 def test_hessenberg_validation():
@@ -35,6 +35,14 @@ def test_hessenberg_families():
     assert str(HessenbergFunction((3, 3, 4, 5, 5))) == "3,3,4,5,5"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pairs_are_the_hessenberg_pairs(n):
+    for h in HessenbergFunction.all(n):
+        nested = [(j, i) for j in range(1, n + 1) for i in range(j + 1, h(j) + 1)]
+        assert h.pairs == tuple(nested)
+        assert len(h.pairs) == len(poincare_coefficients(h)) - 1
+
+
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 5), (4, 14), (5, 42)])
 def test_hessenberg_count_is_catalan(n, count):
     assert sum(1 for _ in HessenbergFunction.all(n)) == count
@@ -44,8 +52,8 @@ def test_gkm_graph_edges_at_132():
     h = HessenbergFunction((2, 3, 3))
     graph = GkmGraph(h)
     w = Permutation.from_one_line("132")
-    targets = {str(t): str(label) for t, label, _ in graph.neighbors(w)}
-    assert targets == {"312": "-t1+t3", "123": "t2-t3"}
+    targets = {str(t): (a, b) for t, a, b in graph.neighbors(w)}
+    assert targets == {"312": (3, 1), "123": (2, 3)}
 
 
 def test_full_flag_graph_regular():
@@ -68,9 +76,9 @@ def test_degree_equals_pair_count():
 def test_labels_antisymmetric():
     graph = GkmGraph(HessenbergFunction((2, 3, 3)))
     for v in graph.vertices():
-        for target, label, pair in graph.neighbors(v):
-            back = {str(t): lab for t, lab, _ in graph.neighbors(target)}
-            assert back[str(v)] == -label
+        for target, a, b in graph.neighbors(v):
+            back = {str(t): (c, d) for t, c, d in graph.neighbors(target)}
+            assert back[str(v)] == (b, a)
 
 
 def test_l_h_examples():
