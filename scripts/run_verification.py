@@ -3,10 +3,11 @@
 
 Mirrors `gkmhess verify all` but reports one timed line per suite, which is
 handy when profiling larger n.  Suites whose desk-scale guarantees stop
-below the requested n are still run at the requested size.  At n = 6 the
-Poincare suite takes the longest, about 6 s wall on a 2-core VM, followed
-by dot-rules, supports and classes at 3 to 4 s each; the decomposition
-suite, which works on ordinary vectors only, is among the quick ones.
+below the requested n are still run at the requested size.  At n = 6 with
+seed 3, dot-rules and supports take the longest, 1.6 to 3 s wall each on a
+2-core VM, followed by classes at 1.5 to 2 s and Poincare at about 1 s
+(three runs); the decomposition suite, which works on ordinary vectors
+only, is among the quick ones.
 """
 
 import argparse

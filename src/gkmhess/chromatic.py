@@ -152,15 +152,14 @@ class SwReport:
     convention_flag: str | None = None
 
 
-def verify_shareshian_wachs(h: HessenbergFunction, n: int | None = None) -> SwReport:
+def verify_shareshian_wachs(h: HessenbergFunction) -> SwReport:
     """Coefficientwise h-basis equality of the involuted chromatic function
     and the graded Frobenius characteristic.
 
     If the stated ascent convention fails but its mirror (descent counting)
     succeeds, the report flags the convention instead of failing silently.
     """
-    if n is None:
-        n = h.n
+    n = h.n
     graded = chromatic_qsym(h)
     top = len(h.pairs)
     basis = None

@@ -27,7 +27,7 @@ from itertools import combinations_with_replacement
 
 from .gkm import GkmGraph, HessenbergFunction, l_h
 from .linalg import row_reduce
-from .perms import Permutation
+from .perms import Permutation, SymmetricGroup
 from .polys import MultiPoly
 from .reach import support_A
 
@@ -293,12 +293,12 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
     degree = l_h(w, h)
     support = support_A(w, h).members
     graph = GkmGraph(h)
-    order = sorted(support, key=lambda u: (u.coxeter_length(), u))
+    length = SymmetricGroup(n).length
+    order = sorted(support, key=lambda u: (length[u], u))
     if order[0] != w:
         raise AssertionError("support must have w as its unique length-minimal point")
 
     values: dict[Permutation, dict[int, MultiPoly]] = {w: {0: top_value(w, h)}}
-    lengths = {u: u.coxeter_length() for u in order}
     next_param = 1
     relations: list[dict[int, Fraction]] = []
 
@@ -314,7 +314,7 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
         constraints: list[tuple[int, int, dict[int, MultiPoly]]] = []
         for target, a, b in graph.neighbors(u):
             if target in support:
-                if lengths[target] < lengths[u]:
+                if length[target] < length[u]:
                     constraints.append((a, b, values[target]))
             else:
                 constraints.append((a, b, {}))
@@ -371,18 +371,18 @@ def expand_in_basis(
     and subtract.  Flow-up triangularity (every other support point of the
     basis class is longer) makes the minimum strictly increase.
     """
-    n = p.n
+    length = SymmetricGroup(p.n).length
     coefficients: dict[Permutation, MultiPoly] = {}
     current = p
     while not current.is_zero():
-        v = min(current.support(), key=lambda u: (u.coxeter_length(), u))
+        v = min(current.support(), key=lambda u: (length[u], u))
         basis_class = basis.get(v)
         if basis_class is None:
             raise ExpansionError(f"no basis class available at {v}")
         lead = basis_class.value(v)
         deeper = [
             u for u in basis_class.support()
-            if (u.coxeter_length(), u) < (v.coxeter_length(), v)
+            if (length[u], u) < (length[v], v)
         ]
         if deeper:
             raise AssertionError(f"basis class at {v} is not flow-up: {deeper}")

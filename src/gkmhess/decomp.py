@@ -29,7 +29,7 @@ import numpy as np
 from .classes import EquivariantClass, permutohedral_class
 from .dot import ActionMatrix, degree_basis, dot, generator_matrix
 from .gkm import HessenbergFunction
-from .perms import Composition, Permutation
+from .perms import Composition, Permutation, SymmetricGroup
 from .polys import Coeff
 
 
@@ -117,13 +117,12 @@ def symmetrizer_coset_reps(w: Permutation) -> list[Permutation]:
     groups = block_subgroups(w)
     n = len(w)
     fine_blocks = [tuple(sorted(b)) for b in groups.fine_blocks]
+    length = SymmetricGroup(n).length
     best: dict[tuple, Permutation] = {}
     for v in _block_preserving_perms(groups.coarse_blocks, n):
         key = tuple(frozenset(v(x) for x in block) for block in fine_blocks)
         incumbent = best.get(key)
-        if incumbent is None or (
-            (v.coxeter_length(), v) < (incumbent.coxeter_length(), incumbent)
-        ):
+        if incumbent is None or (length[v], v) < (length[incumbent], incumbent):
             best[key] = v
     return sorted(best.values())
 

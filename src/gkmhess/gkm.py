@@ -9,7 +9,7 @@ an edge ``w -> w s_{j,i}`` labeled ``t_a - t_b`` with ``a = w(i)`` and
 ``b = w(j)``; the label is carried as its variable indices ``(a, b)``, and
 the two directions of an edge carry ``(a, b)`` and ``(b, a)``.  The
 oriented subgraph keeps ``v -> w`` when ``len(v) > len(w)`` in Coxeter
-length.
+length, read from the shared table ``SymmetricGroup(n).length``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import random
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .perms import Permutation
+from .perms import Permutation, SymmetricGroup
 
 
 class HessenbergFunction(tuple):
@@ -108,12 +108,12 @@ class GkmGraph:
         return Permutation.all(self.n)
 
     def neighbors(self, w: Permutation) -> list[tuple[Permutation, int, int]]:
-        """Edges out of ``w``: (target, a, b) with label ``t_a - t_b``."""
+        """Edges out of the permutation ``w``: (target, a, b) with label ``t_a - t_b``."""
         out = []
         for j, i in self.h.pairs:
             images = list(w)
             images[j - 1], images[i - 1] = images[i - 1], images[j - 1]
-            out.append((Permutation(images), w[i - 1], w[j - 1]))
+            out.append((tuple.__new__(Permutation, images), w[i - 1], w[j - 1]))
         return out
 
     def edges(self) -> Iterator[tuple[Permutation, Permutation, int, int]]:
@@ -125,10 +125,11 @@ class GkmGraph:
 
     def oriented_out(self, w: Permutation) -> list[tuple[Permutation, int, int]]:
         """Edges of the oriented subgraph leaving ``w`` (targets of smaller length)."""
-        lw = w.coxeter_length()
+        length = SymmetricGroup(self.n).length
+        lw = length[w]
         out = []
         for edge in self.neighbors(w):
-            lv = edge[0].coxeter_length()
+            lv = length[edge[0]]
             assert lv != lw, "transposition cannot preserve length"
             if lv < lw:
                 out.append(edge)

@@ -8,10 +8,22 @@ Multiplication is composition of functions: ``(u * v)(i) == u(v(i))``.
 Left-multiplying by the simple reflection ``s_i`` swaps the *values* ``i``
 and ``i+1``; right-multiplying swaps the entries in *positions* ``i`` and
 ``i+1``.
+
+``Permutation(images)`` checks that ``images`` is a permutation of [n]; so do
+``from_one_line`` and a product with a plain tuple, the ways a permutation
+enters from outside.  Code that builds a permutation from another one by
+construction (products, inverses, the constructors below, ``Permutation.all``,
+moment-graph neighbours, support leaves) skips the check with
+``tuple.__new__(Permutation, images)``.
+
+``SymmetricGroup(n)`` holds the Coxeter length of every ``w`` in S_n, built on
+first use for each n and shared by every caller; ``coxeter_length`` stays the
+one definition it is built from.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator
 
@@ -37,13 +49,15 @@ class Permutation(tuple):
             return NotImplemented
         if len(self) != len(other):
             raise ValueError("size mismatch in composition")
-        return Permutation(self[j - 1] for j in other)
+        if not isinstance(other, Permutation):
+            other = Permutation(other)
+        return tuple.__new__(Permutation, [self[j - 1] for j in other])
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self)
         for i, v in enumerate(self):
             inv[v - 1] = i + 1
-        return Permutation(inv)
+        return tuple.__new__(Permutation, inv)
 
     def descents(self) -> tuple[int, ...]:
         """Positions ``i`` with ``w(i) > w(i+1)``, ascending."""
@@ -97,7 +111,7 @@ class Permutation(tuple):
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return tuple.__new__(cls, range(1, n + 1))
 
     @classmethod
     def simple(cls, i: int, n: int) -> "Permutation":
@@ -110,17 +124,17 @@ class Permutation(tuple):
             raise ValueError(f"bad transposition ({a},{b}) in S_{n}")
         images = list(range(1, n + 1))
         images[a - 1], images[b - 1] = b, a
-        return cls(images)
+        return tuple.__new__(cls, images)
 
     @classmethod
     def longest(cls, n: int) -> "Permutation":
-        return cls(range(n, 0, -1))
+        return tuple.__new__(cls, range(n, 0, -1))
 
     @classmethod
     def all(cls, n: int) -> Iterator["Permutation"]:
         """All of S_n in lexicographic order of one-line notation."""
         for images in itertools.permutations(range(1, n + 1)):
-            yield cls(images)
+            yield tuple.__new__(cls, images)
 
     # -- structure ----------------------------------------------------
 
@@ -150,32 +164,13 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
     return Permutation(u) * v
 
 
-def right_descent_set(w) -> frozenset[int]:
-    return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
+@functools.lru_cache(maxsize=8)
+class SymmetricGroup:
+    """Tables of S_n, built once per n: ``length[w]`` is ``w.coxeter_length()``."""
 
-
-def right_descent_identity_check(v: Permutation, w: Permutation) -> bool:
-    """Self-test of the coset-descent identity used for composition counts.
-
-    Compares the directly computed descent set of ``v*w`` with
-    ``D_R(w) symmetric-difference ((w^-1 T_R(v) w) meet simples)``, where
-    ``T_R(v)`` is the set of transpositions ``(i,j)``, ``i < j``, inverted
-    by ``v``.
-    """
-    if len(v) != len(w):
-        raise ValueError("size mismatch")
-    n = len(w)
-    lhs = right_descent_set(v * w)
-    w_inv = Permutation(w).inverse()
-    conjugated_simples = set()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if v[i - 1] > v[j - 1]:
-                a, b = w_inv(i), w_inv(j)
-                if abs(a - b) == 1:
-                    conjugated_simples.add(min(a, b))
-    rhs = frozenset(set(right_descent_set(w)) ^ conjugated_simples)
-    return lhs == rhs
+    def __init__(self, n: int):
+        self.n = n
+        self.length = {w: w.coxeter_length() for w in Permutation.all(n)}
 
 
 class Composition(tuple):

@@ -138,7 +138,7 @@ def support_A(w: Permutation, h: HessenbergFunction) -> SupportSet:
             if not set_reachable(g, tuple(range(1, j + 1)), tuple(sorted(pulled))):
                 return
         if j == n:
-            members.append(Permutation(prefix))
+            members.append(tuple.__new__(Permutation, prefix))
             return
         for value in range(1, n + 1):
             if value not in prefix:

@@ -144,6 +144,12 @@ def test_action_matrix_degree_out_of_range_is_a_usage_error(k, capsys):
     assert f"degree {k} outside [0,3]" in capsys.readouterr().err
 
 
+def test_repeated_value_in_w_is_a_usage_error():
+    proc = run_cli("support", "--h", "2,3,4,4", "--w", "1123")
+    assert proc.returncode == 2
+    assert "not a permutation" in proc.stderr
+
+
 def test_unknown_subcommand_exit_code():
     proc = run_cli("frobulate")
     assert proc.returncode == 2
@@ -204,15 +210,12 @@ def test_expand_uncertified_h_exits_one(tmp_path):
     assert "error" in proc.stderr or proc.stdout
 
 
-def test_threaded_runs_are_deterministic():
-    import os
-
-    env = dict(os.environ, GKM_HESS_THREADS="4")
-    args = PKG + ["verify", "supports", "--n", "3", "--seed", "11"]
-    first = subprocess.run(args, capture_output=True, text=True, env=env, timeout=600)
-    second = subprocess.run(args, capture_output=True, text=True, env=env, timeout=600)
-    assert first.returncode == second.returncode == 0
+def test_verify_supports_is_deterministic():
+    args = ("verify", "supports", "--n", "3", "--seed", "11")
+    first = run_cli(*args)
+    second = run_cli(*args)
     assert first.stdout == second.stdout
+    assert first.returncode == second.returncode == 0
 
 
 def test_verify_small_battery():

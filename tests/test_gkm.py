@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmhess.gkm import (
     EdgeKind,
@@ -146,3 +147,20 @@ def test_permutohedral_out_degree_is_descents():
         for w in Permutation.all(n):
             assert len(graph.neighbors(w)) == n - 1
             assert len(graph.oriented_out(w)) == len(w.descents())
+
+
+@given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_oriented_out_is_the_inversion_criterion(n, rng):
+    # an edge w -> w t_{ji} lowers Coxeter length exactly when w(j) > w(i),
+    # a test that reads no length
+    h = HessenbergFunction.random(n, rng)
+    graph = GkmGraph(h)
+    for w in Permutation.all(n):
+        expected = set()
+        for j, i in h.pairs:
+            if w(j) > w(i):
+                images = list(w)
+                images[j - 1], images[i - 1] = w(i), w(j)
+                expected.add(tuple(images))
+        assert {target for target, _a, _b in graph.oriented_out(w)} == expected

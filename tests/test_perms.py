@@ -1,14 +1,15 @@
+import math
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gkmhess.perms import (
     Composition,
     Permutation,
+    SymmetricGroup,
     compose,
     partitions,
-    right_descent_identity_check,
 )
 
 
@@ -69,17 +70,31 @@ def test_reduced_word_rebuilds():
         assert rebuilt == w
 
 
-def test_right_descent_identity_all_of_s4():
-    perms = list(Permutation.all(4))
-    assert all(
-        right_descent_identity_check(v, w) for v in perms for w in perms
-    )
+@given(st.integers(min_value=1, max_value=7))
+@settings(max_examples=20, deadline=None)
+def test_length_table_matches_coxeter_length(n):
+    length = SymmetricGroup(n).length
+    assert SymmetricGroup(n) is SymmetricGroup(n)
+    assert len(length) == math.factorial(n)
+    for w, value in length.items():
+        assert value == w.coxeter_length() == len(w.reduced_word())
 
 
-def test_right_descent_identity_trivial_cases():
-    e = Permutation.identity(5)
-    assert right_descent_identity_check(e, Permutation((3, 1, 4, 2, 5)))
-    assert right_descent_identity_check(Permutation.simple(1, 3), Permutation.identity(3))
+not_a_permutation = st.lists(st.integers(0, 7), min_size=1, max_size=7).filter(
+    lambda images: sorted(images) != list(range(1, len(images) + 1))
+)
+
+
+@given(not_a_permutation)
+@example([1, 1, 3])
+@example([1, 1, 2, 3])
+def test_outside_input_is_checked(images):
+    with pytest.raises(ValueError):
+        Permutation(images)
+    with pytest.raises(ValueError):
+        Permutation.from_one_line("".join(map(str, images)))
+    with pytest.raises(ValueError):
+        Permutation.identity(len(images)) * tuple(images)
 
 
 @given(perm_strategy(5))
