@@ -190,6 +190,9 @@ def cmd_class(args, config: RunConfig) -> int:
 def cmd_expand(args, config: RunConfig) -> int:
     with open(args.input) as handle:
         data = json.load(handle)
+    for field in ("n", "values"):
+        if field not in data:
+            raise ValueError(f"the class file {args.input} has no {field!r} field")
     n = data["n"]
     h = _parse_h(args.h, n)
     if h.n != n:
@@ -707,7 +710,7 @@ def main(argv: list[str] | None = None) -> int:
     config = RunConfig.from_args(args)
     try:
         return args.handler(args, config)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -715,6 +718,10 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         # computation-level refusals (uncertified bases, non-unique classes)
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyError as exc:
+        # a missing key inside the computation is a bug, not a usage error
+        print(f"error: internal KeyError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -54,7 +54,7 @@ def generator_permutation(a: Composition) -> Permutation:
         lo = n - cuts[s + 1] + 1
         hi = n - cuts[s]
         images.extend(range(lo, hi + 1))
-    return Permutation(images)
+    return tuple.__new__(Permutation, images)
 
 
 def g_set(n: int, k: int) -> list[Permutation]:
@@ -105,7 +105,7 @@ def _block_preserving_perms(blocks: tuple[frozenset[int], ...], n: int):
         for block, arranged in zip(sorted_blocks, arrangement):
             for src, dst in zip(block, arranged):
                 images[src - 1] = dst
-        yield Permutation(images)
+        yield tuple.__new__(Permutation, images)
 
 
 def symmetrizer_coset_reps(w: Permutation) -> list[Permutation]:

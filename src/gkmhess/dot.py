@@ -15,6 +15,15 @@ cases, by the positions of the values ``i`` and ``i+1`` in ``w``:
   satisfies the exact identity
   ``(t_{i+1} - t_i) sigma_{s_i w} = s_i . aux - aux``, which unwinds to an
   expansion of ``s_i . sigma_w`` with recursive corrections.
+
+One memoized recursion, ``_SiExpansionCache``, computes this expansion over
+either of two coefficient rings.  ``_PolyRing`` keeps the polynomials in
+``t`` (``perm_si_action``, ``gkmhess dot``).  ``_ConstantRing`` keeps
+integers at t = 0, the ordinary action that ``generator_matrix`` needs.
+Evaluation at t = 0 is a ring map that commutes with permuting the variables
+and kills the root ``t_{i+1} - t_i``, and the recursion uses nothing but the
+ring operations, those roots and that action.  So the integer run yields
+exactly the constant terms of the polynomial run.
 """
 
 from __future__ import annotations
@@ -161,7 +170,7 @@ def auxiliary_terms(w: Permutation, i: int) -> list[AuxiliaryTerm]:
                 + middle
                 + [w(j) for j in range(d_next + 1, n + 1)]
             )
-            tilde = Permutation(images)
+            tilde = tuple.__new__(Permutation, images)
             corrected = list(images)
             tilde_descents = set(tilde.descents())
             if d_prev != 0 and d_prev not in tilde_descents:
@@ -194,7 +203,7 @@ def auxiliary_terms(w: Permutation, i: int) -> list[AuxiliaryTerm]:
                         corrected[pos],
                     )
                     pos += 1
-            target = Permutation(corrected)
+            target = tuple.__new__(Permutation, corrected)
             expected = (w_descents - {d_here}) | {d_prev + len(p_set) + len(q_set) + 1}
             if set(target.descents()) != expected:
                 raise AssertionError(
@@ -222,27 +231,77 @@ def build_auxiliary_class(w: Permutation, i: int) -> EquivariantClass:
     return total
 
 
-class _SiExpansionCache:
-    """Memoized expansions of ``s_i . sigma_w`` over the basis classes.
-
-    Values are dicts mapping basis permutations to polynomial coefficients.
-    A recursion guard raises on re-entry for the same pair, which the
-    underlying identities rule out in practice.
-    """
+class _PolyRing:
+    """Coefficients in Z[t_1..t_n]: the equivariant expansion."""
 
     def __init__(self, n: int):
         self.n = n
-        self.cache: dict[tuple[Permutation, int], dict[Permutation, MultiPoly]] = {}
-        self.in_progress: set[tuple[Permutation, int]] = set()
+        self.one = MultiPoly.one(n)
+        self._simple = {i: Permutation.simple(i, n) for i in range(1, n)}
 
-    def expansion(self, w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
+    def root(self, i: int) -> MultiPoly:
+        """``t_{i+1} - t_i``."""
+        return MultiPoly.linear_form(i + 1, i, self.n)
+
+    def act(self, i: int, coeff: MultiPoly) -> MultiPoly:
+        """``s_i`` on a coefficient: exchange ``t_i`` and ``t_{i+1}``."""
+        return coeff.substitute_permutation(self._simple[i])
+
+    @staticmethod
+    def is_zero(coeff: MultiPoly) -> bool:
+        return coeff.is_zero
+
+
+class _ConstantRing:
+    """Coefficients evaluated at t = 0: the ordinary expansion.
+
+    Evaluation at 0 is a ring map that commutes with permuting the variables
+    and sends the root ``t_{i+1} - t_i`` to 0, so the same recursion run on
+    these integers gives exactly the constant terms of the polynomial one.
+    """
+
+    one = 1
+
+    def __init__(self, n: int):
+        self.n = n
+
+    @staticmethod
+    def root(i: int) -> int:
+        return 0
+
+    @staticmethod
+    def act(i: int, coeff: int) -> int:
+        return coeff
+
+    @staticmethod
+    def is_zero(coeff: int) -> bool:
+        return not coeff
+
+
+class _SiExpansionCache:
+    """Memoized expansions of ``s_i . sigma_w`` over the basis classes.
+
+    Values are dicts mapping basis permutations to nonzero coefficients in
+    ``ring``: polynomials (``_PolyRing``) or their values at t = 0
+    (``_ConstantRing``).  A recursion guard raises on re-entry for the same
+    pair, which the underlying identities rule out in practice.
+    """
+
+    def __init__(self, n: int, ring):
+        self.n = n
+        self.ring = ring(n)
+        self.cache: dict[tuple[Permutation, int], dict[Permutation, object]] = {}
+        self.in_progress: set[tuple[Permutation, int]] = set()
+        self._depth_limit = math.factorial(n)
+
+    def expansion(self, w: Permutation, i: int) -> dict[Permutation, object]:
         key = (w, i)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
         if key in self.in_progress:
             raise RecursionError(f"cyclic expansion request at w={w}, i={i}")
-        if len(self.in_progress) > math.factorial(self.n):
+        if len(self.in_progress) > self._depth_limit:
             raise RecursionError("expansion recursion exceeded the depth guard")
         self.in_progress.add(key)
         try:
@@ -252,61 +311,75 @@ class _SiExpansionCache:
         self.cache[key] = result
         return result
 
-    def _compute(self, w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
-        n = self.n
+    def _compute(self, w: Permutation, i: int) -> dict[Permutation, object]:
+        ring = self.ring
         w_inv = w.inverse()
         j, k = w_inv(i), w_inv(i + 1)
-        si = Permutation.simple(i, n)
+        si = Permutation.simple(i, self.n)
         if abs(j - k) > 1:
             # descent pattern unchanged: the class moves along
-            return {si * w: MultiPoly.one(n)}
+            return {si * w: ring.one}
         if j + 1 == k:
             # ascent i, i+1: acting from below fixes the class
-            return {w: MultiPoly.one(n)}
+            return {w: ring.one}
 
         # descent case: unwind the auxiliary identity
-        result: dict[Permutation, MultiPoly] = {}
-        _add(result, si * w, MultiPoly.linear_form(i + 1, i, n), n)
-        _add(result, w, MultiPoly.one(n), n)
+        result: dict[Permutation, object] = {}
+        _add(result, si * w, ring.root(i))
+        _add(result, w, ring.one)
         for term in auxiliary_terms(w, i):
             if term.tilde == w:
                 continue  # the (P~, empty) summand is sigma_w itself
-            summand = self._apply_word(
-                term.mover.reduced_word(), {term.target: MultiPoly.one(n)}
-            )
+            summand = self._apply_word(term.mover.reduced_word(), {term.target: ring.one})
             moved = self._apply_word((i,), summand)
             for v, coeff in summand.items():
-                _add(result, v, coeff, n)
+                _add(result, v, coeff)
             for v, coeff in moved.items():
-                _add(result, v, -coeff, n)
-        return {v: c for v, c in result.items() if not c.is_zero}
+                _add(result, v, -coeff)
+        return {v: c for v, c in result.items() if not ring.is_zero(c)}
 
     def _apply_word(self, word, expansion):
         """Apply ``s_{word[0]} ... s_{word[-1]}`` (left to right) to an expansion."""
+        ring = self.ring
         current = expansion
         for gen in reversed(word):
-            nxt: dict[Permutation, MultiPoly] = {}
-            si = Permutation.simple(gen, self.n)
+            nxt: dict[Permutation, object] = {}
             for v, coeff in current.items():
-                moved_coeff = coeff.substitute_permutation(si)
+                moved_coeff = ring.act(gen, coeff)
                 for target, inner in self.expansion(v, gen).items():
-                    _add(nxt, target, moved_coeff * inner, self.n)
-            current = {v: c for v, c in nxt.items() if not c.is_zero}
+                    _add(nxt, target, moved_coeff * inner)
+            current = {v: c for v, c in nxt.items() if not ring.is_zero(c)}
         return current
 
 
-def _add(acc: dict, key: Permutation, poly: MultiPoly, n: int) -> None:
-    acc[key] = acc.get(key, MultiPoly.zero(n)) + poly
+def _add(acc: dict, key: Permutation, coeff) -> None:
+    previous = acc.get(key)
+    acc[key] = coeff if previous is None else previous + coeff
 
 
-_caches: dict[int, _SiExpansionCache] = {}
+# One expansion cache per (n, ring), oldest dropped beyond the bound.
+_caches: dict[tuple[int, type], _SiExpansionCache] = {}
+_CACHE_BOUND = 4
+
+
+def _expansion_cache(n: int, ring: type) -> _SiExpansionCache:
+    key = (n, ring)
+    cache = _caches.get(key)
+    if cache is None:
+        if len(_caches) >= _CACHE_BOUND:
+            del _caches[next(iter(_caches))]
+        cache = _caches[key] = _SiExpansionCache(n, ring)
+    return cache
 
 
 def perm_si_action(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
-    """Exact expansion of ``s_i . sigma_w`` over the permutohedral basis."""
+    """Exact expansion of ``s_i . sigma_w`` over the permutohedral basis.
+
+    The recursion is the one ``generator_matrix`` runs at t = 0; here it
+    runs on polynomial coefficients.
+    """
     w = Permutation(w)
-    cache = _caches.setdefault(len(w), _SiExpansionCache(len(w)))
-    return cache.expansion(w, i)
+    return _expansion_cache(len(w), _PolyRing).expansion(w, i)
 
 
 # -- action matrices -----------------------------------------------------------
@@ -400,13 +473,21 @@ def _ordinary_column(expansion: dict[Permutation, MultiPoly],
 
 def generator_matrix(i: int, k: int, h: HessenbergFunction,
                      basis: dict[Permutation, EquivariantClass] | None = None) -> ActionMatrix:
-    """Matrix of ``s_i`` on ordinary degree-2k cohomology."""
+    """Matrix of ``s_i`` on ordinary degree-2k cohomology.
+
+    For the permutohedral h the columns come from the recursion of
+    ``perm_si_action`` run on integers at t = 0, which gives the constant
+    terms of the polynomial expansion without building any polynomial.
+    """
     order = degree_basis(h, k)
     degree_set = frozenset(order)
     columns: dict[Permutation, dict[Permutation, Coeff]] = {}
     if h.is_permutohedral():
+        cache = _expansion_cache(h.n, _ConstantRing)
         for w in order:
-            columns[w] = _ordinary_column(perm_si_action(w, i), degree_set)
+            columns[w] = {
+                v: c for v, c in cache.expansion(w, i).items() if v in degree_set
+            }
     elif h.is_full_flag():
         for w in order:
             columns[w] = _ordinary_column(full_flag_si_expansion(w, i), degree_set)

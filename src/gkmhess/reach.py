@@ -74,9 +74,15 @@ def set_reachable(g: CellDigraph, sources, targets) -> bool:
     a = _check_sorted("targets", sorted(targets) if isinstance(targets, (set, frozenset)) else targets)
     if len(a) != len(b):
         raise ValueError("sources and targets must have equal sizes")
-    closure = g.reach_closure()
-    adjacency = [[t for t, target in enumerate(a) if target in closure[source]] for source in b]
-    matched_target = [-1] * len(a)
+    return _matchable(g.reach_closure(), b, a)
+
+
+def _matchable(closure: dict[int, frozenset[int]], sources: tuple[int, ...],
+               targets: tuple[int, ...]) -> bool:
+    """``set_reachable`` on already checked sorted tuples of equal size."""
+    adjacency = [[t for t, target in enumerate(targets) if target in closure[source]]
+                 for source in sources]
+    matched_target = [-1] * len(targets)
 
     def augment(s: int, seen: list[bool]) -> bool:
         for t in adjacency[s]:
@@ -87,19 +93,19 @@ def set_reachable(g: CellDigraph, sources, targets) -> bool:
                     return True
         return False
 
-    return all(augment(s, [False] * len(a)) for s in range(len(b)))
+    return all(augment(s, [False] * len(targets)) for s in range(len(sources)))
 
 
 def j_family(w: Permutation, h: HessenbergFunction, j: int) -> set[tuple[int, ...]]:
     """Ascending j-tuples whose underlying set is reachable from [j]."""
     if not 1 <= j <= h.n:
         raise ValueError(f"level {j} outside [1,{h.n}]")
-    g = build_cell_digraph(w, h)
+    closure = build_cell_digraph(w, h).reach_closure()
     initial = tuple(range(1, j + 1))
     return {
         combo
         for combo in itertools.combinations(range(1, h.n + 1), j)
-        if set_reachable(g, initial, combo)
+        if _matchable(closure, initial, combo)
     }
 
 
@@ -128,14 +134,15 @@ def support_A(w: Permutation, h: HessenbergFunction) -> SupportSet:
     levels at once.
     """
     n = h.n
-    g = build_cell_digraph(w, h)
+    closure = build_cell_digraph(w, h).reach_closure()
+    initials = [tuple(range(1, j + 1)) for j in range(n + 1)]
     w_inv = w.inverse()
     members: list[Permutation] = []
 
     def extend(prefix: list[int], pulled: list[int]) -> None:
         j = len(prefix)
         if j:
-            if not set_reachable(g, tuple(range(1, j + 1)), tuple(sorted(pulled))):
+            if not _matchable(closure, initials[j], tuple(sorted(pulled))):
                 return
         if j == n:
             members.append(tuple.__new__(Permutation, prefix))

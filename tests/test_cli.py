@@ -180,6 +180,12 @@ def test_determinism():
         ("decompose_4_2_basis.json", ("decompose", "--n", "4", "--k", "2", "--emit-basis")),
         ("decompose_5_2_basis.json", ("decompose", "--n", "5", "--k", "2", "--emit-basis")),
         ("gkm_graph_2344.json", ("gkm-graph", "--n", "4", "--h", "2,3,4,4")),
+        # the permutohedral s_i action: the descent case, and ordinary matrices
+        ("dot_21543_gen4.json", ("dot", "--permutohedral", "--w", "21543", "--gen", "4")),
+        ("action_matrix_3142_k1.json",
+         ("action-matrix", "--perm", "3142", "--k", "1", "--h", "permutohedral")),
+        ("action_matrix_25143_k2.json",
+         ("action-matrix", "--perm", "25143", "--k", "2", "--h", "permutohedral")),
     ],
 )
 def test_golden_outputs(golden, args):
@@ -198,6 +204,29 @@ def test_expand_class_size_must_match_h(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "the class has n = 4 but --h has length 3" in proc.stderr
+
+
+@pytest.mark.parametrize("field", ["n", "values"])
+def test_expand_class_file_missing_a_field_is_a_usage_error(field, tmp_path, capsys):
+    from gkmhess import cli
+
+    data = run_json("class", "--permutohedral", "--w", "1324")
+    del data[field]
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["expand", "--input", str(path), "--h", "2,3,4,4"]) == 2
+    assert f"no '{field}' field" in capsys.readouterr().err
+
+
+def test_internal_key_error_exits_one(monkeypatch, capsys):
+    from gkmhess import cli
+
+    def broken(args, config):
+        raise KeyError("1324")
+
+    monkeypatch.setattr(cli, "cmd_dot", broken)
+    assert cli.main(["dot", "--permutohedral", "--w", "1324", "--gen", "1"]) == 1
+    assert "error: internal KeyError: '1324'" in capsys.readouterr().err
 
 
 def test_expand_uncertified_h_exits_one(tmp_path):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmhess.classes import (
     EquivariantClass,
@@ -22,6 +23,7 @@ from gkmhess.dot import (
     generator_matrix,
     perm_si_action,
 )
+from gkmhess.dot import _CACHE_BOUND, _caches, _ConstantRing, _expansion_cache, _PolyRing
 from gkmhess.gkm import EdgeKind, HessenbergFunction, edge_kind, poincare_coefficients
 from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
@@ -175,6 +177,35 @@ def test_si_expansion_matches_dot_expand_n4():
         for i in range(1, n):
             direct = expand_in_basis(dot(Permutation.simple(i, n), basis[u]), basis, h)
             assert perm_si_action(u, i) == direct
+
+
+@st.composite
+def permutation_and_generator(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    w = Permutation(draw(st.permutations(range(1, n + 1))))
+    return w, draw(st.integers(min_value=1, max_value=n - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(permutation_and_generator())
+def test_expansion_at_t0_is_the_constant_term(case):
+    # the integer recursion is the polynomial one evaluated at t = 0
+    w, i = case
+    at_zero = _expansion_cache(len(w), _ConstantRing).expansion(w, i)
+    constants = {v: c.constant_term() for v, c in perm_si_action(w, i).items()}
+    assert at_zero == {v: c for v, c in constants.items() if c}
+    assert all(type(c) is int for c in at_zero.values())
+
+
+def test_expansion_caches_stay_within_their_bound():
+    for n in range(2, 7):
+        for ring in (_PolyRing, _ConstantRing):
+            _expansion_cache(n, ring).expansion(Permutation.longest(n), 1)
+            assert len(_caches) <= _CACHE_BOUND
+    # the newest cache is kept, and asking again returns the same object
+    newest = _expansion_cache(6, _ConstantRing)
+    assert newest is _caches[(6, _ConstantRing)]
+    assert _expansion_cache(6, _ConstantRing) is newest
 
 
 def test_si_expansion_degree_bookkeeping():
