@@ -622,6 +622,16 @@ def cmd_verify(args, config: RunConfig) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -679,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_action_matrix)
 
     p = sub.add_parser("decompose", parents=[common], help="permutation-module decomposition of one degree")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--emit-basis", action="store_true")
     p.set_defaults(handler=cmd_decompose)

@@ -20,11 +20,10 @@ class and give the coset-representative bookkeeping.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .classes import EquivariantClass, permutohedral_class
 from .dot import ActionMatrix, degree_basis, dot, generator_matrix
@@ -297,33 +296,44 @@ _MOD_PRIME = 2_147_483_647  # 2^31 - 1
 _FALLBACK_PRIME = 2_147_483_629
 
 
-def _rank_mod_p(rows: list[list[int]], p: int = _MOD_PRIME) -> int:
-    if not rows:
-        return 0
-    mat = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    n_rows, n_cols = mat.shape
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if mat[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = (mat[rank] * inv) % p
-        for r in range(n_rows):
-            if r != rank and mat[r, col]:
-                mat[r] = (mat[r] - int(mat[r, col]) * mat[rank]) % p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+def _rank_mod_p(rows: list[dict[int, int]], p: int = _MOD_PRIME) -> int:
+    """Rank modulo the prime ``p`` of sparse integer rows ``{column: value}``.
+
+    Rows are taken shortest first and brought to echelon form: each is
+    reduced by the pivot rows so far in increasing pivot column, and what is
+    left takes its smallest column as pivot.  A pivot row is stored scaled
+    to 1 at its pivot, with that column dropped; its other columns all lie
+    above the pivot, so reducing by it never reopens a column already done.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for source in sorted(rows, key=len):
+        row = {c: v % p for c, v in source.items() if v % p}
+        pending = [c for c in row if c in pivots]
+        heapq.heapify(pending)
+        while pending:
+            col = heapq.heappop(pending)
+            factor = row.pop(col, 0)
+            if not factor:
+                continue  # pushed twice, or cancelled by an earlier pivot
+            for c, v in pivots[col].items():
+                if c in row:
+                    value = (row[c] - factor * v) % p
+                    if value:
+                        row[c] = value
+                    else:
+                        del row[c]
+                else:
+                    row[c] = -factor * v % p
+                    if c in pivots:
+                        heapq.heappush(pending, c)
+        if row:
+            col = min(row)
+            inverse = pow(row.pop(col), -1, p)
+            pivots[col] = {c: v * inverse % p for c, v in row.items()}
+    return len(pivots)
 
 
-def _certified_rank(rows: list[list[int]], expected: int) -> int:
+def _certified_rank(rows: list[dict[int, int]], expected: int) -> int:
     """Rank of integer rows, retried at a second prime when short of
     ``expected``: a rank mod p never exceeds the rational rank, so the
     larger one is the better lower bound."""
@@ -333,9 +343,12 @@ def _certified_rank(rows: list[list[int]], expected: int) -> int:
     return rank
 
 
-def _vector_to_ints(vec: dict[Permutation, Coeff], order) -> list[int]:
+def _vector_to_ints(vec: dict[Permutation, Coeff],
+                    position: dict[Permutation, int]) -> dict[int, int]:
+    """``vec`` cleared of denominators, as a sparse row keyed by the
+    position of each basis permutation."""
     denominator = math.lcm(*(value.denominator for value in vec.values()))
-    return [int(vec[w] * denominator) if w in vec else 0 for w in order]
+    return {position[w]: int(c * denominator) for w, c in vec.items() if c}
 
 
 def _coset_walk(blocks, vec: dict[Permutation, Coeff], generators,
@@ -480,29 +493,32 @@ def verify_decomposition(
     subgroup; the spans over all generators are independent and fill the
     degree.  The symmetrized class and its orbit are ordinary vectors built
     from the generator matrices (``sigma_hat_vector``, ``coset_orbit_vectors``).
-    Full-rank certificates run modulo a large prime, which is exact in the
-    passing direction; a short modular rank, per module or of the direct
-    sum, is retried at a second prime before reporting failure.
+
+    The rows of all modules are stacked and ranked once, modulo a large
+    prime, which is exact in the passing direction: a full rank certifies
+    the direct sum and, since each module contributes exactly its expected
+    number of rows, the independence of every module's rows.  A short rank
+    is retried at a second prime; only if the direct sum still falls short
+    is each module ranked on its own, to name the modules at fault.
     """
     h = HessenbergFunction.permutohedral(n)
     if matrices is None:
         matrices = {i: generator_matrix(i, k, h) for i in range(1, n)}
-    order = degree_basis(h, k)
+    position = {w: i for i, w in enumerate(degree_basis(h, k))}
     generators = g_set(n, k)
 
     modules: list[ModuleReport] = []
-    stacked: list[list[int]] = []
+    module_rows: list[list[dict[int, int]]] = []
     for w in generators:
         groups = block_subgroups(w)
         vec = sigma_hat_vector(w, matrices)
         orbit = coset_orbit_vectors(w, vec, matrices)
-        rows = [_vector_to_ints(v, order) for v in orbit]
+        rows = [_vector_to_ints(v, position) for v in orbit]
         expected_dim = math.factorial(n) // groups.coarse_order
         if len(rows) != expected_dim:
             raise AssertionError(
                 f"coset walk found {len(rows)} cosets, expected {expected_dim}"
             )
-        rank = _certified_rank(rows, expected_dim)
         stabilizer_ok = _stabilizer_exact(w, vec, matrices, groups)
         a = w.descent_composition()
         modules.append(
@@ -511,14 +527,18 @@ def verify_decomposition(
                 a=tuple(a),
                 a_hat=tuple(erased_composition(a)),
                 dim_expected=expected_dim,
-                dim_computed=rank,
+                dim_computed=expected_dim,
                 stabilizer_exact=stabilizer_ok,
             )
         )
-        stacked.extend(rows)
+        module_rows.append(rows)
 
     total = sum(m.dim_expected for m in modules)
+    stacked = [row for rows in module_rows for row in rows]
     direct_sum = _certified_rank(stacked, total) == total
+    if not direct_sum:
+        for m, rows in zip(modules, module_rows):
+            m.dim_computed = _certified_rank(rows, m.dim_expected)
 
     observed_types: dict[tuple[int, ...], int] = {}
     for m in modules:

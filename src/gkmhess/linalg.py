@@ -2,8 +2,8 @@
 
 The one rational elimination of the package: flow-up interpolation, its
 parameter relations, symmetric-function basis transitions and minors all
-call ``row_reduce``.  (Modular ranks in ``decomp`` run over a different
-field on dense integer arrays.)
+call ``row_reduce``.  (The ranks of ``decomp`` run modulo a prime, on the
+same sparse rows, in ``decomp._rank_mod_p``.)
 """
 
 from __future__ import annotations

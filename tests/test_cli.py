@@ -144,10 +144,28 @@ def test_action_matrix_degree_out_of_range_is_a_usage_error(k, capsys):
     assert f"degree {k} outside [0,3]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_decompose_nonpositive_n_is_a_usage_error(n, capsys):
+    from gkmhess import cli
+
+    assert cli.main(["decompose", "--n", n, "--k", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --n: must be at least 1, got {n}" in err
+    assert "degree" not in err
+
+
 def test_repeated_value_in_w_is_a_usage_error():
     proc = run_cli("support", "--h", "2,3,4,4", "--w", "1123")
     assert proc.returncode == 2
     assert "not a permutation" in proc.stderr
+
+
+def test_package_imports_without_numpy():
+    code = "import sys, gkmhess, gkmhess.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_subcommand_exit_code():
@@ -186,6 +204,9 @@ def test_determinism():
          ("action-matrix", "--perm", "3142", "--k", "1", "--h", "permutohedral")),
         ("action_matrix_25143_k2.json",
          ("action-matrix", "--perm", "25143", "--k", "2", "--h", "permutohedral")),
+        # the module table of the two largest degrees at n = 6
+        ("decompose_6_3.json", ("decompose", "--n", "6", "--k", "3")),
+        ("decompose_6_2.json", ("decompose", "--n", "6", "--k", "2")),
     ],
 )
 def test_golden_outputs(golden, args):

@@ -297,3 +297,38 @@ def test_coset_walks_need_interval_blocks():
         coset_orbit_vectors(w, {w: 1}, matrices)
     with pytest.raises(ValueError):
         sigma_hat_vector(w, matrices)
+
+
+def test_dependent_row_fails_the_direct_sum_and_names_its_module(monkeypatch):
+    # one module's last orbit row made a copy of its first: the stack is
+    # short at both primes, and only that module's own rank falls short
+    from gkmhess import decomp
+
+    culprit = g_set(5, 2)[1]
+    walk = decomp.coset_orbit_vectors
+
+    def broken(w, vec, matrices):
+        orbit = walk(w, vec, matrices)
+        return orbit[:-1] + [orbit[0]] if w == culprit else orbit
+
+    monkeypatch.setattr(decomp, "coset_orbit_vectors", broken)
+    report = verify_decomposition(5, 2)
+    assert not report.direct_sum and not report.passed
+    for m in report.modules:
+        expected = m.dim_expected - 1 if m.w == culprit else m.dim_expected
+        assert m.dim_computed == expected
+
+
+def test_passing_degree_ranks_once(monkeypatch):
+    from gkmhess import decomp
+
+    calls = []
+    exact = decomp._rank_mod_p
+
+    def counted(rows, p=decomp._MOD_PRIME):
+        calls.append(p)
+        return exact(rows, p)
+
+    monkeypatch.setattr(decomp, "_rank_mod_p", counted)
+    assert verify_decomposition(5, 2).passed
+    assert calls == [decomp._MOD_PRIME]
