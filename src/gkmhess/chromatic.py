@@ -3,12 +3,14 @@
 The incomparability graph of a Hessenberg function has an edge ``{j, i}``
 for every Hessenberg pair ``(j, i)`` in ``h.pairs``.  Colorings are
 weighted by ascents: edges ``{j, i}`` with ``j < i`` and a strictly smaller
-color at ``j``.  Each
-t-coefficient must come out symmetric, which the construction asserts by
-comparing rearranged contents.
+color at ``j``.  The colorings are counted, not listed: a transfer over
+the vertices keeps only the colors of the earlier vertices that later ones
+still see.  Each t-coefficient must come out symmetric, which the
+construction asserts by comparing rearranged contents.
 
-The graded character side takes traces of exact action matrices at one
-representative per cycle type, assembles the Frobenius characteristic in
+The graded character side takes traces of the exact action at one
+representative per cycle type, each from the products of the two halves of
+a reduced word, assembles the Frobenius characteristic in
 the power-sum basis, and converts to complete homogeneous coordinates.
 The two sides agree after applying the elementary/homogeneous involution
 to the chromatic side, and for the permutohedral family the module types
@@ -18,8 +20,8 @@ formula degree by degree.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,9 +31,11 @@ from .decomp import (
     expected_type_multiset,
     g_set,
 )
-from .dot import ActionMatrix, action_matrix, degree_basis, generator_matrix
+from .classes import EquivariantClass
+from .dot import ActionMatrix, degree_basis, generator_matrix, unique_interpolated_basis
 from .gkm import HessenbergFunction
 from .perms import Permutation, partitions
+from .polys import Coeff
 from .symfunc import SymFunc, cycle_type_representative, z_mu
 
 
@@ -42,52 +46,23 @@ class SymmetryViolationError(AssertionError):
 def chromatic_qsym(h: HessenbergFunction) -> list[SymFunc]:
     """Graded chromatic symmetric function, one m-basis vector per t-degree.
 
-    Enumerates all proper colorings with colors in [n] and buckets them by
-    exact content vector and ascent count; the coefficient of a monomial
-    basis element is the count at the sorted content.
+    Counts the proper colorings with colors in [n] by exact content vector
+    and ascent count with the transfer of ``_coloring_counts``; the
+    coefficient of a monomial basis element is the count at the sorted
+    content.
     """
     n = h.n
     top = len(h.pairs)
-    counts: dict[tuple[int, ...], list[int]] = {}
-
-    neighbors: list[list[tuple[int, bool]]] = [[] for _ in range(n + 1)]
-    for j, i in h.pairs:
-        neighbors[i].append((j, True))  # earlier endpoint, ascent if smaller color
-
-    def color(vertex: int, coloring: list[int], ascents: int) -> None:
-        if vertex > n:
-            content = [0] * n
-            for c in coloring[1:]:
-                content[c - 1] += 1
-            key = tuple(content)
-            bucket = counts.setdefault(key, [0] * (top + 1))
-            bucket[ascents] += 1
-            return
-        for c in range(1, n + 1):
-            ok = True
-            asc = 0
-            for j, _ in neighbors[vertex]:
-                cj = coloring[j]
-                if cj == c:
-                    ok = False
-                    break
-                if cj < c:
-                    asc += 1
-            if ok:
-                coloring.append(c)
-                color(vertex + 1, coloring, ascents + asc)
-                coloring.pop()
-
-    color(1, [0], 0)
+    counts = _coloring_counts(h)
+    _assert_symmetric(counts, n)
 
     graded: list[SymFunc] = []
+    zero = [0] * (top + 1)
     plist = list(partitions(n))
     for k in range(top + 1):
         coeffs = {}
         for lam in plist:
-            padded = tuple(lam) + (0,) * (n - len(lam))
-            value = counts.get(padded, [0] * (top + 1))[k]
-            _assert_symmetric(counts, lam, n, k, top)
+            value = counts.get(tuple(lam) + (0,) * (n - len(lam)), zero)[k]
             if value:
                 coeffs[lam] = Fraction(value)
         graded.append(SymFunc(n, "m", coeffs))
@@ -96,15 +71,81 @@ def chromatic_qsym(h: HessenbergFunction) -> list[SymFunc]:
     return graded
 
 
-def _assert_symmetric(counts, lam, n, k, top) -> None:
-    """All content rearrangements of a partition must produce equal counts."""
-    padded = tuple(lam) + (0,) * (n - len(lam))
-    reference = counts.get(padded, [0] * (top + 1))[k]
-    for arrangement in set(itertools.permutations(padded)):
-        value = counts.get(arrangement, [0] * (top + 1))[k]
-        if value != reference:
+def _coloring_counts(h: HessenbergFunction) -> dict[tuple[int, ...], list[int]]:
+    """Proper colorings with colors in [n], counted by content and ascents.
+
+    A transfer over the vertices 1..n.  The earlier neighbours of vertex
+    ``i`` are the interval ``[first[i], i - 1]`` with ``first[i]`` the least
+    ``j`` with ``h(j) >= i``, so a state needs only the colors of that window
+    (in vertex order) and the content so far.  Each state maps to its counts
+    by ascent, packed into one integer with ``bits`` bits per ascent count,
+    and the content is packed in base ``n + 1``.  No count exceeds the
+    ``n ** n`` colorings, so the packed counts never carry into each other.
+    """
+    n = h.n
+    top = len(h.pairs)
+    bits = (n**n).bit_length()
+    place = [0] + [(n + 1) ** (c - 1) for c in range(1, n + 1)]
+    first = [0] * (n + 2)
+    j = 1
+    for i in range(1, n + 2):
+        while j < i and h(j) < i:
+            j += 1
+        first[i] = j
+
+    states: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+    for i in range(1, n + 1):
+        drop = first[i + 1] - first[i]
+        moves_of: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {}
+        following: dict[tuple[tuple[int, ...], int], int] = {}
+        for (window, content), packed in states.items():
+            moves = moves_of.get(window)
+            if moves is None:
+                moves = moves_of[window] = [
+                    ((window + (c,))[drop:], place[c], bits * sum(d < c for d in window))
+                    for c in range(1, n + 1)
+                    if c not in window
+                ]
+            for next_window, step, shift in moves:
+                key = (next_window, content + step)
+                following[key] = following.get(key, 0) + (packed << shift)
+        states = following
+
+    mask = (1 << bits) - 1
+    counts: dict[tuple[int, ...], list[int]] = {}
+    for (_window, content), packed in states.items():
+        key = tuple(content // place[c] % (n + 1) for c in range(1, n + 1))
+        counts[key] = [(packed >> (bits * a)) & mask for a in range(top + 1)]
+    return counts
+
+
+def _assert_symmetric(counts: dict[tuple[int, ...], list[int]], n: int) -> None:
+    """All content rearrangements of a partition must produce equal counts.
+
+    Walks the table once, grouping the contents by their sorted form.  Each
+    must carry the counts of the sorted content; a rearrangement missing from
+    the table counts zero, so a sorted content with any nonzero count needs
+    every one of its distinct rearrangements in the table.
+    """
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for content in counts:
+        groups.setdefault(tuple(sorted(content, reverse=True)), []).append(content)
+    for padded, members in groups.items():
+        reference = counts.get(padded, [0] * len(counts[members[0]]))
+        for content in members:
+            for k, value in enumerate(counts[content]):
+                if value != reference[k]:
+                    raise SymmetryViolationError(
+                        f"content {content} count {value} != {reference[k]} at t^{k}"
+                    )
+        arrangements = math.factorial(n) // math.prod(
+            math.factorial(m) for m in Counter(padded).values()
+        )
+        if len(members) < arrangements and any(reference):
+            k = next(k for k, value in enumerate(reference) if value)
             raise SymmetryViolationError(
-                f"content {arrangement} count {value} != {reference} at t^{k}"
+                f"content {padded} count {reference[k]} but "
+                f"{arrangements - len(members)} rearrangements count 0 at t^{k}"
             )
 
 
@@ -119,28 +160,62 @@ def frobenius_of_degree(
     """Character of degree 2k under the dot action, as an h-basis vector.
 
     Traces at one representative per cycle type; the class function is
-    assembled over power sums with centralizer normalization.
+    assembled over power sums with centralizer normalization.  Without
+    ``matrices_by_generator`` it builds one generator matrix per letter.
     """
     n = h.n
+    if matrices_by_generator is None:
+        basis = _certified_basis(h)
+        matrices_by_generator = {i: generator_matrix(i, k, h, basis) for i in range(1, n)}
     coeffs: dict[tuple[int, ...], Fraction] = {}
-    for mu in partitions(n):
-        rep = cycle_type_representative(mu)
-        matrix = _matrix_of(rep, k, h, matrices_by_generator)
-        chi = matrix.trace()
+    for mu, chi in _cycle_type_traces(h, k, matrices_by_generator).items():
         if chi:
             coeffs[mu] = Fraction(chi, z_mu(mu))
     return SymFunc(n, "p", coeffs).to_basis("h")
 
 
-def _matrix_of(u: Permutation, k: int, h: HessenbergFunction,
-               matrices_by_generator: dict[int, ActionMatrix] | None) -> ActionMatrix:
-    if matrices_by_generator is None:
-        return action_matrix(u, k, h)
-    order = degree_basis(h, k)
-    result = ActionMatrix.identity(k, h, order)
-    for gen in u.reduced_word():
-        result = result.compose(matrices_by_generator[gen])
-    return result
+def _cycle_type_traces(h: HessenbergFunction, k: int,
+                       matrices_by_generator: dict[int, ActionMatrix]) -> dict[tuple[int, ...], Coeff]:
+    """Trace on degree 2k at each ``cycle_type_representative``, by cycle type.
+
+    No word's matrix is formed: a reduced word splits as ``L R``, and
+    ``trace(L R) = sum L[x, v] R[v, x]`` over the entries of ``R``.  The
+    matrices of the segments are memoized for the degree, since the
+    representatives' words share most of them.
+    """
+    products: dict[tuple[int, ...], ActionMatrix] = {}
+
+    def product(segment: tuple[int, ...]) -> ActionMatrix:
+        if len(segment) == 1:
+            return matrices_by_generator[segment[0]]
+        if segment not in products:
+            products[segment] = product(segment[:-1]).compose(
+                matrices_by_generator[segment[-1]]
+            )
+        return products[segment]
+
+    traces: dict[tuple[int, ...], Coeff] = {}
+    for mu in partitions(h.n):
+        word = cycle_type_representative(mu).reduced_word()
+        if len(word) < 2:
+            traces[mu] = product(word).trace() if word else len(degree_basis(h, k))
+            continue
+        half = len(word) // 2
+        left = product(word[:half]).columns
+        right = product(word[half:]).columns
+        traces[mu] = sum(
+            value * left.get(v, {}).get(x, 0)
+            for x, column in right.items()
+            for v, value in column.items()
+        )
+    return traces
+
+
+def _certified_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass] | None:
+    """The interpolated basis the generator matrices need; None for the two families."""
+    if h.is_permutohedral() or h.is_full_flag():
+        return None
+    return unique_interpolated_basis(h)
 
 
 @dataclass
@@ -162,35 +237,21 @@ def verify_shareshian_wachs(h: HessenbergFunction) -> SwReport:
     n = h.n
     graded = chromatic_qsym(h)
     top = len(h.pairs)
-    basis = None
-    if not (h.is_permutohedral() or h.is_full_flag()):
-        from .dot import unique_interpolated_basis
-
-        basis = unique_interpolated_basis(h)
-    matrices = {
-        k: {i: generator_matrix(i, k, h, basis) for i in range(1, n)}
+    basis = _certified_basis(h)
+    # one degree's generator matrices at a time, freed before the next is built
+    characters = [
+        frobenius_of_degree(h, k, {i: generator_matrix(i, k, h, basis) for i in range(1, n)})
         for k in range(top + 1)
-    }
-    per_degree = []
-    for k in range(top + 1):
-        lhs = (
-            graded[k].omega().to_basis("h")
-            if k < len(graded)
-            else SymFunc.zero(n, "h")
-        )
-        rhs = frobenius_of_degree(h, k, matrices[k])
-        per_degree.append(lhs == rhs)
+    ]
+    lhs = [
+        graded[k].omega().to_basis("h") if k < len(graded) else SymFunc.zero(n, "h")
+        for k in range(top + 1)
+    ]
+    per_degree = [lhs[k] == characters[k] for k in range(top + 1)]
     agree = all(per_degree)
     flag = None
-    if not agree:
-        mirrored = [
-            graded[top - k].omega().to_basis("h") == frobenius_of_degree(h, k, matrices[k])
-            if top - k < len(graded)
-            else frobenius_of_degree(h, k, matrices[k]).is_zero()
-            for k in range(top + 1)
-        ]
-        if all(mirrored):
-            flag = "mirror-statistic"
+    if not agree and all(lhs[top - k] == characters[k] for k in range(top + 1)):
+        flag = "mirror-statistic"
     return SwReport(h=h, n=n, agree=agree, per_degree=per_degree, convention_flag=flag)
 
 

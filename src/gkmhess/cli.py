@@ -695,14 +695,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_decompose)
 
     p = sub.add_parser("chromatic", parents=[common], help="graded chromatic symmetric function")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--h", required=True)
     p.add_argument("--basis", choices=("m", "e", "h", "p", "s"), default="m")
     p.set_defaults(handler=cmd_chromatic)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=tuple(SUITES) + ("all",))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seeds", type=int, default=3,
                    help="independent oracle samples per instance")
     p.add_argument("--h", help="restrict h-dependent suites to one function")

@@ -2,8 +2,11 @@
 
 Coefficient vectors over partitions of ``n`` in one of the classical bases
 (monomial, elementary, complete homogeneous, power sum, Schur).  Transition
-matrices are built once per degree by brute-force expansion in ``n``
-variables and inverted with the shared exact kernel of ``linalg``, so every
+matrices are built once per degree by counting: the coefficient of
+``x^mu`` in a product of elementary, complete homogeneous or power-sum
+factors is the number of ways to pick one monomial per factor with product
+``x^mu``, and Schur functions expand through Kostka numbers.  They are
+inverted with the shared exact kernel of ``linalg``, so every
 conversion round-trips bit-exactly.  The involution swapping elementary and
 complete homogeneous generators acts by retagging in the e/h pair of bases.
 """
@@ -15,10 +18,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .linalg import row_reduce
 from .perms import partitions
-from .polys import MultiPoly
 
 BASES = ("m", "e", "h", "p", "s")
 
@@ -27,46 +30,45 @@ def partition_list(n: int) -> list[tuple[int, ...]]:
     return list(partitions(n))
 
 
-# -- brute-force monomial expansions ------------------------------------------
+# -- monomial expansions by counting -------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _e_k(k: int, n: int) -> MultiPoly:
-    terms = {}
-    for combo in itertools.combinations(range(n), k):
-        exps = [0] * n
-        for i in combo:
-            exps[i] = 1
-        terms[tuple(exps)] = 1
-    return MultiPoly(n, terms)
+def _e_choices(part: int, remaining: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """What is left of ``x^remaining`` after each square-free monomial of degree ``part``."""
+    for chosen in itertools.combinations(range(len(remaining)), part):
+        left = list(remaining)
+        for i in chosen:
+            left[i] -= 1
+        yield _sorted_content(left)
 
 
-@lru_cache(maxsize=None)
-def _h_k(k: int, n: int) -> MultiPoly:
-    terms = {}
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
-        terms[tuple(exps)] = 1
-    return MultiPoly(n, terms)
+def _h_choices(part: int, remaining: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """What is left of ``x^remaining`` after each monomial of degree ``part``."""
+
+    def take(i: int, need: int, left: list[int]) -> Iterator[tuple[int, ...]]:
+        if i == len(remaining):
+            if not need:
+                yield _sorted_content(left)
+            return
+        for a in range(min(need, remaining[i]) + 1):
+            left.append(remaining[i] - a)
+            yield from take(i + 1, need - a, left)
+            left.pop()
+
+    yield from take(0, part, [])
 
 
-@lru_cache(maxsize=None)
-def _p_k(k: int, n: int) -> MultiPoly:
-    terms = {}
-    for i in range(n):
-        exps = [0] * n
-        exps[i] = k
-        terms[tuple(exps)] = 1
-    return MultiPoly(n, terms)
+def _p_choices(part: int, remaining: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """What is left of ``x^remaining`` after each pure power ``x_i^part``."""
+    for i, r in enumerate(remaining):
+        if r >= part:
+            left = list(remaining)
+            left[i] -= part
+            yield _sorted_content(left)
 
 
-def _product_basis(factors, n: int) -> MultiPoly:
-    out = MultiPoly.one(n)
-    for f in factors:
-        out = out * f
-    return out
+def _sorted_content(exponents: list[int]) -> tuple[int, ...]:
+    return tuple(sorted((e for e in exponents if e), reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -110,14 +112,27 @@ def _monomial_expansion(basis: str, lam: tuple[int, ...], n: int) -> dict[tuple[
             for mu in partition_list(n)
             if _kostka(lam, mu)
         }
-    builder = {"e": _e_k, "h": _h_k, "p": _p_k}[basis]
-    poly = _product_basis([builder(part, n) for part in lam], n)
+    choices = {"e": _e_choices, "h": _h_choices, "p": _p_choices}[basis]
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def ways(index: int, remaining: tuple[int, ...]) -> int:
+        """Choices of one monomial per factor ``lam[index:]`` with product ``x^remaining``.
+
+        Each factor is symmetric, so the count depends only on the sorted
+        exponents, which is how ``remaining`` is kept.
+        """
+        if index == len(lam):
+            return 1
+        key = (index, remaining)
+        if key not in memo:
+            memo[key] = sum(ways(index + 1, left) for left in choices(lam[index], remaining))
+        return memo[key]
+
     out: dict[tuple[int, ...], Fraction] = {}
     for mu in partition_list(n):
-        exps = tuple(mu) + (0,) * (n - len(mu))
-        coeff = poly.terms.get(exps, 0)
-        if coeff:
-            out[mu] = Fraction(coeff)
+        count = ways(0, mu)
+        if count:
+            out[mu] = Fraction(count)
     return out
 
 

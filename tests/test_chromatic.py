@@ -1,16 +1,30 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkmhess.chromatic import (
+    SymmetryViolationError,
+    _assert_symmetric,
+    _certified_basis,
+    _coloring_counts,
+    _cycle_type_traces,
     chromatic_qsym,
     frobenius_of_degree,
     verify_closed_expansion,
     verify_shareshian_wachs,
 )
+from gkmhess.dot import action_matrix, generator_matrix
 from gkmhess.gkm import HessenbergFunction, poincare_coefficients
-from gkmhess.symfunc import SymFunc, cycle_type_representative, partition_list, z_mu
+from gkmhess.polys import MultiPoly
+from gkmhess.symfunc import (
+    SymFunc,
+    _monomial_expansion,
+    cycle_type_representative,
+    partition_list,
+    z_mu,
+)
 
 
 def test_incomparability_edges():
@@ -37,6 +51,93 @@ def test_chromatic_t_coefficients_are_symmetric():
     for n in (4, 5):
         for h in HessenbergFunction.all(n):
             chromatic_qsym(h)
+
+
+def _enumerated_counts(h):
+    """Every proper coloring with colors in [n], one at a time, by content and ascents."""
+    n, top = h.n, len(h.pairs)
+    earlier = {i: [j for j, b in h.pairs if b == i] for i in range(1, n + 1)}
+    counts = {}
+
+    def extend(colors, ascents):
+        i = len(colors) + 1
+        if i > n:
+            content = tuple(colors.count(c) for c in range(1, n + 1))
+            counts.setdefault(content, [0] * (top + 1))[ascents] += 1
+            return
+        neighbours = [colors[j - 1] for j in earlier[i]]
+        for c in range(1, n + 1):
+            if c not in neighbours:
+                extend(colors + [c], ascents + sum(d < c for d in neighbours))
+
+    extend([], 0)
+    return counts
+
+
+@given(st.sampled_from([h for n in range(1, 7) for h in HessenbergFunction.all(n)]))
+@settings(max_examples=25, deadline=None)
+def test_transfer_matches_enumerated_colorings(h):
+    assert _coloring_counts(h) == _enumerated_counts(h)
+
+
+def test_asymmetric_count_table_is_rejected():
+    counts = _coloring_counts(HessenbergFunction.permutohedral(3))
+    _assert_symmetric(counts, 3)
+    unequal = {**counts, (1, 2, 0): [c + 1 for c in counts[(1, 2, 0)]]}
+    with pytest.raises(SymmetryViolationError, match=r"content \(1, 2, 0\)"):
+        _assert_symmetric(unequal, 3)
+    missing = {c: v for c, v in counts.items() if c != (0, 1, 2)}
+    with pytest.raises(SymmetryViolationError, match="rearrangements count 0"):
+        _assert_symmetric(missing, 3)
+
+
+def _multiplied_out(basis, lam, n):
+    """m-coefficients of the basis element, its factors multiplied as polynomials."""
+    if basis == "p":
+        factors = [[(i,) * part for i in range(n)] for part in lam]
+    else:
+        pick = itertools.combinations if basis == "e" else itertools.combinations_with_replacement
+        factors = [list(pick(range(n), part)) for part in lam]
+    product = MultiPoly.one(n)
+    for chosen in factors:
+        terms = {}
+        for variables in chosen:
+            exps = [0] * n
+            for i in variables:
+                exps[i] += 1
+            terms[tuple(exps)] = 1
+        product = product * MultiPoly(n, terms)
+    out = {}
+    for mu in partition_list(n):
+        coeff = product.terms.get(tuple(mu) + (0,) * (n - len(mu)), 0)
+        if coeff:
+            out[mu] = Fraction(coeff)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_counted_transitions_match_multiplied_out_products(n):
+    for basis in "ehp":
+        for lam in partition_list(n):
+            assert _monomial_expansion(basis, lam, n) == _multiplied_out(basis, lam, n)
+
+
+@pytest.mark.parametrize("h", [
+    HessenbergFunction.permutohedral(4),
+    HessenbergFunction.permutohedral(5),
+    HessenbergFunction.full_flag(4),
+    HessenbergFunction.full_flag(5),
+    HessenbergFunction((2, 3, 3, 5, 5)),
+], ids=str)
+def test_half_word_traces_match_composed_matrices(h):
+    basis = _certified_basis(h)
+    for k in range(len(h.pairs) + 1):
+        matrices = {i: generator_matrix(i, k, h, basis) for i in range(1, h.n)}
+        traces = _cycle_type_traces(h, k, matrices)
+        assert list(traces) == partition_list(h.n)
+        for mu, chi in traces.items():
+            u = cycle_type_representative(mu)
+            assert chi == action_matrix(u, k, h, basis).trace()
 
 
 def test_basis_round_trips():

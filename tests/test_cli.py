@@ -154,6 +154,19 @@ def test_decompose_nonpositive_n_is_a_usage_error(n, capsys):
     assert "degree" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "decomposition", "--n", "0"],
+    ["verify", "all", "--n", "-3"],
+    ["chromatic", "--n", "0", "--h", "permutohedral"],
+], ids=["verify-decomposition", "verify-all", "chromatic"])
+def test_nonpositive_n_is_a_usage_error(argv, capsys):
+    from gkmhess import cli
+
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument --n: must be at least 1, got {argv[argv.index('--n') + 1]}" in err
+
+
 def test_repeated_value_in_w_is_a_usage_error():
     proc = run_cli("support", "--h", "2,3,4,4", "--w", "1123")
     assert proc.returncode == 2
