@@ -31,10 +31,9 @@ from .decomp import (
     expected_type_multiset,
     g_set,
 )
-from .classes import EquivariantClass
-from .dot import ActionMatrix, degree_basis, generator_matrix, unique_interpolated_basis
+from .dot import ActionMatrix, certified_basis, degree_basis, generator_matrix
 from .gkm import HessenbergFunction
-from .perms import Permutation, partitions
+from .perms import partitions
 from .polys import Coeff
 from .symfunc import SymFunc, cycle_type_representative, z_mu
 
@@ -165,7 +164,7 @@ def frobenius_of_degree(
     """
     n = h.n
     if matrices_by_generator is None:
-        basis = _certified_basis(h)
+        basis = certified_basis(h)
         matrices_by_generator = {i: generator_matrix(i, k, h, basis) for i in range(1, n)}
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for mu, chi in _cycle_type_traces(h, k, matrices_by_generator).items():
@@ -211,13 +210,6 @@ def _cycle_type_traces(h: HessenbergFunction, k: int,
     return traces
 
 
-def _certified_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass] | None:
-    """The interpolated basis the generator matrices need; None for the two families."""
-    if h.is_permutohedral() or h.is_full_flag():
-        return None
-    return unique_interpolated_basis(h)
-
-
 @dataclass
 class SwReport:
     h: HessenbergFunction
@@ -237,7 +229,7 @@ def verify_shareshian_wachs(h: HessenbergFunction) -> SwReport:
     n = h.n
     graded = chromatic_qsym(h)
     top = len(h.pairs)
-    basis = _certified_basis(h)
+    basis = certified_basis(h)
     # one degree's generator matrices at a time, freed before the next is built
     characters = [
         frobenius_of_degree(h, k, {i: generator_matrix(i, k, h, basis) for i in range(1, n)})

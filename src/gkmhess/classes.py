@@ -27,8 +27,8 @@ from itertools import combinations_with_replacement
 
 from .gkm import GkmGraph, HessenbergFunction, l_h
 from .linalg import row_reduce
-from .perms import Permutation, SymmetricGroup
-from .polys import MultiPoly
+from .perms import Permutation, SymmetricGroup, young_subgroup
+from .polys import Coeff, MultiPoly
 from .reach import support_A
 
 
@@ -149,38 +149,13 @@ def permutohedral_class(w: Permutation, n: int | None = None) -> EquivariantClas
         for s in range(len(bounds) - 1)
     ]
     values = {}
-    for u in _young_orbit(blocks, w):
+    for y in young_subgroup(blocks, len(w)):
+        u = y * w
         poly = MultiPoly.one(n)
         for d in descents:
             poly = poly * MultiPoly.linear_form(u[d], u[d - 1], n)
         values[u] = poly
     return EquivariantClass(n, values)
-
-
-def _young_orbit(value_blocks: list[list[int]], w: Permutation) -> list[Permutation]:
-    """All ``u * w`` with ``u`` ranging over the Young subgroup of the blocks."""
-    from itertools import permutations as iperm
-
-    n = len(w)
-    block_arrangements = []
-    for block in value_blocks:
-        block_arrangements.append([dict(zip(block, arr)) for arr in iperm(block)])
-    orbit = []
-
-    def build(index: int, mapping: dict):
-        if index == len(block_arrangements):
-            u = [0] * n
-            for a, b in mapping.items():
-                u[a - 1] = b
-            orbit.append(Permutation(u) * w)
-            return
-        for piece in block_arrangements[index]:
-            merged = dict(mapping)
-            merged.update(piece)
-            build(index + 1, merged)
-
-    build(0, {})
-    return orbit
 
 
 def smooth_point_value(w: Permutation, v: Permutation, h: HessenbergFunction,
@@ -429,21 +404,21 @@ def reduce_to_ordinary(
     degree: int,
     h: HessenbergFunction,
     basis: dict[Permutation, EquivariantClass],
-) -> dict[Permutation, Fraction]:
+) -> dict[Permutation, Coeff]:
     """Image of a homogeneous degree-``degree`` class in ordinary cohomology.
 
     Expansion coefficients at fixed points of matching degree are rational
-    constants and survive; coefficients at lower-degree points sit in the
-    augmentation ideal and die.
+    constants and survive, ``int`` where integral; coefficients at
+    lower-degree points sit in the augmentation ideal and die.
     """
     expansion = expand_in_basis(p, basis, h)
-    out: dict[Permutation, Fraction] = {}
+    out: dict[Permutation, Coeff] = {}
     for v, coeff in expansion.items():
         lv = l_h(v, h)
         if lv == degree:
             if not coeff.is_homogeneous(0):
                 raise ExpansionError(f"non-constant coefficient at degree-matching {v}")
-            out[v] = Fraction(coeff.constant_term())
+            out[v] = coeff.constant_term()
         elif lv > degree:
             raise ExpansionError(f"coefficient at {v} of higher degree than the class")
     return out

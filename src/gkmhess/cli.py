@@ -66,7 +66,12 @@ class RunConfig:
         return random.Random(self.seed)
 
 
-def _parse_h(text: str | None, n: int | None) -> HessenbergFunction:
+def _parse_h(text: str | None, n: int | None, source: str | None = None) -> HessenbergFunction:
+    """``--h`` as a Hessenberg function, of length ``n`` when ``n`` is given.
+
+    ``source`` says where ``n`` came from in the mismatch message; by
+    default it is ``--n``.
+    """
     if text is None:
         raise ValueError("a Hessenberg function is required (--h or --permutohedral)")
     if text in ("permutohedral", "fullflag") and n is None:
@@ -75,15 +80,20 @@ def _parse_h(text: str | None, n: int | None) -> HessenbergFunction:
         return HessenbergFunction.permutohedral(n)
     if text == "fullflag":
         return HessenbergFunction.full_flag(n)
-    return HessenbergFunction.from_string(text)
+    h = HessenbergFunction.from_string(text)
+    if n is not None and h.n != n:
+        raise ValueError(f"{source or f'--n is {n}'} but --h has length {h.n}")
+    return h
 
 
 def _parse_h_for(w: Permutation, text: str | None, n: int | None,
                  flag: str = "--w") -> HessenbergFunction:
-    """``--h`` for the permutation given as ``flag``; their lengths must agree."""
-    h = _parse_h(text, n)
+    """``--h`` for the permutation given as ``flag``; their lengths, and
+    ``--n`` when given, must agree."""
+    source = f"{flag} has length {len(w)}"
+    h = _parse_h(text, len(w), source) if n is None else _parse_h(text, n)
     if h.n != len(w):
-        raise ValueError(f"{flag} has length {len(w)} but --h has length {h.n}")
+        raise ValueError(f"{source} but --h has length {h.n}")
     return h
 
 
@@ -137,7 +147,7 @@ def cmd_support(args, config: RunConfig) -> int:
 
 def cmd_cell_chart(args, config: RunConfig) -> int:
     w = Permutation.from_one_line(args.w)
-    h = _parse_h_for(w, args.h, len(w))
+    h = _parse_h_for(w, args.h, None)
     c = (
         EigenvalueVector(tuple(Fraction(v) for v in args.eigenvalues.split(",")))
         if args.eigenvalues
@@ -170,7 +180,7 @@ def cmd_class(args, config: RunConfig) -> int:
         cls = permutohedral_class(w)
         unique = True
     else:
-        h = _parse_h_for(w, args.h, len(w))
+        h = _parse_h_for(w, args.h, args.n)
         result = interpolate_class(w, h)
         cls, unique = result.cls, result.unique
     _emit(
@@ -194,9 +204,9 @@ def cmd_expand(args, config: RunConfig) -> int:
         if field not in data:
             raise ValueError(f"the class file {args.input} has no {field!r} field")
     n = data["n"]
-    h = _parse_h(args.h, n)
-    if h.n != n:
-        raise ValueError(f"the class has n = {n} but --h has length {h.n}")
+    if args.n is not None and args.n != n:
+        raise ValueError(f"the class has n = {n} but --n is {args.n}")
+    h = _parse_h(args.h, n, f"the class has n = {n}")
     from .classes import EquivariantClass
 
     values = {
@@ -243,7 +253,7 @@ def cmd_dot(args, config: RunConfig) -> int:
             config,
         )
         return 0
-    h = _parse_h_for(w, args.h, n)
+    h = _parse_h_for(w, args.h, args.n)
     result = interpolate_class(w, h)
     if not result.unique:
         _emit({"error": "uncertified", "reason": "interpolation not unique",
@@ -266,7 +276,7 @@ def cmd_dot(args, config: RunConfig) -> int:
 def cmd_action_matrix(args, config: RunConfig) -> int:
     u = Permutation.from_one_line(args.perm)
     n = len(u)
-    h = _parse_h_for(u, args.h, n, "--perm")
+    h = _parse_h_for(u, args.h, args.n, "--perm")
     top = len(h.pairs)
     if not 0 <= args.k <= top:
         raise ValueError(f"degree {args.k} outside [0,{top}]")
@@ -520,9 +530,7 @@ def verify_dot_rules(n: int, config: RunConfig) -> dict:
                         skipped += 1
     n_flag = min(n, 4)
     flag_h = HessenbergFunction.full_flag(n_flag)
-    flag_basis = {
-        w: interpolate_class(w, flag_h).cls for w in Permutation.all(n_flag)
-    }
+    flag_basis = unique_interpolated_basis(flag_h)
     for w in Permutation.all(n_flag):
         for i in range(1, n_flag):
             if not full_flag_si_rule_check(w, i, basis=flag_basis):
@@ -537,7 +545,7 @@ def verify_coxeter(n: int, config: RunConfig) -> dict:
     failures = []
     for k in range(n):
         mats = {i: generator_matrix(i, k, h) for i in range(1, n)}
-        identity = ActionMatrix.identity(k, h, degree_basis(h, k))
+        identity = ActionMatrix.identity(degree_basis(h, k))
         for i in range(1, n):
             if mats[i].compose(mats[i]) != identity:
                 failures.append({"k": k, "relation": f"s{i}^2"})
@@ -606,6 +614,10 @@ SUITES = {
 
 
 def cmd_verify(args, config: RunConfig) -> int:
+    if args.h is not None:
+        if args.suite not in ("sw", "all"):
+            raise ValueError(f"--h applies to the sw suite only, not to {args.suite}")
+        _parse_h(args.h, args.n)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
@@ -705,7 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seeds", type=int, default=3,
                    help="independent oracle samples per instance")
-    p.add_argument("--h", help="restrict h-dependent suites to one function")
+    p.add_argument("--h", help="run the sw suite on this one function instead of "
+                   "the permutohedral and the full flag")
     p.set_defaults(handler=cmd_verify)
 
     return parser

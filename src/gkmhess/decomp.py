@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .classes import EquivariantClass, permutohedral_class
 from .dot import ActionMatrix, degree_basis, dot, generator_matrix
 from .gkm import HessenbergFunction
-from .perms import Composition, Permutation, SymmetricGroup
+from .perms import Composition, Permutation, SymmetricGroup, young_subgroup
 from .polys import Coeff
 
 
@@ -94,19 +94,6 @@ def block_subgroups(w: Permutation) -> BlockSubgroups:
     return BlockSubgroups(w=w, fine_blocks=blocks(descents), coarse_blocks=blocks(erase(descents)))
 
 
-def _block_preserving_perms(blocks: tuple[frozenset[int], ...], n: int):
-    """All permutations mapping each value block onto itself."""
-    sorted_blocks = [sorted(b) for b in blocks]
-    for arrangement in itertools.product(
-        *[itertools.permutations(b) for b in sorted_blocks]
-    ):
-        images = [0] * n
-        for block, arranged in zip(sorted_blocks, arrangement):
-            for src, dst in zip(block, arranged):
-                images[src - 1] = dst
-        yield tuple.__new__(Permutation, images)
-
-
 def symmetrizer_coset_reps(w: Permutation) -> list[Permutation]:
     """Minimal-length representatives of (coarse subgroup)/(fine subgroup).
 
@@ -118,7 +105,7 @@ def symmetrizer_coset_reps(w: Permutation) -> list[Permutation]:
     fine_blocks = [tuple(sorted(b)) for b in groups.fine_blocks]
     length = SymmetricGroup(n).length
     best: dict[tuple, Permutation] = {}
-    for v in _block_preserving_perms(groups.coarse_blocks, n):
+    for v in young_subgroup(groups.coarse_blocks, n):
         key = tuple(frozenset(v(x) for x in block) for block in fine_blocks)
         incumbent = best.get(key)
         if incumbent is None or (length[v], v) < (length[incumbent], incumbent):

@@ -34,12 +34,12 @@ from functools import lru_cache
 
 from .classes import (
     EquivariantClass,
-    expand_in_basis,
     interpolate_class,
     permutohedral_class,
+    reduce_to_ordinary,
 )
 from .gkm import EdgeKind, HessenbergFunction, edge_kind, l_h
-from .perms import Permutation
+from .perms import Permutation, SymmetricGroup
 from .polys import Coeff, MultiPoly
 
 
@@ -62,7 +62,8 @@ def full_flag_si_expansion(w: Permutation, i: int) -> dict[Permutation, MultiPol
     """
     n = len(w)
     si_w = Permutation.simple(i, n) * w
-    if si_w.coxeter_length() > w.coxeter_length():
+    length = SymmetricGroup(n).length
+    if length[si_w] > length[w]:
         return {w: MultiPoly.one(n)}
     return {
         w: MultiPoly.one(n),
@@ -72,26 +73,14 @@ def full_flag_si_expansion(w: Permutation, i: int) -> dict[Permutation, MultiPol
 
 def full_flag_si_rule_check(w: Permutation, i: int,
                             basis: dict[Permutation, EquivariantClass] | None = None) -> bool:
-    """Verify the rule on actual interpolated classes."""
+    """``full_flag_si_expansion`` on actual interpolated classes."""
     n = len(w)
-    h = HessenbergFunction.full_flag(n)
-    si = Permutation.simple(i, n)
-    si_w = si * w
-
-    def cls_at(u: Permutation) -> EquivariantClass:
-        if basis is not None:
-            return basis[u]
-        result = interpolate_class(u, h)
-        if not result.unique:
-            raise AssertionError("full-flag interpolation must be unique")
-        return result.cls
-
-    sigma_w = cls_at(w)
-    difference = dot(si, sigma_w) - sigma_w
-    if si_w.coxeter_length() > w.coxeter_length():
-        return difference.is_zero()
-    expected = cls_at(si_w).scale(MultiPoly.linear_form(i + 1, i, n))
-    return difference == expected
+    expansion = full_flag_si_expansion(w, i)
+    classes = _rule_classes(list(expansion), HessenbergFunction.full_flag(n), basis)
+    expected = EquivariantClass.zero(n)
+    for v, coeff in expansion.items():
+        expected = expected + classes[v].scale(coeff)
+    return dot(Permutation.simple(i, n), classes[w]) == expected
 
 
 def dashed_rule_check(w: Permutation, i: int, h: HessenbergFunction,
@@ -99,21 +88,31 @@ def dashed_rule_check(w: Permutation, i: int, h: HessenbergFunction,
     """``s_i . sigma_w = sigma_{s_i w}`` whenever the pair is not an edge."""
     if edge_kind(w, i, h) is not EdgeKind.DASHED:
         raise ValueError("rule applies to dashed pairs only")
-    n = h.n
-    si = Permutation.simple(i, n)
+    si = Permutation.simple(i, h.n)
+    classes = _rule_classes([w, si * w], h, basis)
+    return dot(si, classes[w]) == classes[si * w]
+
+
+def _rule_classes(perms: list[Permutation], h: HessenbergFunction,
+                  basis: dict[Permutation, EquivariantClass] | None
+                  ) -> dict[Permutation, EquivariantClass]:
+    """The basis classes at ``perms``: from ``basis``, or interpolated."""
     if basis is not None:
-        sigma_w, sigma_si_w = basis[w], basis[si * w]
-    else:
-        r1, r2 = interpolate_class(w, h), interpolate_class(si * w, h)
-        if not (r1.unique and r2.unique):
-            raise NonUniqueBasisError(w, i, h)
-        sigma_w, sigma_si_w = r1.cls, r2.cls
-    return dot(si, sigma_w) == sigma_si_w
+        return {u: basis[u] for u in perms}
+    return {u: _unique_class(u, h) for u in perms}
 
 
 class NonUniqueBasisError(RuntimeError):
-    def __init__(self, w, i, h):
-        super().__init__(f"interpolation not unique for w={w}, i={i}, h={h}")
+    """A basis class the computation needs is not pinned down by interpolation."""
+
+
+def _unique_class(w: Permutation, h: HessenbergFunction) -> EquivariantClass:
+    result = interpolate_class(w, h)
+    if not result.unique:
+        raise NonUniqueBasisError(
+            f"no certified basis: interpolation not unique at w={w} for h={h}"
+        )
+    return result.cls
 
 
 # -- permutohedral machinery --------------------------------------------------
@@ -122,8 +121,6 @@ class NonUniqueBasisError(RuntimeError):
 @dataclass(frozen=True)
 class AuxiliaryTerm:
     """One summand of the auxiliary class: ``mover . sigma_target``."""
-    subset_low: tuple[int, ...]
-    subset_high: tuple[int, ...]
     tilde: Permutation
     target: Permutation
     mover: Permutation
@@ -210,15 +207,7 @@ def auxiliary_terms(w: Permutation, i: int) -> list[AuxiliaryTerm]:
                     f"descent correction failed: w={w}, i={i}, P={p_set}, Q={q_set}"
                 )
             mover = tilde * target.inverse()
-            terms.append(
-                AuxiliaryTerm(
-                    subset_low=tuple(p_set),
-                    subset_high=tuple(q_set),
-                    tilde=tilde,
-                    target=target,
-                    mover=mover,
-                )
-            )
+            terms.append(AuxiliaryTerm(tilde=tilde, target=target, mover=mover))
     return terms
 
 
@@ -385,21 +374,17 @@ def perm_si_action(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
 # -- action matrices -----------------------------------------------------------
 
 
-class UncertifiedActionError(RuntimeError):
-    """Requested an action matrix for an h without exact rules or a unique basis."""
-
-
 @dataclass
 class ActionMatrix:
     """Exact matrix of a group element on one ordinary cohomology degree.
 
-    Entries are exact: ``int`` where integral, ``Fraction`` otherwise.  Mixed
+    ``columns[w]`` is the image of basis vector ``w``, with only its nonzero
+    entries stored, so equal matrices have equal columns.  Entries are
+    exact: ``int`` where integral, ``Fraction`` otherwise.  Mixed
     ``int``/``Fraction`` arithmetic is exact, so products and traces stay
     ``int`` as long as the entries are.
     """
 
-    degree: int
-    h: HessenbergFunction
     basis_order: tuple[Permutation, ...]
     columns: dict[Permutation, dict[Permutation, Coeff]]
 
@@ -424,26 +409,11 @@ class ActionMatrix:
         columns = {
             col: self.apply_vector(vec) for col, vec in other.columns.items()
         }
-        return ActionMatrix(self.degree, self.h, self.basis_order, columns)
-
-    def __eq__(self, other):
-        if not isinstance(other, ActionMatrix):
-            return NotImplemented
-        cols = set(self.columns) | set(other.columns)
-        for col in cols:
-            a = {k: v for k, v in self.columns.get(col, {}).items() if v}
-            b = {k: v for k, v in other.columns.get(col, {}).items() if v}
-            if a != b:
-                return False
-        return True
+        return ActionMatrix(self.basis_order, columns)
 
     @classmethod
-    def identity(cls, degree: int, h: HessenbergFunction,
-                 basis_order: tuple[Permutation, ...]) -> "ActionMatrix":
-        return cls(
-            degree, h, basis_order,
-            {w: {w: 1} for w in basis_order},
-        )
+    def identity(cls, basis_order: tuple[Permutation, ...]) -> "ActionMatrix":
+        return cls(basis_order, {w: {w: 1} for w in basis_order})
 
     def trace(self) -> Coeff:
         return sum(self.columns.get(w, {}).get(w, 0) for w in self.basis_order)
@@ -459,69 +429,58 @@ def degree_basis(h: HessenbergFunction, k: int) -> tuple[Permutation, ...]:
     return tuple(w for w in Permutation.all(h.n) if l_h(w, h) == k)
 
 
-def _ordinary_column(expansion: dict[Permutation, MultiPoly],
-                     degree_set: frozenset[Permutation]) -> dict[Permutation, Coeff]:
-    """Constant terms of the expansion at the fixed points of the degree."""
-    column: dict[Permutation, Coeff] = {}
-    for v, coeff in expansion.items():
-        if v in degree_set:
-            constant = coeff.constant_term()
-            if constant:
-                column[v] = constant
-    return column
-
-
 def generator_matrix(i: int, k: int, h: HessenbergFunction,
                      basis: dict[Permutation, EquivariantClass] | None = None) -> ActionMatrix:
     """Matrix of ``s_i`` on ordinary degree-2k cohomology.
 
-    For the permutohedral h the columns come from the recursion of
-    ``perm_si_action`` run on integers at t = 0, which gives the constant
-    terms of the polynomial expansion without building any polynomial.
+    One route per family.  Permutohedral h: the recursion of
+    ``perm_si_action`` run on integers at t = 0.  Full flag: the identity,
+    the t = 0 image of ``full_flag_si_expansion``, whose only other term
+    carries the root ``t_{i+1} - t_i``.  Any other h: each column is
+    ``reduce_to_ordinary`` of ``s_i . sigma_w`` over ``basis``, by default
+    ``certified_basis(h)``.
     """
     order = degree_basis(h, k)
-    degree_set = frozenset(order)
-    columns: dict[Permutation, dict[Permutation, Coeff]] = {}
+    if h.is_full_flag():
+        return ActionMatrix.identity(order)
     if h.is_permutohedral():
+        degree_set = frozenset(order)
         cache = _expansion_cache(h.n, _ConstantRing)
-        for w in order:
-            columns[w] = {
-                v: c for v, c in cache.expansion(w, i).items() if v in degree_set
-            }
-    elif h.is_full_flag():
-        for w in order:
-            columns[w] = _ordinary_column(full_flag_si_expansion(w, i), degree_set)
-    else:
-        if basis is None:
-            basis = unique_interpolated_basis(h)
-        si = Permutation.simple(i, h.n)
-        for w in order:
-            expansion = expand_in_basis(dot(si, basis[w]), basis, h)
-            columns[w] = _ordinary_column(expansion, degree_set)
-    return ActionMatrix(k, h, order, columns)
+        columns = {
+            w: {v: c for v, c in cache.expansion(w, i).items() if v in degree_set}
+            for w in order
+        }
+        return ActionMatrix(order, columns)
+    if basis is None:
+        basis = certified_basis(h)
+    si = Permutation.simple(i, h.n)
+    return ActionMatrix(
+        order, {w: reduce_to_ordinary(dot(si, basis[w]), k, h, basis) for w in order}
+    )
 
 
 def unique_interpolated_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass]:
     """Interpolated basis for general h; raises unless every class is pinned down."""
-    basis = {}
-    for w in Permutation.all(h.n):
-        result = interpolate_class(w, h)
-        if not result.unique:
-            raise UncertifiedActionError(
-                f"no certified basis: interpolation not unique at w={w} for h={h}"
-            )
-        basis[w] = result.cls
-    return basis
+    return {w: _unique_class(w, h) for w in Permutation.all(h.n)}
+
+
+def certified_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass] | None:
+    """The basis ``generator_matrix`` needs for ``h``: none for the
+    permutohedral and full-flag families, which have closed rules, else
+    ``unique_interpolated_basis(h)``."""
+    if h.is_permutohedral() or h.is_full_flag():
+        return None
+    return unique_interpolated_basis(h)
 
 
 def action_matrix(u: Permutation, k: int, h: HessenbergFunction,
                   basis: dict[Permutation, EquivariantClass] | None = None) -> ActionMatrix:
     """Matrix of a group element via a reduced word, one matrix per distinct letter."""
     word = u.reduced_word()
-    if word and basis is None and not (h.is_permutohedral() or h.is_full_flag()):
-        basis = unique_interpolated_basis(h)
+    if word and basis is None:
+        basis = certified_basis(h)
     matrices = {gen: generator_matrix(gen, k, h, basis) for gen in set(word)}
-    result = ActionMatrix.identity(k, h, degree_basis(h, k))
+    result = ActionMatrix.identity(degree_basis(h, k))
     for gen in word:
         result = result.compose(matrices[gen])
     return result

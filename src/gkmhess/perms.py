@@ -13,8 +13,8 @@ and ``i+1``; right-multiplying swaps the entries in *positions* ``i`` and
 ``from_one_line`` and a product with a plain tuple, the ways a permutation
 enters from outside.  Code that builds a permutation from another one by
 construction (products, inverses, the constructors below, ``Permutation.all``,
-moment-graph neighbours, support leaves) skips the check with
-``tuple.__new__(Permutation, images)``.
+``young_subgroup``, moment-graph neighbours, support leaves) skips the check
+with ``tuple.__new__(Permutation, images)``.
 
 ``SymmetricGroup(n)`` holds the Coxeter length of every ``w`` in S_n, built on
 first use for each n and shared by every caller; ``coxeter_length`` stays the
@@ -171,6 +171,20 @@ class SymmetricGroup:
     def __init__(self, n: int):
         self.n = n
         self.length = {w: w.coxeter_length() for w in Permutation.all(n)}
+
+
+def young_subgroup(blocks: Iterable[Iterable[int]], n: int) -> Iterator[Permutation]:
+    """The permutations of [n] that map each value block onto itself.
+
+    The blocks partition [n]; each arrangement of each block is taken once.
+    """
+    sorted_blocks = [sorted(block) for block in blocks]
+    for arrangement in itertools.product(*map(itertools.permutations, sorted_blocks)):
+        images = [0] * n
+        for block, arranged in zip(sorted_blocks, arrangement):
+            for src, dst in zip(block, arranged):
+                images[src - 1] = dst
+        yield tuple.__new__(Permutation, images)
 
 
 class Composition(tuple):

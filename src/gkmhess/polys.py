@@ -119,9 +119,6 @@ class MultiPoly:
             other = MultiPoly.constant(other, self.nvars, self.names)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -142,18 +139,6 @@ class MultiPoly:
         return MultiPoly(self.nvars, terms, self.names or other.names)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.one(self.nvars, self.names)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -318,7 +318,7 @@ def test_criterion_07_coxeter_relations(n):
     failures = []
     for k in range(n):
         mats = {i: generator_matrix(i, k, h) for i in range(1, n)}
-        identity = ActionMatrix.identity(k, h, degree_basis(h, k))
+        identity = ActionMatrix.identity(degree_basis(h, k))
         for i in range(1, n):
             if mats[i].compose(mats[i]) != identity:
                 failures.append((k, f"s{i}^2"))

@@ -286,3 +286,57 @@ def test_verify_small_battery():
     assert payload["passed"] is True
     names = [c["name"] for c in payload["checks"]]
     assert names == ["poincare"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["chromatic", "--n", "3", "--h", "2,3,4,4"],
+    ["verify", "sw", "--n", "3", "--h", "2,3,4,4"],
+    ["verify", "all", "--n", "3", "--h", "2,3,4,4"],
+    ["gkm-graph", "--n", "5", "--h", "2,3,3"],
+    ["support", "--n", "5", "--h", "2,3,3", "--w", "123"],
+    ["class", "--n", "4", "--h", "2,3,3", "--w", "123"],
+    ["dot", "--n", "4", "--h", "2,3,3", "--w", "123", "--gen", "1"],
+    ["action-matrix", "--n", "4", "--h", "2,3,3", "--perm", "213", "--k", "1"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_n_must_match_the_length_of_h(argv, capsys):
+    from gkmhess import cli
+
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    n = argv[argv.index("--n") + 1]
+    length = len(argv[argv.index("--h") + 1].split(","))
+    assert f"--n is {n} but --h has length {length}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["chromatic", "--n", "4", "--h", "2,3,4,4"],
+    ["verify", "sw", "--n", "4", "--h", "2,3,3,4"],
+    ["gkm-graph", "--n", "3", "--h", "2,3,3"],
+    ["support", "--n", "3", "--h", "2,3,3", "--w", "213"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_n_matching_h_is_accepted(argv, capsys):
+    from gkmhess import cli
+
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == int(argv[argv.index("--n") + 1])
+
+
+@pytest.mark.parametrize("suite", ["supports", "poincare", "coxeter", "dot-rules"])
+def test_verify_h_is_refused_outside_the_sw_suite(suite, capsys):
+    from gkmhess import cli
+
+    assert cli.main(["verify", suite, "--n", "3", "--h", "2,3,3"]) == 2
+    captured = capsys.readouterr()
+    assert f"--h applies to the sw suite only, not to {suite}" in captured.err
+    assert captured.out == ""
+
+
+def test_expand_n_must_match_the_class(tmp_path, capsys):
+    from gkmhess import cli
+
+    data = run_json("class", "--permutohedral", "--w", "1324")
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["expand", "--input", str(path), "--h", "2,3,4,4", "--n", "5"]) == 2
+    assert "the class has n = 4 but --n is 5" in capsys.readouterr().err

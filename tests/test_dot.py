@@ -9,12 +9,15 @@ from gkmhess.classes import (
     gkm_check,
     interpolate_class,
     permutohedral_class,
+    reduce_to_ordinary,
 )
 from gkmhess.dot import (
     ActionMatrix,
+    NonUniqueBasisError,
     action_matrix,
     auxiliary_terms,
     build_auxiliary_class,
+    certified_basis,
     dashed_rule_check,
     degree_basis,
     dot,
@@ -22,6 +25,7 @@ from gkmhess.dot import (
     full_flag_si_rule_check,
     generator_matrix,
     perm_si_action,
+    unique_interpolated_basis,
 )
 from gkmhess.dot import _CACHE_BOUND, _caches, _ConstantRing, _expansion_cache, _PolyRing
 from gkmhess.gkm import EdgeKind, HessenbergFunction, edge_kind, poincare_coefficients
@@ -237,7 +241,7 @@ def test_stabilizer_young_subgroup():
 def test_action_matrix_identity():
     h = HessenbergFunction.permutohedral(4)
     m = action_matrix(Permutation.identity(4), 1, h)
-    assert m == ActionMatrix.identity(1, h, degree_basis(h, 1))
+    assert m == ActionMatrix.identity(degree_basis(h, 1))
 
 
 def test_action_matrix_column_example():
@@ -285,8 +289,8 @@ def test_action_matrix_word_independent():
     braid_lhs = [1, 2, 1]
     braid_rhs = [2, 1, 2]
     k = 2
-    lhs = ActionMatrix.identity(k, h, degree_basis(h, k))
-    rhs = ActionMatrix.identity(k, h, degree_basis(h, k))
+    lhs = ActionMatrix.identity(degree_basis(h, k))
+    rhs = ActionMatrix.identity(degree_basis(h, k))
     for i in braid_lhs:
         lhs = lhs.compose(generator_matrix(i, k, h))
     for i in braid_rhs:
@@ -298,7 +302,7 @@ def test_coxeter_relations_full_flag_n4():
     h = HessenbergFunction.full_flag(4)
     for k in range(7):
         mats = {i: generator_matrix(i, k, h) for i in range(1, 4)}
-        identity = ActionMatrix.identity(k, h, degree_basis(h, k))
+        identity = ActionMatrix.identity(degree_basis(h, k))
         for i in range(1, 4):
             assert mats[i].compose(mats[i]) == identity
         assert (
@@ -309,14 +313,16 @@ def test_coxeter_relations_full_flag_n4():
 
 
 def test_full_flag_expansion_rule():
-    n = 4
-    w = Permutation.from_one_line("1342")  # length 2
-    si_w = Permutation.simple(2, n) * w
-    exp = full_flag_si_expansion(w, 2)
-    if si_w.coxeter_length() < w.coxeter_length():
-        assert exp == {w: MultiPoly.one(n), si_w: lf(3, 2, n)}
-    else:
-        assert exp == {w: MultiPoly.one(n)}
+    # the expansion reads the shared length table; the rule is stated by
+    # coxeter_length
+    for n in (2, 3, 4):
+        for w in Permutation.all(n):
+            for i in range(1, n):
+                si_w = Permutation.simple(i, n) * w
+                expected = {w: MultiPoly.one(n)}
+                if si_w.coxeter_length() < w.coxeter_length():
+                    expected[si_w] = lf(i + 1, i, n)
+                assert full_flag_si_expansion(w, i) == expected
 
 
 def test_action_matrices_general_h_route():
@@ -329,7 +335,7 @@ def test_action_matrices_general_h_route():
     coeffs = poincare_coefficients(h)
     for k in range(len(coeffs)):
         mats = {i: generator_matrix(i, k, h, basis) for i in (1, 2)}
-        identity = ActionMatrix.identity(k, h, degree_basis(h, k))
+        identity = ActionMatrix.identity(degree_basis(h, k))
         assert mats[1].compose(mats[1]) == identity
         assert mats[2].compose(mats[2]) == identity
         lhs = mats[1].compose(mats[2]).compose(mats[1])
@@ -385,7 +391,64 @@ def test_action_matrix_interpolates_the_basis_once(monkeypatch):
         calls.clear()
         matrix = action_matrix(u, k, h)
         assert len(calls) == math.factorial(4)
-        expected = ActionMatrix.identity(k, h, degree_basis(h, k))
+        expected = ActionMatrix.identity(degree_basis(h, k))
         for gen in u.reduced_word():
             expected = expected.compose(generator_matrix(gen, k, h, basis))
         assert matrix == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", ["permutohedral", "full_flag"])
+def test_closed_routes_match_the_interpolated_route(n, family):
+    # the t = 0 recursion and the full-flag identity against the general
+    # route: reduce s_i . sigma_w over the interpolated basis, column by column
+    h = getattr(HessenbergFunction, family)(n)
+    basis = unique_interpolated_basis(h)
+    for k in range(len(h.pairs) + 1):
+        order = degree_basis(h, k)
+        for i in range(1, n):
+            si = Permutation.simple(i, n)
+            general = ActionMatrix(order, {
+                w: reduce_to_ordinary(dot(si, basis[w]), k, h, basis) for w in order
+            })
+            assert generator_matrix(i, k, h) == general
+
+
+def test_full_flag_generator_matrix_builds_no_polynomial(monkeypatch):
+    h = HessenbergFunction.full_flag(4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was built")
+
+    orders = [degree_basis(h, k) for k in range(7)]
+    monkeypatch.setattr(MultiPoly, "__init__", refuse)
+    for k, order in enumerate(orders):
+        for i in range(1, 4):
+            assert generator_matrix(i, k, h) == ActionMatrix.identity(order)
+
+
+def test_action_matrix_holds_only_the_basis_order_and_columns():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(ActionMatrix)] == ["basis_order", "columns"]
+
+
+def test_reduce_to_ordinary_keeps_integral_values_int():
+    h = HessenbergFunction((2, 3, 3, 4))
+    basis = unique_interpolated_basis(h)
+    for k in range(len(h.pairs) + 1):
+        for w in degree_basis(h, k):
+            moved = dot(Permutation.simple(2, 4), basis[w])
+            for value in reduce_to_ordinary(moved, k, h, basis).values():
+                assert type(value) is int or value.denominator != 1
+
+
+def test_non_unique_basis_is_refused_with_one_error_type():
+    h = HessenbergFunction((2, 4, 4, 4))
+    with pytest.raises(NonUniqueBasisError, match="interpolation not unique"):
+        unique_interpolated_basis(h)
+    with pytest.raises(NonUniqueBasisError):
+        action_matrix(Permutation.from_one_line("2134"), 1, h)
+    assert certified_basis(HessenbergFunction.permutohedral(4)) is None
+    assert certified_basis(HessenbergFunction.full_flag(4)) is None
+

@@ -10,6 +10,7 @@ from gkmhess.perms import (
     SymmetricGroup,
     compose,
     partitions,
+    young_subgroup,
 )
 
 
@@ -139,3 +140,22 @@ def test_all_compositions_count():
 
 def test_partitions():
     assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("blocks", [
+    [[1, 2, 3, 4]],
+    [[1], [2], [3]],
+    [[3, 1], [2, 4]],
+    [[5, 2], [1, 3, 4]],
+    [[2], [4, 1, 3], [5, 6]],
+], ids=str)
+def test_young_subgroup_is_the_block_stabilizer(blocks):
+    n = sum(len(block) for block in blocks)
+    members = list(young_subgroup(blocks, n))
+    expected = [
+        u for u in Permutation.all(n)
+        if all({u(x) for x in block} == set(block) for block in blocks)
+    ]
+    assert sorted(members) == expected
+    assert len(set(members)) == len(members)
+    assert all(type(u) is Permutation for u in members)
