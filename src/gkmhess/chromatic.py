@@ -31,7 +31,7 @@ from .decomp import (
     expected_type_multiset,
     g_set,
 )
-from .dot import ActionMatrix, certified_basis, degree_basis, generator_matrix
+from .dot import ActionMatrix, degree_basis, generator_matrix
 from .gkm import HessenbergFunction
 from .perms import partitions
 from .polys import Coeff
@@ -164,8 +164,7 @@ def frobenius_of_degree(
     """
     n = h.n
     if matrices_by_generator is None:
-        basis = certified_basis(h)
-        matrices_by_generator = {i: generator_matrix(i, k, h, basis) for i in range(1, n)}
+        matrices_by_generator = {i: generator_matrix(i, k, h) for i in range(1, n)}
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for mu, chi in _cycle_type_traces(h, k, matrices_by_generator).items():
         if chi:
@@ -229,12 +228,8 @@ def verify_shareshian_wachs(h: HessenbergFunction) -> SwReport:
     n = h.n
     graded = chromatic_qsym(h)
     top = len(h.pairs)
-    basis = certified_basis(h)
     # one degree's generator matrices at a time, freed before the next is built
-    characters = [
-        frobenius_of_degree(h, k, {i: generator_matrix(i, k, h, basis) for i in range(1, n)})
-        for k in range(top + 1)
-    ]
+    characters = [frobenius_of_degree(h, k) for k in range(top + 1)]
     lhs = [
         graded[k].omega().to_basis("h") if k < len(graded) else SymFunc.zero(n, "h")
         for k in range(top + 1)

@@ -39,8 +39,10 @@ class EquivariantClass:
 
     def __init__(self, n: int, values: dict):
         self.n = n
+        # keys that are already permutations are trusted; others are checked
         self.values = {
-            Permutation(v): p for v, p in values.items() if not p.is_zero
+            v if isinstance(v, Permutation) else Permutation(v): p
+            for v, p in values.items() if not p.is_zero
         }
 
     def value(self, v) -> MultiPoly:

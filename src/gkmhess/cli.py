@@ -175,12 +175,11 @@ def cmd_cell_chart(args, config: RunConfig) -> int:
 
 def cmd_class(args, config: RunConfig) -> int:
     w = Permutation.from_one_line(args.w)
+    h = _parse_h_for(w, "permutohedral" if args.permutohedral else args.h, args.n)
     if args.permutohedral:
-        h = HessenbergFunction.permutohedral(len(w))
         cls = permutohedral_class(w)
         unique = True
     else:
-        h = _parse_h_for(w, args.h, args.n)
         result = interpolate_class(w, h)
         cls, unique = result.cls, result.unique
     _emit(
@@ -240,12 +239,13 @@ def cmd_dot(args, config: RunConfig) -> int:
     n = len(w)
     if not 1 <= args.gen < n:
         raise ValueError(f"--gen {args.gen} outside [1,{n - 1}]")
+    h = _parse_h_for(w, "permutohedral" if args.permutohedral else args.h, args.n)
     if args.permutohedral:
         expansion = perm_si_action(w, args.gen)
         _emit(
             {
                 "n": n,
-                "h": list(HessenbergFunction.permutohedral(n)),
+                "h": list(h),
                 "w": str(w),
                 "generator": args.gen,
                 "expansion": {str(v): str(c) for v, c in sorted(expansion.items())},
@@ -253,7 +253,6 @@ def cmd_dot(args, config: RunConfig) -> int:
             config,
         )
         return 0
-    h = _parse_h_for(w, args.h, args.n)
     result = interpolate_class(w, h)
     if not result.unique:
         _emit({"error": "uncertified", "reason": "interpolation not unique",
@@ -529,11 +528,9 @@ def verify_dot_rules(n: int, config: RunConfig) -> dict:
                     except NonUniqueBasisError:
                         skipped += 1
     n_flag = min(n, 4)
-    flag_h = HessenbergFunction.full_flag(n_flag)
-    flag_basis = unique_interpolated_basis(flag_h)
     for w in Permutation.all(n_flag):
         for i in range(1, n_flag):
-            if not full_flag_si_rule_check(w, i, basis=flag_basis):
+            if not full_flag_si_rule_check(w, i):
                 failures.append({"w": str(w), "i": i, "kind": "full-flag"})
     return _result("dot-rules", not failures, skipped=skipped, failures=failures[:5])
 
@@ -717,8 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seeds", type=int, default=3,
                    help="independent oracle samples per instance")
-    p.add_argument("--h", help="run the sw suite on this one function instead of "
-                   "the permutohedral and the full flag")
+    p.add_argument("--h", help="run the sw suite on this one function, any h, "
+                   "instead of the permutohedral and the full flag")
     p.set_defaults(handler=cmd_verify)
 
     return parser
@@ -739,7 +736,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return 0
     except RuntimeError as exc:
-        # computation-level refusals (uncertified bases, non-unique classes)
+        # computation-level refusals, such as a non-unique class that
+        # ``expand`` needs, or an input outside the span of the basis
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyError as exc:

@@ -34,6 +34,7 @@ from functools import lru_cache
 
 from .classes import (
     EquivariantClass,
+    InterpolationResult,
     interpolate_class,
     permutohedral_class,
     reduce_to_ordinary,
@@ -71,35 +72,37 @@ def full_flag_si_expansion(w: Permutation, i: int) -> dict[Permutation, MultiPol
     }
 
 
-def full_flag_si_rule_check(w: Permutation, i: int,
-                            basis: dict[Permutation, EquivariantClass] | None = None) -> bool:
+def full_flag_si_rule_check(w: Permutation, i: int) -> bool:
     """``full_flag_si_expansion`` on actual interpolated classes."""
     n = len(w)
-    expansion = full_flag_si_expansion(w, i)
-    classes = _rule_classes(list(expansion), HessenbergFunction.full_flag(n), basis)
+    h = HessenbergFunction.full_flag(n)
     expected = EquivariantClass.zero(n)
-    for v, coeff in expansion.items():
-        expected = expected + classes[v].scale(coeff)
-    return dot(Permutation.simple(i, n), classes[w]) == expected
+    for v, coeff in full_flag_si_expansion(w, i).items():
+        expected = expected + _unique_class(v, h).scale(coeff)
+    return dot(Permutation.simple(i, n), _unique_class(w, h)) == expected
 
 
-def dashed_rule_check(w: Permutation, i: int, h: HessenbergFunction,
-                      basis: dict[Permutation, EquivariantClass] | None = None) -> bool:
+def dashed_rule_check(w: Permutation, i: int, h: HessenbergFunction) -> bool:
     """``s_i . sigma_w = sigma_{s_i w}`` whenever the pair is not an edge."""
     if edge_kind(w, i, h) is not EdgeKind.DASHED:
         raise ValueError("rule applies to dashed pairs only")
     si = Permutation.simple(i, h.n)
-    classes = _rule_classes([w, si * w], h, basis)
-    return dot(si, classes[w]) == classes[si * w]
+    return dot(si, _unique_class(w, h)) == _unique_class(si * w, h)
 
 
-def _rule_classes(perms: list[Permutation], h: HessenbergFunction,
-                  basis: dict[Permutation, EquivariantClass] | None
-                  ) -> dict[Permutation, EquivariantClass]:
-    """The basis classes at ``perms``: from ``basis``, or interpolated."""
-    if basis is not None:
-        return {u: basis[u] for u in perms}
-    return {u: _unique_class(u, h) for u in perms}
+# -- the flow-up basis ---------------------------------------------------------
+
+# Interpolated classes, one dict per h filled one class at a time.
+_bases: dict[HessenbergFunction, dict[Permutation, InterpolationResult]] = {}
+
+
+def _interpolated(w: Permutation, h: HessenbergFunction) -> InterpolationResult:
+    """``interpolate_class(w, h)``, computed once per (w, h) while h is held."""
+    basis = _held(_bases, h, dict)
+    result = basis.get(w)
+    if result is None:
+        result = basis[w] = interpolate_class(w, h)
+    return result
 
 
 class NonUniqueBasisError(RuntimeError):
@@ -107,12 +110,28 @@ class NonUniqueBasisError(RuntimeError):
 
 
 def _unique_class(w: Permutation, h: HessenbergFunction) -> EquivariantClass:
-    result = interpolate_class(w, h)
+    result = _interpolated(w, h)
     if not result.unique:
         raise NonUniqueBasisError(
             f"no certified basis: interpolation not unique at w={w} for h={h}"
         )
     return result.cls
+
+
+def flow_up_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass]:
+    """One flow-up class per fixed point: the interpolated representative.
+
+    Where interpolation leaves free parameters, the representative sets them
+    to 0.  It is still homogeneous of degree ``l_h(w)``, vanishes off
+    ``A(w)`` and is nonzero at ``w``, the unique length-minimal point of
+    ``A(w)``, so the classes form a basis (Guillemin-Zara).
+    """
+    return {w: _interpolated(w, h).cls for w in Permutation.all(h.n)}
+
+
+def unique_interpolated_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass]:
+    """``flow_up_basis(h)``, but raises unless every class is pinned down."""
+    return {w: _unique_class(w, h) for w in Permutation.all(h.n)}
 
 
 # -- permutohedral machinery --------------------------------------------------
@@ -346,19 +365,23 @@ def _add(acc: dict, key: Permutation, coeff) -> None:
     acc[key] = coeff if previous is None else previous + coeff
 
 
-# One expansion cache per (n, ring), oldest dropped beyond the bound.
+# One expansion cache per (n, ring).
 _caches: dict[tuple[int, type], _SiExpansionCache] = {}
 _CACHE_BOUND = 4
 
 
+def _held(table: dict, key, make):
+    """``table[key]``, made on a miss; the oldest key goes beyond ``_CACHE_BOUND``."""
+    value = table.get(key)
+    if value is None:
+        if len(table) >= _CACHE_BOUND:
+            del table[next(iter(table))]
+        value = table[key] = make()
+    return value
+
+
 def _expansion_cache(n: int, ring: type) -> _SiExpansionCache:
-    key = (n, ring)
-    cache = _caches.get(key)
-    if cache is None:
-        if len(_caches) >= _CACHE_BOUND:
-            del _caches[next(iter(_caches))]
-        cache = _caches[key] = _SiExpansionCache(n, ring)
-    return cache
+    return _held(_caches, (n, ring), lambda: _SiExpansionCache(n, ring))
 
 
 def perm_si_action(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
@@ -429,16 +452,14 @@ def degree_basis(h: HessenbergFunction, k: int) -> tuple[Permutation, ...]:
     return tuple(w for w in Permutation.all(h.n) if l_h(w, h) == k)
 
 
-def generator_matrix(i: int, k: int, h: HessenbergFunction,
-                     basis: dict[Permutation, EquivariantClass] | None = None) -> ActionMatrix:
+def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:
     """Matrix of ``s_i`` on ordinary degree-2k cohomology.
 
     One route per family.  Permutohedral h: the recursion of
     ``perm_si_action`` run on integers at t = 0.  Full flag: the identity,
     the t = 0 image of ``full_flag_si_expansion``, whose only other term
     carries the root ``t_{i+1} - t_i``.  Any other h: each column is
-    ``reduce_to_ordinary`` of ``s_i . sigma_w`` over ``basis``, by default
-    ``certified_basis(h)``.
+    ``reduce_to_ordinary`` of ``s_i . sigma_w`` over ``flow_up_basis(h)``.
     """
     order = degree_basis(h, k)
     if h.is_full_flag():
@@ -451,35 +472,17 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction,
             for w in order
         }
         return ActionMatrix(order, columns)
-    if basis is None:
-        basis = certified_basis(h)
+    basis = flow_up_basis(h)
     si = Permutation.simple(i, h.n)
     return ActionMatrix(
         order, {w: reduce_to_ordinary(dot(si, basis[w]), k, h, basis) for w in order}
     )
 
 
-def unique_interpolated_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass]:
-    """Interpolated basis for general h; raises unless every class is pinned down."""
-    return {w: _unique_class(w, h) for w in Permutation.all(h.n)}
-
-
-def certified_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass] | None:
-    """The basis ``generator_matrix`` needs for ``h``: none for the
-    permutohedral and full-flag families, which have closed rules, else
-    ``unique_interpolated_basis(h)``."""
-    if h.is_permutohedral() or h.is_full_flag():
-        return None
-    return unique_interpolated_basis(h)
-
-
-def action_matrix(u: Permutation, k: int, h: HessenbergFunction,
-                  basis: dict[Permutation, EquivariantClass] | None = None) -> ActionMatrix:
+def action_matrix(u: Permutation, k: int, h: HessenbergFunction) -> ActionMatrix:
     """Matrix of a group element via a reduced word, one matrix per distinct letter."""
     word = u.reduced_word()
-    if word and basis is None:
-        basis = certified_basis(h)
-    matrices = {gen: generator_matrix(gen, k, h, basis) for gen in set(word)}
+    matrices = {gen: generator_matrix(gen, k, h) for gen in set(word)}
     result = ActionMatrix.identity(degree_basis(h, k))
     for gen in word:
         result = result.compose(matrices[gen])

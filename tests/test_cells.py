@@ -187,6 +187,15 @@ def test_oracle_matches_support():
         assert fixed_point_oracle(w, H5, rng) == support_A(w, H5).members
 
 
+def test_supports_match_the_oracle_on_random_h_at_n6():
+    rng = random.Random(606)
+    perms = list(Permutation.all(6))
+    for _ in range(20):
+        h = HessenbergFunction.random(6, rng)
+        w = rng.choice(perms)
+        assert support_A(w, h).members == fixed_point_oracle(w, h, rng, seeds=3), (w, h)
+
+
 def test_oracle_edgeless_case():
     h = HessenbergFunction((1, 2, 3, 4))
     rng = random.Random(1)

@@ -30,6 +30,16 @@ def test_gkm_check_constant_class():
     assert ok and violation is None
 
 
+def test_class_keys_trust_permutations_and_check_the_rest():
+    n = 3
+    w = Permutation.from_one_line("213")
+    cls = EquivariantClass(n, {w: MultiPoly.one(n), (1, 2, 3): MultiPoly.one(n)})
+    assert any(key is w for key in cls.values)
+    assert all(type(key) is Permutation for key in cls.values)
+    with pytest.raises(ValueError, match="not a permutation"):
+        EquivariantClass(n, {(1, 1, 2): MultiPoly.one(n)})
+
+
 def test_gkm_check_violation():
     h = HessenbergFunction.full_flag(3)
     bad = EquivariantClass(3, {Permutation.identity(3): MultiPoly.variable(0, 3)})
@@ -162,6 +172,33 @@ def test_interpolation_general_h_n5_spot_checks():
         assert result.cls.support() <= support_fn(w, h).members
         assert result.cls.value(w) == top_value(w, h)
         assert gkm_check(result.cls, h)[0]
+
+
+def test_no_parameter_relation_reaches_the_final_solve(monkeypatch):
+    # every free parameter comes from a free monomial at one vertex, and no
+    # vertex system leaves a relation among earlier parameters, so which
+    # parameter a relation would be solved for cannot change a
+    # representative (the whole n = 5 sweep agrees; here n = 4 and the
+    # five-parameter class at n = 5)
+    from gkmhess import classes
+
+    relations = []
+
+    def spied(*args):
+        solution, found, next_param = solve(*args)
+        relations.extend(found)
+        return solution, found, next_param
+
+    solve = classes._solve_vertex
+    monkeypatch.setattr(classes, "_solve_vertex", spied)
+    free = 0
+    for h in HessenbergFunction.all(4):
+        for w in Permutation.all(4):
+            free += interpolate_class(w, h).free_parameters
+    wide = interpolate_class(Permutation.from_one_line("21345"),
+                             HessenbergFunction((3, 3, 4, 5, 5)))
+    assert free > 0 and wide.free_parameters == 5
+    assert relations == []
 
 
 def test_expand_single_basis_class():

@@ -220,6 +220,8 @@ def test_determinism():
         # the module table of the two largest degrees at n = 6
         ("decompose_6_3.json", ("decompose", "--n", "6", "--k", "3")),
         ("decompose_6_2.json", ("decompose", "--n", "6", "--k", "2")),
+        # the whole verify battery at n = 3
+        ("verify_all_3.json", ("verify", "all", "--n", "3", "--seed", "0")),
     ],
 )
 def test_golden_outputs(golden, args):
@@ -261,6 +263,30 @@ def test_internal_key_error_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_dot", broken)
     assert cli.main(["dot", "--permutohedral", "--w", "1324", "--gen", "1"]) == 1
     assert "error: internal KeyError: '1324'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["class", "--permutohedral", "--w", "1324", "--n", "7"],
+    ["dot", "--permutohedral", "--w", "1324", "--gen", "1", "--n", "7"],
+], ids=lambda argv: argv[0])
+def test_permutohedral_n_must_match_the_length_of_w(argv, capsys):
+    from gkmhess import cli
+
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--w has length 4 but --h has length 7" in captured.err
+    assert captured.out == ""
+    assert cli.main(argv[:-1] + ["4"]) == 0
+
+
+@pytest.mark.parametrize("h", ["2,4,4,4", "3,3,4,4", "3,4,4,4"])
+def test_verify_sw_and_action_matrix_take_an_h_with_non_unique_classes(h, capsys):
+    from gkmhess import cli
+
+    assert cli.main(["verify", "sw", "--n", "4", "--h", h]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert cli.main(["action-matrix", "--perm", "2143", "--k", "1", "--h", h]) == 0
+    assert json.loads(capsys.readouterr().out)["h"] == [int(v) for v in h.split(",")]
 
 
 def test_expand_uncertified_h_exits_one(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -17,10 +18,10 @@ from gkmhess.dot import (
     action_matrix,
     auxiliary_terms,
     build_auxiliary_class,
-    certified_basis,
     dashed_rule_check,
     degree_basis,
     dot,
+    flow_up_basis,
     full_flag_si_expansion,
     full_flag_si_rule_check,
     generator_matrix,
@@ -28,7 +29,7 @@ from gkmhess.dot import (
     unique_interpolated_basis,
 )
 from gkmhess.dot import _CACHE_BOUND, _caches, _ConstantRing, _expansion_cache, _PolyRing
-from gkmhess.gkm import EdgeKind, HessenbergFunction, edge_kind, poincare_coefficients
+from gkmhess.gkm import EdgeKind, HessenbergFunction, edge_kind, l_h, poincare_coefficients
 from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
 
@@ -327,21 +328,17 @@ def test_full_flag_expansion_rule():
 
 def test_action_matrices_general_h_route():
     # interpolated-basis route: exact relations and the trace identity
-    from gkmhess.dot import unique_interpolated_basis
-    from gkmhess.gkm import poincare_coefficients
-
     h = HessenbergFunction((2, 3, 3))
-    basis = unique_interpolated_basis(h)
     coeffs = poincare_coefficients(h)
     for k in range(len(coeffs)):
-        mats = {i: generator_matrix(i, k, h, basis) for i in (1, 2)}
+        mats = {i: generator_matrix(i, k, h) for i in (1, 2)}
         identity = ActionMatrix.identity(degree_basis(h, k))
         assert mats[1].compose(mats[1]) == identity
         assert mats[2].compose(mats[2]) == identity
         lhs = mats[1].compose(mats[2]).compose(mats[1])
         rhs = mats[2].compose(mats[1]).compose(mats[2])
         assert lhs == rhs
-        assert action_matrix(Permutation.identity(3), k, h, basis).trace() == coeffs[k]
+        assert action_matrix(Permutation.identity(3), k, h).trace() == coeffs[k]
 
 
 def test_example_48_identity_general_h():
@@ -371,30 +368,61 @@ def test_dot_rules_suite_reports_bugs_instead_of_skipping(monkeypatch):
 
 
 def test_action_matrix_interpolates_the_basis_once(monkeypatch):
-    # a word with repeated letters interpolates each class of the basis
-    # once, not once per letter, and still multiplies the letters in order
-    import importlib
-    import math
-
-    dot_module = importlib.import_module("gkmhess.dot")  # the package exports dot()
+    # a word with repeated letters, in every degree, interpolates each class
+    # of the basis at most once, and still multiplies the letters in order
     h = HessenbergFunction((2, 3, 3, 4))
     u = Permutation.longest(4)
-    basis = dot_module.unique_interpolated_basis(h)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return interpolate_class(*args, **kwargs)
-
-    monkeypatch.setattr(dot_module, "interpolate_class", counted)
-    for k in range(3):
-        calls.clear()
-        matrix = action_matrix(u, k, h)
-        assert len(calls) == math.factorial(4)
+    calls = _count_interpolations(monkeypatch)
+    matrices = [action_matrix(u, k, h) for k in range(3)]
+    assert len(calls) == len(set(calls))
+    assert len(calls) == math.factorial(4)
+    for k, matrix in enumerate(matrices):
         expected = ActionMatrix.identity(degree_basis(h, k))
         for gen in u.reduced_word():
-            expected = expected.compose(generator_matrix(gen, k, h, basis))
+            expected = expected.compose(generator_matrix(gen, k, h))
         assert matrix == expected
+
+
+def _count_interpolations(monkeypatch) -> list:
+    """Empty the flow-up memo and record every ``(w, h)`` it interpolates."""
+    import importlib
+
+    dot_module = importlib.import_module("gkmhess.dot")  # the package exports dot()
+    calls = []
+
+    def counted(w, h):
+        calls.append((w, h))
+        return interpolate_class(w, h)
+
+    monkeypatch.setattr(dot_module, "_bases", {})
+    monkeypatch.setattr(dot_module, "interpolate_class", counted)
+    return calls
+
+
+def test_flow_up_memo_is_bounded_and_drops_the_oldest_h(monkeypatch):
+    import importlib
+
+    dot_module = importlib.import_module("gkmhess.dot")
+    calls = _count_interpolations(monkeypatch)
+    functions = list(HessenbergFunction.all(3))
+    for h in functions:
+        flow_up_basis(h)
+    assert list(dot_module._bases) == functions[-_CACHE_BOUND:]
+    assert len(calls) == 6 * len(functions)
+    flow_up_basis(functions[-1])
+    assert len(calls) == 6 * len(functions)
+    flow_up_basis(functions[0])
+    assert calls[-1] == (Permutation.longest(3), functions[0])
+
+
+def test_verify_dot_rules_interpolates_each_class_once(monkeypatch):
+    from gkmhess import cli
+
+    calls = _count_interpolations(monkeypatch)
+    result = cli.verify_dot_rules(4, cli.RunConfig())
+    assert result["passed"] and result["skipped"] == 0
+    assert len(calls) == len(set(calls))
+    assert len(calls) == 314
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -443,12 +471,45 @@ def test_reduce_to_ordinary_keeps_integral_values_int():
                 assert type(value) is int or value.denominator != 1
 
 
-def test_non_unique_basis_is_refused_with_one_error_type():
+def test_non_unique_basis_is_refused_with_one_error_type(monkeypatch):
+    # the certified readers refuse a non-unique class with one error type;
+    # the matrices take the representatives that ``gkmhess class`` prints
     h = HessenbergFunction((2, 4, 4, 4))
+    w = Permutation.from_one_line("1243")
+    assert not interpolate_class(w, h).unique
     with pytest.raises(NonUniqueBasisError, match="interpolation not unique"):
         unique_interpolated_basis(h)
-    with pytest.raises(NonUniqueBasisError):
-        action_matrix(Permutation.from_one_line("2134"), 1, h)
-    assert certified_basis(HessenbergFunction.permutohedral(4)) is None
-    assert certified_basis(HessenbergFunction.full_flag(4)) is None
+    with pytest.raises(NonUniqueBasisError, match="interpolation not unique"):
+        dashed_rule_check(Permutation.from_one_line("12354"), 1,
+                          HessenbergFunction((1, 3, 5, 5, 5)))
+    basis = flow_up_basis(h)
+    assert basis[w] == interpolate_class(w, h).cls
+    k = l_h(w, h)
+    order = degree_basis(h, k)
+    s1 = Permutation.simple(1, 4)
+    assert w in order
+    assert action_matrix(s1, k, h) == ActionMatrix(
+        order, {v: reduce_to_ordinary(dot(s1, basis[v]), k, h, basis) for v in order}
+    )
+    # the closed families interpolate nothing
+    calls = _count_interpolations(monkeypatch)
+    for closed in (HessenbergFunction.permutohedral(4), HessenbergFunction.full_flag(4)):
+        for k in range(len(closed.pairs) + 1):
+            action_matrix(Permutation.longest(4), k, closed)
+    assert calls == []
 
+
+@pytest.mark.parametrize("h", list(HessenbergFunction.all(4)), ids=str)
+def test_every_h_on_4_has_a_representation_and_shareshian_wachs(h):
+    from gkmhess.chromatic import verify_shareshian_wachs
+
+    assert verify_shareshian_wachs(h).agree
+    for k in range(len(h.pairs) + 1):
+        mats = {i: generator_matrix(i, k, h) for i in range(1, 4)}
+        identity = ActionMatrix.identity(degree_basis(h, k))
+        for i in range(1, 4):
+            assert mats[i].compose(mats[i]) == identity
+        for i in (1, 2):
+            assert (mats[i].compose(mats[i + 1]).compose(mats[i])
+                    == mats[i + 1].compose(mats[i]).compose(mats[i + 1]))
+        assert mats[1].compose(mats[3]) == mats[3].compose(mats[1])
