@@ -12,11 +12,11 @@ its value at ``w``.
 
 For the permutohedral Hessenberg function every basis class has a closed
 form; for arbitrary ``h`` the flow-up class is reconstructed by exact linear
-interpolation over the support, processing fixed points in increasing
-Coxeter length and carrying undetermined rational parameters.  The affine
-relations that the edge conditions force among those parameters are solved
-once, at the end, with the shared exact kernel of ``linalg``; parameters
-that no relation pins down are genuine freedom, which is reported.
+interpolation over the support in one pass, processing fixed points in
+increasing Coxeter length with the shared exact kernel of ``linalg``.  Each
+free monomial of a vertex system becomes a new rational parameter, and a
+system that would constrain earlier parameters is refused, so every
+parameter is genuine freedom, which is reported.
 """
 
 from __future__ import annotations
@@ -175,14 +175,22 @@ def smooth_point_value(w: Permutation, v: Permutation, h: HessenbergFunction,
 
 
 class InfeasibleInterpolationError(RuntimeError):
-    """The flow-up linear system admits no solution: indicates a bug."""
+    """A flow-up condition that no unknown can meet: indicates a bug.
+
+    Either the top value fails an off-support edge, or a vertex system
+    reduces to a row without an unknown: ``0 = c``, or a relation among
+    earlier parameters, which the one-pass interpolation does not solve.
+    """
 
 
 @dataclass
 class InterpolationResult:
     cls: EquivariantClass
-    unique: bool
     free_parameters: int
+
+    @property
+    def unique(self) -> bool:
+        return not self.free_parameters
 
 
 def _monomials(n: int, degree: int) -> list[tuple[int, ...]]:
@@ -200,7 +208,7 @@ def _solve_vertex(
     degree: int,
     edge_constraints: list[tuple[int, int, dict[int, MultiPoly]]],
     next_param: int,
-) -> tuple[dict[int, MultiPoly], list[dict[int, Fraction]], int]:
+) -> tuple[dict[int, MultiPoly], int]:
     """Solve for one fixed-point value subject to edge congruences.
 
     Values are parameter polynomials ``{k: poly}`` meaning
@@ -209,8 +217,8 @@ def _solve_vertex(
     ``t_a := t_b`` (divisibility by ``t_a - t_b``).  Unknown monomials are
     columns ``0..ncols-1`` and parameter ``k`` is column ``ncols + k``.
     Returns the general solution, with one new parameter per free monomial,
-    and the affine relations among existing parameters that consistency
-    forces.
+    and the next unused parameter.  Raises ``InfeasibleInterpolationError``
+    if a reduced row has no unknown column.
     """
     monos = _monomials(n, degree)
     ncols = len(monos)
@@ -235,6 +243,11 @@ def _solve_vertex(
             rows.append(row)
 
     pivots, leftover, _det = row_reduce(rows, bound=ncols)
+    if leftover:
+        terms = " + ".join(f"({v})*p{k - ncols}" for k, v in sorted(leftover[0].items()))
+        raise InfeasibleInterpolationError(
+            f"the edge conditions force {terms} = 0, with p0 = 1"
+        )
     free_cols = [col for col in range(ncols) if col not in pivots]
     new_params = {col: next_param + idx for idx, col in enumerate(free_cols)}
 
@@ -249,8 +262,7 @@ def _solve_vertex(
     for col, pid in new_params.items():
         parts.setdefault(pid, {})[monos[col]] = Fraction(1)
     solution = {pid: MultiPoly(n, bucket) for pid, bucket in parts.items()}
-    relations = [{k - ncols: v for k, v in row.items()} for row in leftover]
-    return solution, relations, next_param + len(free_cols)
+    return solution, next_param + len(free_cols)
 
 
 def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationResult:
@@ -259,12 +271,12 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
     Fixed points of the support are processed in increasing Coxeter length.
     At each one, the divisibility conditions along edges into already-known
     values (including zero values off the support) form a small exact linear
-    system for the homogeneous value of degree ``l_h(w)``; leftover freedom
-    becomes rational parameters.  The affine relations among parameters that
-    later consistency conditions force are collected and solved once, at the
-    end, for the newest parameter of each; the solution is substituted into
-    every value.  Remaining parameters are reported and set to zero in the
-    returned representative, keeping its support minimal.
+    system for the homogeneous value of degree ``l_h(w)``; each free monomial
+    becomes a new rational parameter.  A system that would constrain earlier
+    parameters raises ``InfeasibleInterpolationError`` naming the vertex, so
+    the parameters are independent and their count is the reported freedom.
+    The returned representative sets them all to zero, keeping its support
+    minimal.
     """
     n = h.n
     degree = l_h(w, h)
@@ -277,7 +289,6 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
 
     values: dict[Permutation, dict[int, MultiPoly]] = {w: {0: top_value(w, h)}}
     next_param = 1
-    relations: list[dict[int, Fraction]] = []
 
     # check the fixed value at w against its own off-support edge conditions
     for target, a, b in graph.neighbors(w):
@@ -295,37 +306,16 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
                     constraints.append((a, b, values[target]))
             else:
                 constraints.append((a, b, {}))
-        values[u], found, next_param = _solve_vertex(
-            n, degree, constraints, next_param
-        )
-        relations.extend(found)
+        try:
+            values[u], next_param = _solve_vertex(n, degree, constraints, next_param)
+        except InfeasibleInterpolationError as exc:
+            raise InfeasibleInterpolationError(
+                f"{exc} at v={u}, for w={w}, h={h}"
+            ) from None
 
-    # parameter k is column -k, so each pivot is the newest parameter of its
-    # relation; column 0 is the constant, and a constant-only row is 0 = c
-    solved, inconsistent, _det = row_reduce(
-        [{-k: v for k, v in relation.items()} for relation in relations], bound=0
-    )
-    if inconsistent:
-        raise InfeasibleInterpolationError(
-            f"inconsistent flow-up system for w={w}, h={h}"
-        )
-    zero = MultiPoly.zero(n)
-    concrete: dict[Permutation, MultiPoly] = {}
-    remaining: set[int] = set()
-    for u, parts in values.items():
-        parts = dict(parts)
-        for col, row in solved.items():
-            pivot = parts.pop(-col, None)
-            if pivot is not None:
-                for k, coeff in row.items():
-                    if k != col:
-                        parts[-k] = parts.get(-k, zero) - pivot * coeff
-        concrete[u] = parts.pop(0, zero)
-        remaining.update(k for k, p in parts.items() if not p.is_zero)
+    concrete = {u: parts[0] for u, parts in values.items() if 0 in parts}
     return InterpolationResult(
-        cls=EquivariantClass(n, concrete),
-        unique=not remaining,
-        free_parameters=len(remaining),
+        cls=EquivariantClass(n, concrete), free_parameters=next_param - 1
     )
 
 

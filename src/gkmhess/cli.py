@@ -208,10 +208,14 @@ def cmd_expand(args, config: RunConfig) -> int:
     h = _parse_h(args.h, n, f"the class has n = {n}")
     from .classes import EquivariantClass
 
-    values = {
-        Permutation.from_one_line(key): parse_poly(text, n)
-        for key, text in data["values"].items()
-    }
+    values = {}
+    for key, text in data["values"].items():
+        v = Permutation.from_one_line(key)
+        if len(v) != n:
+            raise ValueError(
+                f"the class has n = {n} but the value key {key!r} has length {len(v)}"
+            )
+        values[v] = parse_poly(text, n)
     cls = EquivariantClass(n, values)
     ok, violation = gkm_check(cls, h)
     if not ok:

@@ -465,7 +465,14 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def eulerian_number(n: int, k: int) -> int:
-    return sum(1 for w in Permutation.all(n) if len(w.descents()) == k)
+    """Permutations of [n] with k descents, by the recurrence
+    A(m, j) = (j + 1) A(m - 1, j) + (m - j) A(m - 1, j - 1), so that it
+    checks the scan of S_n that ``dot.degree_basis`` makes."""
+    row = [1]  # A(1, 0), and A(0, 0) for the empty permutation
+    for m in range(2, n + 1):
+        padded = [0] + row + [0]
+        row = [(j + 1) * padded[j + 1] + (m - j) * padded[j] for j in range(m)]
+    return row[k] if 0 <= k < len(row) else 0
 
 
 def verify_decomposition(

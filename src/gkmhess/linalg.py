@@ -1,7 +1,7 @@
 """Exact Gauss–Jordan elimination on sparse rational rows.
 
-The one rational elimination of the package: flow-up interpolation, its
-parameter relations, symmetric-function basis transitions and minors all
+The one rational elimination of the package: the vertex systems of
+flow-up interpolation, symmetric-function basis transitions and minors all
 call ``row_reduce``.  (The ranks of ``decomp`` run modulo a prime, on the
 same sparse rows, in ``decomp._rank_mod_p``.)
 """

@@ -263,11 +263,12 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Mul
         var_text = match.group("vars")
         if var_text:
             for factor in var_text.strip("*").split("*"):
-                if "^" in factor:
-                    name, _, power = factor.partition("^")
-                    exps[name_index[name]] += int(power)
-                else:
-                    exps[name_index[factor]] += 1
+                name, _, power = factor.partition("^")
+                if name not in name_index:
+                    raise ValueError(
+                        f"unknown variable {name!r}: expected one of {', '.join(name_index)}"
+                    )
+                exps[name_index[name]] += int(power) if power else 1
         result = result + MultiPoly(nvars, {tuple(exps): sign * coeff}, names)
     return result
 

@@ -153,40 +153,3 @@ def support_A(w: Permutation, h: HessenbergFunction) -> SupportSet:
 
     extend([], [])
     return SupportSet(w=w, h=h, members=frozenset(members))
-
-
-# -- Bruhat order (used as an independent oracle for the full-flag case) ----
-
-
-def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Dominance test: ``u <= w`` iff every sorted prefix of u is
-    entrywise at most the corresponding sorted prefix of w."""
-    if len(u) != len(w):
-        raise ValueError("size mismatch")
-    for j in range(1, len(u)):
-        for a, b in zip(sorted(u[:j]), sorted(w[:j])):
-            if a > b:
-                return False
-    return True
-
-
-def bruhat_upper_set(w: Permutation) -> frozenset[Permutation]:
-    """All ``u >= w`` by upward BFS along length-increasing transpositions."""
-    n = len(w)
-    frontier = {w}
-    seen = {w}
-    while frontier:
-        nxt = set()
-        for v in frontier:
-            lv = v.coxeter_length()
-            for a in range(1, n + 1):
-                for b in range(a + 1, n + 1):
-                    images = list(v)
-                    pa, pb = images.index(a), images.index(b)
-                    images[pa], images[pb] = images[pb], images[pa]
-                    cand = Permutation(images)
-                    if cand.coxeter_length() == lv + 1 and cand not in seen:
-                        seen.add(cand)
-                        nxt.add(cand)
-        frontier = nxt
-    return frozenset(seen)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .linalg import row_reduce
-from .perms import partitions
+from .perms import Permutation, partitions
 
 BASES = ("m", "e", "h", "p", "s")
 
@@ -278,15 +278,12 @@ def z_mu(mu: tuple[int, ...]) -> int:
     return math.prod(part**m * math.factorial(m) for part, m in Counter(mu).items())
 
 
-def cycle_type_representative(mu: tuple[int, ...]):
+def cycle_type_representative(mu: tuple[int, ...]) -> Permutation:
     """Canonical permutation with cycle type mu: concatenated increasing cycles."""
-    from .perms import Permutation
-
     images = []
     start = 1
     for part in mu:
         block = list(range(start, start + part))
-        for idx, value in enumerate(block):
-            images.append(block[(idx + 1) % part])
+        images.extend(block[1:] + block[:1])
         start += part
-    return Permutation(images)
+    return tuple.__new__(Permutation, images)

@@ -20,6 +20,7 @@ from gkmhess.cells import (
     random_assignment,
 )
 from gkmhess.gkm import HessenbergFunction
+from gkmhess.linalg import row_reduce
 from gkmhess.perms import Permutation
 from gkmhess.reach import build_cell_digraph, support_A
 
@@ -70,6 +71,37 @@ def test_chart_consistency_exhaustive(n):
         for w in Permutation.all(n):
             chart = build_cell_chart(w, h, c)
             assert chart.consistency_violations() == []
+
+
+def _hessenberg_conditions_at_a_point(chart, rng):
+    """(X^-1 D X)_{alpha, beta} for alpha > h(beta), X the chart at a random
+    point and D = diag(c_{w(1)}, ..., c_{w(n)}); all vanish on the variety."""
+    n = chart.h.n
+    x = chart.evaluate_matrix(random_assignment(chart, rng))
+    # [X | I] reduces to [I | X^-1]
+    pivots, _leftover, _det = row_reduce(
+        [{**dict(enumerate(row)), n + i: 1} for i, row in enumerate(x)], bound=n
+    )
+    inverse = [[pivots[i].get(n + j, 0) for j in range(n)] for i in range(n)]
+    d = [chart.c[chart.w(k)] for k in range(1, n + 1)]
+    return [
+        sum(inverse[alpha - 1][k] * d[k] * x[k][beta - 1] for k in range(n))
+        for beta in range(1, n + 1)
+        for alpha in range(chart.h(beta) + 1, n + 1)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chart_points_lie_on_the_hessenberg_variety(n):
+    # independent of the chain sums that build the chart: a wrong sign or
+    # eigenvalue factor there still passes consistency_violations
+    rng = random.Random(n)
+    pairs = [(h, w) for h in HessenbergFunction.all(n) for w in Permutation.all(n)]
+    if n == 5:
+        pairs = rng.sample(pairs, 500)
+    for h, w in pairs:
+        chart = build_cell_chart(w, h)
+        assert not any(_hessenberg_conditions_at_a_point(chart, rng)), (str(h), str(w))
 
 
 def test_minimal_path_examples():

@@ -16,6 +16,7 @@ from gkmhess.chromatic import (
 )
 from gkmhess.dot import action_matrix, generator_matrix
 from gkmhess.gkm import HessenbergFunction, poincare_coefficients
+from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
 from gkmhess.symfunc import (
     SymFunc,
@@ -136,6 +137,23 @@ def test_half_word_traces_match_composed_matrices(h):
         for mu, chi in traces.items():
             u = cycle_type_representative(mu)
             assert chi == action_matrix(u, k, h).trace()
+
+
+def test_cycle_type_representative_is_a_permutation_of_its_type():
+    # the representative is built unchecked, so check it here
+    for n in range(1, 8):
+        for mu in partition_list(n):
+            u = cycle_type_representative(mu)
+            assert Permutation(tuple(u)) == u
+            cycles, seen = [], set()
+            for start in range(1, n + 1):
+                size, j = 0, start
+                while j not in seen:
+                    seen.add(j)
+                    j, size = u(j), size + 1
+                if size:
+                    cycles.append(size)
+            assert sorted(cycles) == sorted(mu)
 
 
 def test_basis_round_trips():

@@ -174,31 +174,46 @@ def test_interpolation_general_h_n5_spot_checks():
         assert gkm_check(result.cls, h)[0]
 
 
-def test_no_parameter_relation_reaches_the_final_solve(monkeypatch):
-    # every free parameter comes from a free monomial at one vertex, and no
-    # vertex system leaves a relation among earlier parameters, so which
-    # parameter a relation would be solved for cannot change a
-    # representative (the whole n = 5 sweep agrees; here n = 4 and the
-    # five-parameter class at n = 5)
-    from gkmhess import classes
-
-    relations = []
-
-    def spied(*args):
-        solution, found, next_param = solve(*args)
-        relations.extend(found)
-        return solution, found, next_param
-
-    solve = classes._solve_vertex
-    monkeypatch.setattr(classes, "_solve_vertex", spied)
-    free = 0
-    for h in HessenbergFunction.all(4):
-        for w in Permutation.all(4):
-            free += interpolate_class(w, h).free_parameters
+def test_no_vertex_system_forces_a_parameter_relation():
+    # interpolate_class raises on a relation among earlier parameters; none
+    # appears on [4] or on the five-parameter class at n = 5, so every free
+    # parameter is a free monomial at one vertex and the counts stay exact
+    free = sum(
+        interpolate_class(w, h).free_parameters
+        for h in HessenbergFunction.all(4) for w in Permutation.all(4)
+    )
     wide = interpolate_class(Permutation.from_one_line("21345"),
                              HessenbergFunction((3, 3, 4, 5, 5)))
-    assert free > 0 and wide.free_parameters == 5
-    assert relations == []
+    assert free == 4
+    assert wide.free_parameters == 5 and not wide.unique
+
+
+T1, T2 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+
+
+@pytest.mark.parametrize("constraints,forced", [
+    # t1 across the edge (1, 2) and t2 across (2, 1) force p2 - p1 = 0
+    ([(1, 2, {1: T1}), (2, 1, {2: T2})], r"\(-1\)\*p1 \+ \(1\)\*p2 = 0"),
+    # one value asked to be t2 and 2 t2 under t1 := t2: 0 = 1
+    ([(1, 2, {0: T1}), (1, 2, {0: T1 * 2})], r"\(-?1\)\*p0 = 0"),
+], ids=["relation", "inconsistent"])
+def test_solve_vertex_raises_on_a_row_without_an_unknown(constraints, forced):
+    from gkmhess.classes import InfeasibleInterpolationError, _solve_vertex
+
+    with pytest.raises(InfeasibleInterpolationError, match=forced):
+        _solve_vertex(2, 1, constraints, 3)
+
+
+def test_interpolation_names_the_vertex_of_a_forced_relation(monkeypatch):
+    from gkmhess import classes
+
+    def refuse(*args):
+        raise classes.InfeasibleInterpolationError("forced")
+
+    monkeypatch.setattr(classes, "_solve_vertex", refuse)
+    with pytest.raises(classes.InfeasibleInterpolationError,
+                       match=r"^forced at v=132, for w=123, h=2,3,3$"):
+        interpolate_class(Permutation.identity(3), HessenbergFunction((2, 3, 3)))
 
 
 def test_expand_single_basis_class():

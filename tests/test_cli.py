@@ -254,6 +254,23 @@ def test_expand_class_file_missing_a_field_is_a_usage_error(field, tmp_path, cap
     assert f"no '{field}' field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("12", "t1", "the class has n = 4 but the value key '12' has length 2"),
+    ("1324", "t9", "unknown variable 't9': expected one of t1, t2, t3, t4"),
+], ids=["key-length", "unknown-variable"])
+def test_expand_malformed_class_file_is_a_usage_error(key, value, message, tmp_path, capsys):
+    from gkmhess import cli
+
+    data = run_json("class", "--permutohedral", "--w", "1324")
+    data["values"][key] = value
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["expand", "--input", str(path), "--h", "2,3,4,4"]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
 def test_internal_key_error_exits_one(monkeypatch, capsys):
     from gkmhess import cli
 

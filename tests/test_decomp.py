@@ -243,6 +243,17 @@ def test_eulerian_numbers():
     assert [eulerian_number(5, k) for k in range(5)] == [1, 26, 66, 26, 1]
 
 
+def test_eulerian_recurrence_matches_a_descent_scan():
+    # the scan counts what degree_basis enumerates; the recurrence does not
+    from collections import Counter
+
+    for n in range(8):
+        scan = Counter(len(w.descents()) for w in Permutation.all(n))
+        assert [eulerian_number(n, k) for k in range(-1, n + 2)] == [
+            scan[k] for k in range(-1, n + 2)
+        ]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_verify_decomposition_small(n):
     for k in range(n):

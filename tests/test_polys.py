@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkmhess.perms import Permutation
@@ -111,6 +112,8 @@ def test_parse_round_trip(p):
 def test_parse_examples():
     assert parse_poly("t1-t2", 3) == t(1) - t(2)
     assert parse_poly("-t1+3/2*t2^2", 3) == -t(1) + MultiPoly.constant(Fraction(3, 2), 3) * t(2) * t(2)
+    with pytest.raises(ValueError, match="unknown variable 't4'"):
+        parse_poly("t1-t4^2", 3)
 
 
 def test_homogeneity_and_degree():
