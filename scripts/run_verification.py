@@ -22,7 +22,7 @@ def main() -> int:
     parser.add_argument("--min-n", type=int, default=3)
     parser.add_argument("--max-n", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--suites", nargs="*", default=list(SUITES))
+    parser.add_argument("--suites", nargs="*", choices=list(SUITES), default=list(SUITES))
     args = parser.parse_args()
 
     config = RunConfig(seed=args.seed)

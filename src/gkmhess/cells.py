@@ -3,10 +3,13 @@
 Points of the minus cell attached to ``(w, h)`` are matrices ``\\dot w x``
 with ``x`` lower unitriangular.  Entries of ``x`` below the diagonal split
 into three kinds: zero (the target value is smaller), free coordinates (the
-pair is an edge of the cell digraph), and dependent entries determined by a
-signed sum over decreasing index chains with eigenvalue-difference
-coefficients.  Solving dependent entries in increasing index gap expresses
-everything in the free coordinates.
+pair is an edge of the cell digraph), and dependent entries, solved from
+their defining polynomials f_{alpha,beta} = (c_{w(alpha)} - c_{w(beta)})
+x_{alpha,beta} + S(alpha, beta), which vanish for alpha > h(beta).  The sum S
+over decreasing index chains, split at its first step, reads off the f of
+pairs of smaller gap, so each f is computed once per chart.  Solving
+dependent entries in increasing index gap expresses everything in the free
+coordinates.
 
 Minors of ``x`` detect reachability (nonvanishing iff the column set reaches
 the row set), and Plücker coordinates of a generic point recover the fixed
@@ -94,6 +97,7 @@ class CellChart:
         self.nvars = len(self.free_pairs)
         self._var_index = {pair: k for k, pair in enumerate(self.free_pairs)}
         self.entries: dict[tuple[int, int], MultiPoly] = {}
+        self._equations: dict[tuple[int, int], MultiPoly] = {}
         self._build()
 
     def _zero(self) -> MultiPoly:
@@ -114,42 +118,25 @@ class CellChart:
             for beta in range(1, n - gap + 1):
                 alpha = beta + gap
                 if self.w(alpha) < self.w(beta):
-                    self.entries[(alpha, beta)] = self._zero()
+                    entry = self._zero()
                 elif alpha <= self.h(beta):
-                    var = MultiPoly.variable(
+                    entry = MultiPoly.variable(
                         self._var_index[(alpha, beta)], self.nvars, self.var_names
                     )
-                    self.entries[(alpha, beta)] = var
                 else:
-                    self.entries[(alpha, beta)] = self._dependent_entry(alpha, beta)
+                    entry = self._chain_sum(alpha, beta) * (-1 / self._coeff(alpha, beta))
+                self.entries[(alpha, beta)] = entry
 
     def _chain_sum(self, alpha: int, beta: int) -> MultiPoly:
-        """Signed sum over decreasing chains alpha > g_1 > ... > g_t > beta."""
+        """S(alpha, beta) = -sum_{beta < gamma < alpha} x_{alpha,gamma} f_{gamma,beta}:
+        the signed sum over decreasing chains alpha > g_1 > ... > g_t > beta,
+        grouped by g_1 = gamma, whose chains on to beta sum to f_{gamma,beta}."""
         total = self._zero()
-        interior = range(beta + 1, alpha)
-        for t in range(1, alpha - beta):
-            for chain in itertools.combinations(interior, t):
-                gammas = tuple(reversed(chain))  # decreasing
-                product = self.entries[(alpha, gammas[0])]
-                if product.is_zero:
-                    continue
-                ok = True
-                for a, b in zip(gammas, gammas[1:]):
-                    product = product * self.entries[(a, b)]
-                    if product.is_zero:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                product = product * self.entries[(gammas[-1], beta)]
-                if product.is_zero:
-                    continue
-                scale = (-1) ** t * (self.c[self.w(gammas[-1])] - self.c[self.w(beta)])
-                total = total + product * scale
+        for gamma in range(beta + 1, alpha):
+            step = self.entries[(alpha, gamma)]
+            if not step.is_zero:
+                total = total - step * self.defining_equation(gamma, beta)
         return total
-
-    def _dependent_entry(self, alpha: int, beta: int) -> MultiPoly:
-        return self._chain_sum(alpha, beta) * (Fraction(-1) / self._coeff(alpha, beta))
 
     def entry(self, i: int, j: int) -> MultiPoly:
         """Entry of ``x`` at row i, column j (unitriangular)."""
@@ -160,12 +147,21 @@ class CellChart:
         return self.entries[(i, j)]
 
     def defining_equation(self, alpha: int, beta: int) -> MultiPoly:
-        """f^w_{alpha,beta}; identically zero on the chart by construction."""
-        lead = self.entries[(alpha, beta)] * self._coeff(alpha, beta)
-        return lead + self._chain_sum(alpha, beta)
+        """f^w_{alpha,beta}, computed on first use and kept on the chart."""
+        f = self._equations.get((alpha, beta))
+        if f is None:
+            f = self.entries[(alpha, beta)] * self._coeff(alpha, beta)
+            f = f + self._chain_sum(alpha, beta)
+            self._equations[(alpha, beta)] = f
+        return f
 
     def consistency_violations(self) -> list[tuple[int, int]]:
-        """Pairs alpha > h(beta) whose defining equation fails to vanish."""
+        """Pairs alpha > h(beta) whose defining equation fails to vanish.
+
+        A dependent entry is solved from its own equation, so only a pair
+        whose entry is forced to 0 (w(alpha) < w(beta)) can fail: its
+        equation reads S(alpha, beta) = 0.
+        """
         bad = []
         n = self.h.n
         for beta in range(1, n + 1):
@@ -289,6 +285,10 @@ def random_assignment(chart: CellChart, rng: random.Random, span: int = 10**6) -
     return [Fraction(rng.randint(1, span)) for _ in range(chart.nvars)]
 
 
+MAX_POINT_RESAMPLES = 5
+MAX_EIGENVALUE_RESAMPLES = 3
+
+
 class TheoremViolationError(AssertionError):
     """A nonzero minor on an unreachable pair: must never happen."""
 
@@ -317,8 +317,6 @@ def minor_reachability_certificate(
     cols,
     rng: random.Random,
     c: EigenvalueVector | None = None,
-    max_point_resamples: int = 5,
-    max_eigenvalue_resamples: int = 3,
 ) -> MinorCertificate:
     """Compare minor nonvanishing against set reachability.
 
@@ -338,7 +336,7 @@ def minor_reachability_certificate(
     while True:
         chart = CellChart(w, h, current_c)
         nonzero = False
-        for _ in range(max_point_resamples):
+        for _ in range(MAX_POINT_RESAMPLES):
             value = minor_at_point(chart, rows, cols, random_assignment(chart, rng))
             if value != 0:
                 nonzero = True
@@ -358,7 +356,7 @@ def minor_reachability_certificate(
             )
         # reachable but identically zero at these eigenvalues: resample
         eigen_resamples += 1
-        if eigen_resamples > max_eigenvalue_resamples:
+        if eigen_resamples > MAX_EIGENVALUE_RESAMPLES:
             return MinorCertificate(
                 w, h, rows, cols, reachable, nonzero,
                 point_resamples, eigen_resamples, escalations,
@@ -370,11 +368,7 @@ def minor_reachability_certificate(
 
 
 def plucker_pattern(
-    w: Permutation,
-    h: HessenbergFunction,
-    rng: random.Random,
-    c: EigenvalueVector | None = None,
-    seeds: int = 3,
+    w: Permutation, h: HessenbergFunction, rng: random.Random, seeds: int = 3
 ) -> list[set[tuple[int, ...]]]:
     """For j = 1..n, the row sets with nonzero leading j-minor of a generic point.
 
@@ -383,7 +377,7 @@ def plucker_pattern(
     nonzero evaluation certifies a nonzero coordinate.
     """
     n = h.n
-    chart = build_cell_chart(w, h, c)
+    chart = build_cell_chart(w, h)
     w_inv = w.inverse()
     patterns: list[set[tuple[int, ...]]] = [set() for _ in range(n + 1)]
     for _ in range(seeds):
@@ -400,16 +394,12 @@ def plucker_pattern(
 
 
 def fixed_point_oracle(
-    w: Permutation,
-    h: HessenbergFunction,
-    rng: random.Random,
-    c: EigenvalueVector | None = None,
-    seeds: int = 3,
+    w: Permutation, h: HessenbergFunction, rng: random.Random, seeds: int = 3
 ) -> frozenset[Permutation]:
     """Fixed points of the closed cell from Pluecker coordinates of a generic
     point: u belongs iff every sorted prefix of u indexes a nonzero coordinate."""
     n = h.n
-    patterns = plucker_pattern(w, h, rng, c, seeds)
+    patterns = plucker_pattern(w, h, rng, seeds)
     members = []
     for u in Permutation.all(n):
         if all(tuple(sorted(u[:j])) in patterns[j - 1] for j in range(1, n + 1)):

@@ -151,20 +151,15 @@ def _assert_symmetric(counts: dict[tuple[int, ...], list[int]], n: int) -> None:
 # -- Frobenius characteristics -------------------------------------------------
 
 
-def frobenius_of_degree(
-    h: HessenbergFunction,
-    k: int,
-    matrices_by_generator: dict[int, ActionMatrix] | None = None,
-) -> SymFunc:
+def frobenius_of_degree(h: HessenbergFunction, k: int) -> SymFunc:
     """Character of degree 2k under the dot action, as an h-basis vector.
 
-    Traces at one representative per cycle type; the class function is
-    assembled over power sums with centralizer normalization.  Without
-    ``matrices_by_generator`` it builds one generator matrix per letter.
+    Traces at one representative per cycle type, from one generator matrix
+    per letter; the class function is assembled over power sums with
+    centralizer normalization.
     """
     n = h.n
-    if matrices_by_generator is None:
-        matrices_by_generator = {i: generator_matrix(i, k, h) for i in range(1, n)}
+    matrices_by_generator = {i: generator_matrix(i, k, h) for i in range(1, n)}
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for mu, chi in _cycle_type_traces(h, k, matrices_by_generator).items():
         if chi:

@@ -134,15 +134,14 @@ def top_value(w: Permutation, h: HessenbergFunction) -> MultiPoly:
     return result
 
 
-def permutohedral_class(w: Permutation, n: int | None = None) -> EquivariantClass:
+def permutohedral_class(w: Permutation) -> EquivariantClass:
     """Closed-form basis class for ``h = (2, 3, ..., n, n)``.
 
     Supported on the left Young-subgroup orbit determined by the descent
     blocks of ``w``; at each support point ``v`` the value is the product of
     ``t_{v(d+1)} - t_{v(d)}`` over descents ``d`` of ``w``.
     """
-    if n is None:
-        n = len(w)
+    n = len(w)
     w = Permutation(w)
     descents = w.descents()
     bounds = (0,) + descents + (n,)
@@ -151,7 +150,7 @@ def permutohedral_class(w: Permutation, n: int | None = None) -> EquivariantClas
         for s in range(len(bounds) - 1)
     ]
     values = {}
-    for y in young_subgroup(blocks, len(w)):
+    for y in young_subgroup(blocks, n):
         u = y * w
         poly = MultiPoly.one(n)
         for d in descents:

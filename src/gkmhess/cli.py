@@ -199,17 +199,25 @@ def cmd_class(args, config: RunConfig) -> int:
 def cmd_expand(args, config: RunConfig) -> int:
     with open(args.input) as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"the class file {args.input} does not hold a JSON object")
     for field in ("n", "values"):
         if field not in data:
             raise ValueError(f"the class file {args.input} has no {field!r} field")
-    n = data["n"]
+    n, texts = data["n"], data["values"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"the class file's 'n' must be an integer >= 1, not {n!r}")
+    if not isinstance(texts, dict):
+        raise ValueError(f"the class file's 'values' must be an object, not a {type(texts).__name__}")
     if args.n is not None and args.n != n:
         raise ValueError(f"the class has n = {n} but --n is {args.n}")
     h = _parse_h(args.h, n, f"the class has n = {n}")
     from .classes import EquivariantClass
 
     values = {}
-    for key, text in data["values"].items():
+    for key, text in texts.items():
+        if not isinstance(text, str):
+            raise ValueError(f"the class file's 'values' entry {key!r} must be a string, not {text!r}")
         v = Permutation.from_one_line(key)
         if len(v) != n:
             raise ValueError(
@@ -382,7 +390,7 @@ def verify_supports(n: int, config: RunConfig) -> dict:
     )
 
 
-def verify_minors(n: int, config: RunConfig, samples: int = 500) -> dict:
+def verify_minors(n: int, config: RunConfig) -> dict:
     import itertools as it
 
     rng = config.rng()
@@ -402,7 +410,7 @@ def verify_minors(n: int, config: RunConfig, samples: int = 500) -> dict:
         perms = list(Permutation.all(n))
 
         def sample():
-            for _ in range(samples):
+            for _ in range(500):
                 size = rng.randint(1, n)
                 yield (
                     rng.choice(perms),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from gkmhess.cells import (
 from gkmhess.gkm import HessenbergFunction
 from gkmhess.linalg import row_reduce
 from gkmhess.perms import Permutation
+from gkmhess.polys import MultiPoly
 from gkmhess.reach import build_cell_digraph, support_A
 
 H5 = HessenbergFunction((3, 3, 4, 5, 5))
@@ -71,6 +73,44 @@ def test_chart_consistency_exhaustive(n):
         for w in Permutation.all(n):
             chart = build_cell_chart(w, h, c)
             assert chart.consistency_violations() == []
+
+
+def _entries_by_chain_enumeration(chart):
+    """The chart's entries, each dependent one rebuilt from the signed sum
+    over all 2^(gap-1) decreasing chains alpha > g_1 > ... > g_t > beta,
+    the sum that the chart's first-step recurrence regroups."""
+    w, h, c = chart.w, chart.h, chart.c
+    entries = {}
+    for gap in range(1, h.n):
+        for beta in range(1, h.n - gap + 1):
+            alpha = beta + gap
+            if w(alpha) < w(beta) or alpha <= h(beta):
+                entries[(alpha, beta)] = chart.entry(alpha, beta)
+                continue
+            total = MultiPoly.zero(chart.nvars, chart.var_names)
+            for t in range(1, gap):
+                for chain in itertools.combinations(range(beta + 1, alpha), t):
+                    gammas = tuple(reversed(chain))  # decreasing
+                    product = entries[(alpha, gammas[0])]
+                    for a, b in zip(gammas, gammas[1:] + (beta,)):
+                        product = product * entries[(a, b)]
+                    scale = (-1) ** t * (c[w(gammas[-1])] - c[w(beta)])
+                    total = total + product * scale
+            entries[(alpha, beta)] = total * (Fraction(-1) / (c[w(alpha)] - c[w(beta)]))
+    return entries
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_chart_recurrence_matches_chain_enumeration(n):
+    rng = random.Random(10 + n)
+    if n <= 4:
+        pairs = [(h, w) for h in HessenbergFunction.all(n) for w in Permutation.all(n)]
+    else:
+        perms = list(Permutation.all(n))
+        pairs = [(HessenbergFunction.random(n, rng), rng.choice(perms)) for _ in range(500)]
+    for h, w in pairs:
+        chart = build_cell_chart(w, h)
+        assert chart.entries == _entries_by_chain_enumeration(chart), (str(h), str(w))
 
 
 def _hessenberg_conditions_at_a_point(chart, rng):

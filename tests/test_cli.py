@@ -257,7 +257,8 @@ def test_expand_class_file_missing_a_field_is_a_usage_error(field, tmp_path, cap
 @pytest.mark.parametrize("key,value,message", [
     ("12", "t1", "the class has n = 4 but the value key '12' has length 2"),
     ("1324", "t9", "unknown variable 't9': expected one of t1, t2, t3, t4"),
-], ids=["key-length", "unknown-variable"])
+    ("1324", 5, "the class file's 'values' entry '1324' must be a string, not 5"),
+], ids=["key-length", "unknown-variable", "non-string-value"])
 def test_expand_malformed_class_file_is_a_usage_error(key, value, message, tmp_path, capsys):
     from gkmhess import cli
 
@@ -268,6 +269,24 @@ def test_expand_malformed_class_file_is_a_usage_error(key, value, message, tmp_p
     assert cli.main(["expand", "--input", str(path), "--h", "2,3,4,4"]) == 2
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("content,message", [
+    ([4, {}], "does not hold a JSON object"),
+    ({"n": 4, "values": ["t1"]}, "the class file's 'values' must be an object, not a list"),
+    ({"n": "4", "values": {}}, "the class file's 'n' must be an integer >= 1, not '4'"),
+    ({"n": True, "values": {}}, "the class file's 'n' must be an integer >= 1, not True"),
+    ({"n": 0, "values": {}}, "the class file's 'n' must be an integer >= 1, not 0"),
+], ids=["not-an-object", "values-list", "n-string", "n-bool", "n-zero"])
+def test_expand_ill_typed_class_file_is_a_usage_error(content, message, tmp_path, capsys):
+    from gkmhess import cli
+
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(content))
+    assert cli.main(["expand", "--input", str(path), "--h", "2,3,4,4"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
     assert captured.out == ""
 
 
