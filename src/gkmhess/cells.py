@@ -14,12 +14,17 @@ coordinates.
 Minors of ``x`` detect reachability (nonvanishing iff the column set reaches
 the row set), and Plücker coordinates of a generic point recover the fixed
 points of the closed cell, giving an oracle for the support computation that
-never looks at the reachability combinatorics.
+never looks at the reachability combinatorics.  The oracle scales each row
+of a sampled point to integers and computes the leading minor of every row
+subset by one Laplace recurrence over subsets, each from the minors of its
+subsets one row smaller.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +32,7 @@ from typing import Sequence
 
 from .gkm import HessenbergFunction
 from .linalg import row_reduce
-from .perms import Permutation
+from .perms import Permutation, prefix_closed
 from .polys import MultiPoly
 from .reach import CellDigraph, build_cell_digraph, set_reachable
 
@@ -89,16 +94,20 @@ class CellChart:
         self.w = w
         self.h = h
         self.c = c
-        self.digraph: CellDigraph = build_cell_digraph(w, h)
-        self.free_pairs: list[tuple[int, int]] = [
-            (i, j) for (j, i) in sorted(self.digraph.edges, key=lambda e: (e[1], e[0]))
-        ]
+        self.free_pairs: list[tuple[int, int]] = sorted(
+            (i, j) for j, i in h.pairs if w(j) < w(i)
+        )
         self.var_names = tuple(f"x{i}_{j}" for i, j in self.free_pairs)
         self.nvars = len(self.free_pairs)
         self._var_index = {pair: k for k, pair in enumerate(self.free_pairs)}
         self.entries: dict[tuple[int, int], MultiPoly] = {}
         self._equations: dict[tuple[int, int], MultiPoly] = {}
         self._build()
+
+    @functools.cached_property
+    def digraph(self) -> CellDigraph:
+        """The cell digraph, whose edges are the free pairs, built on first read."""
+        return build_cell_digraph(self.w, self.h)
 
     def _zero(self) -> MultiPoly:
         return MultiPoly.zero(self.nvars, self.var_names)
@@ -376,32 +385,69 @@ def plucker_pattern(
     over several sampled points guards against accidental vanishing: any
     nonzero evaluation certifies a nonzero coordinate.
     """
-    n = h.n
-    chart = build_cell_chart(w, h)
-    w_inv = w.inverse()
-    patterns: list[set[tuple[int, ...]]] = [set() for _ in range(n + 1)]
-    for _ in range(seeds):
-        x = chart.evaluate_matrix(random_assignment(chart, rng))
-        g_rows = [x[w_inv(r) - 1] for r in range(1, n + 1)]
-        for j in range(1, n + 1):
-            for rows in itertools.combinations(range(1, n + 1), j):
-                if rows in patterns[j]:
-                    continue
-                sub = [[g_rows[r - 1][cidx] for cidx in range(j)] for r in rows]
-                if det_fraction(sub) != 0:
-                    patterns[j].add(rows)
-    return patterns[1:]
+    patterns: list[set[tuple[int, ...]]] = [set() for _ in range(h.n)]
+    for mask in _nonzero_minor_masks(w, h, rng, seeds):
+        rows = tuple(r for r in range(1, h.n + 1) if mask >> (r - 1) & 1)
+        patterns[len(rows) - 1].add(rows)
+    return patterns
 
 
 def fixed_point_oracle(
     w: Permutation, h: HessenbergFunction, rng: random.Random, seeds: int = 3
 ) -> frozenset[Permutation]:
     """Fixed points of the closed cell from Pluecker coordinates of a generic
-    point: u belongs iff every sorted prefix of u indexes a nonzero coordinate."""
-    n = h.n
-    patterns = plucker_pattern(w, h, rng, seeds)
-    members = []
-    for u in Permutation.all(n):
-        if all(tuple(sorted(u[:j])) in patterns[j - 1] for j in range(1, n + 1)):
-            members.append(u)
-    return frozenset(members)
+    point: u belongs iff every sorted prefix of u indexes a nonzero coordinate.
+
+    A prefix whose coordinate vanishes is not extended.
+    """
+    nonzero = _nonzero_minor_masks(w, h, rng, seeds)
+    return frozenset(prefix_closed(h.n, nonzero.__contains__))
+
+
+def _nonzero_minor_masks(
+    w: Permutation, h: HessenbergFunction, rng: random.Random, seeds: int
+) -> set[int]:
+    """Row sets of ``g = \\dot w x``, as bitmasks (bit r - 1 for row r), whose
+    leading minor is nonzero at one of ``seeds`` sampled points of the cell."""
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
+    chart = build_cell_chart(w, h)
+    w_inv = w.inverse()
+    nonzero: set[int] = set()
+    for _ in range(seeds):
+        x = chart.evaluate_matrix(random_assignment(chart, rng))
+        rows = [_integer_row(x[w_inv(r) - 1]) for r in range(1, h.n + 1)]
+        minors = _leading_minors(rows)
+        nonzero.update(mask for mask in range(1, len(minors)) if minors[mask])
+    return nonzero
+
+
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators: every minor through the row
+    gains the same nonzero factor, so no minor changes whether it vanishes."""
+    scale = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
+
+
+def _leading_minors(rows: Sequence[Sequence[int]]) -> list[int]:
+    """``minors[R]`` = det of the rows in ``R`` on the first ``|R|`` columns,
+    for every row subset ``R`` as a bitmask (bit r for ``rows[r]``).
+
+    Laplace expansion along column ``|R|``: det(R) = sum over r in R of
+    (-1)^(pos + |R|) rows[r][|R| - 1] det(R minus r), pos the 1-based rank of
+    r in R.  A subset comes after all of its subsets in numeric order.
+    """
+    n = len(rows)
+    minors = [1] + [0] * ((1 << n) - 1)
+    for mask in range(1, 1 << n):
+        col = mask.bit_count() - 1
+        total, sign = 0, 1
+        for r in range(n - 1, -1, -1):
+            bit = 1 << r
+            if mask & bit:
+                entry = rows[r][col]
+                if entry:
+                    total += sign * entry * minors[mask ^ bit]
+                sign = -sign
+        minors[mask] = total
+    return minors

@@ -9,7 +9,9 @@ an edge ``w -> w s_{j,i}`` labeled ``t_a - t_b`` with ``a = w(i)`` and
 ``b = w(j)``; the label is carried as its variable indices ``(a, b)``, and
 the two directions of an edge carry ``(a, b)`` and ``(b, a)``.  The
 oriented subgraph keeps ``v -> w`` when ``len(v) > len(w)`` in Coxeter
-length, read from the shared table ``SymmetricGroup(n).length``.
+length: ``SymmetricGroup(n).length_drops[v]`` marks those transpositions,
+read from the length table, and ``pair_mask`` marks the pairs of ``h``, so
+the oriented out-degree of ``v`` is the popcount of the two masks' meet.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .perms import Permutation, SymmetricGroup
+from .perms import Permutation, SymmetricGroup, transposition_bit
 
 
 class HessenbergFunction(tuple):
@@ -103,18 +105,14 @@ class GkmGraph:
     def __init__(self, h: HessenbergFunction):
         self.h = h
         self.n = h.n
+        self.pair_mask = sum(transposition_bit(j, i) for j, i in h.pairs)
 
     def vertices(self) -> Iterator[Permutation]:
         return Permutation.all(self.n)
 
     def neighbors(self, w: Permutation) -> list[tuple[Permutation, int, int]]:
         """Edges out of the permutation ``w``: (target, a, b) with label ``t_a - t_b``."""
-        out = []
-        for j, i in self.h.pairs:
-            images = list(w)
-            images[j - 1], images[i - 1] = images[i - 1], images[j - 1]
-            out.append((tuple.__new__(Permutation, images), w[i - 1], w[j - 1]))
-        return out
+        return _edges(w, self.h.pairs)
 
     def edges(self) -> Iterator[tuple[Permutation, Permutation, int, int]]:
         """Each geometric edge once, as (v, w, a, b) with label(v->w) = t_a - t_b."""
@@ -125,15 +123,18 @@ class GkmGraph:
 
     def oriented_out(self, w: Permutation) -> list[tuple[Permutation, int, int]]:
         """Edges of the oriented subgraph leaving ``w`` (targets of smaller length)."""
-        length = SymmetricGroup(self.n).length
-        lw = length[w]
-        out = []
-        for edge in self.neighbors(w):
-            lv = length[edge[0]]
-            assert lv != lw, "transposition cannot preserve length"
-            if lv < lw:
-                out.append(edge)
-        return out
+        drops = SymmetricGroup(self.n).length_drops[w]
+        return _edges(w, [(j, i) for j, i in self.h.pairs if drops & transposition_bit(j, i)])
+
+
+def _edges(w: Permutation, pairs) -> list[tuple[Permutation, int, int]]:
+    """The edges ``w -> w s_{j,i}`` for the given pairs, as (target, a, b)."""
+    out = []
+    for j, i in pairs:
+        images = list(w)
+        images[j - 1], images[i - 1] = images[i - 1], images[j - 1]
+        out.append((tuple.__new__(Permutation, images), w[i - 1], w[j - 1]))
+    return out
 
 
 def l_h(w: Permutation, h: HessenbergFunction) -> int:

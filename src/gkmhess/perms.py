@@ -18,14 +18,17 @@ with ``tuple.__new__(Permutation, images)``.
 
 ``SymmetricGroup(n)`` holds the Coxeter length of every ``w`` in S_n, built on
 first use for each n and shared by every caller; ``coxeter_length`` stays the
-one definition it is built from.
+one definition it is built from.  Its second table, ``length_drops``, holds
+for each ``w`` one bit per transposition ``t`` that ``w t`` is shorter than
+``w``, read from the lengths; it is built only when first read, so callers
+that need lengths alone never pay for it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class Permutation(tuple):
@@ -164,6 +167,43 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
     return Permutation(u) * v
 
 
+def prefix_closed(n: int, keep: Callable[[int], bool]) -> list[Permutation]:
+    """The permutations of [n] whose every prefix passes ``keep``.
+
+    A prefix is handed to ``keep`` as the bitmask of its values (bit v - 1
+    for v), and each mask is decided once, however many prefixes share it.
+    Prefixes grow one value at a time; one that fails is not extended.
+    """
+    decided: dict[int, bool] = {}
+    out: list[Permutation] = []
+
+    def extend(prefix: list[int], mask: int) -> None:
+        if len(prefix) == n:
+            out.append(tuple.__new__(Permutation, prefix))
+            return
+        for value in range(1, n + 1):
+            grown = mask | 1 << (value - 1)
+            if grown == mask:
+                continue
+            ok = decided.get(grown)
+            if ok is None:
+                ok = decided[grown] = keep(grown)
+            if ok:
+                extend(prefix + [value], grown)
+
+    extend([], 0)
+    return out
+
+
+def transposition_bit(j: int, i: int) -> int:
+    """The bit of the transposition ``(j, i)``, ``j < i``, in a transposition mask.
+
+    Transpositions are numbered in colexicographic order, (1,2), (1,3), (2,3),
+    (1,4), ..., so the numbering does not depend on n.
+    """
+    return 1 << ((i - 1) * (i - 2) // 2 + j - 1)
+
+
 @functools.lru_cache(maxsize=8)
 class SymmetricGroup:
     """Tables of S_n, built once per n: ``length[w]`` is ``w.coxeter_length()``."""
@@ -171,6 +211,24 @@ class SymmetricGroup:
     def __init__(self, n: int):
         self.n = n
         self.length = {w: w.coxeter_length() for w in Permutation.all(n)}
+
+    @functools.cached_property
+    def length_drops(self) -> dict[Permutation, int]:
+        """``w`` -> the mask of the transpositions ``t`` (``transposition_bit``)
+        with ``length[w t] < length[w]``; built on first read."""
+        length = self.length
+        positions = [(j - 1, i - 1, transposition_bit(j, i))
+                     for i in range(2, self.n + 1) for j in range(1, i)]
+        table = {}
+        for w, lw in length.items():
+            mask = 0
+            for a, b, bit in positions:
+                images = list(w)
+                images[a], images[b] = images[b], images[a]
+                if length[tuple(images)] < lw:
+                    mask |= bit
+            table[w] = mask
+        return table
 
 
 def young_subgroup(blocks: Iterable[Iterable[int]], n: int) -> Iterator[Permutation]:

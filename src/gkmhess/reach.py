@@ -6,7 +6,8 @@ graph is acyclic.  A set ``A`` is reachable from ``B`` (same sizes) when
 the bipartite graph pairing sources ``b`` with targets ``a`` reachable from
 ``b`` admits a perfect matching.  The fixed points of the closed minus cell
 attached to ``(w, h)`` are the permutations whose every prefix, pulled back
-through ``w``, is reachable from an initial segment.
+through ``w``, is reachable from an initial segment.  Many prefixes pull back
+to the same index set, so ``support_A`` decides each set by one matching.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .gkm import HessenbergFunction
-from .perms import Permutation
+from .perms import Permutation, prefix_closed
 
 
 class CellDigraph:
@@ -128,28 +129,18 @@ class SupportSet:
 def support_A(w: Permutation, h: HessenbergFunction) -> SupportSet:
     """Fixed points of the closed minus cell of ``(w, h)``.
 
-    Enumerates S_n by extending prefixes ``u(1..j)``; a prefix survives when
-    the index set ``{w^-1(u(1)), ..., w^-1(u(j))}`` is reachable from [j].
-    Failing a level kills every extension since membership requires all
-    levels at once.
+    ``u`` belongs when every index set ``{w^-1(u(1)), ..., w^-1(u(j))}`` is
+    reachable from [j].  The walk runs over these pulled indices, ``u = w p``
+    for the index sequence ``p``: ``prefix_closed`` drops a prefix as soon as
+    its set fails, which kills every extension, and decides each set by one
+    matching.
     """
     n = h.n
     closure = build_cell_digraph(w, h).reach_closure()
-    initials = [tuple(range(1, j + 1)) for j in range(n + 1)]
-    w_inv = w.inverse()
-    members: list[Permutation] = []
 
-    def extend(prefix: list[int], pulled: list[int]) -> None:
-        j = len(prefix)
-        if j:
-            if not _matchable(closure, initials[j], tuple(sorted(pulled))):
-                return
-        if j == n:
-            members.append(tuple.__new__(Permutation, prefix))
-            return
-        for value in range(1, n + 1):
-            if value not in prefix:
-                extend(prefix + [value], pulled + [w_inv(value)])
+    def reachable(pulled: int) -> bool:
+        targets = tuple(i for i in range(1, n + 1) if pulled >> (i - 1) & 1)
+        return _matchable(closure, tuple(range(1, len(targets) + 1)), targets)
 
-    extend([], [])
-    return SupportSet(w=w, h=h, members=frozenset(members))
+    members = frozenset(w * p for p in prefix_closed(n, reachable))
+    return SupportSet(w=w, h=h, members=members)

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from gkmhess import cells, reach
 from gkmhess.cells import (
     DegenerateEigenvaluesError,
     EigenvalueVector,
+    _leading_minors,
     build_cell_chart,
+    det_fraction,
     fixed_point_oracle,
     minimal_path_coefficient,
     minimal_paths,
@@ -273,3 +277,93 @@ def test_oracle_edgeless_case():
     rng = random.Random(1)
     w = Permutation.from_one_line("4321")
     assert fixed_point_oracle(w, h, rng) == frozenset({w})
+
+
+@pytest.mark.parametrize("oracle", [plucker_pattern, fixed_point_oracle])
+@pytest.mark.parametrize("seeds", [0, -2])
+def test_oracle_needs_a_sample(oracle, seeds):
+    # with no sampled point every coordinate would read as zero
+    with pytest.raises(ValueError, match="seeds must be at least 1"):
+        oracle(Permutation.identity(3), HessenbergFunction((2, 3, 3)), random.Random(0), seeds)
+
+
+def test_oracle_calls_nothing_from_reach(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle read the reachability combinatorics")
+
+    for module in (reach, cells):
+        for name, value in list(vars(module).items()):
+            if callable(value) and getattr(value, "__module__", None) == "gkmhess.reach":
+                monkeypatch.setattr(module, name, forbidden)
+    w = Permutation.from_one_line("24135")
+    rng = random.Random(4)
+    assert len(plucker_pattern(w, H5, rng)) == 5
+    assert w in fixed_point_oracle(w, H5, rng)
+
+
+def _plucker_pattern_by_subset_determinants(w, h, rng, seeds=3):
+    """The Plücker pattern with one exact determinant per row subset, on the
+    sampled points themselves: the reference for ``plucker_pattern``'s
+    integer subset recurrence.  Draws the same points from ``rng``."""
+    n = h.n
+    chart = build_cell_chart(w, h)
+    w_inv = w.inverse()
+    patterns = [set() for _ in range(n + 1)]
+    for _ in range(seeds):
+        x = chart.evaluate_matrix(random_assignment(chart, rng))
+        g_rows = [x[w_inv(r) - 1] for r in range(1, n + 1)]
+        for j in range(1, n + 1):
+            for rows in itertools.combinations(range(1, n + 1), j):
+                if rows in patterns[j]:
+                    continue
+                sub = [[g_rows[r - 1][cidx] for cidx in range(j)] for r in rows]
+                if det_fraction(sub) != 0:
+                    patterns[j].add(rows)
+    return patterns[1:]
+
+
+def _oracle_by_scan(patterns, n):
+    """Every u in S_n whose sorted prefixes all index a nonzero coordinate."""
+    return frozenset(
+        u for u in Permutation.all(n)
+        if all(tuple(sorted(u[:j])) in patterns[j - 1] for j in range(1, n + 1))
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_oracle_matches_subset_determinants(n):
+    rng = random.Random(20 + n)
+    if n <= 4:
+        pairs = [(h, w) for h in HessenbergFunction.all(n) for w in Permutation.all(n)]
+    else:
+        perms = list(Permutation.all(n))
+        pairs = [(HessenbergFunction.random(n, rng), rng.choice(perms))
+                 for _ in range({5: 300, 6: 150}[n])]
+    for index, (h, w) in enumerate(pairs):
+        seeds = 1 + index % 3
+        expected = _plucker_pattern_by_subset_determinants(w, h, random.Random(index), seeds)
+        assert plucker_pattern(w, h, random.Random(index), seeds) == expected, (str(h), str(w))
+        assert fixed_point_oracle(w, h, random.Random(index), seeds) == (
+            _oracle_by_scan(expected, n)
+        ), (str(h), str(w))
+
+
+def _square_matrices(entries):
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@given(_square_matrices(st.integers(-3, 3)) | _square_matrices(st.integers(-10**9, 10**9)))
+@example([[1, 2], [2, 4]])
+@example([[0, 5, 1], [0, 3, 2], [0, 7, 9]])
+@example([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
+@settings(max_examples=60, deadline=None)
+def test_leading_minors_match_exact_determinants(rows):
+    minors = _leading_minors(rows)
+    n = len(rows)
+    assert minors[0] == 1
+    for mask in range(1, 1 << n):
+        chosen = [r for r in range(n) if mask >> r & 1]
+        sub = [[Fraction(rows[r][col]) for col in range(len(chosen))] for r in chosen]
+        assert minors[mask] == det_fraction(sub), (rows, chosen)

@@ -167,6 +167,16 @@ def test_nonpositive_n_is_a_usage_error(argv, capsys):
     assert f"argument --n: must be at least 1, got {argv[argv.index('--n') + 1]}" in err
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_nonpositive_oracle_seeds_is_a_usage_error(seeds, capsys):
+    # with no sample the oracle is empty, and every support would fail
+    from gkmhess import cli
+
+    assert cli.main(["verify", "supports", "--n", "3", "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --seeds: must be at least 1, got {seeds}" in err
+
+
 def test_repeated_value_in_w_is_a_usage_error():
     proc = run_cli("support", "--h", "2,3,4,4", "--w", "1123")
     assert proc.returncode == 2

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from collections import deque
 
 import pytest
@@ -10,8 +14,11 @@ from gkmhess.perms import (
     SymmetricGroup,
     compose,
     partitions,
+    transposition_bit,
     young_subgroup,
 )
+
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def perm_strategy(n):
@@ -79,6 +86,52 @@ def test_length_table_matches_coxeter_length(n):
     assert len(length) == math.factorial(n)
     for w, value in length.items():
         assert value == w.coxeter_length() == len(w.reduced_word())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_length_drops_are_the_inversions(n):
+    drops = SymmetricGroup(n).length_drops
+    assert len(drops) == math.factorial(n)
+    for w, mask in drops.items():
+        expected = sum(
+            transposition_bit(j, i)
+            for i in range(2, n + 1) for j in range(1, i) if w(j) > w(i)
+        )
+        assert mask == expected, w
+
+
+def test_transposition_bits_are_distinct_and_dense():
+    bits = [transposition_bit(j, i) for i in range(2, 8) for j in range(1, i)]
+    assert sorted(bits) == [1 << k for k in range(21)]
+
+
+def test_length_drops_are_built_only_when_read():
+    # the decomposition, Shareshian-Wachs and their generator matrices never
+    # read the drop table (the oriented moment graph does); the spy prints
+    # each build, in a fresh interpreter that no other test has touched
+    code = """
+from gkmhess.chromatic import verify_shareshian_wachs
+from gkmhess.decomp import verify_decomposition
+from gkmhess.dot import generator_matrix
+from gkmhess.gkm import HessenbergFunction
+from gkmhess.perms import SymmetricGroup
+table = SymmetricGroup.__wrapped__.length_drops
+build, table.func = table.func, lambda group: print("built", group.n) or build(group)
+for h in (HessenbergFunction.permutohedral(4), HessenbergFunction.full_flag(4)):
+    for i in range(1, 4):
+        for k in range(4):
+            generator_matrix(i, k, h)
+for k in range(4):
+    assert verify_decomposition(4, k).passed
+assert all(verify_shareshian_wachs(HessenbergFunction.permutohedral(4)).per_degree)
+group = SymmetricGroup(4)
+print("made", len(group.length))
+print(len(group.length_drops))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600, env={**os.environ, "PYTHONPATH": _SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["made", "24", "built", "4", "24"]
 
 
 not_a_permutation = st.lists(st.integers(0, 7), min_size=1, max_size=7).filter(

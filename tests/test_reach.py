@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from gkmhess import reach
+
 from gkmhess.gkm import HessenbergFunction
 from gkmhess.perms import Permutation
 from gkmhess.reach import (
@@ -190,3 +192,46 @@ def test_permutohedral_support_is_block_orbit():
 
             extend(0, {})
             assert support_A(w, h).members == orbit
+
+
+def _support_by_scan(w, h):
+    """Every u in S_n whose every prefix, pulled back through w, lies in the
+    matching j_family: the definition ``support_A`` prunes its way to."""
+    n = h.n
+    w_inv = w.inverse()
+    families = [j_family(w, h, j) for j in range(1, n + 1)]
+    return frozenset(
+        u for u in Permutation.all(n)
+        if all(tuple(sorted(w_inv(v) for v in u[:j])) in families[j - 1]
+               for j in range(1, n + 1))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_support_matches_the_prefix_scan(n):
+    if n <= 4:
+        pairs = [(h, w) for h in HessenbergFunction.all(n) for w in Permutation.all(n)]
+    else:
+        rng = random.Random(55)
+        perms = list(Permutation.all(n))
+        pairs = [(HessenbergFunction.random(n, rng), rng.choice(perms)) for _ in range(600)]
+    for h, w in pairs:
+        assert support_A(w, h).members == _support_by_scan(w, h), (str(h), str(w))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_support_decides_each_pulled_set_once(n, monkeypatch):
+    calls = []
+    matchable = reach._matchable
+
+    def spy(closure, sources, targets):
+        calls.append(targets)
+        return matchable(closure, sources, targets)
+
+    monkeypatch.setattr(reach, "_matchable", spy)
+    rng = random.Random(n)
+    perms = list(Permutation.all(n))
+    for _ in range(20):
+        calls.clear()
+        support_A(rng.choice(perms), HessenbergFunction.random(n, rng))
+        assert len(calls) == len(set(calls)) <= 2 ** n - 1
