@@ -14,16 +14,15 @@ coordinates.
 Minors of ``x`` detect reachability (nonvanishing iff the column set reaches
 the row set), and Plücker coordinates of a generic point recover the fixed
 points of the closed cell, giving an oracle for the support computation that
-never looks at the reachability combinatorics.  The oracle scales each row
-of a sampled point to integers and computes the leading minor of every row
-subset by one Laplace recurrence over subsets, each from the minors of its
-subsets one row smaller.
+never looks at the reachability combinatorics.  Every minor, symbolic or at
+a point, and every Plücker coordinate comes from one Laplace recurrence over
+row subsets, each minor from the minors of its subsets one row smaller; at
+a point each row is first scaled to integers.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .gkm import HessenbergFunction
-from .linalg import row_reduce
 from .perms import Permutation, prefix_closed
 from .polys import MultiPoly
 from .reach import CellDigraph, build_cell_digraph, set_reachable
@@ -168,16 +166,17 @@ class CellChart:
         """Pairs alpha > h(beta) whose defining equation fails to vanish.
 
         A dependent entry is solved from its own equation, so only a pair
-        whose entry is forced to 0 (w(alpha) < w(beta)) can fail: its
-        equation reads S(alpha, beta) = 0.
+        whose entry is forced to 0 (w(alpha) < w(beta)) can fail, and only
+        those are evaluated: their equation reads S(alpha, beta) = 0.
         """
-        bad = []
         n = self.h.n
-        for beta in range(1, n + 1):
-            for alpha in range(self.h(beta) + 1, n + 1):
-                if not self.defining_equation(alpha, beta).is_zero:
-                    bad.append((alpha, beta))
-        return bad
+        return [
+            (alpha, beta)
+            for beta in range(1, n + 1)
+            for alpha in range(self.h(beta) + 1, n + 1)
+            if self.w(alpha) < self.w(beta)
+            and not self.defining_equation(alpha, beta).is_zero
+        ]
 
     def evaluate_matrix(self, assignment: Sequence[Fraction]) -> list[list[Fraction]]:
         """The unitriangular matrix ``x`` at a point of the cell."""
@@ -250,44 +249,68 @@ def path_monomial_exponents(chart: CellChart, path: Sequence[int]) -> tuple[int,
 # -- minors ------------------------------------------------------------------
 
 
-def minor_symbolic(chart: CellChart, rows, cols) -> MultiPoly:
-    """det over chart entries, rows/cols ascending index tuples of equal size."""
+def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(scale, row * scale)``, scale the lcm of the row's denominators:
+    every minor through the row gains the factor ``scale``."""
+    scale = math.lcm(*(v.denominator for v in row))
+    return scale, [v.numerator * (scale // v.denominator) for v in row]
+
+
+def _leading_minors(rows: Sequence[Sequence]) -> list:
+    """``minors[R]`` = det of the rows in ``R`` on the first ``|R|`` columns,
+    for every row subset ``R`` as a bitmask (bit r for ``rows[r]``).
+
+    The package's one determinant: entries may be ``int``, ``Fraction`` or
+    ``MultiPoly`` (a zero entry passed as the ``int`` 0 is skipped).  Laplace
+    expansion along column ``|R|``: det(R) = sum over r in R of
+    (-1)^(pos + |R|) rows[r][|R| - 1] det(R minus r), pos the 1-based rank of
+    r in R.  A subset comes after all of its subsets in numeric order.
+    """
+    n = len(rows)
+    minors = [1] + [0] * ((1 << n) - 1)
+    for mask in range(1, 1 << n):
+        col = mask.bit_count() - 1
+        total, sign = 0, 1
+        for r in range(n - 1, -1, -1):
+            bit = 1 << r
+            if mask & bit:
+                entry = rows[r][col]
+                if entry:
+                    total += sign * entry * minors[mask ^ bit]
+                sign = -sign
+        minors[mask] = total
+    return minors
+
+
+def _submatrix(entry, rows, cols) -> list[list]:
+    """``entry(r, c)`` for r in rows and c in cols, sets of equal size."""
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
         raise ValueError("row and column sets must have equal size")
-    k = len(rows)
-    total = MultiPoly.zero(chart.nvars, chart.var_names)
-    for sigma in itertools.permutations(range(k)):
-        product = MultiPoly.one(chart.nvars, chart.var_names)
-        for col, r in enumerate(sigma):
-            product = product * chart.entry(rows[r], cols[col])
-            if product.is_zero:
-                break
-        if product.is_zero:
-            continue
-        sign = _sign(sigma)
-        total = total + product * sign
-    return total
+    return [[entry(r, c) for c in cols] for r in rows]
 
 
-def _sign(sigma: Sequence[int]) -> int:
-    sign = 1
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if sigma[a] > sigma[b]:
-                sign = -sign
-    return sign
+def minor_symbolic(chart: CellChart, rows, cols) -> MultiPoly:
+    """det over chart entries, rows/cols ascending index tuples of equal size."""
 
+    def entry(r: int, c: int) -> MultiPoly | int:
+        poly = chart.entry(r, c)
+        return 0 if poly.is_zero else poly
 
-def det_fraction(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a square matrix by sparse Gauss–Jordan."""
-    return row_reduce(dict(enumerate(row)) for row in matrix)[2]
+    det = _leading_minors(_submatrix(entry, rows, cols))[-1]
+    return MultiPoly.zero(chart.nvars, chart.var_names) + det
 
 
 def minor_at_point(chart: CellChart, rows, cols, assignment: Sequence[Fraction]) -> Fraction:
+    """The exact minor at a point: the rows scaled to integers, the product
+    of the scales divided back out."""
     x = chart.evaluate_matrix(assignment)
-    sub = [[x[r - 1][c - 1] for c in cols] for r in rows]
-    return det_fraction(sub)
+    scaled = [
+        _integer_row(row)
+        for row in _submatrix(lambda r, c: x[r - 1][c - 1], rows, cols)
+    ]
+    det = _leading_minors([row for _scale, row in scaled])[-1]
+    return Fraction(det, math.prod(scale for scale, _row in scaled))
 
 
 def random_assignment(chart: CellChart, rng: random.Random, span: int = 10**6) -> list[Fraction]:
@@ -416,38 +439,7 @@ def _nonzero_minor_masks(
     nonzero: set[int] = set()
     for _ in range(seeds):
         x = chart.evaluate_matrix(random_assignment(chart, rng))
-        rows = [_integer_row(x[w_inv(r) - 1]) for r in range(1, h.n + 1)]
+        rows = [_integer_row(x[w_inv(r) - 1])[1] for r in range(1, h.n + 1)]
         minors = _leading_minors(rows)
         nonzero.update(mask for mask in range(1, len(minors)) if minors[mask])
     return nonzero
-
-
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """The row times the lcm of its denominators: every minor through the row
-    gains the same nonzero factor, so no minor changes whether it vanishes."""
-    scale = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (scale // v.denominator) for v in row]
-
-
-def _leading_minors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """``minors[R]`` = det of the rows in ``R`` on the first ``|R|`` columns,
-    for every row subset ``R`` as a bitmask (bit r for ``rows[r]``).
-
-    Laplace expansion along column ``|R|``: det(R) = sum over r in R of
-    (-1)^(pos + |R|) rows[r][|R| - 1] det(R minus r), pos the 1-based rank of
-    r in R.  A subset comes after all of its subsets in numeric order.
-    """
-    n = len(rows)
-    minors = [1] + [0] * ((1 << n) - 1)
-    for mask in range(1, 1 << n):
-        col = mask.bit_count() - 1
-        total, sign = 0, 1
-        for r in range(n - 1, -1, -1):
-            bit = 1 << r
-            if mask & bit:
-                entry = rows[r][col]
-                if entry:
-                    total += sign * entry * minors[mask ^ bit]
-                sign = -sign
-        minors[mask] = total
-    return minors

@@ -241,7 +241,7 @@ def _solve_vertex(
                     row[ncols + k] = p.terms[img]
             rows.append(row)
 
-    pivots, leftover, _det = row_reduce(rows, bound=ncols)
+    pivots, leftover = row_reduce(rows, bound=ncols)
     if leftover:
         terms = " + ".join(f"({v})*p{k - ncols}" for k, v in sorted(leftover[0].items()))
         raise InfeasibleInterpolationError(

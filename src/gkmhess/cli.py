@@ -666,12 +666,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gkm-graph", parents=[common], help="moment graph with edge labels")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--h", required=True)
     p.set_defaults(handler=cmd_gkm_graph)
 
     p = sub.add_parser("support", parents=[common], help="fixed points of a closed minus cell")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--h", required=True)
     p.add_argument("--w", required=True)
     p.set_defaults(handler=cmd_support)
@@ -685,26 +685,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("class", parents=[common], help="basis class as fixed-point values")
     p.add_argument("--w", required=True)
     p.add_argument("--h")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--permutohedral", action="store_true")
     p.set_defaults(handler=cmd_class)
 
     p = sub.add_parser("expand", parents=[common], help="expand a class JSON over the basis")
     p.add_argument("--input", required=True)
     p.add_argument("--h", required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
     p.set_defaults(handler=cmd_expand)
 
     p = sub.add_parser("dot", parents=[common], help="simple-reflection action on a basis class")
     p.add_argument("--w", required=True)
     p.add_argument("--gen", type=int, required=True)
     p.add_argument("--h")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--permutohedral", action="store_true")
     p.set_defaults(handler=cmd_dot)
 
     p = sub.add_parser("action-matrix", parents=[common], help="matrix of a group element on one degree")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--perm", required=True)
     p.add_argument("--h", default="permutohedral")

@@ -1,9 +1,10 @@
 """Exact Gauss–Jordan elimination on sparse rational rows.
 
 The one rational elimination of the package: the vertex systems of
-flow-up interpolation, symmetric-function basis transitions and minors all
-call ``row_reduce``.  (The ranks of ``decomp`` run modulo a prime, on the
-same sparse rows, in ``decomp._rank_mod_p``.)
+flow-up interpolation and the symmetric-function basis transitions call
+``row_reduce``.  Minors do not: every determinant of the package is the
+subset recurrence ``cells._leading_minors``.  (The ranks of ``decomp`` run
+modulo a prime, on the same sparse rows, in ``decomp._rank_mod_p``.)
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 Row = dict[int, int | Fraction]
 
 
-def row_reduce(rows, bound: int | None = None) -> tuple[dict[int, Row], list[Row], Fraction]:
+def row_reduce(rows, bound: int | None = None) -> tuple[dict[int, Row], list[Row]]:
     """Reduced row echelon form of sparse rows ``{column: value}``.
 
     Values are ``int`` or ``Fraction``; results keep ``int`` wherever no
@@ -22,21 +23,16 @@ def row_reduce(rows, bound: int | None = None) -> tuple[dict[int, Row], list[Row
     Rows are added in turn: each is reduced by the pivot rows so far, takes
     its smallest column below ``bound`` (any column when ``bound`` is None)
     as pivot, is normalised, and clears that column from the other pivot
-    rows.  Returns ``(pivots, leftover, det)``:
+    rows.  Returns ``(pivots, leftover)``:
 
     * ``pivots`` maps each pivot column to its row, which is 1 there and 0 at
       every other pivot column;
     * ``leftover`` holds the reduced rows that found no pivot column but are
       not zero (with a bound, these are the relations among the columns at
-      or above it);
-    * ``det`` is the determinant when the rows form a square matrix and
-      ``bound`` is None: the product of the pivots times the sign of the
-      order in which rows took pivot columns, or 0 if some row took none.
+      or above it).
     """
     pivots: dict[int, Row] = {}
     leftover: list[Row] = []
-    det = Fraction(1)
-    order: list[int] = []
     for source in rows:
         row = {c: v for c, v in source.items() if v}
         for c in [c for c in row if c in pivots]:
@@ -45,11 +41,9 @@ def row_reduce(rows, bound: int | None = None) -> tuple[dict[int, Row], list[Row
         if not candidates:
             if row:
                 leftover.append(row)
-            det = Fraction(0)
             continue
         col = min(candidates)
         lead = row[col]
-        det *= lead
         if lead != 1:
             # integer rows stay integer where they can: int arithmetic is
             # several times cheaper than Fraction arithmetic
@@ -59,13 +53,7 @@ def row_reduce(rows, bound: int | None = None) -> tuple[dict[int, Row], list[Row
             if col in other:
                 _subtract(other, other.pop(col), row, col)
         pivots[col] = row
-        order.append(col)
-    if det:
-        inversions = sum(
-            a > b for i, a in enumerate(order) for b in order[i + 1:]
-        )
-        det = -det if inversions % 2 else det
-    return pivots, leftover, det
+    return pivots, leftover
 
 
 def _subtract(row: Row, factor, pivot_row: Row, col: int) -> None:

@@ -162,7 +162,7 @@ def _transition_from_m(basis: str, n: int) -> tuple[tuple[Fraction, ...], ...]:
     augmented = [
         {**{c: cols[c][r] for c in range(size)}, size + r: 1} for r in range(size)
     ]
-    inverse, _leftover, _det = row_reduce(augmented, bound=size)
+    inverse, _leftover = row_reduce(augmented, bound=size)
     return tuple(
         tuple(Fraction(inverse[r].get(size + c, 0)) for r in range(size))
         for c in range(size)

@@ -1,17 +1,21 @@
+import dataclasses
 import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from determinants import elimination_det, leibniz
 from gkmhess import cells, reach
 from gkmhess.cells import (
     DegenerateEigenvaluesError,
     EigenvalueVector,
     _leading_minors,
     build_cell_chart,
-    det_fraction,
     fixed_point_oracle,
     minimal_path_coefficient,
     minimal_paths,
@@ -31,6 +35,7 @@ from gkmhess.polys import MultiPoly
 from gkmhess.reach import build_cell_digraph, support_A
 
 H5 = HessenbergFunction((3, 3, 4, 5, 5))
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def test_eigenvalue_distinctness():
@@ -79,6 +84,39 @@ def test_chart_consistency_exhaustive(n):
             assert chart.consistency_violations() == []
 
 
+def _violations_by_full_scan(chart):
+    """Every pair alpha > h(beta) whose defining equation fails to vanish,
+    dependent pairs included: the reference for ``consistency_violations``,
+    which evaluates only the pairs whose entry is forced to 0."""
+    n = chart.h.n
+    return [
+        (alpha, beta)
+        for beta in range(1, n + 1)
+        for alpha in range(chart.h(beta) + 1, n + 1)
+        if not chart.defining_equation(alpha, beta).is_zero
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_consistency_matches_the_full_scan(n):
+    c = prime_eigenvalues(n)
+    for h in HessenbergFunction.all(n):
+        for w in Permutation.all(n):
+            chart = build_cell_chart(w, h, c)
+            assert chart.consistency_violations() == _violations_by_full_scan(chart)
+
+
+def test_consistency_reports_a_forced_zero_pair_with_nonzero_sum(monkeypatch):
+    # w = 231, h = (2, 3, 3): (3, 1) lies above h and is forced to 0, and so is
+    # (3, 2); made 1, it puts -f(2, 1) = -(c_3 - c_2) x2_1 into S(3, 1)
+    w, h = Permutation.from_one_line("231"), HessenbergFunction((2, 3, 3))
+    assert build_cell_chart(w, h).consistency_violations() == []
+    chart = build_cell_chart(w, h)  # equations are kept once computed
+    monkeypatch.setitem(chart.entries, (3, 2), MultiPoly.one(chart.nvars, chart.var_names))
+    assert chart.consistency_violations() == [(3, 1)]
+    assert _violations_by_full_scan(chart) == [(3, 1)]
+
+
 def _entries_by_chain_enumeration(chart):
     """The chart's entries, each dependent one rebuilt from the signed sum
     over all 2^(gap-1) decreasing chains alpha > g_1 > ... > g_t > beta,
@@ -123,7 +161,7 @@ def _hessenberg_conditions_at_a_point(chart, rng):
     n = chart.h.n
     x = chart.evaluate_matrix(random_assignment(chart, rng))
     # [X | I] reduces to [I | X^-1]
-    pivots, _leftover, _det = row_reduce(
+    pivots, _leftover = row_reduce(
         [{**dict(enumerate(row)), n + i: 1} for i, row in enumerate(x)], bound=n
     )
     inverse = [[pivots[i].get(n + j, 0) for j in range(n)] for i in range(n)]
@@ -197,6 +235,50 @@ def test_minor_examples():
     assert not minor_symbolic(chart2, (3, 4), (1, 3)).is_zero
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_minor_symbolic_matches_leibniz(n):
+    c = prime_eigenvalues(n)
+    sets = [s for k in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), k)]
+    for h in HessenbergFunction.all(n):
+        for w in Permutation.all(n):
+            chart = build_cell_chart(w, h, c)
+            for rows in sets:
+                for cols in sets:
+                    if len(rows) != len(cols):
+                        continue
+                    sub = [[chart.entry(r, col) for col in cols] for r in rows]
+                    assert minor_symbolic(chart, rows, cols) == leibniz(sub), (
+                        str(h), str(w), rows, cols
+                    )
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_minor_at_point_matches_an_exact_determinant(n):
+    rng = random.Random(30 + n)
+    perms = list(Permutation.all(n))
+    for _ in range(60):
+        chart = build_cell_chart(rng.choice(perms), HessenbergFunction.random(n, rng))
+        size = rng.randint(1, n)
+        rows = tuple(sorted(rng.sample(range(1, n + 1), size)))
+        cols = tuple(sorted(rng.sample(range(1, n + 1), size)))
+        # small coordinates make vanishing minors common
+        assignment = [Fraction(rng.randint(-2, 2)) for _ in range(chart.nvars)]
+        x = chart.evaluate_matrix(assignment)
+        sub = [[x[r - 1][col - 1] for col in cols] for r in rows]
+        value = minor_at_point(chart, rows, cols, assignment)
+        assert isinstance(value, Fraction)
+        assert value == elimination_det(sub), (str(chart.h), str(chart.w), rows, cols)
+
+
+def test_minors_need_square_index_sets():
+    chart = build_cell_chart(Permutation.identity(3), HessenbergFunction((2, 3, 3)))
+    point = random_assignment(chart, random.Random(0))
+    with pytest.raises(ValueError, match="equal size"):
+        minor_symbolic(chart, (1, 2), (1,))
+    with pytest.raises(ValueError, match="equal size"):
+        minor_at_point(chart, (1, 2), (1,), point)
+
+
 def test_minor_point_evaluation_agrees_with_symbolic():
     rng = random.Random(3)
     w = Permutation.from_one_line("15342")
@@ -223,6 +305,33 @@ def test_certificate_exhaustive_n3():
                 for rows in itertools.combinations((1, 2, 3), size):
                     for cols in itertools.combinations((1, 2, 3), size):
                         assert minor_reachability_certificate(w, h, rows, cols, rng).agree
+
+
+def _minor_certificates(n, seed, count):
+    """The first ``count`` certificates of ``verify minors`` at n >= 5 as
+    plain records: one rng draws each case and then certifies it, so the
+    records pin the rng consumption of the certificate too."""
+    rng = random.Random(seed)
+    perms = list(Permutation.all(n))
+    records = []
+    for _ in range(count):
+        size = rng.randint(1, n)
+        w = rng.choice(perms)
+        h = HessenbergFunction.random(n, rng)
+        rows = tuple(sorted(rng.sample(range(1, n + 1), size)))
+        cols = tuple(sorted(rng.sample(range(1, n + 1), size)))
+        cert = minor_reachability_certificate(w, h, rows, cols, rng)
+        records.append({
+            field.name: getattr(cert, field.name) for field in dataclasses.fields(cert)
+        } | {"w": str(w), "h": str(h), "rows": list(rows), "cols": list(cols)})
+    return records
+
+
+def test_minor_certificates_match_golden():
+    # every unreachable pair takes all its point resamples and one symbolic
+    # escalation, so the golden pins both minor evaluations
+    expected = json.loads((GOLDEN / "minor_certificates_n6_seed0.json").read_text())
+    assert _minor_certificates(6, 0, 200) == expected
 
 
 def test_plucker_pattern_of_fixed_point():
@@ -317,7 +426,7 @@ def _plucker_pattern_by_subset_determinants(w, h, rng, seeds=3):
                 if rows in patterns[j]:
                     continue
                 sub = [[g_rows[r - 1][cidx] for cidx in range(j)] for r in rows]
-                if det_fraction(sub) != 0:
+                if elimination_det(sub) != 0:
                     patterns[j].add(rows)
     return patterns[1:]
 
@@ -348,16 +457,21 @@ def test_oracle_matches_subset_determinants(n):
         ), (str(h), str(w))
 
 
-def _square_matrices(entries):
-    return st.integers(1, 6).flatmap(
+def _square_matrices(entries, max_size=6):
+    return st.integers(1, max_size).flatmap(
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
     )
 
 
-@given(_square_matrices(st.integers(-3, 3)) | _square_matrices(st.integers(-10**9, 10**9)))
+@given(
+    _square_matrices(st.integers(-3, 3))
+    | _square_matrices(st.integers(-10**9, 10**9))
+    | _square_matrices(st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=5)
+)
 @example([[1, 2], [2, 4]])
 @example([[0, 5, 1], [0, 3, 2], [0, 7, 9]])
 @example([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
 @settings(max_examples=60, deadline=None)
 def test_leading_minors_match_exact_determinants(rows):
     minors = _leading_minors(rows)
@@ -365,5 +479,6 @@ def test_leading_minors_match_exact_determinants(rows):
     assert minors[0] == 1
     for mask in range(1, 1 << n):
         chosen = [r for r in range(n) if mask >> r & 1]
-        sub = [[Fraction(rows[r][col]) for col in range(len(chosen))] for r in chosen]
-        assert minors[mask] == det_fraction(sub), (rows, chosen)
+        sub = sympy.Matrix([[sympy.Rational(rows[r][col]) for col in range(len(chosen))]
+                            for r in chosen])
+        assert minors[mask] == Fraction(str(sub.det())), (rows, chosen)

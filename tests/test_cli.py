@@ -158,13 +158,37 @@ def test_decompose_nonpositive_n_is_a_usage_error(n, capsys):
     ["verify", "decomposition", "--n", "0"],
     ["verify", "all", "--n", "-3"],
     ["chromatic", "--n", "0", "--h", "permutohedral"],
-], ids=["verify-decomposition", "verify-all", "chromatic"])
+    ["gkm-graph", "--n", "0", "--h", "permutohedral"],
+    ["gkm-graph", "--n", "-2", "--h", "fullflag"],
+    ["support", "--n", "0", "--h", "permutohedral", "--w", "1"],
+    ["class", "--n", "0", "--w", "1", "--permutohedral"],
+    ["expand", "--n", "-1", "--input", "class.json", "--h", "permutohedral"],
+    ["dot", "--n", "0", "--w", "1", "--gen", "1", "--permutohedral"],
+    ["action-matrix", "--n", "0", "--k", "0", "--perm", "1"],
+], ids=["verify-decomposition", "verify-all", "chromatic", "gkm-graph", "gkm-graph-negative",
+        "support", "class", "expand", "dot", "action-matrix"])
 def test_nonpositive_n_is_a_usage_error(argv, capsys):
     from gkmhess import cli
 
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert f"argument --n: must be at least 1, got {argv[argv.index('--n') + 1]}" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--min-n", "3", "--max-n", "2"], "--min-n 3 is above --max-n 2"),
+    (["--min-n", "0", "--max-n", "2"], "argument --min-n: must be at least 1, got 0"),
+    (["--max-n", "-1"], "argument --max-n: must be at least 1, got -1"),
+], ids=["empty-range", "zero-min", "negative-max"])
+def test_verification_script_rejects_an_empty_or_nonpositive_range(argv, message):
+    import pathlib
+
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    proc = subprocess.run([sys.executable, str(script), *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])

@@ -1,11 +1,10 @@
-import itertools
-import math
 from fractions import Fraction
 
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from gkmhess.cells import _sign
+from determinants import elimination_det, leibniz
+from gkmhess.cells import _leading_minors
 from gkmhess.decomp import _FALLBACK_PRIME, _MOD_PRIME, _certified_rank, _rank_mod_p
 from gkmhess.linalg import row_reduce
 
@@ -25,14 +24,6 @@ fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 small_ints = st.integers(-2, 2)
 
 
-def leibniz(matrix):
-    size = len(matrix)
-    return sum(
-        _sign(sigma) * math.prod(matrix[r][sigma[r]] for r in range(size))
-        for sigma in itertools.permutations(range(size))
-    )
-
-
 def sparse(matrix):
     return [dict(enumerate(row)) for row in matrix]
 
@@ -40,14 +31,17 @@ def sparse(matrix):
 @given(matrices(st.one_of(fractions, small_ints.map(Fraction))))
 @settings(max_examples=200)
 def test_determinant_matches_leibniz(matrix):
-    assert row_reduce(sparse(matrix))[2] == leibniz(matrix)
+    # the package's one determinant, and the elimination reference of the tests
+    expected = leibniz(matrix)
+    assert _leading_minors(matrix)[-1] == expected
+    assert elimination_det(matrix) == expected
 
 
 @given(matrices(st.integers(-5, 5), max_size=5, square=False))
 @settings(max_examples=200)
 def test_rank_matches_modular_rank(matrix):
     # entries and sizes this small keep every minor far below the prime
-    pivots, leftover, _det = row_reduce(sparse(matrix))
+    pivots, leftover = row_reduce(sparse(matrix))
     assert not leftover
     assert len(pivots) == _rank_mod_p(sparse(matrix))
 
@@ -55,7 +49,7 @@ def test_rank_matches_modular_rank(matrix):
 @given(matrices(st.integers(-3, 3), max_size=4, square=False), st.integers(0, 5))
 @settings(max_examples=200)
 def test_bounded_pivots_give_rref_and_relations(matrix, bound):
-    pivots, leftover, _det = row_reduce(sparse(matrix), bound=bound)
+    pivots, leftover = row_reduce(sparse(matrix), bound=bound)
     for col, row in pivots.items():
         assert col < bound and row[col] == 1
         assert min(row) == col
