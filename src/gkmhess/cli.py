@@ -26,17 +26,17 @@ from .cells import (
     prime_eigenvalues,
 )
 from .chromatic import chromatic_qsym, verify_closed_expansion, verify_shareshian_wachs
-from .classes import expand_in_basis, gkm_check, interpolate_class, permutohedral_class
+from .classes import EquivariantClass, expand_in_basis, gkm_check, permutohedral_class
 from .decomp import verify_decomposition, verify_wz_completeness
 from .dot import (
-    NonUniqueBasisError,
     action_matrix,
     dashed_rule_check,
     dot,
+    flow_up_basis,
+    flow_up_class,
     full_flag_si_rule_check,
     generator_matrix,
     perm_si_action,
-    unique_interpolated_basis,
 )
 from .gkm import EdgeKind, GkmGraph, HessenbergFunction, edge_kind, l_h, poincare_coefficients
 from .perms import Composition, Permutation, SymmetricGroup
@@ -66,14 +66,12 @@ class RunConfig:
         return random.Random(self.seed)
 
 
-def _parse_h(text: str | None, n: int | None, source: str | None = None) -> HessenbergFunction:
+def _parse_h(text: str, n: int | None, source: str | None = None) -> HessenbergFunction:
     """``--h`` as a Hessenberg function, of length ``n`` when ``n`` is given.
 
     ``source`` says where ``n`` came from in the mismatch message; by
     default it is ``--n``.
     """
-    if text is None:
-        raise ValueError("a Hessenberg function is required (--h or --permutohedral)")
     if text in ("permutohedral", "fullflag") and n is None:
         raise ValueError(f"--h {text} needs --n")
     if text == "permutohedral":
@@ -86,7 +84,7 @@ def _parse_h(text: str | None, n: int | None, source: str | None = None) -> Hess
     return h
 
 
-def _parse_h_for(w: Permutation, text: str | None, n: int | None,
+def _parse_h_for(w: Permutation, text: str, n: int | None,
                  flag: str = "--w") -> HessenbergFunction:
     """``--h`` for the permutation given as ``flag``; their lengths, and
     ``--n`` when given, must agree."""
@@ -148,11 +146,14 @@ def cmd_support(args, config: RunConfig) -> int:
 def cmd_cell_chart(args, config: RunConfig) -> int:
     w = Permutation.from_one_line(args.w)
     h = _parse_h_for(w, args.h, None)
-    c = (
-        EigenvalueVector(tuple(Fraction(v) for v in args.eigenvalues.split(",")))
-        if args.eigenvalues
-        else prime_eigenvalues(h.n)
-    )
+    try:
+        c = (
+            EigenvalueVector(tuple(Fraction(v) for v in args.eigenvalues.split(",")))
+            if args.eigenvalues
+            else prime_eigenvalues(h.n)
+        )
+    except ZeroDivisionError:
+        raise ValueError(f"--eigenvalues {args.eigenvalues}: a zero denominator") from None
     chart = build_cell_chart(w, h, c)
     entries = {
         f"{i},{j}": str(chart.entry(i, j))
@@ -176,20 +177,15 @@ def cmd_cell_chart(args, config: RunConfig) -> int:
 def cmd_class(args, config: RunConfig) -> int:
     w = Permutation.from_one_line(args.w)
     h = _parse_h_for(w, "permutohedral" if args.permutohedral else args.h, args.n)
-    if args.permutohedral:
-        cls = permutohedral_class(w)
-        unique = True
-    else:
-        result = interpolate_class(w, h)
-        cls, unique = result.cls, result.unique
+    result = flow_up_class(w, h)
     _emit(
         {
             "n": h.n,
             "h": list(h),
             "w": str(w),
             "degree": l_h(w, h),
-            "unique": unique,
-            "values": _class_payload(cls),
+            "unique": result.unique,
+            "values": _class_payload(result.cls),
         },
         config,
     )
@@ -212,8 +208,6 @@ def cmd_expand(args, config: RunConfig) -> int:
     if args.n is not None and args.n != n:
         raise ValueError(f"the class has n = {n} but --n is {args.n}")
     h = _parse_h(args.h, n, f"the class has n = {n}")
-    from .classes import EquivariantClass
-
     values = {}
     for key, text in texts.items():
         if not isinstance(text, str):
@@ -230,11 +224,7 @@ def cmd_expand(args, config: RunConfig) -> int:
         _emit({"error": "input violates the edge divisibility condition",
                "edge": [str(violation.v), str(violation.w)]}, config)
         return 1
-    if h.is_permutohedral():
-        basis = {w: permutohedral_class(w) for w in Permutation.all(n)}
-    else:
-        basis = unique_interpolated_basis(h)
-    expansion = expand_in_basis(cls, basis, h)
+    expansion = expand_in_basis(cls, flow_up_basis(h), h)
     _emit(
         {
             "n": n,
@@ -265,12 +255,7 @@ def cmd_dot(args, config: RunConfig) -> int:
             config,
         )
         return 0
-    result = interpolate_class(w, h)
-    if not result.unique:
-        _emit({"error": "uncertified", "reason": "interpolation not unique",
-               "w": str(w), "h": list(h)}, config)
-        return 1
-    moved = dot(Permutation.simple(args.gen, n), result.cls)
+    moved = dot(Permutation.simple(args.gen, n), flow_up_class(w, h).cls)
     _emit(
         {
             "n": n,
@@ -516,8 +501,6 @@ def verify_dot_rules(n: int, config: RunConfig) -> dict:
     from .dot import build_auxiliary_class
 
     failures = []
-    skipped = 0
-    h = HessenbergFunction.permutohedral(n)
     tii = lambda i: MultiPoly.linear_form(i + 1, i, n)
     for w in Permutation.all(n):
         w_inv = w.inverse()
@@ -534,18 +517,17 @@ def verify_dot_rules(n: int, config: RunConfig) -> dict:
         n4 = h4.n
         for w in Permutation.all(n4):
             for i in range(1, n4):
-                if edge_kind(w, i, h4) is EdgeKind.DASHED:
-                    try:
-                        if not dashed_rule_check(w, i, h4):
-                            failures.append({"w": str(w), "i": i, "h": str(h4), "kind": "dashed"})
-                    except NonUniqueBasisError:
-                        skipped += 1
+                if edge_kind(w, i, h4) is EdgeKind.DASHED and not dashed_rule_check(w, i, h4):
+                    failures.append({"w": str(w), "i": i, "h": str(h4), "kind": "dashed"})
     n_flag = min(n, 4)
     for w in Permutation.all(n_flag):
         for i in range(1, n_flag):
             if not full_flag_si_rule_check(w, i):
                 failures.append({"w": str(w), "i": i, "kind": "full-flag"})
-    return _result("dot-rules", not failures, skipped=skipped, failures=failures[:5])
+    # every class is read as its flow-up representative, so nothing is skipped;
+    # the field stays because schema 1 has it, and so do the verify golden and
+    # the benchmark's byte-checked reference output
+    return _result("dot-rules", not failures, skipped=0, failures=failures[:5])
 
 
 def verify_coxeter(n: int, config: RunConfig) -> dict:
@@ -654,6 +636,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_h_or_permutohedral(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--h")
+    group.add_argument("--permutohedral", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -684,9 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("class", parents=[common], help="basis class as fixed-point values")
     p.add_argument("--w", required=True)
-    p.add_argument("--h")
     p.add_argument("--n", type=_positive_int)
-    p.add_argument("--permutohedral", action="store_true")
+    _add_h_or_permutohedral(p)
     p.set_defaults(handler=cmd_class)
 
     p = sub.add_parser("expand", parents=[common], help="expand a class JSON over the basis")
@@ -698,9 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dot", parents=[common], help="simple-reflection action on a basis class")
     p.add_argument("--w", required=True)
     p.add_argument("--gen", type=int, required=True)
-    p.add_argument("--h")
     p.add_argument("--n", type=_positive_int)
-    p.add_argument("--permutohedral", action="store_true")
+    _add_h_or_permutohedral(p)
     p.set_defaults(handler=cmd_dot)
 
     p = sub.add_parser("action-matrix", parents=[common], help="matrix of a group element on one degree")
@@ -749,8 +735,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return 0
     except RuntimeError as exc:
-        # computation-level refusals, such as a non-unique class that
-        # ``expand`` needs, or an input outside the span of the basis
+        # computation-level failures, such as an input outside the span of
+        # the basis or an interpolation that meets a parameter relation
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyError as exc:

@@ -78,8 +78,8 @@ def full_flag_si_rule_check(w: Permutation, i: int) -> bool:
     h = HessenbergFunction.full_flag(n)
     expected = EquivariantClass.zero(n)
     for v, coeff in full_flag_si_expansion(w, i).items():
-        expected = expected + _unique_class(v, h).scale(coeff)
-    return dot(Permutation.simple(i, n), _unique_class(w, h)) == expected
+        expected = expected + flow_up_class(v, h).cls.scale(coeff)
+    return dot(Permutation.simple(i, n), flow_up_class(w, h).cls) == expected
 
 
 def dashed_rule_check(w: Permutation, i: int, h: HessenbergFunction) -> bool:
@@ -87,51 +87,40 @@ def dashed_rule_check(w: Permutation, i: int, h: HessenbergFunction) -> bool:
     if edge_kind(w, i, h) is not EdgeKind.DASHED:
         raise ValueError("rule applies to dashed pairs only")
     si = Permutation.simple(i, h.n)
-    return dot(si, _unique_class(w, h)) == _unique_class(si * w, h)
+    return dot(si, flow_up_class(w, h).cls) == flow_up_class(si * w, h).cls
 
 
 # -- the flow-up basis ---------------------------------------------------------
 
-# Interpolated classes, one dict per h filled one class at a time.
+# Flow-up classes, one dict per h filled one class at a time.
 _bases: dict[HessenbergFunction, dict[Permutation, InterpolationResult]] = {}
 
 
-def _interpolated(w: Permutation, h: HessenbergFunction) -> InterpolationResult:
-    """``interpolate_class(w, h)``, computed once per (w, h) while h is held."""
-    basis = _held(_bases, h, dict)
-    result = basis.get(w)
-    if result is None:
-        result = basis[w] = interpolate_class(w, h)
-    return result
+def flow_up_class(w: Permutation, h: HessenbergFunction) -> InterpolationResult:
+    """The flow-up class of ``(w, h)``, computed once per (w, h) while h is held.
 
-
-class NonUniqueBasisError(RuntimeError):
-    """A basis class the computation needs is not pinned down by interpolation."""
-
-
-def _unique_class(w: Permutation, h: HessenbergFunction) -> EquivariantClass:
-    result = _interpolated(w, h)
-    if not result.unique:
-        raise NonUniqueBasisError(
-            f"no certified basis: interpolation not unique at w={w} for h={h}"
-        )
-    return result.cls
-
-
-def flow_up_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass]:
-    """One flow-up class per fixed point: the interpolated representative.
-
+    For the permutohedral h it is the closed form ``permutohedral_class(w)``,
+    with no free parameters; for any other h, ``interpolate_class(w, h)``.
     Where interpolation leaves free parameters, the representative sets them
     to 0.  It is still homogeneous of degree ``l_h(w)``, vanishes off
     ``A(w)`` and is nonzero at ``w``, the unique length-minimal point of
-    ``A(w)``, so the classes form a basis (Guillemin-Zara).
+    ``A(w)``, so the classes form a basis (Guillemin-Zara) whether or not
+    each one is unique.
     """
-    return {w: _interpolated(w, h).cls for w in Permutation.all(h.n)}
+    basis = _held(_bases, h, dict)
+    result = basis.get(w)
+    if result is None:
+        if h.is_permutohedral():
+            result = InterpolationResult(cls=permutohedral_class(w), free_parameters=0)
+        else:
+            result = interpolate_class(w, h)
+        basis[w] = result
+    return result
 
 
-def unique_interpolated_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass]:
-    """``flow_up_basis(h)``, but raises unless every class is pinned down."""
-    return {w: _unique_class(w, h) for w in Permutation.all(h.n)}
+def flow_up_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass]:
+    """One flow-up class per fixed point, as ``flow_up_class`` gives it."""
+    return {w: flow_up_class(w, h).cls for w in Permutation.all(h.n)}
 
 
 # -- permutohedral machinery --------------------------------------------------

@@ -245,6 +245,8 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Mul
         (names[i] if names else f"t{i + 1}"): i for i in range(nvars)
     }
     pieces = re.findall(r"[+-]?[^+-]+", text)
+    if "".join(pieces) != text:
+        raise ValueError(f"cannot parse {text!r}: a sign without a term")
     result = MultiPoly.zero(nvars, names)
     for piece in pieces:
         sign = 1
@@ -256,9 +258,12 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Mul
         if not match:
             raise ValueError(f"cannot parse term {piece!r}")
         coeff_text = match.group("coeff")
-        coeff: Coeff = 1 if coeff_text is None else (
-            Fraction(coeff_text) if "/" in coeff_text else int(coeff_text)
-        )
+        try:
+            coeff: Coeff = 1 if coeff_text is None else (
+                Fraction(coeff_text) if "/" in coeff_text else int(coeff_text)
+            )
+        except ZeroDivisionError:
+            raise ValueError(f"cannot parse {text!r}: a zero denominator") from None
         exps = [0] * nvars
         var_text = match.group("vars")
         if var_text:

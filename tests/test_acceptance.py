@@ -42,7 +42,6 @@ from gkmhess.decomp import (
 )
 from gkmhess.dot import (
     ActionMatrix,
-    NonUniqueBasisError,
     build_auxiliary_class,
     dashed_rule_check,
     degree_basis,
@@ -204,7 +203,6 @@ def test_criterion_05_poincare_polynomials():
 
 def test_criterion_06_dot_action_rules():
     failures = []
-    skipped = 0
 
     # master identity for every eligible pair up to n=5
     for n in range(2, 6):
@@ -242,13 +240,8 @@ def test_criterion_06_dot_action_rules():
     for h in HessenbergFunction.all(4):
         for w in Permutation.all(4):
             for i in range(1, 4):
-                if edge_kind(w, i, h) is not EdgeKind.DASHED:
-                    continue
-                try:
-                    if not dashed_rule_check(w, i, h):
-                        failures.append(("dashed", str(w), i, str(h)))
-                except NonUniqueBasisError:
-                    skipped += 1
+                if edge_kind(w, i, h) is EdgeKind.DASHED and not dashed_rule_check(w, i, h):
+                    failures.append(("dashed", str(w), i, str(h)))
 
     # full flag rules, exhaustively up to n=4
     for n in range(2, 5):
@@ -257,7 +250,8 @@ def test_criterion_06_dot_action_rules():
                 if not full_flag_si_rule_check(w, i):
                     failures.append(("full-flag", n, str(w), i))
 
-    # general-h worked identities, gated on interpolation uniqueness
+    # general-h worked identities on the flow-up representatives: the target
+    # 1243 of 4.8(1) is not unique, and the identity holds on its representative
     for label, h_values, summands, i, target, linear in [
         ("4.8(1)", (2, 4, 4, 4), ["2143", "2413", "2341"], 1, "1243", (2, 1)),
         ("4.8(4)", (2, 3, 4, 4), ["1324", "1342", "3124", "3412"], 2, "1234", (3, 2)),
@@ -269,12 +263,8 @@ def test_criterion_06_dot_action_rules():
         for w in summands:
             total = results[w].cls if total is None else total + results[w].cls
         si = Permutation.simple(i, 4)
-        identity_holds = dot(si, total) - total == target_result.cls.scale(lf(*linear, 4))
-        if not identity_holds:
-            if all(r.unique for r in results.values()) and target_result.unique:
-                failures.append((label,))
-            else:
-                skipped += 1
+        if dot(si, total) - total != target_result.cls.scale(lf(*linear, 4)):
+            failures.append((label,))
 
     # the two identities whose auxiliary sums carry a moved class
     for label, h_values, base, mover, moved_base, moved_extra, extra_linear, i, target, linear in [
@@ -284,9 +274,6 @@ def test_criterion_06_dot_action_rules():
         h = HessenbergFunction(h_values)
         names = [base, moved_base, moved_extra, target]
         results = {w: interpolate_class(Permutation.from_one_line(w), h) for w in names}
-        if not all(r.unique for r in results.values()):
-            skipped += 1
-            continue
         moved = dot(mover, results[moved_base].cls)
         relation_ok = moved == results[moved_base].cls + results[moved_extra].cls.scale(
             lf(*extra_linear, 4)
@@ -297,11 +284,7 @@ def test_criterion_06_dot_action_rules():
         if not (relation_ok and identity_holds):
             failures.append((label,))
 
-    report(
-        "criterion 6: reflection action rules",
-        not failures,
-        f"skipped {skipped} non-unique instances" if skipped else "no skips",
-    )
+    report("criterion 6: reflection action rules", not failures, str(failures[:5]) if failures else "")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -292,7 +292,9 @@ def test_expand_class_file_missing_a_field_is_a_usage_error(field, tmp_path, cap
     ("12", "t1", "the class has n = 4 but the value key '12' has length 2"),
     ("1324", "t9", "unknown variable 't9': expected one of t1, t2, t3, t4"),
     ("1324", 5, "the class file's 'values' entry '1324' must be a string, not 5"),
-], ids=["key-length", "unknown-variable", "non-string-value"])
+    ("1324", "t1--t2", "cannot parse 't1--t2': a sign without a term"),
+    ("1324", "1/0", "cannot parse '1/0': a zero denominator"),
+], ids=["key-length", "unknown-variable", "non-string-value", "stray-sign", "zero-denominator"])
 def test_expand_malformed_class_file_is_a_usage_error(key, value, message, tmp_path, capsys):
     from gkmhess import cli
 
@@ -359,14 +361,70 @@ def test_verify_sw_and_action_matrix_take_an_h_with_non_unique_classes(h, capsys
     assert json.loads(capsys.readouterr().out)["h"] == [int(v) for v in h.split(",")]
 
 
-def test_expand_uncertified_h_exits_one(tmp_path):
-    # a basis that interpolation cannot pin down is refused, not guessed
-    data = run_json("class", "--permutohedral", "--w", "2143")
-    path = tmp_path / "cls.json"
+def _non_unique_class_file(tmp_path, capsys) -> tuple[dict, str]:
+    """``class --w 1243 --h 2,4,4,4`` (not unique), as payload and as a file."""
+    from gkmhess import cli
+
+    assert cli.main(["class", "--w", "1243", "--h", "2,4,4,4"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["unique"] is False
+    path = tmp_path / "class.json"
     path.write_text(json.dumps(data))
-    proc = run_cli("expand", "--input", str(path), "--h", "2,4,4,4")
-    assert proc.returncode == 1
-    assert "error" in proc.stderr or proc.stdout
+    return data, str(path)
+
+
+def test_expand_of_a_non_unique_class_is_its_own_basis_vector(tmp_path, capsys):
+    from gkmhess import cli
+
+    _data, path = _non_unique_class_file(tmp_path, capsys)
+    assert cli.main(["expand", "--input", path, "--h", "2,4,4,4"]) == 0
+    assert json.loads(capsys.readouterr().out)["coefficients"] == {"1243": "1"}
+
+
+def test_dot_on_a_non_unique_class_moves_its_representative(tmp_path, capsys):
+    from gkmhess import cli
+    from gkmhess.classes import EquivariantClass
+    from gkmhess.dot import dot
+    from gkmhess.perms import Permutation
+    from gkmhess.polys import parse_poly
+
+    data, _path = _non_unique_class_file(tmp_path, capsys)
+    assert cli.main(["dot", "--w", "1243", "--h", "2,4,4,4", "--gen", "1"]) == 0
+    moved = json.loads(capsys.readouterr().out)["values"]
+    cls = EquivariantClass(4, {
+        Permutation.from_one_line(v): parse_poly(p, 4) for v, p in data["values"].items()
+    })
+    expected = dot(Permutation.simple(1, 4), cls)
+    assert moved == {str(v): str(p) for v, p in sorted(expected.values.items())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["class", "--w", "1243", "--h", "2,4,4,4", "--permutohedral"],
+    ["dot", "--w", "1243", "--h", "2,4,4,4", "--gen", "1", "--permutohedral"],
+    ["class", "--w", "1243"],
+    ["dot", "--w", "1243", "--gen", "1"],
+], ids=["class-both", "dot-both", "class-neither", "dot-neither"])
+def test_h_and_permutohedral_are_one_choice(argv, capsys):
+    from gkmhess import cli
+
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--h" in captured.err and "--permutohedral" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("eigenvalues,message", [
+    ("1,2,x,4", "Invalid literal for Fraction: 'x'"),
+    ("1,2,3,1/0", "--eigenvalues 1,2,3,1/0: a zero denominator"),
+], ids=["not-a-number", "zero-denominator"])
+def test_cell_chart_bad_eigenvalues_are_a_usage_error(eigenvalues, message, capsys):
+    from gkmhess import cli
+
+    argv = ["cell-chart", "--eigenvalues", eigenvalues, "--w", "2413", "--h", "3,3,4,4"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_supports_is_deterministic():

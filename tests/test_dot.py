@@ -14,7 +14,6 @@ from gkmhess.classes import (
 )
 from gkmhess.dot import (
     ActionMatrix,
-    NonUniqueBasisError,
     action_matrix,
     auxiliary_terms,
     build_auxiliary_class,
@@ -22,11 +21,11 @@ from gkmhess.dot import (
     degree_basis,
     dot,
     flow_up_basis,
+    flow_up_class,
     full_flag_si_expansion,
     full_flag_si_rule_check,
     generator_matrix,
     perm_si_action,
-    unique_interpolated_basis,
 )
 from gkmhess.dot import _CACHE_BOUND, _caches, _ConstantRing, _expansion_cache, _PolyRing
 from gkmhess.gkm import EdgeKind, HessenbergFunction, edge_kind, l_h, poincare_coefficients
@@ -408,9 +407,11 @@ def test_flow_up_memo_is_bounded_and_drops_the_oldest_h(monkeypatch):
     for h in functions:
         flow_up_basis(h)
     assert list(dot_module._bases) == functions[-_CACHE_BOUND:]
-    assert len(calls) == 6 * len(functions)
+    # the permutohedral h takes its closed form and interpolates nothing
+    interpolated = 6 * (len(functions) - 1)
+    assert len(calls) == interpolated
     flow_up_basis(functions[-1])
-    assert len(calls) == 6 * len(functions)
+    assert len(calls) == interpolated
     flow_up_basis(functions[0])
     assert calls[-1] == (Permutation.longest(3), functions[0])
 
@@ -422,7 +423,7 @@ def test_verify_dot_rules_interpolates_each_class_once(monkeypatch):
     result = cli.verify_dot_rules(4, cli.RunConfig())
     assert result["passed"] and result["skipped"] == 0
     assert len(calls) == len(set(calls))
-    assert len(calls) == 314
+    assert len(calls) == 292
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -431,7 +432,9 @@ def test_closed_routes_match_the_interpolated_route(n, family):
     # the t = 0 recursion and the full-flag identity against the general
     # route: reduce s_i . sigma_w over the interpolated basis, column by column
     h = getattr(HessenbergFunction, family)(n)
-    basis = unique_interpolated_basis(h)
+    results = {w: interpolate_class(w, h) for w in Permutation.all(n)}
+    assert all(result.unique for result in results.values())
+    basis = {w: result.cls for w, result in results.items()}
     for k in range(len(h.pairs) + 1):
         order = degree_basis(h, k)
         for i in range(1, n):
@@ -463,7 +466,7 @@ def test_action_matrix_holds_only_the_basis_order_and_columns():
 
 def test_reduce_to_ordinary_keeps_integral_values_int():
     h = HessenbergFunction((2, 3, 3, 4))
-    basis = unique_interpolated_basis(h)
+    basis = flow_up_basis(h)
     for k in range(len(h.pairs) + 1):
         for w in degree_basis(h, k):
             moved = dot(Permutation.simple(2, 4), basis[w])
@@ -471,19 +474,17 @@ def test_reduce_to_ordinary_keeps_integral_values_int():
                 assert type(value) is int or value.denominator != 1
 
 
-def test_non_unique_basis_is_refused_with_one_error_type(monkeypatch):
-    # the certified readers refuse a non-unique class with one error type;
-    # the matrices take the representatives that ``gkmhess class`` prints
+def test_non_unique_classes_are_read_as_their_representatives(monkeypatch):
+    # every reader takes the representative that ``gkmhess class`` prints,
+    # with its free parameters set to 0; none refuses a non-unique class
     h = HessenbergFunction((2, 4, 4, 4))
     w = Permutation.from_one_line("1243")
-    assert not interpolate_class(w, h).unique
-    with pytest.raises(NonUniqueBasisError, match="interpolation not unique"):
-        unique_interpolated_basis(h)
-    with pytest.raises(NonUniqueBasisError, match="interpolation not unique"):
-        dashed_rule_check(Permutation.from_one_line("12354"), 1,
-                          HessenbergFunction((1, 3, 5, 5, 5)))
+    result = flow_up_class(w, h)
+    assert result == interpolate_class(w, h) and not result.unique
+    assert dashed_rule_check(Permutation.from_one_line("12354"), 1,
+                             HessenbergFunction((1, 3, 5, 5, 5)))
     basis = flow_up_basis(h)
-    assert basis[w] == interpolate_class(w, h).cls
+    assert basis[w] == result.cls
     k = l_h(w, h)
     order = degree_basis(h, k)
     s1 = Permutation.simple(1, 4)
@@ -497,6 +498,38 @@ def test_non_unique_basis_is_refused_with_one_error_type(monkeypatch):
         for k in range(len(closed.pairs) + 1):
             action_matrix(Permutation.longest(4), k, closed)
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_permutohedral_flow_up_class_is_the_interpolated_class(n):
+    # the closed form that ``flow_up_class`` returns for the permutohedral h,
+    # against the interpolation it replaces there
+    h = HessenbergFunction.permutohedral(n)
+    for w in Permutation.all(n):
+        assert flow_up_class(w, h) == interpolate_class(w, h)
+
+
+# The 18 Hessenberg functions on [5] with a non-unique flow-up class, from a
+# sweep of interpolate_class over all 42 of them.
+NON_UNIQUE_H5 = [
+    "1,3,5,5,5", "1,4,4,5,5", "1,4,5,5,5", "2,3,5,5,5", "2,4,4,4,5", "2,4,4,5,5",
+    "2,4,5,5,5", "2,5,5,5,5", "3,3,4,4,5", "3,3,4,5,5", "3,3,5,5,5", "3,4,4,4,5",
+    "3,4,4,5,5", "3,4,5,5,5", "3,5,5,5,5", "4,4,4,5,5", "4,4,5,5,5", "4,5,5,5,5",
+]
+
+
+@pytest.mark.parametrize("text", random.Random(16).sample(NON_UNIQUE_H5, 3))
+def test_dashed_rule_holds_on_non_unique_representatives(text):
+    h = HessenbergFunction.from_string(text)
+    non_unique = {w for w in Permutation.all(5) if not flow_up_class(w, h).unique}
+    assert non_unique
+    involved = 0
+    for w in Permutation.all(5):
+        for i in range(1, 5):
+            if edge_kind(w, i, h) is EdgeKind.DASHED:
+                assert dashed_rule_check(w, i, h), (str(w), i)
+                involved += bool({w, Permutation.simple(i, 5) * w} & non_unique)
+    assert involved
 
 
 @pytest.mark.parametrize("h", list(HessenbergFunction.all(4)), ids=str)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,20 @@ def test_parse_examples():
     assert parse_poly("-t1+3/2*t2^2", 3) == -t(1) + MultiPoly.constant(Fraction(3, 2), 3) * t(2) * t(2)
     with pytest.raises(ValueError, match="unknown variable 't4'"):
         parse_poly("t1-t4^2", 3)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("t1--t2", "a sign without a term"),
+    ("t1-+t2", "a sign without a term"),
+    ("t1+-t2", "a sign without a term"),
+    ("-", "a sign without a term"),
+    ("t1-", "a sign without a term"),
+    ("1/0", "a zero denominator"),
+    ("t1-3/0*t2", "a zero denominator"),
+])
+def test_parse_rejects_stray_signs_and_zero_denominators(text, message):
+    with pytest.raises(ValueError, match=f"cannot parse {re.escape(repr(text))}: {message}"):
+        parse_poly(text, 3)
 
 
 def test_homogeneity_and_degree():
