@@ -55,6 +55,11 @@ class EigenvalueVector:
     def n(self) -> int:
         return len(self.values)
 
+    @functools.cached_property
+    def exact(self) -> tuple[int | Fraction, ...]:
+        """The values, each an ``int`` where integral."""
+        return tuple(v.numerator if v.denominator == 1 else v for v in self.values)
+
     @classmethod
     def random(cls, n: int, rng: random.Random, span: int = 10**6) -> "EigenvalueVector":
         values = rng.sample(range(1, span), n)
@@ -72,6 +77,7 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+@functools.cache
 def prime_eigenvalues(n: int) -> EigenvalueVector:
     """c_k = k-th prime; the default generic choice."""
     out: list[int] = []
@@ -98,6 +104,11 @@ class CellChart:
         self.var_names = tuple(f"x{i}_{j}" for i, j in self.free_pairs)
         self.nvars = len(self.free_pairs)
         self._var_index = {pair: k for k, pair in enumerate(self.free_pairs)}
+        # c_{w(a)} at position a (index a - 1), an int where integral
+        self._eigen_at = [c.exact[k - 1] for k in w]
+        # polynomials are never changed in place, so one zero and one one serve
+        self._zero_poly = MultiPoly.zero(self.nvars, self.var_names)
+        self._one_poly = MultiPoly.one(self.nvars, self.var_names)
         self.entries: dict[tuple[int, int], MultiPoly] = {}
         self._equations: dict[tuple[int, int], MultiPoly] = {}
         self._build()
@@ -107,17 +118,14 @@ class CellChart:
         """The cell digraph, whose edges are the free pairs, built on first read."""
         return build_cell_digraph(self.w, self.h)
 
-    def _zero(self) -> MultiPoly:
-        return MultiPoly.zero(self.nvars, self.var_names)
-
-    def _coeff(self, a: int, b: int) -> Fraction:
-        """c_{w(a)} - c_{w(b)} for positions a, b."""
-        diff = self.c[self.w(a)] - self.c[self.w(b)]
+    def _coeff(self, a: int, b: int) -> int | Fraction:
+        """c_{w(a)} - c_{w(b)} for positions a, b, an ``int`` where integral."""
+        diff = self._eigen_at[a - 1] - self._eigen_at[b - 1]
         if diff == 0:
             raise DegenerateEigenvaluesError(
                 f"vanishing denominator c_{self.w(a)} - c_{self.w(b)}"
             )
-        return diff
+        return diff.numerator if diff.denominator == 1 else diff
 
     def _build(self) -> None:
         n = self.h.n
@@ -125,20 +133,20 @@ class CellChart:
             for beta in range(1, n - gap + 1):
                 alpha = beta + gap
                 if self.w(alpha) < self.w(beta):
-                    entry = self._zero()
+                    entry = self._zero_poly
                 elif alpha <= self.h(beta):
                     entry = MultiPoly.variable(
                         self._var_index[(alpha, beta)], self.nvars, self.var_names
                     )
                 else:
-                    entry = self._chain_sum(alpha, beta) * (-1 / self._coeff(alpha, beta))
+                    entry = self._chain_sum(alpha, beta) * Fraction(-1, self._coeff(alpha, beta))
                 self.entries[(alpha, beta)] = entry
 
     def _chain_sum(self, alpha: int, beta: int) -> MultiPoly:
         """S(alpha, beta) = -sum_{beta < gamma < alpha} x_{alpha,gamma} f_{gamma,beta}:
         the signed sum over decreasing chains alpha > g_1 > ... > g_t > beta,
         grouped by g_1 = gamma, whose chains on to beta sum to f_{gamma,beta}."""
-        total = self._zero()
+        total = self._zero_poly
         for gamma in range(beta + 1, alpha):
             step = self.entries[(alpha, gamma)]
             if not step.is_zero:
@@ -148,9 +156,9 @@ class CellChart:
     def entry(self, i: int, j: int) -> MultiPoly:
         """Entry of ``x`` at row i, column j (unitriangular)."""
         if i == j:
-            return MultiPoly.one(self.nvars, self.var_names)
+            return self._one_poly
         if i < j:
-            return self._zero()
+            return self._zero_poly
         return self.entries[(i, j)]
 
     def defining_equation(self, alpha: int, beta: int) -> MultiPoly:
@@ -178,15 +186,19 @@ class CellChart:
             and not self.defining_equation(alpha, beta).is_zero
         ]
 
-    def evaluate_matrix(self, assignment: Sequence[Fraction]) -> list[list[Fraction]]:
+    def value_at(self, i: int, j: int, assignment: Sequence[int | Fraction]) -> int | Fraction:
+        """Entry (i, j) of ``x`` at a point of the cell, an ``int`` where integral."""
+        if i <= j:
+            return 1 if i == j else 0
+        return self.entries[(i, j)].evaluate(assignment)
+
+    def evaluate_matrix(self, assignment: Sequence[int | Fraction]) -> list[list[int | Fraction]]:
         """The unitriangular matrix ``x`` at a point of the cell."""
         n = self.h.n
-        x = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            x[i][i] = Fraction(1)
-        for (i, j), poly in self.entries.items():
-            x[i - 1][j - 1] = Fraction(poly.evaluate(assignment))
-        return x
+        return [
+            [self.value_at(i, j, assignment) for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
 
 
 def build_cell_chart(w: Permutation, h: HessenbergFunction, c: EigenvalueVector | None = None) -> CellChart:
@@ -249,7 +261,7 @@ def path_monomial_exponents(chart: CellChart, path: Sequence[int]) -> tuple[int,
 # -- minors ------------------------------------------------------------------
 
 
-def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _integer_row(row: Sequence[int | Fraction]) -> tuple[int, list[int]]:
     """``(scale, row * scale)``, scale the lcm of the row's denominators:
     every minor through the row gains the factor ``scale``."""
     scale = math.lcm(*(v.denominator for v in row))
@@ -301,20 +313,21 @@ def minor_symbolic(chart: CellChart, rows, cols) -> MultiPoly:
     return MultiPoly.zero(chart.nvars, chart.var_names) + det
 
 
-def minor_at_point(chart: CellChart, rows, cols, assignment: Sequence[Fraction]) -> Fraction:
-    """The exact minor at a point: the rows scaled to integers, the product
-    of the scales divided back out."""
-    x = chart.evaluate_matrix(assignment)
+def minor_at_point(chart: CellChart, rows, cols, assignment: Sequence[int | Fraction]) -> Fraction:
+    """The exact minor at a point: only its own entries evaluated, the rows
+    scaled to integers, the product of the scales divided back out."""
     scaled = [
         _integer_row(row)
-        for row in _submatrix(lambda r, c: x[r - 1][c - 1], rows, cols)
+        for row in _submatrix(
+            lambda r, c: chart.value_at(r, c, assignment), rows, cols
+        )
     ]
     det = _leading_minors([row for _scale, row in scaled])[-1]
     return Fraction(det, math.prod(scale for scale, _row in scaled))
 
 
-def random_assignment(chart: CellChart, rng: random.Random, span: int = 10**6) -> list[Fraction]:
-    return [Fraction(rng.randint(1, span)) for _ in range(chart.nvars)]
+def random_assignment(chart: CellChart, rng: random.Random, span: int = 10**6) -> list[int]:
+    return [rng.randint(1, span) for _ in range(chart.nvars)]
 
 
 MAX_POINT_RESAMPLES = 5

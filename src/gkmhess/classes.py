@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement
 from .gkm import GkmGraph, HessenbergFunction, l_h
 from .linalg import row_reduce
 from .perms import Permutation, SymmetricGroup, young_subgroup
-from .polys import Coeff, MultiPoly
+from .polys import FIELD_BITS, MAX_EXPONENT, Coeff, MultiPoly, guard_bits, monomial_quotient, pack
 from .reach import support_A
 
 
@@ -219,26 +219,30 @@ def _solve_vertex(
     and the next unused parameter.  Raises ``InfeasibleInterpolationError``
     if a reduced row has no unknown column.
     """
-    monos = _monomials(n, degree)
+    if degree > MAX_EXPONENT:
+        raise OverflowError(f"degree {degree} above the largest exponent {MAX_EXPONENT}")
+    monos = [pack(mono) for mono in _monomials(n, degree)]
     ncols = len(monos)
     rows: list[dict[int, Fraction]] = []
     for a, b, rhs in edge_constraints:
-        # the substitution t_a := t_b maps each unknown monomial to an image
-        images: dict[tuple[int, ...], dict[int, int]] = {}
+        # the substitution t_a := t_b maps each unknown monomial to an image:
+        # exponent field a moves onto field b, which the degree bounds
+        shift_a, shift_b = FIELD_BITS * (n - a), FIELD_BITS * (n - b)
+        images: dict[int, dict[int, int]] = {}
         for col, mono in enumerate(monos):
-            img = list(mono)
-            img[b - 1] += img[a - 1]
-            img[a - 1] = 0
-            images.setdefault(tuple(img), {})[col] = 1
-        rhs_sub = {k: p.substitute_var(a, b) for k, p in rhs.items()}
+            e = mono >> shift_a & MAX_EXPONENT
+            images.setdefault(mono + (e << shift_b) - (e << shift_a), {})[col] = 1
+        rhs_sub = {k: p.substitute_var(a, b).packed for k, p in rhs.items()}
         touched = set(images)
         for p in rhs_sub.values():
-            touched.update(p.terms)
+            touched.update(p)
+        # every monomial here has the one degree, so packed order is the
+        # lexicographic order of the exponent tuples
         for img in sorted(touched):
             row = dict(images.get(img, {}))
             for k, p in rhs_sub.items():
-                if img in p.terms:
-                    row[ncols + k] = p.terms[img]
+                if img in p:
+                    row[ncols + k] = p[img]
             rows.append(row)
 
     pivots, leftover = row_reduce(rows, bound=ncols)
@@ -251,7 +255,7 @@ def _solve_vertex(
     new_params = {col: next_param + idx for idx, col in enumerate(free_cols)}
 
     # pivot monomials take the rhs parts and minus the free monomials
-    parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    parts: dict[int, dict[int, Fraction]] = {}
     for col, row in pivots.items():
         for k, coeff in row.items():
             if k >= ncols:
@@ -260,7 +264,7 @@ def _solve_vertex(
                 parts.setdefault(new_params[k], {})[monos[col]] = -coeff
     for col, pid in new_params.items():
         parts.setdefault(pid, {})[monos[col]] = Fraction(1)
-    solution = {pid: MultiPoly(n, bucket) for pid, bucket in parts.items()}
+    solution = {pid: MultiPoly.from_packed(n, bucket) for pid, bucket in parts.items()}
     return solution, next_param + len(free_cols)
 
 
@@ -371,23 +375,37 @@ def _divide_exact(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
 
 
 def _divide_general(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
-    """Exact multivariate division via leading-term elimination (grlex)."""
-    if p.is_zero:
-        return MultiPoly.zero(p.nvars)
-    quotient = MultiPoly.zero(p.nvars)
-    remainder = p
-    q_lead_exp, q_lead_coeff = q.sorted_terms()[0]
-    while not remainder.is_zero:
-        r_lead_exp, r_lead_coeff = remainder.sorted_terms()[0]
-        diff = tuple(a - b for a, b in zip(r_lead_exp, q_lead_exp))
-        if any(d < 0 for d in diff):
+    """Exact multivariate division via leading-term elimination (grlex).
+
+    One remainder map is updated in place: each step takes its largest
+    packed monomial (packed order is grlex), divides it by the leading
+    monomial of ``q``, and subtracts that term times ``q``.  Returns None
+    where a leading monomial is not divisible, so ``q`` does not divide ``p``.
+    """
+    n = p.nvars
+    divisor = q.packed
+    q_lead = max(divisor)
+    q_lead_coeff = Fraction(divisor[q_lead])
+    guards = guard_bits(n)
+    remainder = dict(p.packed)
+    quotient: dict[int, Coeff] = {}
+    while remainder:
+        r_lead = max(remainder)
+        mono = monomial_quotient(r_lead, q_lead, n)
+        if mono is None:
             return None
-        term = MultiPoly(
-            p.nvars, {diff: Fraction(r_lead_coeff) / Fraction(q_lead_coeff)}
-        )
-        quotient = quotient + term
-        remainder = remainder - term * q
-    return quotient
+        coeff = remainder[r_lead] / q_lead_coeff
+        quotient[mono] = coeff
+        for mq, cq in divisor.items():
+            key = mono + mq
+            if key & guards:
+                raise OverflowError(f"an exponent above {MAX_EXPONENT} in a division")
+            value = remainder.get(key, 0) - coeff * cq
+            if value:
+                remainder[key] = value
+            else:
+                del remainder[key]
+    return MultiPoly.from_packed(n, quotient)
 
 
 def reduce_to_ordinary(

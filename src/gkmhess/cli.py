@@ -446,7 +446,7 @@ def verify_cell_charts(n: int, config: RunConfig) -> dict:
             for i in range(j + 1, n + 1):
                 for path in minimal_paths(g, j, i):
                     mono = path_monomial_exponents(chart, path)
-                    coeff = chart.entry(i, j).terms.get(mono, 0)
+                    coeff = chart.entry(i, j).coefficient(mono)
                     expected = minimal_path_coefficient(path, w, c)
                     if Fraction(coeff) != expected:
                         failures.append(

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -268,6 +269,65 @@ def test_minor_at_point_matches_an_exact_determinant(n):
         value = minor_at_point(chart, rows, cols, assignment)
         assert isinstance(value, Fraction)
         assert value == elimination_det(sub), (str(chart.h), str(chart.w), rows, cols)
+
+
+def _minor_on_the_whole_matrix(chart, rows, cols, assignment):
+    """The minor at a point by the route ``minor_at_point`` replaced: every
+    entry of the chart evaluated over ``Fraction``, then the k x k block."""
+    x = [[Fraction(v) for v in row] for row in chart.evaluate_matrix(
+        [Fraction(v) for v in assignment]
+    )]
+    scaled = [cells._integer_row([x[r - 1][c - 1] for c in cols]) for r in rows]
+    det = _leading_minors([row for _scale, row in scaled])[-1]
+    return Fraction(det, math.prod(scale for scale, _row in scaled))
+
+
+NON_INTEGRAL_EIGENVALUES = (
+    Fraction(1, 2), Fraction(3), Fraction(5, 2), Fraction(7, 3), Fraction(5), Fraction(11, 4)
+)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("eigenvalues", ["prime", "non-integral"])
+def test_minor_at_point_matches_the_whole_matrix_route(n, eigenvalues):
+    rng = random.Random(70 + n)
+    c = (
+        prime_eigenvalues(n) if eigenvalues == "prime"
+        else EigenvalueVector(NON_INTEGRAL_EIGENVALUES[:n])
+    )
+    perms = list(Permutation.all(n))
+    for _ in range(40):
+        chart = build_cell_chart(rng.choice(perms), HessenbergFunction.random(n, rng), c)
+        size = rng.randint(1, n)
+        rows = tuple(sorted(rng.sample(range(1, n + 1), size)))
+        cols = tuple(sorted(rng.sample(range(1, n + 1), size)))
+        point = random_assignment(chart, rng, span=rng.choice([3, 10**6]))
+        assert all(type(v) is int for v in point)
+        value = minor_at_point(chart, rows, cols, point)
+        assert value == _minor_on_the_whole_matrix(chart, rows, cols, point)
+        assert minor_at_point(chart, rows, cols, [Fraction(v) for v in point]) == value
+
+
+def test_random_assignment_draws_integers_as_before():
+    chart = build_cell_chart(Permutation.from_one_line("35142"), H5)
+    draws = random.Random(11)
+    assert random_assignment(chart, random.Random(11)) == [
+        draws.randint(1, 10**6) for _ in range(chart.nvars)
+    ]
+
+
+def test_eigenvalue_differences_are_integers_where_integral():
+    w = Permutation.from_one_line("53412")
+    for c in (prime_eigenvalues(5), EigenvalueVector(NON_INTEGRAL_EIGENVALUES[:5])):
+        chart = build_cell_chart(w, H5, c)
+        for a in range(1, 6):
+            for b in range(1, 6):
+                if a != b:
+                    diff = chart._coeff(a, b)
+                    assert diff == c[w(a)] - c[w(b)]
+                    assert type(diff) is int or diff.denominator != 1
+        for poly in list(chart.entries.values()) + [chart.defining_equation(5, 1)]:
+            assert all(type(v) is int or v.denominator != 1 for v in poly.packed.values())
 
 
 def test_minors_need_square_index_sets():

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmhess.classes import (
     EquivariantClass,
     ExpansionError,
+    _divide_general,
     expand_in_basis,
     gkm_check,
     interpolate_class,
@@ -18,6 +20,7 @@ from gkmhess.gkm import HessenbergFunction, l_h
 from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
 from gkmhess.reach import support_A
+from reference_polys import TupleMultiPoly, divide_general
 
 
 def lf(a, b, n):
@@ -324,3 +327,47 @@ def test_smooth_point_formula_permutohedral():
             support = cls.support()
             for v in support:
                 assert cls.value(v) == smooth_point_value(w, v, h, support)
+
+
+# -- exact division on packed monomials against the tuple-keyed reference ------
+
+DIV_NVARS = 3
+
+
+@st.composite
+def nonzero_term_maps(draw, max_exponent=3):
+    return draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_exponent)] * DIV_NVARS),
+        st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4)).filter(bool),
+        min_size=1, max_size=4,
+    ))
+
+
+@given(nonzero_term_maps(), nonzero_term_maps(), nonzero_term_maps(max_exponent=2))
+@settings(max_examples=120, deadline=None)
+def test_division_matches_the_reference_on_multiples_and_non_multiples(q_terms, r_terms, s_terms):
+    q, r, s = (MultiPoly(DIV_NVARS, t) for t in (q_terms, r_terms, s_terms))
+    q_ref, r_ref, s_ref = (TupleMultiPoly(DIV_NVARS, t) for t in (q_terms, r_terms, s_terms))
+    product = q * r
+    quotient = _divide_general(product, q)
+    assert quotient == r
+    assert str(quotient) == str(divide_general(q_ref * r_ref, q_ref))
+    # q r + s for any s: the same answer as the reference, None exactly where q
+    # does not divide; a nonconstant q never divides q r + 1
+    mixed = _divide_general(product + s, q)
+    mixed_ref = divide_general(q_ref * r_ref + s_ref, q_ref)
+    assert (mixed is None) == (mixed_ref is None)
+    if mixed is not None:
+        assert str(mixed) == str(mixed_ref) and mixed * q == product + s
+    if q.degree() > 0:
+        assert _divide_general(product + 1, q) is None
+        assert divide_general(q_ref * r_ref + 1, q_ref) is None
+
+
+def test_division_of_zero_and_by_a_product_of_labels():
+    n = 4
+    labels = lf(1, 2, n) * lf(2, 3, n) * lf(1, 4, n)
+    assert _divide_general(MultiPoly.zero(n), labels).is_zero
+    cofactor = lf(3, 4, n) * lf(3, 4, n) + MultiPoly.constant(Fraction(1, 3), n) * lf(1, 3, n)
+    assert _divide_general(labels * cofactor, labels) == cofactor
+    assert _divide_general(labels * cofactor + lf(1, 2, n), labels) is None
