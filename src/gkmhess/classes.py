@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .gkm import GkmGraph, HessenbergFunction, l_h
@@ -192,14 +193,17 @@ class InterpolationResult:
         return not self.free_parameters
 
 
-def _monomials(n: int, degree: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=64)
+def _packed_monomials(n: int, degree: int) -> tuple[int, ...]:
+    """The packed monomials of one degree in n variables, in descending
+    order of their exponent tuples; built once per (n, degree)."""
     out = []
     for combo in combinations_with_replacement(range(n), degree):
         exps = [0] * n
         for index in combo:
             exps[index] += 1
         out.append(tuple(exps))
-    return sorted(out, reverse=True)
+    return tuple(pack(mono) for mono in sorted(out, reverse=True))
 
 
 def _solve_vertex(
@@ -221,7 +225,7 @@ def _solve_vertex(
     """
     if degree > MAX_EXPONENT:
         raise OverflowError(f"degree {degree} above the largest exponent {MAX_EXPONENT}")
-    monos = [pack(mono) for mono in _monomials(n, degree)]
+    monos = _packed_monomials(n, degree)
     ncols = len(monos)
     rows: list[dict[int, Fraction]] = []
     for a, b, rhs in edge_constraints:

@@ -8,9 +8,10 @@ element; symmetrizing such a class over cosets of the block subgroup of its
 erased composition produces a generator whose orbit spans one permutation
 module, and the modules over all generators decompose the whole degree.
 
-The check runs in ordinary cohomology: a symmetrized class and its orbit
-come from the generator matrices of the dot action by one walk over cosets;
-the equivariant ``sigma_hat`` is the reference they are tested against.
+The check runs in ordinary cohomology: a symmetrized class comes from the
+generator matrices of the dot action by a symmetrizer factorized along
+parabolic subgroups, and its orbit by one walk over cosets; the equivariant
+``sigma_hat`` is the reference they are tested against.
 
 The lattice graphs attached to compositions organize the permutations with
 a fixed descent composition as words in commuting simple reflections; they
@@ -338,24 +339,31 @@ def _vector_to_ints(vec: dict[Permutation, Coeff],
     return {position[w]: int(c * denominator) for w, c in vec.items() if c}
 
 
-def _coset_walk(blocks, vec: dict[Permutation, Coeff], generators,
-                matrices: dict[int, ActionMatrix]) -> list[dict[Permutation, Coeff]]:
-    """Vectors ``u . vec``, one per coset ``u H`` of the stabilizer ``H`` of
-    the value blocks, walked breadth first by the steps ``s_i``, ``i`` in
-    ``generators``.  A coset is keyed by the image sets of the blocks, so a
-    step swaps the values ``i`` and ``i+1`` in the key.  The blocks must be
-    intervals of values: ``H`` is then parabolic, and each coset is first
-    reached through its minimal representative."""
+def _check_intervals(blocks) -> None:
     for block in blocks:
         if max(block) - min(block) + 1 != len(block):
             raise ValueError(f"block {sorted(block)} is not an interval of values")
-    start = tuple(blocks)
+
+
+def coset_orbit_vectors(
+    w: Permutation,
+    vec: dict[Permutation, Coeff],
+    matrices: dict[int, ActionMatrix],
+) -> list[dict[Permutation, Coeff]]:
+    """Ordinary vectors ``u . vec``, one per coset ``u H`` of the coarse block
+    subgroup ``H`` of ``w``, walked breadth first by the steps ``s_i``: a
+    coset is keyed by the image sets of the blocks, and a step swaps the
+    values ``i`` and ``i+1`` in the key.  The coarse blocks must be intervals
+    of values (``ValueError`` otherwise), as for generators; ``H`` is then
+    parabolic, and each coset is first reached through its minimal ``u``."""
+    start = block_subgroups(w).coarse_blocks
+    _check_intervals(start)
     vectors = {start: vec}
     frontier = [start]
     while frontier:
         nxt = []
         for key in frontier:
-            for i in generators:
+            for i in range(1, len(w)):
                 pair = {i, i + 1}
                 moved = tuple(b ^ pair if len(b & pair) == 1 else b for b in key)
                 if moved not in vectors:
@@ -365,32 +373,41 @@ def _coset_walk(blocks, vec: dict[Permutation, Coeff], generators,
     return list(vectors.values())
 
 
-def coset_orbit_vectors(
-    w: Permutation,
-    vec: dict[Permutation, Coeff],
-    matrices: dict[int, ActionMatrix],
-) -> list[dict[Permutation, Coeff]]:
-    """Ordinary vectors ``u . vec`` for the minimal representative ``u`` of
-    each coset of the coarse block subgroup; the coarse blocks of ``w`` must
-    be intervals of values (``ValueError`` otherwise), as for generators."""
-    coarse = block_subgroups(w).coarse_blocks
-    return _coset_walk(coarse, vec, range(1, len(w)), matrices)
-
-
 def sigma_hat_vector(w: Permutation,
                      matrices: dict[int, ActionMatrix]) -> dict[Permutation, Coeff]:
     """Ordinary image of ``sigma_hat(w)``: the reduction commutes with the
     dot action and takes the class of ``w`` to ``e_w``, so it is the sum of
     ``v . e_w`` over the minimal coset representatives ``v`` of the fine
-    block subgroup in the coarse one.  The fine blocks must be intervals of
-    values (``ValueError`` otherwise), which holds exactly for generators."""
+    block subgroup in the coarse one.  The fine subgroup fixes ``e_w``, so
+    that is the sum over the whole coarse subgroup over ``|W_fine|``; on a
+    coarse block ``[p..q]`` the sum over ``S_[p..m]`` is ``(1 + s_{m-1} +
+    s_{m-2} s_{m-1} + ... + s_p ... s_{m-1})`` times the sum over
+    ``S_[p..m-1]``.  The blocks must be intervals of values (``ValueError``
+    otherwise), which holds exactly for generators; a fine generator that
+    moves ``e_w``, or a sum that ``|W_fine|`` does not divide, raises
+    ``AssertionError``."""
     groups = block_subgroups(w)
-    total: dict[Permutation, Coeff] = {}
-    for vec in _coset_walk(groups.fine_blocks, {w: 1},
-                           groups.coarse_simple_generators(), matrices):
-        for v, c in vec.items():
-            total[v] = total.get(v, 0) + c
-    return {v: c for v, c in total.items() if c}
+    _check_intervals(groups.fine_blocks + groups.coarse_blocks)
+    e_w = {w: 1}
+    for block in groups.fine_blocks:
+        for i in range(min(block), max(block)):
+            if matrices[i].apply_vector(e_w) != e_w:
+                raise AssertionError(f"s_{i} of the fine block subgroup moves e_{w}")
+    total = e_w
+    for block in groups.coarse_blocks:
+        p = min(block)
+        for m in range(p + 1, max(block) + 1):
+            summed = dict(total)
+            moved = total
+            for j in range(m - 1, p - 1, -1):
+                moved = matrices[j].apply_vector(moved)
+                for v, c in moved.items():
+                    summed[v] = summed.get(v, 0) + c
+            total = summed
+    order = math.prod(math.factorial(len(block)) for block in groups.fine_blocks)
+    if any(c % order for c in total.values()):
+        raise AssertionError(f"the symmetrized sum of e_{w} is not divisible by |W_fine| = {order}")
+    return {v: c // order for v, c in total.items() if c}
 
 
 @dataclass

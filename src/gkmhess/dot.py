@@ -134,83 +134,55 @@ class AuxiliaryTerm:
     mover: Permutation
 
 
-def descent_block_data(w: Permutation, i: int):
-    """The flanking entry sets around the descent where ``i+1`` sits left of ``i``."""
-    n = len(w)
-    w_inv = w.inverse()
-    if w_inv(i + 1) + 1 != w_inv(i):
-        raise ValueError(f"values {i + 1},{i} are not adjacent-descending in {w}")
-    d_here = w_inv(i + 1)
-    descents = w.descents()
-    index = descents.index(d_here)
-    d_prev = descents[index - 1] if index > 0 else 0
-    d_next = descents[index + 1] if index + 1 < len(descents) else n
-    low = tuple(w(j) for j in range(d_prev + 1, d_here))
-    high = tuple(w(j) for j in range(d_here + 2, d_next + 1))
-    return d_prev, d_here, d_next, low, high
-
-
 def auxiliary_terms(w: Permutation, i: int) -> list[AuxiliaryTerm]:
-    """All ``(P, Q)``-summands of the auxiliary class for the descent case."""
+    """All ``(P, Q)``-summands of the auxiliary class for the descent case:
+    ``P`` and ``Q`` run over the entries left and right of ``i+1, i`` between
+    the neighbouring descents ``d_prev`` and ``d_next`` of ``w``."""
     from itertools import chain, combinations
 
     n = len(w)
-    d_prev, d_here, d_next, low, high = descent_block_data(w, i)
+    d_here = w.index(i + 1) + 1
+    if d_here == n or w[d_here] != i:
+        raise ValueError(f"values {i + 1},{i} are not adjacent-descending in {w}")
+    w_descents = w.descents()
+    index = w_descents.index(d_here)
+    d_prev = w_descents[index - 1] if index > 0 else 0
+    d_next = w_descents[index + 1] if index + 1 < len(w_descents) else n
+    low, high = w[d_prev:d_here - 1], w[d_here + 1:d_next]
+    prefix, suffix = list(w[:d_prev]), list(w[d_next:])
+    window = set(low) | set(high) | {i}
+    kept = set(w_descents) - {d_here}  # the descents a correction may run along
 
     def subsets(values):
         return chain.from_iterable(
             combinations(values, k) for k in range(len(values) + 1)
         )
 
-    w_descents = set(w.descents())
     terms = []
     for p_set in subsets(low):
         for q_set in subsets(high):
-            middle = sorted((set(low) | set(high) | {i}) - set(p_set) - set(q_set))
-            images = (
-                [w(j) for j in range(1, d_prev + 1)]
-                + list(p_set)
-                + [i + 1]
-                + list(q_set)
-                + middle
-                + [w(j) for j in range(d_next + 1, n + 1)]
-            )
+            middle = sorted(window.difference(p_set, q_set))
+            images = prefix + list(p_set) + [i + 1] + list(q_set) + middle + suffix
             tilde = tuple.__new__(Permutation, images)
             corrected = list(images)
-            tilde_descents = set(tilde.descents())
-            if d_prev != 0 and d_prev not in tilde_descents:
+            if d_prev != 0 and images[d_prev - 1] < images[d_prev]:
                 # restore the prefix boundary descent by inserting the first
                 # window entry into the descending run ending at d_prev
                 pos = d_prev
                 corrected[pos - 1], corrected[pos] = corrected[pos], corrected[pos - 1]
-                while (
-                    pos - 1 >= 1
-                    and pos - 1 in w_descents
-                    and corrected[pos - 2] < corrected[pos - 1]
-                ):
-                    corrected[pos - 2], corrected[pos - 1] = (
-                        corrected[pos - 1],
-                        corrected[pos - 2],
-                    )
+                while pos - 1 in kept and corrected[pos - 2] < corrected[pos - 1]:
+                    corrected[pos - 2], corrected[pos - 1] = corrected[pos - 1], corrected[pos - 2]
                     pos -= 1
-            if d_next != n and d_next not in tilde_descents:
+            if d_next != n and images[d_next - 1] < images[d_next]:
                 # symmetric insertion into the descending run starting after
                 # the window
                 pos = d_next
                 corrected[pos - 1], corrected[pos] = corrected[pos], corrected[pos - 1]
-                while (
-                    pos + 1 <= n - 1
-                    and pos + 1 in w_descents
-                    and corrected[pos] < corrected[pos + 1]
-                ):
-                    corrected[pos], corrected[pos + 1] = (
-                        corrected[pos + 1],
-                        corrected[pos],
-                    )
+                while pos + 1 in kept and corrected[pos] < corrected[pos + 1]:
+                    corrected[pos], corrected[pos + 1] = corrected[pos + 1], corrected[pos]
                     pos += 1
             target = tuple.__new__(Permutation, corrected)
-            expected = (w_descents - {d_here}) | {d_prev + len(p_set) + len(q_set) + 1}
-            if set(target.descents()) != expected:
+            if set(target.descents()) != kept | {d_prev + len(p_set) + len(q_set) + 1}:
                 raise AssertionError(
                     f"descent correction failed: w={w}, i={i}, P={p_set}, Q={q_set}"
                 )
@@ -280,8 +252,10 @@ class _SiExpansionCache:
 
     Values are dicts mapping basis permutations to nonzero coefficients in
     ``ring``: polynomials (``_PolyRing``) or their values at t = 0
-    (``_ConstantRing``).  A recursion guard raises on re-entry for the same
-    pair, which the underlying identities rule out in practice.
+    (``_ConstantRing``).  Only the descent case is memoized: the other two
+    are one-term moves, read off the positions of ``i`` and ``i+1``.  A
+    recursion guard raises on re-entry for the same pair, which the
+    underlying identities rule out in practice.
     """
 
     def __init__(self, n: int, ring):
@@ -292,6 +266,15 @@ class _SiExpansionCache:
         self._depth_limit = math.factorial(n)
 
     def expansion(self, w: Permutation, i: int) -> dict[Permutation, object]:
+        j, k = w.index(i), w.index(i + 1)
+        if j + 1 == k:
+            # ascent i, i+1: acting from below fixes the class
+            return {w: self.ring.one}
+        if k + 1 != j:
+            # descent pattern unchanged: the class moves along to s_i w
+            images = list(w)
+            images[j], images[k] = i + 1, i
+            return {tuple.__new__(Permutation, images): self.ring.one}
         key = (w, i)
         hit = self.cache.get(key)
         if hit is not None:
@@ -309,18 +292,9 @@ class _SiExpansionCache:
         return result
 
     def _compute(self, w: Permutation, i: int) -> dict[Permutation, object]:
+        """The descent case, ``i+1`` directly left of ``i``."""
         ring = self.ring
-        w_inv = w.inverse()
-        j, k = w_inv(i), w_inv(i + 1)
         si = Permutation.simple(i, self.n)
-        if abs(j - k) > 1:
-            # descent pattern unchanged: the class moves along
-            return {si * w: ring.one}
-        if j + 1 == k:
-            # ascent i, i+1: acting from below fixes the class
-            return {w: ring.one}
-
-        # descent case: unwind the auxiliary identity
         result: dict[Permutation, object] = {}
         _add(result, si * w, ring.root(i))
         _add(result, w, ring.one)
@@ -431,14 +405,20 @@ class ActionMatrix:
         return sum(self.columns.get(w, {}).get(w, 0) for w in self.basis_order)
 
 
-@lru_cache(maxsize=256)
-def degree_basis(h: HessenbergFunction, k: int) -> tuple[Permutation, ...]:
-    """The ``w`` with ``l_h(w) = k``, in the order of ``Permutation.all``.
+@lru_cache(maxsize=16)
+def _degree_bases(h: HessenbergFunction) -> tuple[tuple[Permutation, ...], ...]:
+    """Every degree basis of ``h``, from one scan of S_n."""
+    bases: list[list[Permutation]] = [[] for _ in range(len(h.pairs) + 1)]
+    for w in Permutation.all(h.n):
+        bases[l_h(w, h)].append(w)
+    return tuple(map(tuple, bases))
 
-    Cached with a fixed bound: every generator matrix and every composed
-    product of a degree asks for it, and it scans all of S_n.
-    """
-    return tuple(w for w in Permutation.all(h.n) if l_h(w, h) == k)
+
+def degree_basis(h: HessenbergFunction, k: int) -> tuple[Permutation, ...]:
+    """The ``w`` with ``l_h(w) = k``, in the order of ``Permutation.all``;
+    every call for one h reads the same tuple."""
+    bases = _degree_bases(h)
+    return bases[k] if 0 <= k < len(bases) else ()
 
 
 def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:

@@ -28,10 +28,15 @@ class CellDigraph:
         for j, i in self.edges:
             if not 1 <= j < i <= n:
                 raise ValueError(f"edge ({j},{i}) must increase inside [1,{n}]")
+        self._successors: dict[int, list[int]] = {}
+        for j, i in sorted(self.edges):
+            self._successors.setdefault(j, []).append(i)
         self._closure: dict[int, frozenset[int]] | None = None
 
     def successors(self, j: int) -> list[int]:
-        return sorted(i for (a, i) in self.edges if a == j)
+        """The heads of the edges out of ``j``, ascending; the same list on
+        every call, which callers must not change."""
+        return self._successors.get(j, [])
 
     def reach_closure(self) -> dict[int, frozenset[int]]:
         """Vertex -> set of reachable vertices (including itself)."""

@@ -1,0 +1,127 @@
+"""Reference implementations that the tests compare the package against.
+
+``walk_sigma_hat_vector`` is the ordinary symmetrized class summed over a
+breadth-first walk of the cosets of the fine block subgroup in the coarse
+one, one generator application per coset.  ``walk_auxiliary_terms`` builds
+the auxiliary summands of the descent case from the inverse permutation and
+re-derives the descent set of every permutation it builds.
+"""
+
+from itertools import chain, combinations
+
+from gkmhess.decomp import block_subgroups
+from gkmhess.dot import AuxiliaryTerm
+from gkmhess.perms import Permutation
+
+
+def _coset_walk(blocks, vec, generators, matrices):
+    """Vectors ``u . vec``, one per coset ``u H`` of the stabilizer ``H`` of
+    the value blocks, walked breadth first by the steps ``s_i``, ``i`` in
+    ``generators``.  The blocks must be intervals of values."""
+    for block in blocks:
+        if max(block) - min(block) + 1 != len(block):
+            raise ValueError(f"block {sorted(block)} is not an interval of values")
+    start = tuple(blocks)
+    vectors = {start: vec}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for key in frontier:
+            for i in generators:
+                pair = {i, i + 1}
+                moved = tuple(b ^ pair if len(b & pair) == 1 else b for b in key)
+                if moved not in vectors:
+                    vectors[moved] = matrices[i].apply_vector(vectors[key])
+                    nxt.append(moved)
+        frontier = nxt
+    return list(vectors.values())
+
+
+def walk_sigma_hat_vector(w, matrices):
+    """Sum of ``v . e_w`` over the minimal coset representatives ``v`` of
+    the fine block subgroup in the coarse one."""
+    groups = block_subgroups(w)
+    total = {}
+    for vec in _coset_walk(groups.fine_blocks, {w: 1},
+                           groups.coarse_simple_generators(), matrices):
+        for v, c in vec.items():
+            total[v] = total.get(v, 0) + c
+    return {v: c for v, c in total.items() if c}
+
+
+def _descent_block_data(w, i):
+    n = len(w)
+    w_inv = w.inverse()
+    if w_inv(i + 1) + 1 != w_inv(i):
+        raise ValueError(f"values {i + 1},{i} are not adjacent-descending in {w}")
+    d_here = w_inv(i + 1)
+    descents = w.descents()
+    index = descents.index(d_here)
+    d_prev = descents[index - 1] if index > 0 else 0
+    d_next = descents[index + 1] if index + 1 < len(descents) else n
+    low = tuple(w(j) for j in range(d_prev + 1, d_here))
+    high = tuple(w(j) for j in range(d_here + 2, d_next + 1))
+    return d_prev, d_here, d_next, low, high
+
+
+def walk_auxiliary_terms(w, i):
+    """All ``(P, Q)``-summands of the auxiliary class for the descent case."""
+    n = len(w)
+    d_prev, d_here, d_next, low, high = _descent_block_data(w, i)
+
+    def subsets(values):
+        return chain.from_iterable(
+            combinations(values, k) for k in range(len(values) + 1)
+        )
+
+    w_descents = set(w.descents())
+    terms = []
+    for p_set in subsets(low):
+        for q_set in subsets(high):
+            middle = sorted((set(low) | set(high) | {i}) - set(p_set) - set(q_set))
+            images = (
+                [w(j) for j in range(1, d_prev + 1)]
+                + list(p_set)
+                + [i + 1]
+                + list(q_set)
+                + middle
+                + [w(j) for j in range(d_next + 1, n + 1)]
+            )
+            tilde = Permutation(images)
+            corrected = list(images)
+            tilde_descents = set(tilde.descents())
+            if d_prev != 0 and d_prev not in tilde_descents:
+                pos = d_prev
+                corrected[pos - 1], corrected[pos] = corrected[pos], corrected[pos - 1]
+                while (
+                    pos - 1 >= 1
+                    and pos - 1 in w_descents
+                    and corrected[pos - 2] < corrected[pos - 1]
+                ):
+                    corrected[pos - 2], corrected[pos - 1] = (
+                        corrected[pos - 1],
+                        corrected[pos - 2],
+                    )
+                    pos -= 1
+            if d_next != n and d_next not in tilde_descents:
+                pos = d_next
+                corrected[pos - 1], corrected[pos] = corrected[pos], corrected[pos - 1]
+                while (
+                    pos + 1 <= n - 1
+                    and pos + 1 in w_descents
+                    and corrected[pos] < corrected[pos + 1]
+                ):
+                    corrected[pos], corrected[pos + 1] = (
+                        corrected[pos + 1],
+                        corrected[pos],
+                    )
+                    pos += 1
+            target = Permutation(corrected)
+            expected = (w_descents - {d_here}) | {d_prev + len(p_set) + len(q_set) + 1}
+            if set(target.descents()) != expected:
+                raise AssertionError(
+                    f"descent correction failed: w={w}, i={i}, P={p_set}, Q={q_set}"
+                )
+            mover = tilde * target.inverse()
+            terms.append(AuxiliaryTerm(tilde=tilde, target=target, mover=mover))
+    return terms

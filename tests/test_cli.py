@@ -191,6 +191,70 @@ def test_verification_script_rejects_an_empty_or_nonpositive_range(argv, message
     assert message in proc.stderr
 
 
+def _decomposition_table():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "decomposition_table.py"
+    spec = importlib.util.spec_from_file_location("decomposition_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_decomposition_table_rejects_a_nonpositive_n(n):
+    import pathlib
+
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "decomposition_table.py"
+    proc = subprocess.run([sys.executable, str(script), "--n", n],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument --n: must be at least 1, got {n}" in proc.stderr
+
+
+def test_decomposition_table_passes_and_totals_n_factorial(capsys):
+    assert _decomposition_table().main(["--n", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "FAILED" not in out
+    assert out.endswith("total dimension: 24\n")
+
+
+def test_decomposition_table_exits_1_on_a_failed_degree(monkeypatch, capsys):
+    table = _decomposition_table()
+    verify = table.verify_decomposition
+
+    def broken(n, k):
+        report = verify(n, k)
+        if k == 1:
+            report.direct_sum = False
+        return report
+
+    monkeypatch.setattr(table, "verify_decomposition", broken)
+    assert table.main(["--n", "3"]) == 1
+    assert "degree 2*1: dim 4 (FAILED)" in capsys.readouterr().out
+
+
+def test_decomposition_table_exits_1_when_the_total_is_not_n_factorial(monkeypatch, capsys):
+    # every degree passes its own check, but one counts a dimension too many
+    table = _decomposition_table()
+    verify = table.verify_decomposition
+
+    def inflated(n, k):
+        report = verify(n, k)
+        if k == 0:
+            report.total_dim += 1
+            report.eulerian += 1
+        return report
+
+    monkeypatch.setattr(table, "verify_decomposition", inflated)
+    assert table.main(["--n", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "(FAILED)" not in out
+    assert out.endswith("total dimension: 7\nFAILED: the total is not 3! = 6\n")
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_nonpositive_oracle_seeds_is_a_usage_error(seeds, capsys):
     # with no sample the oracle is empty, and every support would fail

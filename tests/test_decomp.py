@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from reference_actions import walk_sigma_hat_vector
 
 from gkmhess.classes import permutohedral_class, reduce_to_ordinary
 from gkmhess.decomp import (
@@ -20,7 +23,7 @@ from gkmhess.decomp import (
     verify_wz_completeness,
     w_z,
 )
-from gkmhess.dot import generator_matrix
+from gkmhess.dot import ActionMatrix, generator_matrix
 from gkmhess.gkm import HessenbergFunction
 from gkmhess.perms import Composition, Permutation
 
@@ -307,6 +310,44 @@ def test_coset_walks_need_interval_blocks():
     with pytest.raises(ValueError):
         coset_orbit_vectors(w, {w: 1}, matrices)
     with pytest.raises(ValueError):
+        sigma_hat_vector(w, matrices)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_factorized_sigma_hat_matches_the_coset_walk(n):
+    h = HessenbergFunction.permutohedral(n)
+    for k in range(n):
+        matrices = {i: generator_matrix(i, k, h) for i in range(1, n)}
+        for w in g_set(n, k):
+            vec = sigma_hat_vector(w, matrices)
+            assert vec == walk_sigma_hat_vector(w, matrices)
+            assert all(type(c) is int for c in vec.values())
+
+
+def _degree_one_matrices_n3():
+    # 312 has the fine blocks {3}, {1,2} and the one coarse block {1,2,3}
+    h = HessenbergFunction.permutohedral(3)
+    return Permutation.from_one_line("312"), {i: generator_matrix(i, 1, h) for i in (1, 2)}
+
+
+def test_sigma_hat_names_a_fine_generator_that_moves_e_w():
+    w, matrices = _degree_one_matrices_n3()
+    other = next(v for v in matrices[1].basis_order if v != w)
+    columns = dict(matrices[1].columns)
+    columns[w] = {other: 1}
+    matrices[1] = ActionMatrix(matrices[1].basis_order, columns)
+    with pytest.raises(AssertionError, match="s_1 of the fine block subgroup moves e_312"):
+        sigma_hat_vector(w, matrices)
+
+
+def test_sigma_hat_that_is_not_integral_raises():
+    # s_2 lies only in the coarse subgroup; a third of it leaves thirds in
+    # the sum, which |W_fine| = 2 does not divide
+    w, matrices = _degree_one_matrices_n3()
+    columns = {col: {row: Fraction(c, 3) for row, c in vec.items()}
+               for col, vec in matrices[2].columns.items()}
+    matrices[2] = ActionMatrix(matrices[2].basis_order, columns)
+    with pytest.raises(AssertionError, match=r"e_312 is not divisible by \|W_fine\| = 2"):
         sigma_hat_vector(w, matrices)
 
 

@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_actions import walk_auxiliary_terms
 
 from gkmhess.classes import (
     EquivariantClass,
@@ -27,7 +31,14 @@ from gkmhess.dot import (
     generator_matrix,
     perm_si_action,
 )
-from gkmhess.dot import _CACHE_BOUND, _caches, _ConstantRing, _expansion_cache, _PolyRing
+from gkmhess.dot import (
+    _CACHE_BOUND,
+    _caches,
+    _ConstantRing,
+    _expansion_cache,
+    _PolyRing,
+    _SiExpansionCache,
+)
 from gkmhess.gkm import EdgeKind, HessenbergFunction, edge_kind, l_h, poincare_coefficients
 from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
@@ -210,6 +221,56 @@ def test_expansion_caches_stay_within_their_bound():
     newest = _expansion_cache(6, _ConstantRing)
     assert newest is _caches[(6, _ConstantRing)]
     assert _expansion_cache(6, _ConstantRing) is newest
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_auxiliary_terms_match_the_reference(n):
+    for w in Permutation.all(n):
+        for i in range(1, n):
+            if w.index(i + 1) + 1 == w.index(i):
+                assert auxiliary_terms(w, i) == walk_auxiliary_terms(w, i)
+            else:
+                with pytest.raises(ValueError):
+                    auxiliary_terms(w, i)
+
+
+@pytest.mark.parametrize("ring", [_PolyRing, _ConstantRing], ids=lambda r: r.__name__)
+def test_only_the_descent_case_is_memoized(ring):
+    # a one-term move is read off the positions of i and i+1; the memo holds
+    # the (n-1) (n-1)! pairs with i+1 directly left of i, and no other
+    n = 5
+    cache = _SiExpansionCache(n, ring)
+    for w in Permutation.all(n):
+        for i in range(1, n):
+            expansion = cache.expansion(w, i)
+            j, k = w.index(i), w.index(i + 1)
+            if j + 1 == k:
+                assert expansion == {w: cache.ring.one}
+            elif k + 1 != j:
+                assert expansion == {Permutation.simple(i, n) * w: cache.ring.one}
+    assert all(w.index(i + 1) + 1 == w.index(i) for w, i in cache.cache)
+    assert len(cache.cache) == (n - 1) * math.factorial(n - 1)
+
+
+def _matrix_digest(matrix):
+    text = json.dumps(
+        [[str(w), sorted((str(v), c) for v, c in matrix.columns[w].items())]
+         for w in matrix.basis_order],
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_generator_matrices_match_golden():
+    # one digest per (n, k, i) of every permutohedral generator matrix at n <= 6
+    golden = pathlib.Path(__file__).parent / "golden" / "generator_matrices_n6.json"
+    digests = {}
+    for n in range(2, 7):
+        h = HessenbergFunction.permutohedral(n)
+        for k in range(n):
+            for i in range(1, n):
+                digests[f"{n},{k},{i}"] = _matrix_digest(generator_matrix(i, k, h))
+    assert digests == json.loads(golden.read_text())
 
 
 def test_si_expansion_degree_bookkeeping():

@@ -235,3 +235,13 @@ def test_support_decides_each_pulled_set_once(n, monkeypatch):
         calls.clear()
         support_A(rng.choice(perms), HessenbergFunction.random(n, rng))
         assert len(calls) == len(set(calls)) <= 2 ** n - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_successors_match_the_edge_scan(n):
+    # the lists built once in __init__ against a scan of the edge set
+    for h in HessenbergFunction.all(n):
+        for w in Permutation.all(n):
+            g = build_cell_digraph(w, h)
+            for j in range(1, n + 1):
+                assert list(g.successors(j)) == sorted(i for a, i in g.edges if a == j)
