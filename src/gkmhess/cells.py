@@ -12,18 +12,19 @@ dependent entries in increasing index gap expresses everything in the free
 coordinates.
 
 Minors of ``x`` detect reachability (nonvanishing iff the column set reaches
-the row set), and Plücker coordinates of a generic point recover the fixed
-points of the closed cell, giving an oracle for the support computation that
-never looks at the reachability combinatorics.  Every minor, symbolic or at
-a point, and every Plücker coordinate comes from one Laplace recurrence over
-row subsets, each minor from the minors of its subsets one row smaller; at
-a point each row is first scaled to integers.
+the row set), and the Plücker coordinates of the cell, the leading minors of
+``\\dot w x`` as polynomials in the free coordinates, recover the fixed points
+of the closed cell, giving an oracle for the support computation that never
+looks at the reachability combinatorics.  Both are exact: a minor counts as
+nonzero when its polynomial is, and no point is sampled.  Every minor and
+every Plücker coordinate comes from one Laplace recurrence over row subsets,
+each minor from the minors of its subsets one row smaller, over the chart's
+polynomial entries.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,20 +187,6 @@ class CellChart:
             and not self.defining_equation(alpha, beta).is_zero
         ]
 
-    def value_at(self, i: int, j: int, assignment: Sequence[int | Fraction]) -> int | Fraction:
-        """Entry (i, j) of ``x`` at a point of the cell, an ``int`` where integral."""
-        if i <= j:
-            return 1 if i == j else 0
-        return self.entries[(i, j)].evaluate(assignment)
-
-    def evaluate_matrix(self, assignment: Sequence[int | Fraction]) -> list[list[int | Fraction]]:
-        """The unitriangular matrix ``x`` at a point of the cell."""
-        n = self.h.n
-        return [
-            [self.value_at(i, j, assignment) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-
 
 def build_cell_chart(w: Permutation, h: HessenbergFunction, c: EigenvalueVector | None = None) -> CellChart:
     return CellChart(w, h, c if c is not None else prime_eigenvalues(h.n))
@@ -261,13 +248,6 @@ def path_monomial_exponents(chart: CellChart, path: Sequence[int]) -> tuple[int,
 # -- minors ------------------------------------------------------------------
 
 
-def _integer_row(row: Sequence[int | Fraction]) -> tuple[int, list[int]]:
-    """``(scale, row * scale)``, scale the lcm of the row's denominators:
-    every minor through the row gains the factor ``scale``."""
-    scale = math.lcm(*(v.denominator for v in row))
-    return scale, [v.numerator * (scale // v.denominator) for v in row]
-
-
 def _leading_minors(rows: Sequence[Sequence]) -> list:
     """``minors[R]`` = det of the rows in ``R`` on the first ``|R|`` columns,
     for every row subset ``R`` as a bitmask (bit r for ``rows[r]``).
@@ -294,43 +274,22 @@ def _leading_minors(rows: Sequence[Sequence]) -> list:
     return minors
 
 
-def _submatrix(entry, rows, cols) -> list[list]:
-    """``entry(r, c)`` for r in rows and c in cols, sets of equal size."""
+def _polynomial_rows(chart: CellChart, rows, cols) -> list[list[MultiPoly | int]]:
+    """The chart's entries on ``rows`` x ``cols``, index sequences of equal
+    size, with a zero entry as the ``int`` 0 so that ``_leading_minors``
+    skips it."""
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
         raise ValueError("row and column sets must have equal size")
-    return [[entry(r, c) for c in cols] for r in rows]
+    return [[0 if (poly := chart.entry(r, c)).is_zero else poly for c in cols] for r in rows]
 
 
 def minor_symbolic(chart: CellChart, rows, cols) -> MultiPoly:
     """det over chart entries, rows/cols ascending index tuples of equal size."""
-
-    def entry(r: int, c: int) -> MultiPoly | int:
-        poly = chart.entry(r, c)
-        return 0 if poly.is_zero else poly
-
-    det = _leading_minors(_submatrix(entry, rows, cols))[-1]
+    det = _leading_minors(_polynomial_rows(chart, rows, cols))[-1]
     return MultiPoly.zero(chart.nvars, chart.var_names) + det
 
 
-def minor_at_point(chart: CellChart, rows, cols, assignment: Sequence[int | Fraction]) -> Fraction:
-    """The exact minor at a point: only its own entries evaluated, the rows
-    scaled to integers, the product of the scales divided back out."""
-    scaled = [
-        _integer_row(row)
-        for row in _submatrix(
-            lambda r, c: chart.value_at(r, c, assignment), rows, cols
-        )
-    ]
-    det = _leading_minors([row for _scale, row in scaled])[-1]
-    return Fraction(det, math.prod(scale for scale, _row in scaled))
-
-
-def random_assignment(chart: CellChart, rng: random.Random, span: int = 10**6) -> list[int]:
-    return [rng.randint(1, span) for _ in range(chart.nvars)]
-
-
-MAX_POINT_RESAMPLES = 5
 MAX_EIGENVALUE_RESAMPLES = 3
 
 
@@ -346,9 +305,7 @@ class MinorCertificate:
     cols: tuple[int, ...]
     reachable: bool
     minor_nonzero: bool
-    point_resamples: int
     eigenvalue_resamples: int
-    symbolic_escalations: int
 
     @property
     def agree(self) -> bool:
@@ -365,94 +322,61 @@ def minor_reachability_certificate(
 ) -> MinorCertificate:
     """Compare minor nonvanishing against set reachability.
 
-    Nonzero at any sampled point certifies a nonzero polynomial; on an
-    unreachable pair that is a hard failure.  A reachable pair that keeps
-    evaluating to zero escalates to the symbolic minor, then to fresh
-    eigenvalues (genericity resampling), before giving up.
+    The symbolic minor decides.  Nonzero on an unreachable pair is a hard
+    failure.  A reachable pair whose minor vanishes identically at these
+    eigenvalues is tried again at fresh ones drawn from ``rng``
+    (genericity resampling), before giving up.
     """
     rows, cols = tuple(sorted(rows)), tuple(sorted(cols))
-    g = build_cell_digraph(w, h)
-    reachable = set_reachable(g, cols, rows)
-
-    point_resamples = 0
+    reachable = set_reachable(build_cell_digraph(w, h), cols, rows)
     eigen_resamples = 0
-    escalations = 0
     current_c = c if c is not None else prime_eigenvalues(h.n)
     while True:
-        chart = CellChart(w, h, current_c)
-        nonzero = False
-        for _ in range(MAX_POINT_RESAMPLES):
-            value = minor_at_point(chart, rows, cols, random_assignment(chart, rng))
-            if value != 0:
-                nonzero = True
-                break
-            point_resamples += 1
-        if not nonzero:
-            escalations += 1
-            nonzero = not minor_symbolic(chart, rows, cols).is_zero
+        nonzero = not minor_symbolic(CellChart(w, h, current_c), rows, cols).is_zero
         if nonzero and not reachable:
             raise TheoremViolationError(
                 f"nonzero minor on unreachable pair: w={w}, h={h}, A={rows}, B={cols}"
             )
         if nonzero == reachable:
-            return MinorCertificate(
-                w, h, rows, cols, reachable, nonzero,
-                point_resamples, eigen_resamples, escalations,
-            )
+            return MinorCertificate(w, h, rows, cols, reachable, nonzero, eigen_resamples)
         # reachable but identically zero at these eigenvalues: resample
         eigen_resamples += 1
         if eigen_resamples > MAX_EIGENVALUE_RESAMPLES:
-            return MinorCertificate(
-                w, h, rows, cols, reachable, nonzero,
-                point_resamples, eigen_resamples, escalations,
-            )
+            return MinorCertificate(w, h, rows, cols, reachable, nonzero, eigen_resamples)
         current_c = EigenvalueVector.random(h.n, rng, span=10 ** (6 + eigen_resamples))
 
 
 # -- Pluecker patterns and the fixed-point oracle ----------------------------
 
 
-def plucker_pattern(
-    w: Permutation, h: HessenbergFunction, rng: random.Random, seeds: int = 3
-) -> list[set[tuple[int, ...]]]:
-    """For j = 1..n, the row sets with nonzero leading j-minor of a generic point.
+def plucker_pattern(w: Permutation, h: HessenbergFunction) -> list[set[tuple[int, ...]]]:
+    """For j = 1..n, the row sets with nonzero leading j-minor on the cell.
 
-    ``g = \\dot w x`` has row r equal to row ``w^-1(r)`` of ``x``.  The union
-    over several sampled points guards against accidental vanishing: any
-    nonzero evaluation certifies a nonzero coordinate.
+    ``g = \\dot w x`` has row r equal to row ``w^-1(r)`` of ``x``.
     """
     patterns: list[set[tuple[int, ...]]] = [set() for _ in range(h.n)]
-    for mask in _nonzero_minor_masks(w, h, rng, seeds):
+    for mask in _nonzero_minor_masks(w, h):
         rows = tuple(r for r in range(1, h.n + 1) if mask >> (r - 1) & 1)
         patterns[len(rows) - 1].add(rows)
     return patterns
 
 
-def fixed_point_oracle(
-    w: Permutation, h: HessenbergFunction, rng: random.Random, seeds: int = 3
-) -> frozenset[Permutation]:
-    """Fixed points of the closed cell from Pluecker coordinates of a generic
-    point: u belongs iff every sorted prefix of u indexes a nonzero coordinate.
+def fixed_point_oracle(w: Permutation, h: HessenbergFunction) -> frozenset[Permutation]:
+    """Fixed points of the closed cell from its Pluecker coordinates: u
+    belongs iff every sorted prefix of u indexes a nonzero coordinate.
 
     A prefix whose coordinate vanishes is not extended.
     """
-    nonzero = _nonzero_minor_masks(w, h, rng, seeds)
+    nonzero = _nonzero_minor_masks(w, h)
     return frozenset(prefix_closed(h.n, nonzero.__contains__))
 
 
-def _nonzero_minor_masks(
-    w: Permutation, h: HessenbergFunction, rng: random.Random, seeds: int
-) -> set[int]:
+def _nonzero_minor_masks(w: Permutation, h: HessenbergFunction) -> set[int]:
     """Row sets of ``g = \\dot w x``, as bitmasks (bit r - 1 for row r), whose
-    leading minor is nonzero at one of ``seeds`` sampled points of the cell."""
-    if seeds < 1:
-        raise ValueError(f"seeds must be at least 1, got {seeds}")
-    chart = build_cell_chart(w, h)
+    leading minor is a nonzero polynomial in the free coordinates."""
     w_inv = w.inverse()
-    nonzero: set[int] = set()
-    for _ in range(seeds):
-        x = chart.evaluate_matrix(random_assignment(chart, rng))
-        rows = [_integer_row(x[w_inv(r) - 1])[1] for r in range(1, h.n + 1)]
-        minors = _leading_minors(rows)
-        nonzero.update(mask for mask in range(1, len(minors)) if minors[mask])
-    return nonzero
+    rows = _polynomial_rows(
+        build_cell_chart(w, h), [w_inv(r) for r in range(1, h.n + 1)], range(1, h.n + 1)
+    )
+    minors = _leading_minors(rows)
+    return {mask for mask in range(1, len(minors)) if minors[mask] != 0}

@@ -50,7 +50,6 @@ SCHEMA = 1
 class RunConfig:
     seed: int = 0
     output: str = "json"
-    oracle_seeds: int = 3
     h_filter: str | None = None
 
     @classmethod
@@ -58,7 +57,6 @@ class RunConfig:
         return cls(
             seed=args.seed,
             output=args.format,
-            oracle_seeds=getattr(args, "seeds", 3),
             h_filter=getattr(args, "h", None),
         )
 
@@ -133,7 +131,7 @@ def cmd_gkm_graph(args, config: RunConfig) -> int:
 
 
 def cmd_support(args, config: RunConfig) -> int:
-    w = Permutation.from_one_line(args.w)
+    w = args.w
     h = _parse_h_for(w, args.h, args.n)
     members = support_A(w, h).sorted()
     _emit(
@@ -144,7 +142,7 @@ def cmd_support(args, config: RunConfig) -> int:
 
 
 def cmd_cell_chart(args, config: RunConfig) -> int:
-    w = Permutation.from_one_line(args.w)
+    w = args.w
     h = _parse_h_for(w, args.h, None)
     try:
         c = (
@@ -175,7 +173,7 @@ def cmd_cell_chart(args, config: RunConfig) -> int:
 
 
 def cmd_class(args, config: RunConfig) -> int:
-    w = Permutation.from_one_line(args.w)
+    w = args.w
     h = _parse_h_for(w, "permutohedral" if args.permutohedral else args.h, args.n)
     result = flow_up_class(w, h)
     _emit(
@@ -237,7 +235,7 @@ def cmd_expand(args, config: RunConfig) -> int:
 
 
 def cmd_dot(args, config: RunConfig) -> int:
-    w = Permutation.from_one_line(args.w)
+    w = args.w
     n = len(w)
     if not 1 <= args.gen < n:
         raise ValueError(f"--gen {args.gen} outside [1,{n - 1}]")
@@ -270,7 +268,7 @@ def cmd_dot(args, config: RunConfig) -> int:
 
 
 def cmd_action_matrix(args, config: RunConfig) -> int:
-    u = Permutation.from_one_line(args.perm)
+    u = args.perm
     n = len(u)
     h = _parse_h_for(u, args.h, args.n, "--perm")
     top = len(h.pairs)
@@ -353,22 +351,22 @@ def _result(name: str, passed: bool, **details) -> dict:
     return {"name": name, "passed": passed, **details}
 
 
+def _cell_instances(n: int, config: RunConfig, exhaustive_to: int,
+                    samples: int) -> list[tuple[HessenbergFunction, Permutation]]:
+    """Every (h, w) when n <= exhaustive_to, otherwise ``samples`` pairs
+    drawn from the run's seed, h first and then w."""
+    if n <= exhaustive_to:
+        return [(h, w) for h in HessenbergFunction.all(n) for w in Permutation.all(n)]
+    rng = config.rng()
+    perms = list(Permutation.all(n))
+    return [(HessenbergFunction.random(n, rng), rng.choice(perms)) for _ in range(samples)]
+
+
 def verify_supports(n: int, config: RunConfig) -> dict:
-    if n <= 4:
-        instances = [
-            (h, w) for h in HessenbergFunction.all(n) for w in Permutation.all(n)
-        ]
-    else:
-        rng = config.rng()
-        perms = list(Permutation.all(n))
-        instances = [
-            (HessenbergFunction.random(n, rng), rng.choice(perms))
-            for _ in range(200)
-        ]
+    instances = _cell_instances(n, config, 4, 200)
     failures = []
-    for index, (h, w) in enumerate(instances):
-        rng = random.Random(config.seed + index)
-        if support_A(w, h).members != fixed_point_oracle(w, h, rng, seeds=config.oracle_seeds):
+    for h, w in instances:
+        if support_A(w, h).members != fixed_point_oracle(w, h):
             failures.append({"w": str(w), "h": str(h)})
     return _result(
         "supports", not failures, instances=len(instances), failures=failures[:5]
@@ -421,21 +419,9 @@ def verify_cell_charts(n: int, config: RunConfig) -> dict:
     from .cells import minimal_path_coefficient, minimal_paths, path_monomial_exponents
 
     failures = []
-    count = 0
     c = prime_eigenvalues(n)
-    if n <= 5:
-        pairs = (
-            (h, w) for h in HessenbergFunction.all(n) for w in Permutation.all(n)
-        )
-    else:
-        rng = config.rng()
-        perms = list(Permutation.all(n))
-        pairs = (
-            (HessenbergFunction.random(n, rng), rng.choice(perms))
-            for _ in range(500)
-        )
-    for h, w in pairs:
-        count += 1
+    instances = _cell_instances(n, config, 5, 500)
+    for h, w in instances:
         chart = build_cell_chart(w, h, c)
         bad = chart.consistency_violations()
         if bad:
@@ -452,7 +438,7 @@ def verify_cell_charts(n: int, config: RunConfig) -> dict:
                         failures.append(
                             {"w": str(w), "h": str(h), "path": path}
                         )
-    return _result("cell-charts", not failures, instances=count, failures=failures[:5])
+    return _result("cell-charts", not failures, instances=len(instances), failures=failures[:5])
 
 
 def verify_classes(n: int, config: RunConfig) -> dict:
@@ -636,6 +622,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _permutation(text: str) -> Permutation:
+    try:
+        w = Permutation.from_one_line(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not w:
+        raise argparse.ArgumentTypeError("the permutation is empty")
+    return w
+
+
 def _add_h_or_permutohedral(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--h")
@@ -661,17 +657,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("support", parents=[common], help="fixed points of a closed minus cell")
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--h", required=True)
-    p.add_argument("--w", required=True)
+    p.add_argument("--w", type=_permutation, required=True)
     p.set_defaults(handler=cmd_support)
 
     p = sub.add_parser("cell-chart", parents=[common], help="symbolic chart of a minus cell")
-    p.add_argument("--w", required=True)
+    p.add_argument("--w", type=_permutation, required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--eigenvalues")
     p.set_defaults(handler=cmd_cell_chart)
 
     p = sub.add_parser("class", parents=[common], help="basis class as fixed-point values")
-    p.add_argument("--w", required=True)
+    p.add_argument("--w", type=_permutation, required=True)
     p.add_argument("--n", type=_positive_int)
     _add_h_or_permutohedral(p)
     p.set_defaults(handler=cmd_class)
@@ -683,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_expand)
 
     p = sub.add_parser("dot", parents=[common], help="simple-reflection action on a basis class")
-    p.add_argument("--w", required=True)
+    p.add_argument("--w", type=_permutation, required=True)
     p.add_argument("--gen", type=int, required=True)
     p.add_argument("--n", type=_positive_int)
     _add_h_or_permutohedral(p)
@@ -692,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("action-matrix", parents=[common], help="matrix of a group element on one degree")
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--perm", required=True)
+    p.add_argument("--perm", type=_permutation, required=True)
     p.add_argument("--h", default="permutohedral")
     p.set_defaults(handler=cmd_action_matrix)
 
@@ -711,8 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=tuple(SUITES) + ("all",))
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seeds", type=_positive_int, default=3,
-                   help="independent oracle samples per instance")
     p.add_argument("--h", help="run the sw suite on this one function, any h, "
                    "instead of the permutohedral and the full flag")
     p.set_defaults(handler=cmd_verify)

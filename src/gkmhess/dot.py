@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .classes import (
     EquivariantClass,
@@ -39,7 +38,7 @@ from .classes import (
     permutohedral_class,
     reduce_to_ordinary,
 )
-from .gkm import EdgeKind, HessenbergFunction, edge_kind, l_h
+from .gkm import EdgeKind, HessenbergFunction, degree_bases, edge_kind
 from .perms import Permutation, SymmetricGroup
 from .polys import Coeff, MultiPoly
 
@@ -405,19 +404,10 @@ class ActionMatrix:
         return sum(self.columns.get(w, {}).get(w, 0) for w in self.basis_order)
 
 
-@lru_cache(maxsize=16)
-def _degree_bases(h: HessenbergFunction) -> tuple[tuple[Permutation, ...], ...]:
-    """Every degree basis of ``h``, from one scan of S_n."""
-    bases: list[list[Permutation]] = [[] for _ in range(len(h.pairs) + 1)]
-    for w in Permutation.all(h.n):
-        bases[l_h(w, h)].append(w)
-    return tuple(map(tuple, bases))
-
-
 def degree_basis(h: HessenbergFunction, k: int) -> tuple[Permutation, ...]:
     """The ``w`` with ``l_h(w) = k``, in the order of ``Permutation.all``;
-    every call for one h reads the same tuple."""
-    bases = _degree_bases(h)
+    every call for one h reads the same tuple of ``gkm.degree_bases``."""
+    bases = degree_bases(h)
     return bases[k] if 0 <= k < len(bases) else ()
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .perms import Permutation, SymmetricGroup, transposition_bit
@@ -142,12 +143,19 @@ def l_h(w: Permutation, h: HessenbergFunction) -> int:
     return sum(1 for j, i in h.pairs if w[j - 1] > w[i - 1])
 
 
+@lru_cache(maxsize=16)
+def degree_bases(h: HessenbergFunction) -> tuple[tuple[Permutation, ...], ...]:
+    """For k = 0..top, the ``w`` with ``l_h(w) = k`` in the order of
+    ``Permutation.all``: every degree basis of ``h`` from one scan of S_n."""
+    bases: list[list[Permutation]] = [[] for _ in range(len(h.pairs) + 1)]
+    for w in Permutation.all(h.n):
+        bases[l_h(w, h)].append(w)
+    return tuple(map(tuple, bases))
+
+
 def poincare_coefficients(h: HessenbergFunction) -> tuple[int, ...]:
     """Coefficient of q^{2k} is the number of w with l_h(w) = k."""
-    counts = [0] * (len(h.pairs) + 1)
-    for w in Permutation.all(h.n):
-        counts[l_h(w, h)] += 1
-    return tuple(counts)
+    return tuple(map(len, degree_bases(h)))
 
 
 class EdgeKind(Enum):

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import math
 import pathlib
 import random
 from fractions import Fraction
@@ -20,14 +19,12 @@ from gkmhess.cells import (
     fixed_point_oracle,
     minimal_path_coefficient,
     minimal_paths,
-    minor_at_point,
     minor_reachability_certificate,
     minor_symbolic,
     path_monomial_exponents,
     paths,
     plucker_pattern,
     prime_eigenvalues,
-    random_assignment,
 )
 from gkmhess.gkm import HessenbergFunction
 from gkmhess.linalg import row_reduce
@@ -160,7 +157,8 @@ def _hessenberg_conditions_at_a_point(chart, rng):
     """(X^-1 D X)_{alpha, beta} for alpha > h(beta), X the chart at a random
     point and D = diag(c_{w(1)}, ..., c_{w(n)}); all vanish on the variety."""
     n = chart.h.n
-    x = chart.evaluate_matrix(random_assignment(chart, rng))
+    point = [rng.randint(1, 10**6) for _ in range(chart.nvars)]
+    x = [[chart.entry(i, j).evaluate(point) for j in range(1, n + 1)] for i in range(1, n + 1)]
     # [X | I] reduces to [I | X^-1]
     pivots, _leftover = row_reduce(
         [{**dict(enumerate(row)), n + i: 1} for i, row in enumerate(x)], bound=n
@@ -253,8 +251,15 @@ def test_minor_symbolic_matches_leibniz(n):
                     )
 
 
+def _evaluated_block(chart, rows, cols, point):
+    """The chart's entries on ``rows`` x ``cols``, each evaluated at ``point``."""
+    return [[chart.entry(r, col).evaluate(point) for col in cols] for r in rows]
+
+
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_minor_at_point_matches_an_exact_determinant(n):
+    # the symbolic minor at a point against Gaussian elimination on the
+    # entries evaluated there
     rng = random.Random(30 + n)
     perms = list(Permutation.all(n))
     for _ in range(60):
@@ -264,22 +269,17 @@ def test_minor_at_point_matches_an_exact_determinant(n):
         cols = tuple(sorted(rng.sample(range(1, n + 1), size)))
         # small coordinates make vanishing minors common
         assignment = [Fraction(rng.randint(-2, 2)) for _ in range(chart.nvars)]
-        x = chart.evaluate_matrix(assignment)
-        sub = [[x[r - 1][col - 1] for col in cols] for r in rows]
-        value = minor_at_point(chart, rows, cols, assignment)
-        assert isinstance(value, Fraction)
-        assert value == elimination_det(sub), (str(chart.h), str(chart.w), rows, cols)
+        value = minor_symbolic(chart, rows, cols).evaluate(assignment)
+        expected = elimination_det(_evaluated_block(chart, rows, cols, assignment))
+        assert value == expected, (str(chart.h), str(chart.w), rows, cols)
 
 
-def _minor_on_the_whole_matrix(chart, rows, cols, assignment):
-    """The minor at a point by the route ``minor_at_point`` replaced: every
-    entry of the chart evaluated over ``Fraction``, then the k x k block."""
-    x = [[Fraction(v) for v in row] for row in chart.evaluate_matrix(
-        [Fraction(v) for v in assignment]
-    )]
-    scaled = [cells._integer_row([x[r - 1][c - 1] for c in cols]) for r in rows]
-    det = _leading_minors([row for _scale, row in scaled])[-1]
-    return Fraction(det, math.prod(scale for scale, _row in scaled))
+def _minor_on_the_whole_matrix(chart, rows, cols, point):
+    """The minor at a point from the whole chart: every entry of ``x``
+    evaluated over ``Fraction``, then the k x k block by elimination."""
+    n = chart.h.n
+    x = _evaluated_block(chart, range(1, n + 1), range(1, n + 1), [Fraction(v) for v in point])
+    return elimination_det([[x[r - 1][c - 1] for c in cols] for r in rows])
 
 
 NON_INTEGRAL_EIGENVALUES = (
@@ -301,19 +301,10 @@ def test_minor_at_point_matches_the_whole_matrix_route(n, eigenvalues):
         size = rng.randint(1, n)
         rows = tuple(sorted(rng.sample(range(1, n + 1), size)))
         cols = tuple(sorted(rng.sample(range(1, n + 1), size)))
-        point = random_assignment(chart, rng, span=rng.choice([3, 10**6]))
-        assert all(type(v) is int for v in point)
-        value = minor_at_point(chart, rows, cols, point)
+        span = rng.choice([3, 10**6])
+        point = [rng.randint(1, span) for _ in range(chart.nvars)]
+        value = minor_symbolic(chart, rows, cols).evaluate(point)
         assert value == _minor_on_the_whole_matrix(chart, rows, cols, point)
-        assert minor_at_point(chart, rows, cols, [Fraction(v) for v in point]) == value
-
-
-def test_random_assignment_draws_integers_as_before():
-    chart = build_cell_chart(Permutation.from_one_line("35142"), H5)
-    draws = random.Random(11)
-    assert random_assignment(chart, random.Random(11)) == [
-        draws.randint(1, 10**6) for _ in range(chart.nvars)
-    ]
 
 
 def test_eigenvalue_differences_are_integers_where_integral():
@@ -332,20 +323,19 @@ def test_eigenvalue_differences_are_integers_where_integral():
 
 def test_minors_need_square_index_sets():
     chart = build_cell_chart(Permutation.identity(3), HessenbergFunction((2, 3, 3)))
-    point = random_assignment(chart, random.Random(0))
     with pytest.raises(ValueError, match="equal size"):
         minor_symbolic(chart, (1, 2), (1,))
-    with pytest.raises(ValueError, match="equal size"):
-        minor_at_point(chart, (1, 2), (1,), point)
 
 
 def test_minor_point_evaluation_agrees_with_symbolic():
     rng = random.Random(3)
     w = Permutation.from_one_line("15342")
     chart = build_cell_chart(w, H5)
-    assignment = random_assignment(chart, rng)
+    point = [rng.randint(1, 10**6) for _ in range(chart.nvars)]
     symbolic = minor_symbolic(chart, (3, 4), (1, 3))
-    assert minor_at_point(chart, (3, 4), (1, 3), assignment) == symbolic.evaluate(assignment)
+    assert not symbolic.is_zero
+    block = _evaluated_block(chart, (3, 4), (1, 3), point)
+    assert symbolic.evaluate(point) == block[0][0] * block[1][1] - block[0][1] * block[1][0]
 
 
 def test_certificate_trivial_full_sets():
@@ -367,47 +357,33 @@ def test_certificate_exhaustive_n3():
                         assert minor_reachability_certificate(w, h, rows, cols, rng).agree
 
 
-def _minor_certificates(n, seed, count):
-    """The first ``count`` certificates of ``verify minors`` at n >= 5 as
-    plain records: one rng draws each case and then certifies it, so the
-    records pin the rng consumption of the certificate too."""
-    rng = random.Random(seed)
-    perms = list(Permutation.all(n))
+def test_minor_certificates_match_golden():
+    # 200 recorded cases at n = 6 (132 unreachable), each certified again
+    # from its w, h, rows and cols; rng is read only by an eigenvalue resample
+    expected = json.loads((GOLDEN / "minor_certificates_n6_seed0.json").read_text())
     records = []
-    for _ in range(count):
-        size = rng.randint(1, n)
-        w = rng.choice(perms)
-        h = HessenbergFunction.random(n, rng)
-        rows = tuple(sorted(rng.sample(range(1, n + 1), size)))
-        cols = tuple(sorted(rng.sample(range(1, n + 1), size)))
-        cert = minor_reachability_certificate(w, h, rows, cols, rng)
+    for case in expected:
+        w = Permutation.from_one_line(case["w"])
+        h = HessenbergFunction.from_string(case["h"])
+        cert = minor_reachability_certificate(w, h, case["rows"], case["cols"], random.Random(0))
         records.append({
             field.name: getattr(cert, field.name) for field in dataclasses.fields(cert)
-        } | {"w": str(w), "h": str(h), "rows": list(rows), "cols": list(cols)})
-    return records
-
-
-def test_minor_certificates_match_golden():
-    # every unreachable pair takes all its point resamples and one symbolic
-    # escalation, so the golden pins both minor evaluations
-    expected = json.loads((GOLDEN / "minor_certificates_n6_seed0.json").read_text())
-    assert _minor_certificates(6, 0, 200) == expected
+        } | {"w": str(w), "h": str(h), "rows": list(cert.rows), "cols": list(cert.cols)})
+    assert records == expected
 
 
 def test_plucker_pattern_of_fixed_point():
     # edgeless digraph: the only point is the permutation matrix itself
     h = HessenbergFunction((1, 2, 3, 4))
-    rng = random.Random(0)
     for w in [Permutation.from_one_line("3142"), Permutation.longest(4)]:
-        patterns = plucker_pattern(w, h, rng, seeds=1)
+        patterns = plucker_pattern(w, h)
         for j in range(1, 5):
             assert patterns[j - 1] == {tuple(sorted(w[:j]))}
 
 
 def test_plucker_pattern_identity_point():
     h = HessenbergFunction((1, 2, 3))
-    rng = random.Random(0)
-    patterns = plucker_pattern(Permutation.identity(3), h, rng, seeds=1)
+    patterns = plucker_pattern(Permutation.identity(3), h)
     assert patterns[0] == {(1,)}
     assert patterns[1] == {(1, 2)}
 
@@ -415,9 +391,8 @@ def test_plucker_pattern_identity_point():
 def test_plucker_pattern_matches_j_families():
     from gkmhess.reach import j_family
 
-    rng = random.Random(2)
     w = Permutation.from_one_line("24135")
-    patterns = plucker_pattern(w, H5, rng, seeds=3)
+    patterns = plucker_pattern(w, H5)
     for j in range(1, 6):
         expected = {
             tuple(sorted(w(i) for i in combo)) for combo in j_family(w, H5, j)
@@ -426,10 +401,9 @@ def test_plucker_pattern_matches_j_families():
 
 
 def test_oracle_matches_support():
-    rng = random.Random(9)
     for w_text in ("24135", "15342", "12345"):
         w = Permutation.from_one_line(w_text)
-        assert fixed_point_oracle(w, H5, rng) == support_A(w, H5).members
+        assert fixed_point_oracle(w, H5) == support_A(w, H5).members
 
 
 def test_supports_match_the_oracle_on_random_h_at_n6():
@@ -438,22 +412,13 @@ def test_supports_match_the_oracle_on_random_h_at_n6():
     for _ in range(20):
         h = HessenbergFunction.random(6, rng)
         w = rng.choice(perms)
-        assert support_A(w, h).members == fixed_point_oracle(w, h, rng, seeds=3), (w, h)
+        assert support_A(w, h).members == fixed_point_oracle(w, h), (w, h)
 
 
 def test_oracle_edgeless_case():
     h = HessenbergFunction((1, 2, 3, 4))
-    rng = random.Random(1)
     w = Permutation.from_one_line("4321")
-    assert fixed_point_oracle(w, h, rng) == frozenset({w})
-
-
-@pytest.mark.parametrize("oracle", [plucker_pattern, fixed_point_oracle])
-@pytest.mark.parametrize("seeds", [0, -2])
-def test_oracle_needs_a_sample(oracle, seeds):
-    # with no sampled point every coordinate would read as zero
-    with pytest.raises(ValueError, match="seeds must be at least 1"):
-        oracle(Permutation.identity(3), HessenbergFunction((2, 3, 3)), random.Random(0), seeds)
+    assert fixed_point_oracle(w, h) == frozenset({w})
 
 
 def test_oracle_calls_nothing_from_reach(monkeypatch):
@@ -465,30 +430,24 @@ def test_oracle_calls_nothing_from_reach(monkeypatch):
             if callable(value) and getattr(value, "__module__", None) == "gkmhess.reach":
                 monkeypatch.setattr(module, name, forbidden)
     w = Permutation.from_one_line("24135")
-    rng = random.Random(4)
-    assert len(plucker_pattern(w, H5, rng)) == 5
-    assert w in fixed_point_oracle(w, H5, rng)
+    assert len(plucker_pattern(w, H5)) == 5
+    assert w in fixed_point_oracle(w, H5)
 
 
-def _plucker_pattern_by_subset_determinants(w, h, rng, seeds=3):
-    """The Plücker pattern with one exact determinant per row subset, on the
-    sampled points themselves: the reference for ``plucker_pattern``'s
-    integer subset recurrence.  Draws the same points from ``rng``."""
+def _plucker_pattern_by_subset_determinants(w, h):
+    """The Plücker pattern with one Leibniz determinant per row subset over
+    the chart's polynomial entries: the reference for ``plucker_pattern``'s
+    subset recurrence."""
     n = h.n
     chart = build_cell_chart(w, h)
     w_inv = w.inverse()
-    patterns = [set() for _ in range(n + 1)]
-    for _ in range(seeds):
-        x = chart.evaluate_matrix(random_assignment(chart, rng))
-        g_rows = [x[w_inv(r) - 1] for r in range(1, n + 1)]
-        for j in range(1, n + 1):
-            for rows in itertools.combinations(range(1, n + 1), j):
-                if rows in patterns[j]:
-                    continue
-                sub = [[g_rows[r - 1][cidx] for cidx in range(j)] for r in rows]
-                if elimination_det(sub) != 0:
-                    patterns[j].add(rows)
-    return patterns[1:]
+    return [
+        {
+            rows for rows in itertools.combinations(range(1, n + 1), j)
+            if leibniz([[chart.entry(w_inv(r), c) for c in range(1, j + 1)] for r in rows]) != 0
+        }
+        for j in range(1, n + 1)
+    ]
 
 
 def _oracle_by_scan(patterns, n):
@@ -507,14 +466,11 @@ def test_oracle_matches_subset_determinants(n):
     else:
         perms = list(Permutation.all(n))
         pairs = [(HessenbergFunction.random(n, rng), rng.choice(perms))
-                 for _ in range({5: 300, 6: 150}[n])]
-    for index, (h, w) in enumerate(pairs):
-        seeds = 1 + index % 3
-        expected = _plucker_pattern_by_subset_determinants(w, h, random.Random(index), seeds)
-        assert plucker_pattern(w, h, random.Random(index), seeds) == expected, (str(h), str(w))
-        assert fixed_point_oracle(w, h, random.Random(index), seeds) == (
-            _oracle_by_scan(expected, n)
-        ), (str(h), str(w))
+                 for _ in range({5: 300, 6: 100}[n])]
+    for h, w in pairs:
+        expected = _plucker_pattern_by_subset_determinants(w, h)
+        assert plucker_pattern(w, h) == expected, (str(h), str(w))
+        assert fixed_point_oracle(w, h) == _oracle_by_scan(expected, n), (str(h), str(w))
 
 
 def _square_matrices(entries, max_size=6):

@@ -255,14 +255,40 @@ def test_decomposition_table_exits_1_when_the_total_is_not_n_factorial(monkeypat
     assert out.endswith("total dimension: 7\nFAILED: the total is not 3! = 6\n")
 
 
-@pytest.mark.parametrize("seeds", ["0", "-2"])
-def test_nonpositive_oracle_seeds_is_a_usage_error(seeds, capsys):
-    # with no sample the oracle is empty, and every support would fail
+@pytest.mark.parametrize("argv", [
+    ["class", "--w", "", "--permutohedral"],
+    ["class", "--w", "", "--h", "fullflag"],
+    ["support", "--w", "", "--h", "permutohedral"],
+    ["cell-chart", "--w", "", "--h", "permutohedral"],
+    ["dot", "--w", "", "--permutohedral", "--gen", "1"],
+    ["action-matrix", "--perm", "", "--k", "0"],
+], ids=["class-permutohedral", "class-fullflag", "support", "cell-chart", "dot",
+        "action-matrix"])
+def test_empty_permutation_is_a_usage_error(argv, capsys):
     from gkmhess import cli
 
-    assert cli.main(["verify", "supports", "--n", "3", "--seeds", seeds]) == 2
-    err = capsys.readouterr().err
-    assert f"argument --seeds: must be at least 1, got {seeds}" in err
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    flag = "--perm" if "--perm" in argv else "--w"
+    assert f"argument {flag}: the permutation is empty" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_geometry_suites_match_the_benchmark_reference(seed, capsys):
+    # the supports and minors checks of ``verify all --n 5`` as the benchmark
+    # recorded them, for every seed it runs
+    import pathlib
+
+    from gkmhess import cli
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    [recorded] = json.loads(path.read_text(encoding="utf-8"))["verify-all-n5"][str(seed)]
+    checks = {c["name"]: c for c in json.loads(recorded["stdout"])["checks"]}
+    for suite in ("supports", "minors"):
+        assert cli.main(["verify", suite, "--n", "5", "--seed", str(seed)]) == 0
+        [check] = json.loads(capsys.readouterr().out)["checks"]
+        assert check == checks[suite]
 
 
 def test_repeated_value_in_w_is_a_usage_error():
