@@ -340,9 +340,9 @@ def minor_reachability_certificate(
         if nonzero == reachable:
             return MinorCertificate(w, h, rows, cols, reachable, nonzero, eigen_resamples)
         # reachable but identically zero at these eigenvalues: resample
-        eigen_resamples += 1
-        if eigen_resamples > MAX_EIGENVALUE_RESAMPLES:
+        if eigen_resamples == MAX_EIGENVALUE_RESAMPLES:
             return MinorCertificate(w, h, rows, cols, reachable, nonzero, eigen_resamples)
+        eigen_resamples += 1
         current_c = EigenvalueVector.random(h.n, rng, span=10 ** (6 + eigen_resamples))
 
 

@@ -24,12 +24,22 @@ Evaluation at t = 0 is a ring map that commutes with permuting the variables
 and kills the root ``t_{i+1} - t_i``, and the recursion uses nothing but the
 ring operations, those roots and that action.  So the integer run yields
 exactly the constant terms of the polynomial run.
+
+``auxiliary_terms`` is the one walk over the auxiliary summands, read by
+both the recursion and ``build_auxiliary_class``.  It builds one
+``AuxiliaryTerm`` tuple per ``(P, Q)`` and no other object per summand: a
+summand that needs no boundary correction has its ``tilde`` as target and
+one shared identity as mover, whose word the recursion does not apply.
+A permutohedral ``generator_matrix`` takes each column straight from the
+memo, so the columns of its matrices are shared and must not be changed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
+from typing import NamedTuple
 
 from .classes import (
     EquivariantClass,
@@ -125,8 +135,7 @@ def flow_up_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass]:
 # -- permutohedral machinery --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuxiliaryTerm:
+class AuxiliaryTerm(NamedTuple):
     """One summand of the auxiliary class: ``mover . sigma_target``."""
     tilde: Permutation
     target: Permutation
@@ -136,9 +145,13 @@ class AuxiliaryTerm:
 def auxiliary_terms(w: Permutation, i: int) -> list[AuxiliaryTerm]:
     """All ``(P, Q)``-summands of the auxiliary class for the descent case:
     ``P`` and ``Q`` run over the entries left and right of ``i+1, i`` between
-    the neighbouring descents ``d_prev`` and ``d_next`` of ``w``."""
-    from itertools import chain, combinations
+    the neighbouring descents ``d_prev`` and ``d_next`` of ``w``.
 
+    The walk builds one tuple per summand.  Where no boundary correction
+    applies, ``target`` is ``tilde`` itself and the mover is one identity
+    shared by those summands.  The descent set of every target, that of
+    ``sigma_w``'s own summand included, is checked.
+    """
     n = len(w)
     d_here = w.index(i + 1) + 1
     if d_here == n or w[d_here] != i:
@@ -150,16 +163,14 @@ def auxiliary_terms(w: Permutation, i: int) -> list[AuxiliaryTerm]:
     low, high = w[d_prev:d_here - 1], w[d_here + 1:d_next]
     prefix, suffix = list(w[:d_prev]), list(w[d_next:])
     window = set(low) | set(high) | {i}
-    kept = set(w_descents) - {d_here}  # the descents a correction may run along
-
-    def subsets(values):
-        return chain.from_iterable(
-            combinations(values, k) for k in range(len(values) + 1)
-        )
-
+    before, after = w_descents[:index], w_descents[index + 1:]
+    kept = set(before + after)  # the descents a correction may run along
+    identity = Permutation.identity(n)
+    p_sets = [p for k in range(len(low) + 1) for p in combinations(low, k)]
+    q_sets = [q for k in range(len(high) + 1) for q in combinations(high, k)]
     terms = []
-    for p_set in subsets(low):
-        for q_set in subsets(high):
+    for p_set in p_sets:
+        for q_set in q_sets:
             middle = sorted(window.difference(p_set, q_set))
             images = prefix + list(p_set) + [i + 1] + list(q_set) + middle + suffix
             tilde = tuple.__new__(Permutation, images)
@@ -180,13 +191,17 @@ def auxiliary_terms(w: Permutation, i: int) -> list[AuxiliaryTerm]:
                 while pos + 1 in kept and corrected[pos] < corrected[pos + 1]:
                     corrected[pos], corrected[pos + 1] = corrected[pos + 1], corrected[pos]
                     pos += 1
-            target = tuple.__new__(Permutation, corrected)
-            if set(target.descents()) != kept | {d_prev + len(p_set) + len(q_set) + 1}:
+            if corrected == images:
+                target, mover = tilde, identity
+            else:
+                target = tuple.__new__(Permutation, corrected)
+                mover = tilde * target.inverse()
+            d_new = d_prev + len(p_set) + len(q_set) + 1  # strictly between d_prev and d_next
+            if target.descents() != before + (d_new,) + after:
                 raise AssertionError(
                     f"descent correction failed: w={w}, i={i}, P={p_set}, Q={q_set}"
                 )
-            mover = tilde * target.inverse()
-            terms.append(AuxiliaryTerm(tilde=tilde, target=target, mover=mover))
+            terms.append(AuxiliaryTerm(tilde, target, mover))
     return terms
 
 
@@ -291,21 +306,27 @@ class _SiExpansionCache:
         return result
 
     def _compute(self, w: Permutation, i: int) -> dict[Permutation, object]:
-        """The descent case, ``i+1`` directly left of ``i``."""
+        """The descent case, ``i+1`` directly left of ``i``: each auxiliary
+        summand other than ``sigma_w`` adds ``(1 - s_i) . summand``."""
         ring = self.ring
-        si = Permutation.simple(i, self.n)
+        one = ring.one
         result: dict[Permutation, object] = {}
-        _add(result, si * w, ring.root(i))
-        _add(result, w, ring.one)
-        for term in auxiliary_terms(w, i):
-            if term.tilde == w:
+        root = ring.root(i)
+        if not ring.is_zero(root):
+            _add(result, Permutation.simple(i, self.n) * w, root)
+        _add(result, w, one)
+        for tilde, target, mover in auxiliary_terms(w, i):
+            if tilde == w:
                 continue  # the (P~, empty) summand is sigma_w itself
-            summand = self._apply_word(term.mover.reduced_word(), {term.target: ring.one})
-            moved = self._apply_word((i,), summand)
+            if target is tilde:  # no correction: the mover is the identity
+                summand = {target: one}
+            else:
+                summand = self._apply_word(mover.reduced_word(), {target: one})
             for v, coeff in summand.items():
                 _add(result, v, coeff)
-            for v, coeff in moved.items():
-                _add(result, v, -coeff)
+                moved = ring.act(i, coeff)
+                for u, inner in self.expansion(v, i).items():
+                    _add(result, u, -(moved * inner))
         return {v: c for v, c in result.items() if not ring.is_zero(c)}
 
     def _apply_word(self, word, expansion):
@@ -346,6 +367,11 @@ def _expansion_cache(n: int, ring: type) -> _SiExpansionCache:
     return _held(_caches, (n, ring), lambda: _SiExpansionCache(n, ring))
 
 
+def _check_generator(i: int, n: int) -> None:
+    if not 1 <= i < n:
+        raise ValueError(f"generator s_{i} outside 1 <= i < n = {n}")
+
+
 def perm_si_action(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
     """Exact expansion of ``s_i . sigma_w`` over the permutohedral basis.
 
@@ -353,6 +379,7 @@ def perm_si_action(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
     runs on polynomial coefficients.
     """
     w = Permutation(w)
+    _check_generator(i, len(w))
     return _expansion_cache(len(w), _PolyRing).expansion(w, i)
 
 
@@ -415,21 +442,25 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:
     """Matrix of ``s_i`` on ordinary degree-2k cohomology.
 
     One route per family.  Permutohedral h: the recursion of
-    ``perm_si_action`` run on integers at t = 0.  Full flag: the identity,
+    ``perm_si_action`` run on integers at t = 0; each column is the memo's
+    expansion itself, checked to lie in degree k, the same dict on every
+    call, which callers must not change.  Full flag: the identity,
     the t = 0 image of ``full_flag_si_expansion``, whose only other term
     carries the root ``t_{i+1} - t_i``.  Any other h: each column is
     ``reduce_to_ordinary`` of ``s_i . sigma_w`` over ``flow_up_basis(h)``.
     """
+    _check_generator(i, h.n)
     order = degree_basis(h, k)
     if h.is_full_flag():
         return ActionMatrix.identity(order)
     if h.is_permutohedral():
         degree_set = frozenset(order)
         cache = _expansion_cache(h.n, _ConstantRing)
-        columns = {
-            w: {v: c for v, c in cache.expansion(w, i).items() if v in degree_set}
-            for w in order
-        }
+        columns = {}
+        for w in order:
+            column = columns[w] = cache.expansion(w, i)
+            if not degree_set.issuperset(column):
+                raise AssertionError(f"s_{i} . sigma_{w} leaves degree {k}: {column}")
         return ActionMatrix(order, columns)
     basis = flow_up_basis(h)
     si = Permutation.simple(i, h.n)

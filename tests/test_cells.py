@@ -357,6 +357,27 @@ def test_certificate_exhaustive_n3():
                         assert minor_reachability_certificate(w, h, rows, cols, rng).agree
 
 
+def test_certificate_counts_the_eigenvalue_draws_it_made(monkeypatch):
+    # a reachable pair whose minor keeps vanishing: the certificate gives up
+    # after MAX_EIGENVALUE_RESAMPLES fresh vectors and reports exactly that many
+    w, h = Permutation.from_one_line("2413"), HessenbergFunction((2, 3, 4, 4))
+    spans = []
+    draw = EigenvalueVector.random.__func__
+
+    def counted(cls, n, rng, span=10**6):
+        spans.append(span)
+        return draw(cls, n, rng, span)
+
+    monkeypatch.setattr(EigenvalueVector, "random", classmethod(counted))
+    monkeypatch.setattr(
+        cells, "minor_symbolic", lambda chart, rows, cols: MultiPoly.zero(chart.nvars)
+    )
+    cert = minor_reachability_certificate(w, h, (1, 2), (1, 2), random.Random(0))
+    assert cert.reachable and not cert.minor_nonzero
+    assert cert.eigenvalue_resamples == cells.MAX_EIGENVALUE_RESAMPLES == len(spans)
+    assert spans == [10**7, 10**8, 10**9]
+
+
 def test_minor_certificates_match_golden():
     # 200 recorded cases at n = 6 (132 unreachable), each certified again
     # from its w, h, rows and cols; rng is read only by an eigenvalue resample

@@ -223,7 +223,7 @@ def test_expansion_caches_stay_within_their_bound():
     assert _expansion_cache(6, _ConstantRing) is newest
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_auxiliary_terms_match_the_reference(n):
     for w in Permutation.all(n):
         for i in range(1, n):
@@ -261,16 +261,81 @@ def _matrix_digest(matrix):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_generator_matrices_match_golden():
-    # one digest per (n, k, i) of every permutohedral generator matrix at n <= 6
-    golden = pathlib.Path(__file__).parent / "golden" / "generator_matrices_n6.json"
+def _generator_digests(sizes):
     digests = {}
-    for n in range(2, 7):
+    for n in sizes:
         h = HessenbergFunction.permutohedral(n)
         for k in range(n):
             for i in range(1, n):
                 digests[f"{n},{k},{i}"] = _matrix_digest(generator_matrix(i, k, h))
+    return digests
+
+
+def test_generator_matrices_match_golden():
+    # one digest per (n, k, i) of every permutohedral generator matrix at n <= 6
+    golden = pathlib.Path(__file__).parent / "golden" / "generator_matrices_n6.json"
+    assert _generator_digests(range(2, 7)) == json.loads(golden.read_text())
+
+
+def test_generator_matrices_n7_match_golden():
+    # the same digests at n = 7
+    golden = pathlib.Path(__file__).parent / "golden" / "generator_matrices_n7.json"
+    assert _generator_digests([7]) == json.loads(golden.read_text())
+
+
+def _expansion_digest(expansion):
+    text = json.dumps(
+        sorted([str(v), sorted([list(e), str(c)] for e, c in coeff.terms.items())]
+               for v, coeff in expansion.items()),
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_perm_si_action_matches_golden():
+    # one digest per (n, w, i) of the polynomial expansion at n <= 5
+    golden = pathlib.Path(__file__).parent / "golden" / "perm_si_action_n5.json"
+    digests = {
+        f"{n},{w},{i}": _expansion_digest(perm_si_action(w, i))
+        for n in range(2, 6)
+        for w in Permutation.all(n)
+        for i in range(1, n)
+    }
     assert digests == json.loads(golden.read_text())
+
+
+@pytest.mark.parametrize("h", [
+    HessenbergFunction.full_flag(4),
+    HessenbergFunction.permutohedral(4),
+    HessenbergFunction((2, 4, 4, 4)),
+], ids=str)
+@pytest.mark.parametrize("i", [-1, 0, 4, 7])
+def test_generators_outside_the_group_are_rejected(h, i):
+    with pytest.raises(ValueError, match=f"s_{i} outside 1 <= i < n = 4"):
+        generator_matrix(i, 1, h)
+    with pytest.raises(ValueError, match=f"s_{i} outside 1 <= i < n = 4"):
+        perm_si_action(Permutation.from_one_line("2143"), i)
+
+
+def test_off_degree_term_in_a_column_is_an_error(monkeypatch):
+    # a memo entry with a term outside degree k must not be filtered away
+    n, i = 4, 1
+    h = HessenbergFunction.permutohedral(n)
+    cache = _SiExpansionCache(n, _ConstantRing)
+    monkeypatch.setitem(_caches, (n, _ConstantRing), cache)
+    w = Permutation.from_one_line("2134")  # i+1 directly left of i, degree 1
+    cache.cache[(w, i)] = {w: 1, Permutation.identity(n): 1}
+    with pytest.raises(AssertionError, match=r"s_1 \. sigma_2134 leaves degree 1"):
+        generator_matrix(i, 1, h)
+
+
+def test_permutohedral_columns_share_the_memo():
+    # a descent-case column is the memo's expansion itself, not a copy
+    matrix = generator_matrix(2, 2, HessenbergFunction.permutohedral(5))
+    memo = _expansion_cache(5, _ConstantRing).cache
+    shared = [w for w in matrix.basis_order if (w, 2) in memo]
+    assert shared
+    assert all(matrix.columns[w] is memo[(w, 2)] for w in shared)
 
 
 def test_si_expansion_degree_bookkeeping():
