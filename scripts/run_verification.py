@@ -4,10 +4,7 @@
 Mirrors `gkmhess verify all` but reports one line per suite with its
 process CPU time, the measure the benchmark reports, which is handy when
 profiling larger n.  Suites whose desk-scale guarantees stop below the
-requested n are still run at the requested size.  At n = 6 with seed 3, on
-a 2-core VM with CPython 3.11 (two runs), dot-rules takes the longest at
-1.2 s, followed by classes at 0.9 s; supports and minors take 0.23 s each,
-Poincare 0.11 s, and every other suite 0.1 s or less.  ``--min-n`` and
+requested n are still run at the requested size.  ``--min-n`` and
 ``--max-n`` must be at least 1, ``--min-n`` no larger than ``--max-n``.
 """
 

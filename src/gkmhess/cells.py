@@ -108,8 +108,8 @@ class CellChart:
         # c_{w(a)} at position a (index a - 1), an int where integral
         self._eigen_at = [c.exact[k - 1] for k in w]
         # polynomials are never changed in place, so one zero and one one serve
-        self._zero_poly = MultiPoly.zero(self.nvars, self.var_names)
-        self._one_poly = MultiPoly.one(self.nvars, self.var_names)
+        self._zero_poly = MultiPoly.zero(self.nvars)
+        self._one_poly = MultiPoly.one(self.nvars)
         self.entries: dict[tuple[int, int], MultiPoly] = {}
         self._equations: dict[tuple[int, int], MultiPoly] = {}
         self._build()
@@ -136,9 +136,7 @@ class CellChart:
                 if self.w(alpha) < self.w(beta):
                     entry = self._zero_poly
                 elif alpha <= self.h(beta):
-                    entry = MultiPoly.variable(
-                        self._var_index[(alpha, beta)], self.nvars, self.var_names
-                    )
+                    entry = MultiPoly.variable(self._var_index[(alpha, beta)], self.nvars)
                 else:
                     entry = self._chain_sum(alpha, beta) * Fraction(-1, self._coeff(alpha, beta))
                 self.entries[(alpha, beta)] = entry
@@ -287,7 +285,7 @@ def _polynomial_rows(chart: CellChart, rows, cols) -> list[list[MultiPoly | int]
 def minor_symbolic(chart: CellChart, rows, cols) -> MultiPoly:
     """det over chart entries, rows/cols ascending index tuples of equal size."""
     det = _leading_minors(_polynomial_rows(chart, rows, cols))[-1]
-    return MultiPoly.zero(chart.nvars, chart.var_names) + det
+    return MultiPoly.zero(chart.nvars) + det
 
 
 MAX_EIGENVALUE_RESAMPLES = 3

@@ -13,9 +13,11 @@ representative per cycle type, each from the products of the two halves of
 a reduced word, assembles the Frobenius characteristic in
 the power-sum basis, and converts to complete homogeneous coordinates.
 The two sides agree after applying the elementary/homogeneous involution
-to the chromatic side, and for the permutohedral family the module types
-produced by the erasing-marks decomposition match a closed product
-formula degree by degree.
+to the chromatic side.  Both are palindromic in t (the character side by
+hard Lefschetz), so the check compares degree by degree and also asks the
+characters to be palindromic; no mirrored statistic is tried.  For the
+permutohedral family the module types produced by the erasing-marks
+decomposition match a closed product formula degree by degree.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ def chromatic_qsym(h: HessenbergFunction) -> list[SymFunc]:
     Counts the proper colorings with colors in [n] by exact content vector
     and ascent count with the transfer of ``_coloring_counts``; the
     coefficient of a monomial basis element is the count at the sorted
-    content.
+    content.  There are ``len(h.pairs) + 1`` degrees, none zero: the
+    coloring ``c(v) = n + 1 - v`` is proper with no ascent, and the
+    function is palindromic in t.
     """
     n = h.n
     top = len(h.pairs)
@@ -65,8 +69,6 @@ def chromatic_qsym(h: HessenbergFunction) -> list[SymFunc]:
             if value:
                 coeffs[lam] = Fraction(value)
         graded.append(SymFunc(n, "m", coeffs))
-    while len(graded) > 1 and graded[-1].is_zero():
-        graded.pop()
     return graded
 
 
@@ -173,29 +175,29 @@ def _cycle_type_traces(h: HessenbergFunction, k: int,
 
     No word's matrix is formed: a reduced word splits as ``L R``, and
     ``trace(L R) = sum L[x, v] R[v, x]`` over the entries of ``R``.  The
-    matrices of the segments are memoized for the degree, since the
-    representatives' words share most of them.
+    matrix of each segment is built along its prefixes, each prefix's
+    product memoized for the degree, since the representatives' words share
+    most of them; the memo goes when the traces are returned.
     """
     products: dict[tuple[int, ...], ActionMatrix] = {}
-
-    def product(segment: tuple[int, ...]) -> ActionMatrix:
-        if len(segment) == 1:
-            return matrices_by_generator[segment[0]]
-        if segment not in products:
-            products[segment] = product(segment[:-1]).compose(
-                matrices_by_generator[segment[-1]]
-            )
-        return products[segment]
-
     traces: dict[tuple[int, ...], Coeff] = {}
     for mu in partitions(h.n):
         word = cycle_type_representative(mu).reduced_word()
         if len(word) < 2:
-            traces[mu] = product(word).trace() if word else len(degree_basis(h, k))
+            traces[mu] = (matrices_by_generator[word[0]].trace() if word
+                          else len(degree_basis(h, k)))
             continue
         half = len(word) // 2
-        left = product(word[:half]).columns
-        right = product(word[half:]).columns
+        halves = []
+        for segment in (word[:half], word[half:]):
+            matrix = matrices_by_generator[segment[0]]
+            for end in range(2, len(segment) + 1):
+                prefix = segment[:end]
+                if prefix not in products:
+                    products[prefix] = matrix.compose(matrices_by_generator[segment[end - 1]])
+                matrix = products[prefix]
+            halves.append(matrix.columns)
+        left, right = halves
         traces[mu] = sum(
             value * left.get(v, {}).get(x, 0)
             for x, column in right.items()
@@ -210,31 +212,23 @@ class SwReport:
     n: int
     agree: bool
     per_degree: list[bool]
-    convention_flag: str | None = None
 
 
 def verify_shareshian_wachs(h: HessenbergFunction) -> SwReport:
     """Coefficientwise h-basis equality of the involuted chromatic function
-    and the graded Frobenius characteristic.
+    and the graded Frobenius characteristic, degree by degree.
 
-    If the stated ascent convention fails but its mirror (descent counting)
-    succeeds, the report flags the convention instead of failing silently.
+    ``agree`` also asks the characters to be palindromic, degree k equal to
+    degree ``top - k``, as hard Lefschetz requires; ``per_degree`` holds the
+    degreewise comparisons only.
     """
-    n = h.n
     graded = chromatic_qsym(h)
     top = len(h.pairs)
     # one degree's generator matrices at a time, freed before the next is built
     characters = [frobenius_of_degree(h, k) for k in range(top + 1)]
-    lhs = [
-        graded[k].omega().to_basis("h") if k < len(graded) else SymFunc.zero(n, "h")
-        for k in range(top + 1)
-    ]
-    per_degree = [lhs[k] == characters[k] for k in range(top + 1)]
-    agree = all(per_degree)
-    flag = None
-    if not agree and all(lhs[top - k] == characters[k] for k in range(top + 1)):
-        flag = "mirror-statistic"
-    return SwReport(h=h, n=n, agree=agree, per_degree=per_degree, convention_flag=flag)
+    per_degree = [graded[k].omega().to_basis("h") == characters[k] for k in range(top + 1)]
+    palindromic = all(characters[k] == characters[top - k] for k in range(top + 1))
+    return SwReport(h=h, n=h.n, agree=all(per_degree) and palindromic, per_degree=per_degree)
 
 
 @dataclass

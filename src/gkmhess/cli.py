@@ -154,7 +154,7 @@ def cmd_cell_chart(args, config: RunConfig) -> int:
         raise ValueError(f"--eigenvalues {args.eigenvalues}: a zero denominator") from None
     chart = build_cell_chart(w, h, c)
     entries = {
-        f"{i},{j}": str(chart.entry(i, j))
+        f"{i},{j}": chart.entry(i, j).format(chart.var_names)
         for i in range(1, h.n + 1)
         for j in range(1, i)
     }
@@ -295,9 +295,7 @@ def cmd_action_matrix(args, config: RunConfig) -> int:
 
 
 def cmd_decompose(args, config: RunConfig) -> int:
-    h = HessenbergFunction.permutohedral(args.n)
-    matrices = {i: generator_matrix(i, args.k, h) for i in range(1, args.n)}
-    report = verify_decomposition(args.n, args.k, matrices)
+    report = verify_decomposition(args.n, args.k)
     payload = {
         "n": args.n,
         "k": args.k,
@@ -321,6 +319,8 @@ def cmd_decompose(args, config: RunConfig) -> int:
     if args.emit_basis:
         from .decomp import coset_orbit_vectors, sigma_hat_vector
 
+        h = HessenbergFunction.permutohedral(args.n)
+        matrices = {i: generator_matrix(i, args.k, h) for i in range(1, args.n)}
         payload["basis_vectors"] = [
             {str(b): str(c) for b, c in sorted(v.items())}
             for m in report.modules
@@ -562,9 +562,8 @@ def verify_sw(n: int, config: RunConfig) -> dict:
             HessenbergFunction.full_flag(n),
         ]
     reports = [verify_shareshian_wachs(h) for h in functions]
-    failures = [
-        {"h": str(r.h), "flag": r.convention_flag} for r in reports if not r.agree
-    ]
+    # schema 1 keeps the "flag" field, which no check sets
+    failures = [{"h": str(r.h), "flag": None} for r in reports if not r.agree]
     return _result("sw", not failures, failures=failures)
 
 

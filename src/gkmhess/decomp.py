@@ -492,11 +492,7 @@ def eulerian_number(n: int, k: int) -> int:
     return row[k] if 0 <= k < len(row) else 0
 
 
-def verify_decomposition(
-    n: int,
-    k: int,
-    matrices: dict[int, ActionMatrix] | None = None,
-) -> DecompositionReport:
+def verify_decomposition(n: int, k: int) -> DecompositionReport:
     """Check the degree-k permutation-module decomposition exactly.
 
     Per generator: the orbit of the symmetrized class spans a module of
@@ -513,8 +509,7 @@ def verify_decomposition(
     is each module ranked on its own, to name the modules at fault.
     """
     h = HessenbergFunction.permutohedral(n)
-    if matrices is None:
-        matrices = {i: generator_matrix(i, k, h) for i in range(1, n)}
+    matrices = {i: generator_matrix(i, k, h) for i in range(1, n)}
     position = {w: i for i, w in enumerate(degree_basis(h, k))}
     generators = g_set(n, k)
 

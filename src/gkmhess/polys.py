@@ -11,8 +11,10 @@ packed monomials is graded lexicographic order.  ``terms`` is the
 tuple-keyed view of the same map.
 
 Coefficients are Python ``int`` whenever possible and ``Fraction``
-otherwise; the two interoperate transparently.  Default variable names are
-``t1..tn``; charts over cell coordinates pass their own name list.
+otherwise; the two interoperate transparently.  A polynomial carries no
+variable names: they exist only at format time, ``t1..tn`` unless
+:meth:`MultiPoly.format` is given others (the cell charts print their
+coordinates that way).
 
 ``MultiPoly(nvars, terms)`` and :func:`parse_poly` check every exponent
 tuple.  Ring operations and substitutions build their results through the
@@ -106,17 +108,13 @@ def _norm(c: Coeff) -> Coeff:
     return c
 
 
-def _names(names) -> tuple[str, ...] | None:
-    return tuple(names) if names is not None else None
-
-
 _new = object.__new__
 
 
-def _trusted(nvars: int, packed: dict[int, Coeff], names) -> "MultiPoly":
+def _trusted(nvars: int, packed: dict[int, Coeff]) -> "MultiPoly":
     """A polynomial on ``packed`` as it is: free of zero coefficients, every
-    exponent in range, ``names`` a tuple or None.  Only a ``Fraction`` with
-    denominator 1 is turned into an ``int``."""
+    exponent in range.  Only a ``Fraction`` with denominator 1 is turned into
+    an ``int``."""
     for c in packed.values():
         if type(c) is Fraction:
             for m, c in packed.items():
@@ -126,17 +124,15 @@ def _trusted(nvars: int, packed: dict[int, Coeff], names) -> "MultiPoly":
     p = _new(MultiPoly)
     p.nvars = nvars
     p.packed = packed
-    p.names = names
     return p
 
 
 class MultiPoly:
 
-    __slots__ = ("nvars", "packed", "names")
+    __slots__ = ("nvars", "packed")
 
-    def __init__(self, nvars: int, terms=None, names: Sequence[str] | None = None):
+    def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        self.names = _names(names)
         packed = {}
         if terms:
             for exps, coeff in terms.items():
@@ -148,35 +144,33 @@ class MultiPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int, names=None) -> "MultiPoly":
-        return _trusted(nvars, {}, _names(names))
+    def zero(cls, nvars: int) -> "MultiPoly":
+        return _trusted(nvars, {})
 
     @classmethod
-    def constant(cls, c: Coeff, nvars: int, names=None) -> "MultiPoly":
-        return _trusted(nvars, {0: _norm(c)} if c else {}, _names(names))
+    def constant(cls, c: Coeff, nvars: int) -> "MultiPoly":
+        return _trusted(nvars, {0: _norm(c)} if c else {})
 
     @classmethod
-    def from_packed(cls, nvars: int, packed: dict[int, Coeff], names=None) -> "MultiPoly":
+    def from_packed(cls, nvars: int, packed: dict[int, Coeff]) -> "MultiPoly":
         """The polynomial on a map of packed monomials, taken as it is: it
         must hold no zero coefficient and only monomials in ``nvars``
         variables with every exponent in range."""
-        return _trusted(nvars, packed, _names(names))
+        return _trusted(nvars, packed)
 
     @classmethod
-    def one(cls, nvars: int, names=None) -> "MultiPoly":
-        return _trusted(nvars, {0: 1}, _names(names))
+    def one(cls, nvars: int) -> "MultiPoly":
+        return _trusted(nvars, {0: 1})
 
     @classmethod
-    def variable(cls, index: int, nvars: int, names=None) -> "MultiPoly":
+    def variable(cls, index: int, nvars: int) -> "MultiPoly":
         """The single variable with 0-based ``index``."""
-        return _trusted(nvars, {_variable(index, nvars): 1}, _names(names))
+        return _trusted(nvars, {_variable(index, nvars): 1})
 
     @classmethod
     def linear_form(cls, a: int, b: int, nvars: int) -> "MultiPoly":
         """``t_a - t_b`` for 1-based variable indices."""
-        return _trusted(
-            nvars, {_variable(a - 1, nvars): 1, _variable(b - 1, nvars): -1}, None
-        )
+        return _trusted(nvars, {_variable(a - 1, nvars): 1, _variable(b - 1, nvars): -1})
 
     # -- predicates and readers -------------------------------------------
 
@@ -218,7 +212,7 @@ class MultiPoly:
                 raise ValueError("variable-count mismatch")
             return other
         if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(other, self.nvars, self.names)
+            return MultiPoly.constant(other, self.nvars)
         return None
 
     def __add__(self, other):
@@ -232,12 +226,12 @@ class MultiPoly:
                 terms[m] = acc
             else:
                 del terms[m]
-        return _trusted(self.nvars, terms, self.names or other.names)
+        return _trusted(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _trusted(self.nvars, {m: -c for m, c in self.packed.items()}, self.names)
+        return _trusted(self.nvars, {m: -c for m, c in self.packed.items()})
 
     def __sub__(self, other):
         other = self._operand(other)
@@ -250,27 +244,24 @@ class MultiPoly:
                 terms[m] = acc
             else:
                 del terms[m]
-        return _trusted(self.nvars, terms, self.names or other.names)
+        return _trusted(self.nvars, terms)
 
     def __mul__(self, other):
         if type(other) is not MultiPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             if not other:
-                return MultiPoly.zero(self.nvars, self.names)
+                return MultiPoly.zero(self.nvars)
             if type(other) is Fraction and other.denominator == 1:
                 other = other.numerator
-            return _trusted(
-                self.nvars, {m: c * other for m, c in self.packed.items()}, self.names
-            )
+            return _trusted(self.nvars, {m: c * other for m, c in self.packed.items()})
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
-        names = self.names or other.names
         left, right = self.packed, other.packed
         if len(left) > len(right):
             left, right = right, left
         if not left:
-            return _trusted(self.nvars, {}, names)
+            return _trusted(self.nvars, {})
         if len(left) == 1:
             # a monomial times a polynomial: distinct products, none zero
             [(m1, c1)] = left.items()
@@ -287,7 +278,7 @@ class MultiPoly:
             raise _overflow("a product")
         if 0 in terms.values():
             terms = {m: c for m, c in terms.items() if c}
-        return _trusted(self.nvars, terms, names)
+        return _trusted(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -324,7 +315,7 @@ class MultiPoly:
             exps = (m & fields).to_bytes(n, "big")
             image = bytes(map(exps.__getitem__, source))
             terms[m - (m & fields) + int.from_bytes(image, "big")] = c
-        return _trusted(n, terms, self.names)
+        return _trusted(n, terms)
 
     def substitute_var(self, a: int, b: int) -> "MultiPoly":
         """Set ``t_a := t_b`` (1-based indices)."""
@@ -342,7 +333,7 @@ class MultiPoly:
                 terms[m] = acc
             else:
                 del terms[m]
-        return _trusted(self.nvars, terms, self.names)
+        return _trusted(self.nvars, terms)
 
     def evaluate(self, values: Sequence[Coeff]) -> Coeff:
         n = self.nvars
@@ -361,9 +352,6 @@ class MultiPoly:
 
     # -- canonical text form ------------------------------------------------
 
-    def _name(self, index: int) -> str:
-        return self.names[index] if self.names else f"t{index + 1}"
-
     def sorted_terms(self):
         """Descending graded-lexicographic order: degree first, then t1-major."""
         return [
@@ -371,17 +359,21 @@ class MultiPoly:
             for m, c in sorted(self.packed.items(), reverse=True)
         ]
 
-    def __str__(self) -> str:
+    def format(self, names: Sequence[str] | None = None) -> str:
+        """The canonical text form, the variables printed as ``names``
+        (``t1..tn`` by default)."""
         if not self.packed:
             return "0"
+        if names is None:
+            names = [f"t{i + 1}" for i in range(self.nvars)]
         chunks = []
         for exps, coeff in self.sorted_terms():
             factors = []
             for i, e in enumerate(exps):
                 if e == 1:
-                    factors.append(self._name(i))
+                    factors.append(names[i])
                 elif e > 1:
-                    factors.append(f"{self._name(i)}^{e}")
+                    factors.append(f"{names[i]}^{e}")
             mag = abs(coeff)
             body = "*".join(factors)
             if not factors:
@@ -396,24 +388,25 @@ class MultiPoly:
             text += sign + body
         return text
 
+    def __str__(self) -> str:
+        return self.format()
+
     __repr__ = __str__
 
 
 _TERM_RE = re.compile(r"^(?P<coeff>\d+(?:/\d+)?)?(?P<vars>(?:\*?[A-Za-z]\w*(?:\^\d+)?)*)$")
 
 
-def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> MultiPoly:
+def parse_poly(text: str, nvars: int) -> MultiPoly:
     """Parse the canonical textual format produced by ``str(MultiPoly)``."""
     text = text.replace(" ", "")
     if not text or text == "0":
-        return MultiPoly.zero(nvars, names)
-    name_index = {
-        (names[i] if names else f"t{i + 1}"): i for i in range(nvars)
-    }
+        return MultiPoly.zero(nvars)
+    name_index = {f"t{i + 1}": i for i in range(nvars)}
     pieces = re.findall(r"[+-]?[^+-]+", text)
     if "".join(pieces) != text:
         raise ValueError(f"cannot parse {text!r}: a sign without a term")
-    result = MultiPoly.zero(nvars, names)
+    result = MultiPoly.zero(nvars)
     for piece in pieces:
         sign = 1
         if piece[0] == "+":
@@ -440,5 +433,5 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Mul
                         f"unknown variable {name!r}: expected one of {', '.join(name_index)}"
                     )
                 exps[name_index[name]] += int(power) if power else 1
-        result = result + MultiPoly(nvars, {tuple(exps): sign * coeff}, names)
+        result = result + MultiPoly(nvars, {tuple(exps): sign * coeff})
     return result

@@ -359,7 +359,7 @@ def test_criterion_10_shareshian_wachs():
         for h in (HessenbergFunction.permutohedral(n), HessenbergFunction.full_flag(n)):
             result = verify_shareshian_wachs(h)
             if not result.agree:
-                failures.append((n, str(h), result.convention_flag))
+                failures.append((n, str(h)))
     for n in range(2, 7):
         if not verify_closed_expansion(n).agree:
             failures.append((n, "closed-expansion"))

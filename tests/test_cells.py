@@ -110,7 +110,7 @@ def test_consistency_reports_a_forced_zero_pair_with_nonzero_sum(monkeypatch):
     w, h = Permutation.from_one_line("231"), HessenbergFunction((2, 3, 3))
     assert build_cell_chart(w, h).consistency_violations() == []
     chart = build_cell_chart(w, h)  # equations are kept once computed
-    monkeypatch.setitem(chart.entries, (3, 2), MultiPoly.one(chart.nvars, chart.var_names))
+    monkeypatch.setitem(chart.entries, (3, 2), MultiPoly.one(chart.nvars))
     assert chart.consistency_violations() == [(3, 1)]
     assert _violations_by_full_scan(chart) == [(3, 1)]
 
@@ -127,7 +127,7 @@ def _entries_by_chain_enumeration(chart):
             if w(alpha) < w(beta) or alpha <= h(beta):
                 entries[(alpha, beta)] = chart.entry(alpha, beta)
                 continue
-            total = MultiPoly.zero(chart.nvars, chart.var_names)
+            total = MultiPoly.zero(chart.nvars)
             for t in range(1, gap):
                 for chain in itertools.combinations(range(beta + 1, alpha), t):
                     gammas = tuple(reversed(chain))  # decreasing

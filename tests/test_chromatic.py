@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from gkmhess.chromatic import (
     verify_closed_expansion,
     verify_shareshian_wachs,
 )
-from gkmhess.dot import action_matrix, generator_matrix
+from gkmhess.dot import ActionMatrix, action_matrix, generator_matrix
 from gkmhess.gkm import HessenbergFunction, poincare_coefficients
 from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
@@ -51,6 +53,18 @@ def test_chromatic_t_coefficients_are_symmetric():
     for n in (4, 5):
         for h in HessenbergFunction.all(n):
             chromatic_qsym(h)
+
+
+def test_chromatic_degrees_are_nonzero_at_both_ends_and_palindromic():
+    # c(v) = n + 1 - v is proper with no ascent, so t^0 is nonzero, and
+    # t^top equals it by palindromicity: no degree is ever trimmed
+    for n in range(1, 6):
+        for h in HessenbergFunction.all(n):
+            graded = chromatic_qsym(h)
+            top = len(h.pairs)
+            assert len(graded) == top + 1
+            assert not graded[0].is_zero() and not graded[top].is_zero()
+            assert all(graded[k] == graded[top - k] for k in range(top + 1))
 
 
 def _enumerated_counts(h):
@@ -137,6 +151,27 @@ def test_half_word_traces_match_composed_matrices(h):
         for mu, chi in traces.items():
             u = cycle_type_representative(mu)
             assert chi == action_matrix(u, k, h).trace()
+
+
+def test_trace_products_are_freed_when_the_degree_returns(monkeypatch):
+    # the segment memo is a plain local, so reference counting frees every
+    # product on return, with the cycle collector off
+    made = []
+    compose = ActionMatrix.compose
+
+    def recorded(self, other):
+        product = compose(self, other)
+        made.append(weakref.ref(product))
+        return product
+
+    monkeypatch.setattr(ActionMatrix, "compose", recorded)
+    gc.disable()
+    try:
+        frobenius_of_degree(HessenbergFunction.permutohedral(5), 2)
+        alive = [ref for ref in made if ref() is not None]
+    finally:
+        gc.enable()
+    assert made and not alive
 
 
 def test_cycle_type_representative_is_a_permutation_of_its_type():
@@ -291,6 +326,23 @@ def test_shareshian_wachs_general_h():
     # interpolated basis route for a non-family Hessenberg function
     report = verify_shareshian_wachs(HessenbergFunction((2, 3, 3)))
     assert report.agree
+
+
+def test_non_palindromic_characters_fail_the_identity(monkeypatch):
+    # both sides agree degree by degree, but hard Lefschetz is violated
+    from gkmhess import chromatic
+
+    graded = [
+        SymFunc(3, "m", {(1, 1, 1): Fraction(1)}),
+        SymFunc(3, "m", {(1, 1, 1): Fraction(2)}),
+        SymFunc(3, "m", {(2, 1): Fraction(1)}),
+    ]
+    monkeypatch.setattr(chromatic, "chromatic_qsym", lambda h: graded)
+    monkeypatch.setattr(chromatic, "frobenius_of_degree",
+                        lambda h, k: graded[k].omega().to_basis("h"))
+    report = verify_shareshian_wachs(HessenbergFunction.permutohedral(3))
+    assert report.per_degree == [True, True, True]
+    assert not report.agree
 
 
 def test_chromatic_t1_matches_characters_233():

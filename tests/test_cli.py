@@ -291,6 +291,44 @@ def test_geometry_suites_match_the_benchmark_reference(seed, capsys):
         assert check == checks[suite]
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_sw_suite_matches_the_benchmark_reference(seed, capsys):
+    # the sw check of ``verify all --n 5`` as the benchmark recorded it
+    import pathlib
+
+    from gkmhess import cli
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    [recorded] = json.loads(path.read_text(encoding="utf-8"))["verify-all-n5"][str(seed)]
+    checks = {c["name"]: c for c in json.loads(recorded["stdout"])["checks"]}
+    assert cli.main(["verify", "sw", "--n", "5", "--seed", str(seed)]) == 0
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check == checks["sw"]
+
+
+def test_sw_degrees_match_the_benchmark_reference():
+    import pathlib
+
+    from gkmhess.chromatic import verify_shareshian_wachs
+    from gkmhess.gkm import HessenbergFunction
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    recorded = json.loads(path.read_text(encoding="utf-8"))["sw-n4"]["-"]
+    report = verify_shareshian_wachs(HessenbergFunction.permutohedral(4))
+    assert [{"k": k, "agree": ok} for k, ok in enumerate(report.per_degree)] == recorded
+
+
+def test_sw_failure_names_the_function_with_a_null_flag(monkeypatch, capsys):
+    from gkmhess import cli
+    from gkmhess.chromatic import SwReport
+
+    monkeypatch.setattr(cli, "verify_shareshian_wachs",
+                        lambda h: SwReport(h=h, n=h.n, agree=False, per_degree=[False]))
+    assert cli.main(["verify", "sw", "--n", "3", "--h", "2,3,3"]) == 1
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check["failures"] == [{"h": "2,3,3", "flag": None}]
+
+
 def test_repeated_value_in_w_is_a_usage_error():
     proc = run_cli("support", "--h", "2,3,4,4", "--w", "1123")
     assert proc.returncode == 2

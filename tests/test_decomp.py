@@ -384,3 +384,17 @@ def test_passing_degree_ranks_once(monkeypatch):
     monkeypatch.setattr(decomp, "_rank_mod_p", counted)
     assert verify_decomposition(5, 2).passed
     assert calls == [decomp._MOD_PRIME]
+
+
+def test_identity_generator_matrices_fail_the_decomposition(monkeypatch):
+    # a planted fault in the matrices that verify_decomposition builds itself:
+    # with every s_i acting trivially, no orbit has its expected dimension
+    from gkmhess import decomp
+
+    exact = decomp.generator_matrix
+    monkeypatch.setattr(decomp, "generator_matrix",
+                        lambda i, k, h: ActionMatrix.identity(exact(i, k, h).basis_order))
+    report = verify_decomposition(4, 1)
+    assert not report.passed and not report.direct_sum
+    assert [m.dim_computed for m in report.modules] == [1, 1, 1]
+    assert not all(m.stabilizer_exact for m in report.modules)
