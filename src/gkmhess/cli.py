@@ -736,6 +736,10 @@ def main(argv: list[str] | None = None) -> int:
         # a missing key inside the computation is a bug, not a usage error
         print(f"error: internal KeyError: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        # a broken invariant, TheoremViolationError included, is a bug too
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -484,7 +484,7 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 def eulerian_number(n: int, k: int) -> int:
     """Permutations of [n] with k descents, by the recurrence
     A(m, j) = (j + 1) A(m - 1, j) + (m - j) A(m - 1, j - 1), so that it
-    checks the scan of S_n that ``gkm.degree_bases`` makes."""
+    checks the degree bases that ``gkm.degree_bases`` reads off its table."""
     row = [1]  # A(1, 0), and A(0, 0) for the empty permutation
     for m in range(2, n + 1):
         padded = [0] + row + [0]

@@ -12,13 +12,26 @@ oriented subgraph keeps ``v -> w`` when ``len(v) > len(w)`` in Coxeter
 length: ``SymmetricGroup(n).length_drops[v]`` marks those transpositions,
 read from the length table, and ``pair_mask`` marks the pairs of ``h``, so
 the oriented out-degree of ``v`` is the popcount of the two masks' meet.
+
+The degree bases are read off one inversion table per n, shared by every h
+of that n: ``Permutation.all(n)`` and, for each ``w``, the mask of the pairs
+``j < i`` with ``w(j) > w(i)``, so ``l_h(w)`` is the popcount of that mask
+and ``h``'s pairs.  The table numbers pairs lexicographically, (1,2), ...,
+(1,n), (2,3), ..., which its recurrence needs; the colexicographic
+``transposition_bit`` of the moment graph is a separate numbering.
+``verify_poincare`` counts out-degrees from ``length_drops`` and never
+reads this table, so the two derivations of the Betti numbers stay
+independent.  ``l_h`` stays the definition that classes and the CLI read.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from array import array
 from enum import Enum
 from functools import lru_cache
+from operator import or_
 from typing import Iterable, Iterator
 
 from .perms import Permutation, SymmetricGroup, transposition_bit
@@ -143,13 +156,52 @@ def l_h(w: Permutation, h: HessenbergFunction) -> int:
     return sum(1 for j, i in h.pairs if w[j - 1] > w[i - 1])
 
 
+# the pairs j < i of [11] are 55 bits, the most that one array("Q") entry holds
+_MAX_TABLE_N = 11
+
+
+@lru_cache(maxsize=1)
+def _inversion_table(n: int) -> tuple[tuple[Permutation, ...], array]:
+    """``Permutation.all(n)`` and, per ``w``, the mask of its inverted pairs.
+
+    Pair ``(j, i)`` has bit ``(j-1)(2n-j)/2 + i-j-1``, lexicographically.
+    Built by a recurrence on n: in the order of ``Permutation.all``, the
+    ``w = (v, rest)`` with first value ``v`` form one block, whose ``rest``
+    runs through S_{n-1} in its own order, as the ``u`` with the same
+    relative order.  The pairs ``(j+1, i+1)`` of ``w`` are the pairs
+    ``(j, i)`` of ``u``, ``n-1`` bits higher, and ``w`` inverts ``(1, i)``
+    exactly when ``u(i-1) < v``.  Only the table for n is kept.
+    """
+    if n > _MAX_TABLE_N:
+        raise ValueError(f"inversion table needs n <= {_MAX_TABLE_N} "
+                         f"(C(n,2) bits in 64), got n = {n}")
+    masks = array("Q", [0])
+    for m in range(2, n + 1):
+        high = array("Q", [mask << (m - 1) for mask in masks])
+        low = array("Q", [0]) * len(high)  # per u, the positions of the values below v
+        masks = array("Q")
+        for v in range(m):
+            masks.extend(map(or_, high, low))
+            if v < m - 1:
+                low = array("Q", map(or_, low, [1 << u.index(v) for u in
+                                                itertools.permutations(range(m - 1))]))
+    return tuple(Permutation.all(n)), masks
+
+
 @lru_cache(maxsize=16)
 def degree_bases(h: HessenbergFunction) -> tuple[tuple[Permutation, ...], ...]:
     """For k = 0..top, the ``w`` with ``l_h(w) = k`` in the order of
-    ``Permutation.all``: every degree basis of ``h`` from one scan of S_n."""
+    ``Permutation.all``: each ``w`` goes in the degree of the popcount of its
+    inversion-table mask and the mask of ``h``'s pairs, in the table's
+    numbering.  Every h of one n shares the table's ``Permutation`` objects.
+    ``verify_poincare`` checks the counts against out-degrees taken from
+    ``length_drops``, so it never reads the table it checks."""
+    perms, masks = _inversion_table(h.n)
+    n = h.n
+    pair_mask = sum(1 << ((j - 1) * (2 * n - j) // 2 + i - j - 1) for j, i in h.pairs)
     bases: list[list[Permutation]] = [[] for _ in range(len(h.pairs) + 1)]
-    for w in Permutation.all(h.n):
-        bases[l_h(w, h)].append(w)
+    for w, mask in zip(perms, masks):
+        bases[(mask & pair_mask).bit_count()].append(w)
     return tuple(map(tuple, bases))
 
 

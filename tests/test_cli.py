@@ -276,8 +276,8 @@ def test_empty_permutation_is_a_usage_error(argv, capsys):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_geometry_suites_match_the_benchmark_reference(seed, capsys):
-    # the supports and minors checks of ``verify all --n 5`` as the benchmark
-    # recorded them, for every seed it runs
+    # the supports, minors and poincare checks of ``verify all --n 5`` as the
+    # benchmark recorded them, for every seed it runs
     import pathlib
 
     from gkmhess import cli
@@ -285,7 +285,7 @@ def test_geometry_suites_match_the_benchmark_reference(seed, capsys):
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
     [recorded] = json.loads(path.read_text(encoding="utf-8"))["verify-all-n5"][str(seed)]
     checks = {c["name"]: c for c in json.loads(recorded["stdout"])["checks"]}
-    for suite in ("supports", "minors"):
+    for suite in ("supports", "minors", "poincare"):
         assert cli.main(["verify", suite, "--n", "5", "--seed", str(seed)]) == 0
         [check] = json.loads(capsys.readouterr().out)["checks"]
         assert check == checks[suite]
@@ -316,6 +316,74 @@ def test_sw_degrees_match_the_benchmark_reference():
     recorded = json.loads(path.read_text(encoding="utf-8"))["sw-n4"]["-"]
     report = verify_shareshian_wachs(HessenbergFunction.permutohedral(4))
     assert [{"k": k, "agree": ok} for k, ok in enumerate(report.per_degree)] == recorded
+
+
+def test_poincare_at_n4_matches_the_geometry_reference():
+    import pathlib
+
+    from gkmhess import cli
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    recorded = json.loads(path.read_text(encoding="utf-8"))["geometry-n4"]
+    for seed, items in recorded.items():
+        [item] = [item for item in items if item["name"] == "poincare"]
+        result = cli.verify_poincare(4, cli.RunConfig(seed=int(seed)))
+        assert {key: result.get(key) for key in item} == item
+
+
+# Each fault runs in a fresh interpreter, so nothing built from it outlives
+# it: not the cached table or degree bases, nor the flow-up classes and
+# matrices that the other suites hold per h.  The two faults sit on the
+# two independent derivations of the Betti numbers: the inversion table that
+# the degree bases are read from, and the length-drop table whose out-degrees
+# verify_poincare counts.
+_PLANT_FAULT = """
+import contextlib, io, json, sys
+from gkmhess import cli, gkm
+from gkmhess.perms import Permutation, SymmetricGroup, transposition_bit
+layer, w, j, i = sys.argv[1], Permutation.from_one_line(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+if layer == "inversion-table":
+    perms, masks = gkm._inversion_table(5)
+    masks[perms.index(w)] ^= 1 << ((j - 1) * (2 * 5 - j) // 2 + i - j - 1)
+else:
+    SymmetricGroup(5).length_drops[w] ^= transposition_bit(j, i)
+for suite in ("poincare", "all"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", suite, "--n", "5"])
+    report = json.loads(out.getvalue())
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    print(suite, code, report["passed"], ",".join(failed))
+"""
+
+
+@pytest.mark.parametrize("layer", ["inversion-table", "length-drops"])
+def test_poincare_catches_a_planted_fault(layer):
+    # 14532 inverts neither (1, 5) nor (1, 4); the fault claims it does
+    pair = ("1", "5") if layer == "inversion-table" else ("1", "4")
+    proc = subprocess.run([sys.executable, "-c", _PLANT_FAULT, layer, "14532", *pair],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "poincare 1 False poincare"
+    suite, code, passed, failed = lines[1].split()
+    assert (suite, code, passed) == ("all", "1", "False")
+    assert "poincare" in failed.split(",")
+
+
+@pytest.mark.parametrize("error", ["AssertionError", "TheoremViolationError"])
+def test_internal_assertion_error_exits_one(error, monkeypatch, capsys):
+    from gkmhess import cells, cli
+
+    def broken(n, config):
+        raise {"AssertionError": AssertionError,
+               "TheoremViolationError": cells.TheoremViolationError}[error]("planted")
+
+    monkeypatch.setitem(cli.SUITES, "poincare", broken)
+    assert cli.main(["verify", "poincare", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: internal {error}: planted\n"
+    assert captured.out == ""
 
 
 def test_sw_failure_names_the_function_with_a_null_flag(monkeypatch, capsys):

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkmhess.dot import degree_basis
 from gkmhess.gkm import (
     EdgeKind,
     GkmGraph,
     HessenbergFunction,
+    _inversion_table,
+    degree_bases,
     edge_kind,
     l_h,
     poincare_coefficients,
@@ -164,3 +169,59 @@ def test_oriented_out_is_the_inversion_criterion(n, rng):
                 images[j - 1], images[i - 1] = w(i), w(j)
                 expected.add(tuple(images))
         assert {target for target, _a, _b in graph.oriented_out(w)} == expected
+
+
+def _flat_inversion_mask(w):
+    # the pairs j < i with w(j) > w(i), numbered (1,2), ..., (1,n), (2,3), ...
+    mask, bit = 0, 0
+    for j in range(len(w)):
+        for i in range(j + 1, len(w)):
+            if w[j] > w[i]:
+                mask |= 1 << bit
+            bit += 1
+    return mask
+
+
+def _l_h_scan(h):
+    bases = [[] for _ in range(len(h.pairs) + 1)]
+    for w in Permutation.all(h.n):
+        bases[l_h(w, h)].append(w)
+    return tuple(map(tuple, bases))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_inversion_table_is_the_flat_definition(n):
+    perms, masks = _inversion_table(n)
+    assert perms == tuple(Permutation.all(n))
+    assert list(masks) == [_flat_inversion_mask(w) for w in perms]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_degree_bases_match_an_l_h_scan(n):
+    for h in HessenbergFunction.all(n):
+        assert degree_bases(h) == _l_h_scan(h)
+
+
+def test_degree_bases_match_an_l_h_scan_on_a_sample_at_n7():
+    for h in random.Random(22).sample(list(HessenbergFunction.all(7)), 20):
+        assert degree_bases(h) == _l_h_scan(h)
+
+
+def test_every_h_of_one_n_shares_the_table_permutations():
+    # bases cached before another n's table replaced this one hold older objects
+    degree_bases.cache_clear()
+    h1, h2 = HessenbergFunction.permutohedral(5), HessenbergFunction.from_string("3,3,4,5,5")
+    assert degree_basis(h1, 0)[0] == Permutation.identity(5)
+    assert degree_basis(h1, 0)[0] is degree_basis(h2, 0)[0]
+    assert set(map(id, degree_basis(h1, 2))) <= set(map(id, _inversion_table(5)[0]))
+
+
+def test_inversion_table_names_its_limit():
+    # C(12, 2) = 66 bits do not fit one array("Q") entry; the check comes
+    # before any build and leaves the cached table in place
+    held = _inversion_table(5)
+    with pytest.raises(ValueError, match="n <= 11"):
+        _inversion_table(12)
+    with pytest.raises(ValueError, match="n <= 11"):
+        degree_bases(HessenbergFunction.full_flag(12))
+    assert _inversion_table(5) is held
