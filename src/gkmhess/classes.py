@@ -289,7 +289,7 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
     degree = l_h(w, h)
     support = support_A(w, h).members
     graph = GkmGraph(h)
-    length = SymmetricGroup(n).length
+    length = {u: u.coxeter_length() for u in support}
     order = sorted(support, key=lambda u: (length[u], u))
     if order[0] != w:
         raise AssertionError("support must have w as its unique length-minimal point")

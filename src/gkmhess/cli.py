@@ -732,12 +732,9 @@ def main(argv: list[str] | None = None) -> int:
         # the basis or an interpolation that meets a parameter relation
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except KeyError as exc:
-        # a missing key inside the computation is a bug, not a usage error
-        print(f"error: internal KeyError: {exc}", file=sys.stderr)
-        return 1
-    except AssertionError as exc:
-        # a broken invariant, TheoremViolationError included, is a bug too
+    except Exception as exc:
+        # anything else, a missing key or a broken invariant
+        # (TheoremViolationError included), is a bug, not a usage error
         print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

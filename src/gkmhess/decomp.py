@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .classes import EquivariantClass, permutohedral_class
 from .dot import ActionMatrix, degree_basis, dot, generator_matrix
 from .gkm import HessenbergFunction
-from .perms import Composition, Permutation, SymmetricGroup, young_subgroup
+from .perms import Composition, Permutation, young_subgroup
 from .polys import Coeff
 
 
@@ -96,22 +96,17 @@ def block_subgroups(w: Permutation) -> BlockSubgroups:
 
 
 def symmetrizer_coset_reps(w: Permutation) -> list[Permutation]:
-    """Minimal-length representatives of (coarse subgroup)/(fine subgroup).
-
-    Cosets ``v H`` are keyed by the tuple of image sets of the fine value
-    blocks; the representative of minimal Coxeter length is unique.
+    """Minimal-length representatives of (coarse subgroup)/(fine subgroup),
+    sorted: the ``v`` that increase on every fine value block.  Swapping two
+    values of a block that ``v`` maps out of order stays in ``v H`` and
+    shortens ``v``, so the shortest element of each coset is this one.
     """
     groups = block_subgroups(w)
-    n = len(w)
-    fine_blocks = [tuple(sorted(b)) for b in groups.fine_blocks]
-    length = SymmetricGroup(n).length
-    best: dict[tuple, Permutation] = {}
-    for v in young_subgroup(groups.coarse_blocks, n):
-        key = tuple(frozenset(v(x) for x in block) for block in fine_blocks)
-        incumbent = best.get(key)
-        if incumbent is None or (length[v], v) < (length[incumbent], incumbent):
-            best[key] = v
-    return sorted(best.values())
+    fine_blocks = [sorted(b) for b in groups.fine_blocks]
+    return sorted(
+        v for v in young_subgroup(groups.coarse_blocks, len(w))
+        if all(v[a - 1] < v[b - 1] for block in fine_blocks for a, b in zip(block, block[1:]))
+    )
 
 
 def sigma_hat(w: Permutation) -> EquivariantClass:

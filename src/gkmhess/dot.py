@@ -49,7 +49,7 @@ from .classes import (
     reduce_to_ordinary,
 )
 from .gkm import EdgeKind, HessenbergFunction, degree_bases, edge_kind
-from .perms import Permutation, SymmetricGroup
+from .perms import Permutation
 from .polys import Coeff, MultiPoly
 
 
@@ -67,13 +67,13 @@ def dot(u: Permutation, p: EquivariantClass) -> EquivariantClass:
 def full_flag_si_expansion(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
     """Expansion of ``s_i . sigma_w`` over basis classes, full-flag case.
 
-    ``sigma_w`` is fixed when ``s_i w`` is longer; otherwise the difference
-    is ``(t_{i+1} - t_i) sigma_{s_i w}``.
+    ``sigma_w`` is fixed when ``s_i w`` is longer, which is when ``i``
+    stands left of ``i+1`` in ``w``; otherwise the difference is
+    ``(t_{i+1} - t_i) sigma_{s_i w}``.
     """
     n = len(w)
     si_w = Permutation.simple(i, n) * w
-    length = SymmetricGroup(n).length
-    if length[si_w] > length[w]:
+    if w.index(i) < w.index(i + 1):
         return {w: MultiPoly.one(n)}
     return {
         w: MultiPoly.one(n),

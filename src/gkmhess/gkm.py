@@ -8,17 +8,16 @@ Vertices of the graph are the permutations of [n].  For each pair there is
 an edge ``w -> w s_{j,i}`` labeled ``t_a - t_b`` with ``a = w(i)`` and
 ``b = w(j)``; the label is carried as its variable indices ``(a, b)``, and
 the two directions of an edge carry ``(a, b)`` and ``(b, a)``.  The
-oriented subgraph keeps ``v -> w`` when ``len(v) > len(w)`` in Coxeter
-length: ``SymmetricGroup(n).length_drops[v]`` marks those transpositions,
-read from the length table, and ``pair_mask`` marks the pairs of ``h``, so
-the oriented out-degree of ``v`` is the popcount of the two masks' meet.
+oriented subgraph keeps ``v -> v s_{j,i}`` when ``v(j) > v(i)``, which is
+when ``v s_{j,i}`` is shorter in Coxeter length.  ``pair_mask``, the pairs
+of ``h`` as ``transposition_bit`` masks, serves the Poincaré suite only.
 
 The degree bases are read off one inversion table per n, shared by every h
 of that n: ``Permutation.all(n)`` and, for each ``w``, the mask of the pairs
 ``j < i`` with ``w(j) > w(i)``, so ``l_h(w)`` is the popcount of that mask
 and ``h``'s pairs.  The table numbers pairs lexicographically, (1,2), ...,
 (1,n), (2,3), ..., which its recurrence needs; the colexicographic
-``transposition_bit`` of the moment graph is a separate numbering.
+``transposition_bit`` of ``pair_mask`` is a separate numbering.
 ``verify_poincare`` counts out-degrees from ``length_drops`` and never
 reads this table, so the two derivations of the Betti numbers stay
 independent.  ``l_h`` stays the definition that classes and the CLI read.
@@ -30,11 +29,11 @@ import itertools
 import random
 from array import array
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import or_
 from typing import Iterable, Iterator
 
-from .perms import Permutation, SymmetricGroup, transposition_bit
+from .perms import Permutation, transposition_bit
 
 
 class HessenbergFunction(tuple):
@@ -136,9 +135,9 @@ class GkmGraph:
                     yield v, w, a, b
 
     def oriented_out(self, w: Permutation) -> list[tuple[Permutation, int, int]]:
-        """Edges of the oriented subgraph leaving ``w`` (targets of smaller length)."""
-        drops = SymmetricGroup(self.n).length_drops[w]
-        return _edges(w, [(j, i) for j, i in self.h.pairs if drops & transposition_bit(j, i)])
+        """Edges of the oriented subgraph leaving ``w`` (targets of smaller length):
+        ``w s_{j,i}`` is shorter than ``w`` exactly when ``w(j) > w(i)``."""
+        return _edges(w, [(j, i) for j, i in self.h.pairs if w[j - 1] > w[i - 1]])
 
 
 def _edges(w: Permutation, pairs) -> list[tuple[Permutation, int, int]]:
@@ -160,7 +159,7 @@ def l_h(w: Permutation, h: HessenbergFunction) -> int:
 _MAX_TABLE_N = 11
 
 
-@lru_cache(maxsize=1)
+@cache
 def _inversion_table(n: int) -> tuple[tuple[Permutation, ...], array]:
     """``Permutation.all(n)`` and, per ``w``, the mask of its inverted pairs.
 
@@ -170,7 +169,7 @@ def _inversion_table(n: int) -> tuple[tuple[Permutation, ...], array]:
     runs through S_{n-1} in its own order, as the ``u`` with the same
     relative order.  The pairs ``(j+1, i+1)`` of ``w`` are the pairs
     ``(j, i)`` of ``u``, ``n-1`` bits higher, and ``w`` inverts ``(1, i)``
-    exactly when ``u(i-1) < v``.  Only the table for n is kept.
+    exactly when ``u(i-1) < v``.
     """
     if n > _MAX_TABLE_N:
         raise ValueError(f"inversion table needs n <= {_MAX_TABLE_N} "

@@ -17,11 +17,10 @@ construction (products, inverses, the constructors below, ``Permutation.all``,
 with ``tuple.__new__(Permutation, images)``.
 
 ``SymmetricGroup(n)`` holds the Coxeter length of every ``w`` in S_n, built on
-first use for each n and shared by every caller; ``coxeter_length`` stays the
-one definition it is built from.  Its second table, ``length_drops``, holds
-for each ``w`` one bit per transposition ``t`` that ``w t`` is shorter than
-``w``, read from the lengths; it is built only when first read, so callers
-that need lengths alone never pay for it.
+first use for each n from ``coxeter_length``; ``expand_in_basis`` reads it.
+Its second table, ``length_drops``, holds for each ``w`` one bit per
+transposition ``t`` that ``w t`` is shorter than ``w``; only the Poincaré
+suite reads it, and it is built when first read.
 """
 
 from __future__ import annotations

@@ -5,13 +5,32 @@ breadth-first walk of the cosets of the fine block subgroup in the coarse
 one, one generator application per coset.  ``walk_auxiliary_terms`` builds
 the auxiliary summands of the descent case from the inverse permutation and
 re-derives the descent set of every permutation it builds.
+``min_length_coset_reps`` finds the shortest element of each coset of the
+fine block subgroup in the coarse one by a minimum search over the length
+table.
 """
 
 from itertools import chain, combinations
 
 from gkmhess.decomp import block_subgroups
 from gkmhess.dot import AuxiliaryTerm
-from gkmhess.perms import Permutation
+from gkmhess.perms import Permutation, SymmetricGroup, young_subgroup
+
+
+def min_length_coset_reps(w):
+    """The element of least ``(length, one-line)`` in each coset ``v H``,
+    with the cosets keyed by the image sets of the fine value blocks."""
+    groups = block_subgroups(w)
+    n = len(w)
+    fine_blocks = [tuple(sorted(b)) for b in groups.fine_blocks]
+    length = SymmetricGroup(n).length
+    best = {}
+    for v in young_subgroup(groups.coarse_blocks, n):
+        key = tuple(frozenset(v(x) for x in block) for block in fine_blocks)
+        incumbent = best.get(key)
+        if incumbent is None or (length[v], v) < (length[incumbent], incumbent):
+            best[key] = v
+    return sorted(best.values())
 
 
 def _coset_walk(blocks, vec, generators, matrices):

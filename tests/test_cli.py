@@ -371,13 +371,16 @@ def test_poincare_catches_a_planted_fault(layer):
     assert "poincare" in failed.split(",")
 
 
-@pytest.mark.parametrize("error", ["AssertionError", "TheoremViolationError"])
+@pytest.mark.parametrize("error", ["AssertionError", "TheoremViolationError",
+                                   "IndexError", "OverflowError"])
 def test_internal_assertion_error_exits_one(error, monkeypatch, capsys):
     from gkmhess import cells, cli
 
     def broken(n, config):
         raise {"AssertionError": AssertionError,
-               "TheoremViolationError": cells.TheoremViolationError}[error]("planted")
+               "TheoremViolationError": cells.TheoremViolationError,
+               "IndexError": IndexError,
+               "OverflowError": OverflowError}[error]("planted")
 
     monkeypatch.setitem(cli.SUITES, "poincare", broken)
     assert cli.main(["verify", "poincare", "--n", "3"]) == 1

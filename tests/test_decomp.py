@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from reference_actions import walk_sigma_hat_vector
+from reference_actions import min_length_coset_reps, walk_sigma_hat_vector
 
 from gkmhess.classes import permutohedral_class, reduce_to_ordinary
 from gkmhess.decomp import (
@@ -86,6 +86,19 @@ def test_symmetrizer_coset_reps_count():
     reps = symmetrizer_coset_reps(w)
     assert len(reps) == 12  # |S_4| / (1! * 1! * 2!)
     assert Permutation.identity(4) in reps
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_coset_reps_are_the_length_minima_for_every_w(n):
+    for w in Permutation.all(n):
+        assert symmetrizer_coset_reps(w) == min_length_coset_reps(w)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_coset_reps_are_the_length_minima_for_every_generator(n):
+    for k in range(n):
+        for w in g_set(n, k):
+            assert symmetrizer_coset_reps(w) == min_length_coset_reps(w)
 
 
 def test_sigma_hat_trivial_when_no_erasure():

@@ -14,7 +14,7 @@ from gkmhess.gkm import (
     l_h,
     poincare_coefficients,
 )
-from gkmhess.perms import Permutation
+from gkmhess.perms import Permutation, SymmetricGroup, transposition_bit
 from gkmhess.reach import build_cell_digraph
 
 
@@ -171,6 +171,19 @@ def test_oriented_out_is_the_inversion_criterion(n, rng):
         assert {target for target, _a, _b in graph.oriented_out(w)} == expected
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_oriented_out_matches_the_length_drop_table(n):
+    # the inversion rule against its definition: w t is shorter than w
+    drops = SymmetricGroup(n).length_drops
+    for h in HessenbergFunction.all(n):
+        graph = GkmGraph(h)
+        for w in Permutation.all(n):
+            assert graph.oriented_out(w) == [
+                edge for (j, i), edge in zip(h.pairs, graph.neighbors(w))
+                if drops[w] & transposition_bit(j, i)
+            ]
+
+
 def _flat_inversion_mask(w):
     # the pairs j < i with w(j) > w(i), numbered (1,2), ..., (1,n), (2,3), ...
     mask, bit = 0, 0
@@ -208,12 +221,23 @@ def test_degree_bases_match_an_l_h_scan_on_a_sample_at_n7():
 
 
 def test_every_h_of_one_n_shares_the_table_permutations():
-    # bases cached before another n's table replaced this one hold older objects
-    degree_bases.cache_clear()
     h1, h2 = HessenbergFunction.permutohedral(5), HessenbergFunction.from_string("3,3,4,5,5")
     assert degree_basis(h1, 0)[0] == Permutation.identity(5)
     assert degree_basis(h1, 0)[0] is degree_basis(h2, 0)[0]
     assert set(map(id, degree_basis(h1, 2))) <= set(map(id, _inversion_table(5)[0]))
+
+
+def test_degree_bases_keep_sharing_the_table_after_n_changes():
+    # each n keeps its table, so bases built before a table for another n
+    # read the same permutations as bases built after it
+    table = _inversion_table(5)[0]
+    first = degree_bases(HessenbergFunction.from_string("2,4,4,5,5"))
+    degree_bases(HessenbergFunction.full_flag(4))
+    second = degree_bases(HessenbergFunction.from_string("3,4,5,5,5"))
+    assert _inversion_table(5)[0] is table
+    held = set(map(id, table))
+    for bases in (first, second):
+        assert {id(w) for basis in bases for w in basis} <= held
 
 
 def test_inversion_table_names_its_limit():

@@ -106,15 +106,17 @@ def test_transposition_bits_are_distinct_and_dense():
 
 
 def test_length_drops_are_built_only_when_read():
-    # the decomposition, Shareshian-Wachs and their generator matrices never
-    # read the drop table (the oriented moment graph does); the spy prints
-    # each build, in a fresh interpreter that no other test has touched
+    # the decomposition, Shareshian-Wachs, their generator matrices and the
+    # oriented moment graph never read the drop table (only the Poincare
+    # suite does); the spy prints each build, in a fresh interpreter that no
+    # other test has touched
     code = """
 from gkmhess.chromatic import verify_shareshian_wachs
+from gkmhess.classes import interpolate_class, top_value
 from gkmhess.decomp import verify_decomposition
 from gkmhess.dot import generator_matrix
 from gkmhess.gkm import HessenbergFunction
-from gkmhess.perms import SymmetricGroup
+from gkmhess.perms import Permutation, SymmetricGroup
 table = SymmetricGroup.__wrapped__.length_drops
 build, table.func = table.func, lambda group: print("built", group.n) or build(group)
 for h in (HessenbergFunction.permutohedral(4), HessenbergFunction.full_flag(4)):
@@ -124,6 +126,8 @@ for h in (HessenbergFunction.permutohedral(4), HessenbergFunction.full_flag(4)):
 for k in range(4):
     assert verify_decomposition(4, k).passed
 assert all(verify_shareshian_wachs(HessenbergFunction.permutohedral(4)).per_degree)
+h, w = HessenbergFunction.from_string("3,3,4,5,5"), Permutation.from_one_line("21435")
+assert top_value(w, h) == interpolate_class(w, h).cls.value(w)
 group = SymmetricGroup(4)
 print("made", len(group.length))
 print(len(group.length_drops))
@@ -132,6 +136,18 @@ print(len(group.length_drops))
                           timeout=600, env={**os.environ, "PYTHONPATH": _SRC})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["made", "24", "built", "4", "24"]
+
+
+def test_single_class_work_builds_no_length_table():
+    from gkmhess import cli
+    from gkmhess.decomp import symmetrizer_coset_reps
+    from gkmhess.dot import full_flag_si_expansion
+
+    SymmetricGroup.cache_clear()
+    assert cli.main(["class", "--h", "3,3,4,5,6,6,7,8,9", "--w", "213456789"]) == 0
+    full_flag_si_expansion(Permutation.from_one_line("3142"), 2)
+    symmetrizer_coset_reps(Permutation.from_one_line("4312"))
+    assert SymmetricGroup.cache_info().currsize == 0
 
 
 not_a_permutation = st.lists(st.integers(0, 7), min_size=1, max_size=7).filter(
