@@ -26,9 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .gkm import GkmGraph, HessenbergFunction, l_h
+from .gkm import GkmGraph, HessenbergFunction, coxeter_lengths, l_h
 from .linalg import row_reduce
-from .perms import Permutation, SymmetricGroup, young_subgroup
+from .perms import Permutation, young_subgroup
 from .polys import FIELD_BITS, MAX_EXPONENT, Coeff, MultiPoly, guard_bits, monomial_quotient, pack
 from .reach import support_A
 
@@ -343,9 +343,11 @@ def expand_in_basis(
     Repeatedly take the support element ``v`` of minimal Coxeter length
     (ties broken lexicographically), divide off the basis class at ``v``,
     and subtract.  Flow-up triangularity (every other support point of the
-    basis class is longer) makes the minimum strictly increase.
+    basis class is longer) makes the minimum strictly increase.  Lengths are
+    read from ``gkm.coxeter_lengths``, the view of the inversion table that
+    the degree bases of ``p.n`` already hold.
     """
-    length = SymmetricGroup(p.n).length
+    length = coxeter_lengths(p.n)
     coefficients: dict[Permutation, MultiPoly] = {}
     current = p
     while not current.is_zero():

@@ -11,6 +11,7 @@ byte-identical JSON.  Exit status: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -38,8 +39,9 @@ from .dot import (
     generator_matrix,
     perm_si_action,
 )
-from .gkm import EdgeKind, GkmGraph, HessenbergFunction, edge_kind, l_h, poincare_coefficients
-from .perms import Composition, Permutation, SymmetricGroup
+from .gkm import (EdgeKind, GkmGraph, HessenbergFunction, edge_kind, l_h, mask_of_pairs,
+                  poincare_coefficients)
+from .perms import Composition, Permutation
 from .polys import MultiPoly, parse_poly
 from .reach import support_A
 
@@ -145,13 +147,12 @@ def cmd_cell_chart(args, config: RunConfig) -> int:
     w = args.w
     h = _parse_h_for(w, args.h, None)
     try:
-        c = (
-            EigenvalueVector(tuple(Fraction(v) for v in args.eigenvalues.split(",")))
-            if args.eigenvalues
-            else prime_eigenvalues(h.n)
-        )
+        values = args.eigenvalues and tuple(Fraction(v) for v in args.eigenvalues.split(","))
     except ZeroDivisionError:
         raise ValueError(f"--eigenvalues {args.eigenvalues}: a zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"--eigenvalues {args.eigenvalues}: {exc}") from None
+    c = EigenvalueVector(values) if values else prime_eigenvalues(h.n)
     chart = build_cell_chart(w, h, c)
     entries = {
         f"{i},{j}": chart.entry(i, j).format(chart.var_names)
@@ -237,6 +238,8 @@ def cmd_expand(args, config: RunConfig) -> int:
 def cmd_dot(args, config: RunConfig) -> int:
     w = args.w
     n = len(w)
+    if n == 1:
+        raise ValueError(f"--gen {args.gen}: n = 1 has no generator s_i")
     if not 1 <= args.gen < n:
         raise ValueError(f"--gen {args.gen} outside [1,{n - 1}]")
     h = _parse_h_for(w, "permutohedral" if args.permutohedral else args.h, args.n)
@@ -467,11 +470,23 @@ def verify_classes(n: int, config: RunConfig) -> dict:
     return _result("classes", not failures, instances=math.factorial(n), failures=failures[:5])
 
 
+def _inversion_masks(n: int) -> list[int]:
+    """Per ``w`` in S_n, in the order of ``Permutation.all``, the mask
+    (``mask_of_pairs``) of the pairs ``j < i`` with ``w(j) > w(i)``, the
+    transpositions ``t`` with ``w t`` shorter than ``w``.  Derived here from
+    the definition, not read from ``gkm``'s inversion table, which
+    ``verify_poincare`` checks."""
+    bits = [(j - 1, i - 1, mask_of_pairs([(j, i)], n))
+            for j in range(1, n + 1) for i in range(j + 1, n + 1)]
+    return [sum(bit for j, i, bit in bits if w[j] > w[i])
+            for w in itertools.permutations(range(n))]
+
+
 def verify_poincare(n: int, config: RunConfig) -> dict:
     failures = []
-    drops = SymmetricGroup(n).length_drops.values()
+    drops = _inversion_masks(n)
     for h in HessenbergFunction.all(n):
-        mask = GkmGraph(h).pair_mask
+        mask = mask_of_pairs(h.pairs, n)
         counts = poincare_coefficients(h)
         outdeg: dict[int, int] = {}
         for drop in drops:

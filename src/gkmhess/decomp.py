@@ -326,12 +326,16 @@ def _certified_rank(rows: list[dict[int, int]], expected: int) -> int:
     return rank
 
 
-def _vector_to_ints(vec: dict[Permutation, Coeff],
-                    position: dict[Permutation, int]) -> dict[int, int]:
-    """``vec`` cleared of denominators, as a sparse row keyed by the
-    position of each basis permutation."""
+def _vector_to_ints(vec: dict[Permutation, Coeff], position: dict[Permutation, int],
+                    w: Permutation, k: int) -> dict[int, int]:
+    """``vec``, in the orbit of the generator ``w``, cleared of denominators,
+    as a sparse row keyed by the position of each degree-k basis permutation."""
     denominator = math.lcm(*(value.denominator for value in vec.values()))
-    return {position[w]: int(c * denominator) for w, c in vec.items() if c}
+    try:
+        return {position[u]: int(c * denominator) for u, c in vec.items() if c}
+    except KeyError as exc:
+        raise AssertionError(f"the orbit of generator {w} reaches {exc.args[0]}, "
+                             f"outside the degree-{k} basis") from None
 
 
 def _check_intervals(blocks) -> None:
@@ -514,7 +518,7 @@ def verify_decomposition(n: int, k: int) -> DecompositionReport:
         groups = block_subgroups(w)
         vec = sigma_hat_vector(w, matrices)
         orbit = coset_orbit_vectors(w, vec, matrices)
-        rows = [_vector_to_ints(v, position) for v in orbit]
+        rows = [_vector_to_ints(v, position, w, k) for v in orbit]
         expected_dim = math.factorial(n) // groups.coarse_order
         if len(rows) != expected_dim:
             raise AssertionError(

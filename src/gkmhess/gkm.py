@@ -9,17 +9,17 @@ an edge ``w -> w s_{j,i}`` labeled ``t_a - t_b`` with ``a = w(i)`` and
 ``b = w(j)``; the label is carried as its variable indices ``(a, b)``, and
 the two directions of an edge carry ``(a, b)`` and ``(b, a)``.  The
 oriented subgraph keeps ``v -> v s_{j,i}`` when ``v(j) > v(i)``, which is
-when ``v s_{j,i}`` is shorter in Coxeter length.  ``pair_mask``, the pairs
-of ``h`` as ``transposition_bit`` masks, serves the Poincaré suite only.
+when ``v s_{j,i}`` is shorter in Coxeter length.
 
-The degree bases are read off one inversion table per n, shared by every h
-of that n: ``Permutation.all(n)`` and, for each ``w``, the mask of the pairs
-``j < i`` with ``w(j) > w(i)``, so ``l_h(w)`` is the popcount of that mask
-and ``h``'s pairs.  The table numbers pairs lexicographically, (1,2), ...,
-(1,n), (2,3), ..., which its recurrence needs; the colexicographic
-``transposition_bit`` of ``pair_mask`` is a separate numbering.
-``verify_poincare`` counts out-degrees from ``length_drops`` and never
-reads this table, so the two derivations of the Betti numbers stay
+Each n has one table of S_n, shared by every h of that n:
+``Permutation.all(n)`` and, for each ``w``, the mask of the pairs ``j < i``
+with ``w(j) > w(i)``.  Pairs have one numbering, lexicographic, (1,2), ...,
+(1,n), (2,3), ..., which the table's recurrence needs and ``mask_of_pairs``
+gives.  ``l_h(w)`` is the popcount of ``w``'s mask and ``h``'s pairs, so the
+degree bases are read off the table, and the Coxeter length of ``w`` is the
+popcount of its whole mask, which ``coxeter_lengths`` keys by the table's
+own permutations.  ``verify_poincare`` derives its masks from the definition
+and never reads the table, so the two derivations of the Betti numbers stay
 independent.  ``l_h`` stays the definition that classes and the CLI read.
 """
 
@@ -33,7 +33,7 @@ from functools import cache, lru_cache
 from operator import or_
 from typing import Iterable, Iterator
 
-from .perms import Permutation, transposition_bit
+from .perms import Permutation
 
 
 class HessenbergFunction(tuple):
@@ -118,7 +118,6 @@ class GkmGraph:
     def __init__(self, h: HessenbergFunction):
         self.h = h
         self.n = h.n
-        self.pair_mask = sum(transposition_bit(j, i) for j, i in h.pairs)
 
     def vertices(self) -> Iterator[Permutation]:
         return Permutation.all(self.n)
@@ -155,6 +154,12 @@ def l_h(w: Permutation, h: HessenbergFunction) -> int:
     return sum(1 for j, i in h.pairs if w[j - 1] > w[i - 1])
 
 
+def mask_of_pairs(pairs: Iterable[tuple[int, int]], n: int) -> int:
+    """The pairs ``(j, i)``, ``j < i <= n``, as a mask in the table's
+    numbering: bit ``(j-1)(2n-j)/2 + i-j-1``, lexicographically."""
+    return sum(1 << ((j - 1) * (2 * n - j) // 2 + i - j - 1) for j, i in pairs)
+
+
 # the pairs j < i of [11] are 55 bits, the most that one array("Q") entry holds
 _MAX_TABLE_N = 11
 
@@ -163,7 +168,7 @@ _MAX_TABLE_N = 11
 def _inversion_table(n: int) -> tuple[tuple[Permutation, ...], array]:
     """``Permutation.all(n)`` and, per ``w``, the mask of its inverted pairs.
 
-    Pair ``(j, i)`` has bit ``(j-1)(2n-j)/2 + i-j-1``, lexicographically.
+    Pair ``(j, i)`` has its bit of ``mask_of_pairs``, lexicographically.
     Built by a recurrence on n: in the order of ``Permutation.all``, the
     ``w = (v, rest)`` with first value ``v`` form one block, whose ``rest``
     runs through S_{n-1} in its own order, as the ``u`` with the same
@@ -187,17 +192,24 @@ def _inversion_table(n: int) -> tuple[tuple[Permutation, ...], array]:
     return tuple(Permutation.all(n)), masks
 
 
+@cache
+def coxeter_lengths(n: int) -> dict[Permutation, int]:
+    """``w`` -> its Coxeter length, the popcount of its inversion-table mask,
+    keyed by the table's own permutations."""
+    perms, masks = _inversion_table(n)
+    return {w: mask.bit_count() for w, mask in zip(perms, masks)}
+
+
 @lru_cache(maxsize=16)
 def degree_bases(h: HessenbergFunction) -> tuple[tuple[Permutation, ...], ...]:
     """For k = 0..top, the ``w`` with ``l_h(w) = k`` in the order of
     ``Permutation.all``: each ``w`` goes in the degree of the popcount of its
-    inversion-table mask and the mask of ``h``'s pairs, in the table's
-    numbering.  Every h of one n shares the table's ``Permutation`` objects.
-    ``verify_poincare`` checks the counts against out-degrees taken from
-    ``length_drops``, so it never reads the table it checks."""
+    inversion-table mask and ``mask_of_pairs(h.pairs)``.  Every h of one n
+    shares the table's ``Permutation`` objects.  ``verify_poincare`` checks
+    the counts against out-degrees from masks it derives itself, so it never
+    reads the table it checks."""
     perms, masks = _inversion_table(h.n)
-    n = h.n
-    pair_mask = sum(1 << ((j - 1) * (2 * n - j) // 2 + i - j - 1) for j, i in h.pairs)
+    pair_mask = mask_of_pairs(h.pairs, h.n)
     bases: list[list[Permutation]] = [[] for _ in range(len(h.pairs) + 1)]
     for w, mask in zip(perms, masks):
         bases[(mask & pair_mask).bit_count()].append(w)

@@ -16,16 +16,12 @@ construction (products, inverses, the constructors below, ``Permutation.all``,
 ``young_subgroup``, moment-graph neighbours, support leaves) skips the check
 with ``tuple.__new__(Permutation, images)``.
 
-``SymmetricGroup(n)`` holds the Coxeter length of every ``w`` in S_n, built on
-first use for each n from ``coxeter_length``; ``expand_in_basis`` reads it.
-Its second table, ``length_drops``, holds for each ``w`` one bit per
-transposition ``t`` that ``w t`` is shorter than ``w``; only the Poincaré
-suite reads it, and it is built when first read.
+``coxeter_length`` is the definition of the length.  Work that runs over
+all of S_n reads lengths from the one table of S_n per n, kept in ``gkm``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Callable, Iterable, Iterator
 
@@ -192,42 +188,6 @@ def prefix_closed(n: int, keep: Callable[[int], bool]) -> list[Permutation]:
 
     extend([], 0)
     return out
-
-
-def transposition_bit(j: int, i: int) -> int:
-    """The bit of the transposition ``(j, i)``, ``j < i``, in a transposition mask.
-
-    Transpositions are numbered in colexicographic order, (1,2), (1,3), (2,3),
-    (1,4), ..., so the numbering does not depend on n.
-    """
-    return 1 << ((i - 1) * (i - 2) // 2 + j - 1)
-
-
-@functools.lru_cache(maxsize=8)
-class SymmetricGroup:
-    """Tables of S_n, built once per n: ``length[w]`` is ``w.coxeter_length()``."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.length = {w: w.coxeter_length() for w in Permutation.all(n)}
-
-    @functools.cached_property
-    def length_drops(self) -> dict[Permutation, int]:
-        """``w`` -> the mask of the transpositions ``t`` (``transposition_bit``)
-        with ``length[w t] < length[w]``; built on first read."""
-        length = self.length
-        positions = [(j - 1, i - 1, transposition_bit(j, i))
-                     for i in range(2, self.n + 1) for j in range(1, i)]
-        table = {}
-        for w, lw in length.items():
-            mask = 0
-            for a, b, bit in positions:
-                images = list(w)
-                images[a], images[b] = images[b], images[a]
-                if length[tuple(images)] < lw:
-                    mask |= bit
-            table[w] = mask
-        return table
 
 
 def young_subgroup(blocks: Iterable[Iterable[int]], n: int) -> Iterator[Permutation]:

@@ -6,15 +6,15 @@ one, one generator application per coset.  ``walk_auxiliary_terms`` builds
 the auxiliary summands of the descent case from the inverse permutation and
 re-derives the descent set of every permutation it builds.
 ``min_length_coset_reps`` finds the shortest element of each coset of the
-fine block subgroup in the coarse one by a minimum search over the length
-table.
+fine block subgroup in the coarse one by a minimum search over Coxeter
+lengths.
 """
 
 from itertools import chain, combinations
 
 from gkmhess.decomp import block_subgroups
 from gkmhess.dot import AuxiliaryTerm
-from gkmhess.perms import Permutation, SymmetricGroup, young_subgroup
+from gkmhess.perms import Permutation, young_subgroup
 
 
 def min_length_coset_reps(w):
@@ -23,14 +23,13 @@ def min_length_coset_reps(w):
     groups = block_subgroups(w)
     n = len(w)
     fine_blocks = [tuple(sorted(b)) for b in groups.fine_blocks]
-    length = SymmetricGroup(n).length
     best = {}
     for v in young_subgroup(groups.coarse_blocks, n):
         key = tuple(frozenset(v(x) for x in block) for block in fine_blocks)
-        incumbent = best.get(key)
-        if incumbent is None or (length[v], v) < (length[incumbent], incumbent):
-            best[key] = v
-    return sorted(best.values())
+        candidate = (v.coxeter_length(), v)
+        if key not in best or candidate < best[key]:
+            best[key] = candidate
+    return sorted(v for _, v in best.values())
 
 
 def _coset_walk(blocks, vec, generators, matrices):

@@ -333,42 +333,128 @@ def test_poincare_at_n4_matches_the_geometry_reference():
 
 # Each fault runs in a fresh interpreter, so nothing built from it outlives
 # it: not the cached table or degree bases, nor the flow-up classes and
-# matrices that the other suites hold per h.  The two faults sit on the
-# two independent derivations of the Betti numbers: the inversion table that
-# the degree bases are read from, and the length-drop table whose out-degrees
-# verify_poincare counts.
+# matrices that the other suites hold per h.  The first two faults sit on
+# the two independent derivations of the Betti numbers: the inversion table
+# that the degree bases are read from, and the masks that verify_poincare
+# derives itself and counts out-degrees from.  The other two plant a wrong
+# entry in s_1's matrix and a wrong flow-up class.  Each command prints its
+# suite, its exit code and either the verdict and failed checks of its report
+# or, with no report, its error line.
 _PLANT_FAULT = """
-import contextlib, io, json, sys
-from gkmhess import cli, gkm
-from gkmhess.perms import Permutation, SymmetricGroup, transposition_bit
-layer, w, j, i = sys.argv[1], Permutation.from_one_line(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
-if layer == "inversion-table":
+import contextlib, importlib, io, json, sys
+from gkmhess.classes import InterpolationResult
+from gkmhess.gkm import HessenbergFunction
+from gkmhess.perms import Permutation
+
+# the package's own ``dot`` is the function, so the modules come by name
+chromatic, cli, decomp, dot, gkm = (importlib.import_module(f"gkmhess.{name}")
+                                    for name in ("chromatic", "cli", "decomp", "dot", "gkm"))
+
+
+def inversion_table(w, j, i):
     perms, masks = gkm._inversion_table(5)
-    masks[perms.index(w)] ^= 1 << ((j - 1) * (2 * 5 - j) // 2 + i - j - 1)
-else:
-    SymmetricGroup(5).length_drops[w] ^= transposition_bit(j, i)
-for suite in ("poincare", "all"):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["verify", suite, "--n", "5"])
-    report = json.loads(out.getvalue())
-    failed = [c["name"] for c in report["checks"] if not c["passed"]]
-    print(suite, code, report["passed"], ",".join(failed))
+    masks[perms.index(Permutation.from_one_line(w))] ^= gkm.mask_of_pairs([(int(j), int(i))], 5)
+
+
+def length_drops(w, j, i):
+    derive = cli._inversion_masks
+    index = tuple(Permutation.all(5)).index(Permutation.from_one_line(w))
+
+    def faulty(n):
+        masks = derive(n)
+        masks[index] ^= gkm.mask_of_pairs([(int(j), int(i))], 5)
+        return masks
+    cli._inversion_masks = faulty
+
+
+def s1_matrix():
+    # add 1 off the diagonal of s_1's permutohedral t = 0 matrix, in
+    # every degree of dimension at least 2
+    exact = dot.generator_matrix
+
+    def faulty(i, k, h):
+        matrix = exact(i, k, h)
+        if i == 1 and h.is_permutohedral() and len(matrix.basis_order) > 1:
+            col, row = matrix.basis_order[:2]
+            column = {**matrix.columns[col], row: matrix.entry(row, col) + 1}
+            matrix = dot.ActionMatrix(matrix.basis_order, {**matrix.columns, col: column})
+        return matrix
+    for module in (chromatic, cli, decomp, dot):
+        module.generator_matrix = faulty
+
+
+def flow_up_class():
+    # add the class of 4321 to the flow-up class of 2143 for h = 2,3,4,4
+    exact, h_0 = dot.flow_up_class, HessenbergFunction.from_string("2,3,4,4")
+    w_0, top = Permutation.from_one_line("2143"), Permutation.from_one_line("4321")
+
+    def faulty(w, h):
+        result = exact(w, h)
+        if (w, h) == (w_0, h_0):
+            result = InterpolationResult(result.cls + exact(top, h).cls, result.free_parameters)
+        return result
+    for module in (cli, dot):
+        module.flow_up_class = faulty
+
+
+fault, *args = sys.argv[1].split()
+globals()[fault.replace("-", "_")](*args)
+for command in sys.argv[2:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", *command.split()])
+    suite = command.split()[0]
+    if out.getvalue():
+        report = json.loads(out.getvalue())
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        print(suite, code, report["passed"], ",".join(failed))
+    else:
+        print(suite, code, err.getvalue().strip())
 """
+
+
+def _run_with_fault(fault, *commands):
+    proc = subprocess.run([sys.executable, "-c", _PLANT_FAULT, fault, *commands],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def _assert_all_fails(line, check):
+    suite, code, passed, failed = line.split()
+    assert (suite, code, passed) == ("all", "1", "False")
+    assert check in failed.split(",")
 
 
 @pytest.mark.parametrize("layer", ["inversion-table", "length-drops"])
 def test_poincare_catches_a_planted_fault(layer):
     # 14532 inverts neither (1, 5) nor (1, 4); the fault claims it does
-    pair = ("1", "5") if layer == "inversion-table" else ("1", "4")
-    proc = subprocess.run([sys.executable, "-c", _PLANT_FAULT, layer, "14532", *pair],
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    pair = "1 5" if layer == "inversion-table" else "1 4"
+    lines = _run_with_fault(f"{layer} 14532 {pair}", "poincare --n 5", "all --n 5")
     assert lines[0] == "poincare 1 False poincare"
-    suite, code, passed, failed = lines[1].split()
-    assert (suite, code, passed) == ("all", "1", "False")
-    assert "poincare" in failed.split(",")
+    _assert_all_fails(lines[1], "poincare")
+
+
+def test_coxeter_catches_a_wrong_s1_matrix():
+    # verify decomposition trusts the matrices, so it is not asserted here
+    lines = _run_with_fault("s1-matrix", "coxeter --n 5", "all --n 5")
+    assert lines[0] == "coxeter 1 False coxeter"
+    _assert_all_fails(lines[1], "coxeter")
+
+
+def test_dot_rules_catch_a_wrong_flow_up_class():
+    lines = _run_with_fault("flow-up-class", "dot-rules --n 4", "all --n 4")
+    assert lines[0] == "dot-rules 1 False dot-rules"
+    _assert_all_fails(lines[1], "dot-rules")
+
+
+def test_decomposition_names_a_permutation_outside_the_degree_basis():
+    # without the inversion (1, 2), 54321 leaves the top degree 4 (h has four
+    # pairs) for degree 3, but it still generates degree 4
+    lines = _run_with_fault("inversion-table 54321 1 2", "decomposition --n 5", "all --n 5")
+    message = ("error: internal AssertionError: the orbit of generator 54321 "
+               "reaches 54321, outside the degree-4 basis")
+    assert lines == [f"{suite} 1 {message}" for suite in ("decomposition", "all")]
 
 
 @pytest.mark.parametrize("error", ["AssertionError", "TheoremViolationError",
@@ -613,7 +699,7 @@ def test_h_and_permutohedral_are_one_choice(argv, capsys):
 
 
 @pytest.mark.parametrize("eigenvalues,message", [
-    ("1,2,x,4", "Invalid literal for Fraction: 'x'"),
+    ("1,2,x,4", "--eigenvalues 1,2,x,4: Invalid literal for Fraction: 'x'"),
     ("1,2,3,1/0", "--eigenvalues 1,2,3,1/0: a zero denominator"),
 ], ids=["not-a-number", "zero-denominator"])
 def test_cell_chart_bad_eigenvalues_are_a_usage_error(eigenvalues, message, capsys):
@@ -624,6 +710,19 @@ def test_cell_chart_bad_eigenvalues_are_a_usage_error(eigenvalues, message, caps
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("cell-chart", "--eigenvalues", "1,x", "--w", "2413", "--h", "3,3,4,4"),
+     "error: --eigenvalues 1,x: Invalid literal for Fraction: 'x'\n"),
+    (("dot", "--permutohedral", "--w", "1", "--gen", "1"),
+     "error: --gen 1: n = 1 has no generator s_i\n"),
+], ids=["cell-chart-eigenvalues", "dot-gen-at-n1"])
+def test_usage_message_names_what_is_wrong(argv, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr == message
+    assert proc.stdout == ""
 
 
 def test_verify_supports_is_deterministic():

@@ -9,12 +9,14 @@ from gkmhess.gkm import (
     GkmGraph,
     HessenbergFunction,
     _inversion_table,
+    coxeter_lengths,
     degree_bases,
     edge_kind,
     l_h,
     poincare_coefficients,
 )
-from gkmhess.perms import Permutation, SymmetricGroup, transposition_bit
+from gkmhess.cli import _inversion_masks
+from gkmhess.perms import Permutation
 from gkmhess.reach import build_cell_digraph
 
 
@@ -174,13 +176,12 @@ def test_oriented_out_is_the_inversion_criterion(n, rng):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_oriented_out_matches_the_length_drop_table(n):
     # the inversion rule against its definition: w t is shorter than w
-    drops = SymmetricGroup(n).length_drops
+    length = {w: w.coxeter_length() for w in Permutation.all(n)}
     for h in HessenbergFunction.all(n):
         graph = GkmGraph(h)
         for w in Permutation.all(n):
             assert graph.oriented_out(w) == [
-                edge for (j, i), edge in zip(h.pairs, graph.neighbors(w))
-                if drops[w] & transposition_bit(j, i)
+                edge for edge in graph.neighbors(w) if length[edge[0]] < length[w]
             ]
 
 
@@ -207,6 +208,17 @@ def test_inversion_table_is_the_flat_definition(n):
     perms, masks = _inversion_table(n)
     assert perms == tuple(Permutation.all(n))
     assert list(masks) == [_flat_inversion_mask(w) for w in perms]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_length_view_and_poincare_masks_agree_with_the_table(n):
+    # the length view holds the table's own permutations, no second copy of
+    # S_n; the Poincare suite's masks, derived apart, equal the table's
+    perms, masks = _inversion_table(n)
+    length = coxeter_lengths(n)
+    assert all(v is w for v, w in zip(length, perms))
+    assert length == {w: w.coxeter_length() for w in perms}
+    assert _inversion_masks(n) == list(masks)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -8,15 +8,9 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gkmhess.perms import (
-    Composition,
-    Permutation,
-    SymmetricGroup,
-    compose,
-    partitions,
-    transposition_bit,
-    young_subgroup,
-)
+from gkmhess.cli import _inversion_masks
+from gkmhess.gkm import _inversion_table, coxeter_lengths, mask_of_pairs
+from gkmhess.perms import Composition, Permutation, compose, partitions, young_subgroup
 
 _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -81,8 +75,8 @@ def test_reduced_word_rebuilds():
 @given(st.integers(min_value=1, max_value=7))
 @settings(max_examples=20, deadline=None)
 def test_length_table_matches_coxeter_length(n):
-    length = SymmetricGroup(n).length
-    assert SymmetricGroup(n) is SymmetricGroup(n)
+    length = coxeter_lengths(n)
+    assert coxeter_lengths(n) is length
     assert len(length) == math.factorial(n)
     for w, value in length.items():
         assert value == w.coxeter_length() == len(w.reduced_word())
@@ -90,52 +84,44 @@ def test_length_table_matches_coxeter_length(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_length_drops_are_the_inversions(n):
-    drops = SymmetricGroup(n).length_drops
-    assert len(drops) == math.factorial(n)
-    for w, mask in drops.items():
-        expected = sum(
-            transposition_bit(j, i)
-            for i in range(2, n + 1) for j in range(1, i) if w(j) > w(i)
+    # the Poincare suite's masks mark the transpositions t with w t shorter
+    # than w, in Coxeter length
+    masks = _inversion_masks(n)
+    assert len(masks) == math.factorial(n)
+    for w, mask in zip(Permutation.all(n), masks):
+        expected = mask_of_pairs(
+            [(j, i) for j in range(1, n + 1) for i in range(j + 1, n + 1)
+             if (w * Permutation.transposition(j, i, n)).coxeter_length() < w.coxeter_length()],
+            n,
         )
         assert mask == expected, w
 
 
 def test_transposition_bits_are_distinct_and_dense():
-    bits = [transposition_bit(j, i) for i in range(2, 8) for j in range(1, i)]
-    assert sorted(bits) == [1 << k for k in range(21)]
+    # one bit per pair j < i, in lexicographic order
+    for n in range(1, 12):
+        bits = [mask_of_pairs([(j, i)], n) for j in range(1, n + 1) for i in range(j + 1, n + 1)]
+        assert bits == [1 << k for k in range(n * (n - 1) // 2)]
 
 
-def test_length_drops_are_built_only_when_read():
-    # the decomposition, Shareshian-Wachs, their generator matrices and the
-    # oriented moment graph never read the drop table (only the Poincare
-    # suite does); the spy prints each build, in a fresh interpreter that no
-    # other test has touched
+def test_single_class_builds_no_inversion_table_in_a_fresh_interpreter():
+    # one flow-up class at n = 9 is decided on its own support: it reads
+    # neither the inversion table of S_9 nor its length view; the spy is the
+    # caches, in a fresh interpreter that no other test has touched
     code = """
-from gkmhess.chromatic import verify_shareshian_wachs
-from gkmhess.classes import interpolate_class, top_value
-from gkmhess.decomp import verify_decomposition
-from gkmhess.dot import generator_matrix
-from gkmhess.gkm import HessenbergFunction
-from gkmhess.perms import Permutation, SymmetricGroup
-table = SymmetricGroup.__wrapped__.length_drops
-build, table.func = table.func, lambda group: print("built", group.n) or build(group)
-for h in (HessenbergFunction.permutohedral(4), HessenbergFunction.full_flag(4)):
-    for i in range(1, 4):
-        for k in range(4):
-            generator_matrix(i, k, h)
-for k in range(4):
-    assert verify_decomposition(4, k).passed
-assert all(verify_shareshian_wachs(HessenbergFunction.permutohedral(4)).per_degree)
-h, w = HessenbergFunction.from_string("3,3,4,5,5"), Permutation.from_one_line("21435")
-assert top_value(w, h) == interpolate_class(w, h).cls.value(w)
-group = SymmetricGroup(4)
-print("made", len(group.length))
-print(len(group.length_drops))
+import contextlib, io
+from gkmhess import cli, gkm
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["class", "--h", "3,3,4,5,6,6,7,8,9", "--w", "213456789"]) == 0
+tables = (gkm._inversion_table, gkm.coxeter_lengths)
+print(*(table.cache_info().currsize for table in tables))
+gkm.coxeter_lengths(4)
+print(*(table.cache_info().currsize for table in tables))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=600, env={**os.environ, "PYTHONPATH": _SRC})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["made", "24", "built", "4", "24"]
+    assert proc.stdout.splitlines() == ["0 0", "1 1"]
 
 
 def test_single_class_work_builds_no_length_table():
@@ -143,11 +129,12 @@ def test_single_class_work_builds_no_length_table():
     from gkmhess.decomp import symmetrizer_coset_reps
     from gkmhess.dot import full_flag_si_expansion
 
-    SymmetricGroup.cache_clear()
+    # any call, a cache hit included, would move a counter
+    before = _inversion_table.cache_info(), coxeter_lengths.cache_info()
     assert cli.main(["class", "--h", "3,3,4,5,6,6,7,8,9", "--w", "213456789"]) == 0
     full_flag_si_expansion(Permutation.from_one_line("3142"), 2)
     symmetrizer_coset_reps(Permutation.from_one_line("4312"))
-    assert SymmetricGroup.cache_info().currsize == 0
+    assert (_inversion_table.cache_info(), coxeter_lengths.cache_info()) == before
 
 
 not_a_permutation = st.lists(st.integers(0, 7), min_size=1, max_size=7).filter(
