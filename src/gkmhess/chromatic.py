@@ -32,6 +32,7 @@ from .decomp import (
     eulerian_number,
     expected_type_multiset,
     g_set,
+    module_dimension,
 )
 from .dot import ActionMatrix, degree_basis, generator_matrix
 from .gkm import HessenbergFunction
@@ -252,12 +253,9 @@ def verify_closed_expansion(n: int) -> ClosedExpansionReport:
     agree_dims = True
     total = 0
     for k in range(n):
-        observed: dict[tuple[int, ...], int] = {}
-        dim = 0
-        for w in g_set(n, k):
-            a_hat = tuple(erased_composition(w.descent_composition()))
-            observed[a_hat] = observed.get(a_hat, 0) + 1
-            dim += math.factorial(n) // math.prod(map(math.factorial, a_hat))
+        observed = Counter(tuple(erased_composition(w.descent_composition()))
+                           for w in g_set(n, k))
+        dim = sum(count * module_dimension(a_hat) for a_hat, count in observed.items())
         if observed != expected_type_multiset(n, k):
             agree_types = False
         if dim != eulerian_number(n, k):

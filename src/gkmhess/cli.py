@@ -23,15 +23,22 @@ from .cells import (
     EigenvalueVector,
     build_cell_chart,
     fixed_point_oracle,
+    minimal_path_coefficient,
+    minimal_paths,
     minor_reachability_certificate,
+    path_monomial_exponents,
     prime_eigenvalues,
 )
 from .chromatic import chromatic_qsym, verify_closed_expansion, verify_shareshian_wachs
-from .classes import EquivariantClass, expand_in_basis, gkm_check, permutohedral_class
+from .classes import (EquivariantClass, expand_in_basis, gkm_check, permutohedral_class,
+                      smooth_point_value, top_value)
 from .decomp import verify_decomposition, verify_wz_completeness
 from .dot import (
+    ActionMatrix,
     action_matrix,
+    build_auxiliary_class,
     dashed_rule_check,
+    degree_basis,
     dot,
     flow_up_basis,
     flow_up_class,
@@ -146,12 +153,18 @@ def cmd_support(args, config: RunConfig) -> int:
 def cmd_cell_chart(args, config: RunConfig) -> int:
     w = args.w
     h = _parse_h_for(w, args.h, None)
+    texts = args.eigenvalues.split(",") if args.eigenvalues else []
     try:
-        values = args.eigenvalues and tuple(Fraction(v) for v in args.eigenvalues.split(","))
+        values = tuple(Fraction(text) for text in texts)
     except ZeroDivisionError:
         raise ValueError(f"--eigenvalues {args.eigenvalues}: a zero denominator") from None
     except ValueError as exc:
         raise ValueError(f"--eigenvalues {args.eigenvalues}: {exc}") from None
+    if values and len(values) != h.n:
+        raise ValueError(f"--eigenvalues {args.eigenvalues}: {len(values)} values for n = {h.n}")
+    for text, value in zip(texts, values):
+        if values.count(value) > 1:
+            raise ValueError(f"--eigenvalues {args.eigenvalues}: the value {text} repeats")
     c = EigenvalueVector(values) if values else prime_eigenvalues(h.n)
     chart = build_cell_chart(w, h, c)
     entries = {
@@ -320,14 +333,12 @@ def cmd_decompose(args, config: RunConfig) -> int:
         ],
     }
     if args.emit_basis:
-        from .decomp import coset_orbit_vectors, sigma_hat_vector
-
-        h = HessenbergFunction.permutohedral(args.n)
-        matrices = {i: generator_matrix(i, args.k, h) for i in range(1, args.n)}
+        # the ranked rows, keyed by position in the lexicographic degree basis
+        basis = degree_basis(HessenbergFunction.permutohedral(args.n), args.k)
         payload["basis_vectors"] = [
-            {str(b): str(c) for b, c in sorted(v.items())}
+            {str(basis[col]): str(c) for col, c in sorted(row.items())}
             for m in report.modules
-            for v in coset_orbit_vectors(m.w, sigma_hat_vector(m.w, matrices), matrices)
+            for row in m.rows
         ]
     _emit(payload, config)
     return 0 if report.passed else 1
@@ -377,8 +388,6 @@ def verify_supports(n: int, config: RunConfig) -> dict:
 
 
 def verify_minors(n: int, config: RunConfig) -> dict:
-    import itertools as it
-
     rng = config.rng()
     failures = []
     resamples = 0
@@ -389,8 +398,8 @@ def verify_minors(n: int, config: RunConfig) -> dict:
             for h in HessenbergFunction.all(n)
             for w in Permutation.all(n)
             for size in range(1, n + 1)
-            for rows in it.combinations(range(1, n + 1), size)
-            for cols in it.combinations(range(1, n + 1), size)
+            for rows in itertools.combinations(range(1, n + 1), size)
+            for cols in itertools.combinations(range(1, n + 1), size)
         )
     else:
         perms = list(Permutation.all(n))
@@ -419,8 +428,6 @@ def verify_minors(n: int, config: RunConfig) -> dict:
 
 
 def verify_cell_charts(n: int, config: RunConfig) -> dict:
-    from .cells import minimal_path_coefficient, minimal_paths, path_monomial_exponents
-
     failures = []
     c = prime_eigenvalues(n)
     instances = _cell_instances(n, config, 5, 500)
@@ -445,9 +452,6 @@ def verify_cell_charts(n: int, config: RunConfig) -> dict:
 
 
 def verify_classes(n: int, config: RunConfig) -> dict:
-    from .classes import smooth_point_value, top_value
-    from .reach import support_A as support_fn
-
     h = HessenbergFunction.permutohedral(n)
     failures = []
     for w in Permutation.all(n):
@@ -456,7 +460,7 @@ def verify_classes(n: int, config: RunConfig) -> dict:
         if not ok:
             failures.append({"w": str(w), "kind": "gkm"})
             continue
-        if cls.support() != support_fn(w, h).members:
+        if cls.support() != support_A(w, h).members:
             failures.append({"w": str(w), "kind": "support"})
             continue
         if cls.value(w) != top_value(w, h):
@@ -499,8 +503,6 @@ def verify_poincare(n: int, config: RunConfig) -> dict:
 
 
 def verify_dot_rules(n: int, config: RunConfig) -> dict:
-    from .dot import build_auxiliary_class
-
     failures = []
     tii = lambda i: MultiPoly.linear_form(i + 1, i, n)
     for w in Permutation.all(n):
@@ -532,8 +534,6 @@ def verify_dot_rules(n: int, config: RunConfig) -> dict:
 
 
 def verify_coxeter(n: int, config: RunConfig) -> dict:
-    from .dot import ActionMatrix, degree_basis
-
     h = HessenbergFunction.permutohedral(n)
     failures = []
     for k in range(n):

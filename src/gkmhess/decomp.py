@@ -11,7 +11,8 @@ module, and the modules over all generators decompose the whole degree.
 The check runs in ordinary cohomology: a symmetrized class comes from the
 generator matrices of the dot action by a symmetrizer factorized along
 parabolic subgroups, and its orbit by one walk over cosets; the equivariant
-``sigma_hat`` is the reference they are tested against.
+``sigma_hat`` is the reference they are tested against.  A degree's modules
+are built once, by ``verify_decomposition``, whose report keeps the rows it ranked.
 
 The lattice graphs attached to compositions organize the permutations with
 a fixed descent composition as words in commuting simple reflections; they
@@ -24,7 +25,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from .classes import EquivariantClass, permutohedral_class
 from .dot import ActionMatrix, degree_basis, dot, generator_matrix
@@ -76,10 +78,6 @@ class BlockSubgroups:
     w: Permutation
     fine_blocks: tuple[frozenset[int], ...]   # J_s, one per descent block
     coarse_blocks: tuple[frozenset[int], ...]  # J-hat_t, per erased block
-
-    @property
-    def coarse_order(self) -> int:
-        return math.prod(math.factorial(len(block)) for block in self.coarse_blocks)
 
     def coarse_simple_generators(self) -> list[int]:
         """Indices i with both values i, i+1 in one coarse block."""
@@ -180,23 +178,20 @@ def _block_vertices(block: Composition) -> list[tuple[int, ...]]:
     return sorted(set(out), reverse=True)
 
 
-def _block_edge_label(block: Composition, z: tuple[int, ...], j: int) -> int:
-    """Label of the edge raising coordinate ``j`` (0-based) from ``z``."""
-    n_block = block.n
-    m = _ones_count(block)
-    return n_block - m + j - z[j]
+def _block_edge_label(block: Composition, z_j: int, j: int) -> int:
+    """Label of the edge raising coordinate ``j`` (0-based) from ``z_j``."""
+    return block.n - _ones_count(block) + j - z_j
+
+
+def _offsets(blocks) -> list[int]:
+    """Per block, the total weight of the blocks after it: its label shift."""
+    return [sum(b.n for b in blocks[i + 1:]) for i in range(len(blocks))]
 
 
 def composition_graph(a: Composition) -> CompositionGraph:
     blocks = tuple(admissible_decomposition(a))
     per_block = [_block_vertices(b) for b in blocks]
-    offsets = []
-    tail = 0
-    for b in reversed(blocks):
-        offsets.append(tail)
-        tail += b.n
-    offsets.reverse()  # offsets[i] = total weight of the blocks after i
-
+    offsets = _offsets(blocks)
     vertices = [tuple(v) for v in itertools.product(*per_block)]
     edges = []
     for vertex in vertices:
@@ -212,7 +207,7 @@ def composition_graph(a: Composition) -> CompositionGraph:
                     continue
                 raised = z[:j] + (up,) + z[j + 1:]
                 target = vertex[:bi] + (raised,) + vertex[bi + 1:]
-                label = _block_edge_label(block, z, j) + offsets[bi]
+                label = _block_edge_label(block, z[j], j) + offsets[bi]
                 edges.append((vertex, target, label))
     return CompositionGraph(
         a=a, blocks=blocks, vertices=tuple(sorted(vertices, reverse=True)),
@@ -227,23 +222,12 @@ def w_z(a: Composition, z) -> Permutation:
     z = tuple(tuple(part) for part in z)
     if z not in graph.vertices:
         raise ValueError(f"{z} is not a vertex of the graph of {tuple(a)}")
-    word: list[int] = []
-    for bi, block in enumerate(graph.blocks):
-        coords = z[bi]
-        m = _ones_count(block)
-        offset = _offset_after(graph.blocks, bi)
-        for j in range(m):
-            for step in range(coords[j]):
-                fake = coords[:j] + (step,)  # only z_j matters for the label
-                word.append(_block_edge_label(block, fake + (0,) * (m - j - 1), j) + offset)
     result = generator_permutation(a)
-    for label in word:
-        result = Permutation.simple(label, a.n) * result
+    for block, coords, offset in zip(graph.blocks, z, _offsets(graph.blocks)):
+        for j, top in enumerate(coords):
+            for z_j in range(top):
+                result = Permutation.simple(_block_edge_label(block, z_j, j) + offset, a.n) * result
     return result
-
-
-def _offset_after(blocks, bi: int) -> int:
-    return sum(b.n for b in blocks[bi + 1:])
 
 
 def descent_class(a: Composition) -> list[Permutation]:
@@ -411,12 +395,17 @@ def sigma_hat_vector(w: Permutation,
 
 @dataclass
 class ModuleReport:
+    """The module of generator ``w``; ``rows`` is its orbit, one sparse integer
+    row per coset keyed by degree-basis position, as ranked and as
+    ``decompose --emit-basis`` prints it."""
+
     w: Permutation
     a: tuple[int, ...]
     a_hat: tuple[int, ...]
     dim_expected: int
     dim_computed: int
     stabilizer_exact: bool
+    rows: list[dict[int, int]] = field(repr=False)
 
     @property
     def module_type(self) -> tuple[int, ...]:
@@ -480,6 +469,11 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def module_dimension(a_hat) -> int:
+    """``n!/|S_a_hat|``, the dimension of the permutation module of ``a_hat``."""
+    return math.factorial(sum(a_hat)) // math.prod(map(math.factorial, a_hat))
+
+
 def eulerian_number(n: int, k: int) -> int:
     """Permutations of [n] with k descents, by the recurrence
     A(m, j) = (j + 1) A(m - 1, j) + (m - j) A(m - 1, j - 1), so that it
@@ -498,7 +492,8 @@ def verify_decomposition(n: int, k: int) -> DecompositionReport:
     dimension ``n!/|block subgroup|`` whose stabilizer is exactly that
     subgroup; the spans over all generators are independent and fill the
     degree.  The symmetrized class and its orbit are ordinary vectors built
-    from the generator matrices (``sigma_hat_vector``, ``coset_orbit_vectors``).
+    from the generator matrices (``sigma_hat_vector``, ``coset_orbit_vectors``);
+    each module's report keeps its orbit as the integer rows that are ranked.
 
     The rows of all modules are stacked and ranked once, modulo a large
     prime, which is exact in the passing direction: a full rank certifies
@@ -513,42 +508,30 @@ def verify_decomposition(n: int, k: int) -> DecompositionReport:
     generators = g_set(n, k)
 
     modules: list[ModuleReport] = []
-    module_rows: list[list[dict[int, int]]] = []
     for w in generators:
-        groups = block_subgroups(w)
         vec = sigma_hat_vector(w, matrices)
         orbit = coset_orbit_vectors(w, vec, matrices)
         rows = [_vector_to_ints(v, position, w, k) for v in orbit]
-        expected_dim = math.factorial(n) // groups.coarse_order
+        a = w.descent_composition()
+        a_hat = tuple(erased_composition(a))
+        expected_dim = module_dimension(a_hat)
         if len(rows) != expected_dim:
             raise AssertionError(
                 f"coset walk found {len(rows)} cosets, expected {expected_dim}"
             )
-        stabilizer_ok = _stabilizer_exact(w, vec, matrices, groups)
-        a = w.descent_composition()
-        modules.append(
-            ModuleReport(
-                w=w,
-                a=tuple(a),
-                a_hat=tuple(erased_composition(a)),
-                dim_expected=expected_dim,
-                dim_computed=expected_dim,
-                stabilizer_exact=stabilizer_ok,
-            )
-        )
-        module_rows.append(rows)
+        modules.append(ModuleReport(
+            w=w, a=tuple(a), a_hat=a_hat, dim_expected=expected_dim, dim_computed=expected_dim,
+            stabilizer_exact=_stabilizer_exact(w, vec, matrices), rows=rows,
+        ))
 
     total = sum(m.dim_expected for m in modules)
-    stacked = [row for rows in module_rows for row in rows]
+    stacked = [row for m in modules for row in m.rows]
     direct_sum = _certified_rank(stacked, total) == total
     if not direct_sum:
-        for m, rows in zip(modules, module_rows):
-            m.dim_computed = _certified_rank(rows, m.dim_expected)
+        for m in modules:
+            m.dim_computed = _certified_rank(m.rows, m.dim_expected)
 
-    observed_types: dict[tuple[int, ...], int] = {}
-    for m in modules:
-        observed_types[m.a_hat] = observed_types.get(m.a_hat, 0) + 1
-    genfunc_match = observed_types == expected_type_multiset(n, k)
+    genfunc_match = Counter(m.a_hat for m in modules) == expected_type_multiset(n, k)
 
     return DecompositionReport(
         n=n,
@@ -565,10 +548,9 @@ def _stabilizer_exact(
     w: Permutation,
     vec: dict[Permutation, Coeff],
     matrices: dict[int, ActionMatrix],
-    groups: BlockSubgroups,
 ) -> bool:
     """Every simple generator of the block subgroup fixes the vector; every
     other simple reflection moves it (exactness then follows from the
     dimension count)."""
-    inside = set(groups.coarse_simple_generators())
+    inside = set(block_subgroups(w).coarse_simple_generators())
     return all((i in inside) == (matrices[i].apply_vector(vec) == vec) for i in range(1, len(w)))

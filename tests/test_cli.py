@@ -84,6 +84,28 @@ def test_decompose_emit_basis():
     assert len(data["basis_vectors"]) == 11
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_emit_basis_prints_the_recomputed_orbits(n, capsys):
+    # the rows the direct-sum rank read, against a second build of each orbit
+    from gkmhess import cli
+    from gkmhess.decomp import coset_orbit_vectors, sigma_hat_vector
+    from gkmhess.dot import generator_matrix
+    from gkmhess.gkm import HessenbergFunction
+    from gkmhess.perms import Permutation
+
+    h = HessenbergFunction.permutohedral(n)
+    for k in range(n):
+        assert cli.main(["decompose", "--n", str(n), "--k", str(k), "--emit-basis"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        matrices = {i: generator_matrix(i, k, h) for i in range(1, n)}
+        expected = []
+        for module in data["modules"]:
+            w = Permutation.from_one_line(module["generator"])
+            for v in coset_orbit_vectors(w, sigma_hat_vector(w, matrices), matrices):
+                expected.append({str(b): str(c) for b, c in sorted(v.items())})
+        assert data["basis_vectors"] == expected
+
+
 def test_chromatic_output():
     data = run_json("chromatic", "--n", "3", "--h", "3,3,3", "--basis", "e")
     assert data["by_degree"][0] == {"e[3]": "1"}
@@ -383,6 +405,23 @@ def s1_matrix():
         module.generator_matrix = faulty
 
 
+def type_multiset():
+    # one more module of type (5,) in degree 2 at n = 5 than the decomposition has
+    exact = decomp.expected_type_multiset
+
+    def faulty(n, k):
+        types = exact(n, k)
+        return {**types, (5,): types[(5,)] + 1} if (n, k) == (5, 2) else types
+    for module in (chromatic, decomp):
+        module.expected_type_multiset = faulty
+
+
+def wz_s1():
+    # every lattice permutation composed with s_1, which stays in range
+    exact = decomp.w_z
+    decomp.w_z = lambda a, z: Permutation.simple(1, a.n) * exact(a, z)
+
+
 def flow_up_class():
     # add the class of 4321 to the flow-up class of 2143 for h = 2,3,4,4
     exact, h_0 = dot.flow_up_class, HessenbergFunction.from_string("2,3,4,4")
@@ -446,6 +485,19 @@ def test_dot_rules_catch_a_wrong_flow_up_class():
     lines = _run_with_fault("flow-up-class", "dot-rules --n 4", "all --n 4")
     assert lines[0] == "dot-rules 1 False dot-rules"
     _assert_all_fails(lines[1], "dot-rules")
+
+
+def test_genfunc_and_decomposition_catch_a_wrong_type_multiset():
+    lines = _run_with_fault("type-multiset", "genfunc --n 5", "decomposition --n 5", "all --n 5")
+    assert lines[:2] == ["genfunc 1 False genfunc", "decomposition 1 False decomposition"]
+    _assert_all_fails(lines[2], "genfunc")
+    _assert_all_fails(lines[2], "decomposition")
+
+
+def test_wz_catches_a_wrong_lattice_permutation():
+    lines = _run_with_fault("wz-s1", "wz --n 5", "all --n 5")
+    assert lines[0] == "wz 1 False wz"
+    _assert_all_fails(lines[1], "wz")
 
 
 def test_decomposition_names_a_permutation_outside_the_degree_basis():
@@ -701,7 +753,9 @@ def test_h_and_permutohedral_are_one_choice(argv, capsys):
 @pytest.mark.parametrize("eigenvalues,message", [
     ("1,2,x,4", "--eigenvalues 1,2,x,4: Invalid literal for Fraction: 'x'"),
     ("1,2,3,1/0", "--eigenvalues 1,2,3,1/0: a zero denominator"),
-], ids=["not-a-number", "zero-denominator"])
+    ("1,1,2,3", "--eigenvalues 1,1,2,3: the value 1 repeats"),
+    ("1,2,3", "--eigenvalues 1,2,3: 3 values for n = 4"),
+], ids=["not-a-number", "zero-denominator", "repeated-value", "wrong-count"])
 def test_cell_chart_bad_eigenvalues_are_a_usage_error(eigenvalues, message, capsys):
     from gkmhess import cli
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from gkmhess.decomp import (
     expected_type_multiset,
     g_set,
     generator_permutation,
+    module_dimension,
     sigma_hat,
     sigma_hat_vector,
     symmetrizer_coset_reps,
@@ -78,7 +80,16 @@ def test_block_subgroups_table_n5():
         groups = block_subgroups(w)
         blocks, order = expected[str(w)]
         assert set(groups.coarse_blocks) == blocks
-        assert groups.coarse_order == order
+        assert module_dimension(tuple(erased_composition(w.descent_composition()))) == 120 // order
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_module_dimension_counts_the_cosets_of_the_coarse_blocks(n):
+    for k in range(n):
+        for w in g_set(n, k):
+            a_hat = tuple(erased_composition(w.descent_composition()))
+            order = math.prod(math.factorial(len(b)) for b in block_subgroups(w).coarse_blocks)
+            assert module_dimension(a_hat) == math.factorial(n) // order
 
 
 def test_symmetrizer_coset_reps_count():
@@ -202,6 +213,16 @@ def test_edge_adjacency_relation():
             graph = composition_graph(a)
             for src, dst, label in graph.edges:
                 assert w_z(a, dst) == Permutation.simple(label, n) * w_z(a, src)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_w_z_steps_along_the_edge_labels_of_the_graph(n):
+    # the labels composition_graph puts on its edges are the steps w_z takes
+    for a in Composition.all(n):
+        graph = composition_graph(a)
+        assert w_z(a, graph.origin()) == generator_permutation(a)
+        for src, dst, label in graph.edges:
+            assert w_z(a, dst) == Permutation.simple(label, n) * w_z(a, src)
 
 
 def test_edge_positions_single_block():
