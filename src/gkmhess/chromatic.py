@@ -200,8 +200,8 @@ def _cycle_type_traces(h: HessenbergFunction, k: int,
             halves.append(matrix.columns)
         left, right = halves
         traces[mu] = sum(
-            value * left.get(v, {}).get(x, 0)
-            for x, column in right.items()
+            value * left[v].get(x, 0)
+            for x, column in enumerate(right)
             for v, value in column.items()
         )
     return traces

@@ -291,10 +291,9 @@ def cmd_action_matrix(args, config: RunConfig) -> int:
     if not 0 <= args.k <= top:
         raise ValueError(f"degree {args.k} outside [0,{top}]")
     matrix = action_matrix(u, args.k, h)
-    order = matrix.basis_order
     dense = [
-        [str(matrix.entry(row, col)) for col in order]
-        for row in order
+        [str(column.get(row, 0)) for column in matrix.columns]
+        for row in range(len(matrix.columns))
     ]
     _emit(
         {
@@ -302,7 +301,7 @@ def cmd_action_matrix(args, config: RunConfig) -> int:
             "h": list(h),
             "k": args.k,
             "perm": str(u),
-            "basis": [str(w) for w in order],
+            "basis": [str(w) for w in matrix.basis_order],
             "matrix": dense,
         },
         config,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -310,18 +311,6 @@ def _certified_rank(rows: list[dict[int, int]], expected: int) -> int:
     return rank
 
 
-def _vector_to_ints(vec: dict[Permutation, Coeff], position: dict[Permutation, int],
-                    w: Permutation, k: int) -> dict[int, int]:
-    """``vec``, in the orbit of the generator ``w``, cleared of denominators,
-    as a sparse row keyed by the position of each degree-k basis permutation."""
-    denominator = math.lcm(*(value.denominator for value in vec.values()))
-    try:
-        return {position[u]: int(c * denominator) for u, c in vec.items() if c}
-    except KeyError as exc:
-        raise AssertionError(f"the orbit of generator {w} reaches {exc.args[0]}, "
-                             f"outside the degree-{k} basis") from None
-
-
 def _check_intervals(blocks) -> None:
     for block in blocks:
         if max(block) - min(block) + 1 != len(block):
@@ -330,9 +319,9 @@ def _check_intervals(blocks) -> None:
 
 def coset_orbit_vectors(
     w: Permutation,
-    vec: dict[Permutation, Coeff],
+    vec: dict[int, Coeff],
     matrices: dict[int, ActionMatrix],
-) -> list[dict[Permutation, Coeff]]:
+) -> list[dict[int, Coeff]]:
     """Ordinary vectors ``u . vec``, one per coset ``u H`` of the coarse block
     subgroup ``H`` of ``w``, walked breadth first by the steps ``s_i``: a
     coset is keyed by the image sets of the blocks, and a step swaps the
@@ -357,7 +346,7 @@ def coset_orbit_vectors(
 
 
 def sigma_hat_vector(w: Permutation,
-                     matrices: dict[int, ActionMatrix]) -> dict[Permutation, Coeff]:
+                     matrices: dict[int, ActionMatrix]) -> dict[int, Coeff]:
     """Ordinary image of ``sigma_hat(w)``: the reduction commutes with the
     dot action and takes the class of ``w`` to ``e_w``, so it is the sum of
     ``v . e_w`` over the minimal coset representatives ``v`` of the fine
@@ -368,10 +357,16 @@ def sigma_hat_vector(w: Permutation,
     ``S_[p..m-1]``.  The blocks must be intervals of values (``ValueError``
     otherwise), which holds exactly for generators; a fine generator that
     moves ``e_w``, or a sum that ``|W_fine|`` does not divide, raises
-    ``AssertionError``."""
+    ``AssertionError``, as does a ``w`` outside the degree basis of its
+    descent count, the basis that ``matrices`` must act on."""
     groups = block_subgroups(w)
     _check_intervals(groups.fine_blocks + groups.coarse_blocks)
-    e_w = {w: 1}
+    k = len(w.descents())
+    basis = degree_basis(HessenbergFunction.permutohedral(len(w)), k)
+    start = bisect_left(basis, w)
+    if basis[start:start + 1] != (w,):
+        raise AssertionError(f"generator {w} lies outside the degree-{k} basis")
+    e_w = {start: 1}
     for block in groups.fine_blocks:
         for i in range(min(block), max(block)):
             if matrices[i].apply_vector(e_w) != e_w:
@@ -504,14 +499,12 @@ def verify_decomposition(n: int, k: int) -> DecompositionReport:
     """
     h = HessenbergFunction.permutohedral(n)
     matrices = {i: generator_matrix(i, k, h) for i in range(1, n)}
-    position = {w: i for i, w in enumerate(degree_basis(h, k))}
     generators = g_set(n, k)
 
     modules: list[ModuleReport] = []
     for w in generators:
         vec = sigma_hat_vector(w, matrices)
-        orbit = coset_orbit_vectors(w, vec, matrices)
-        rows = [_vector_to_ints(v, position, w, k) for v in orbit]
+        rows = coset_orbit_vectors(w, vec, matrices)
         a = w.descent_composition()
         a_hat = tuple(erased_composition(a))
         expected_dim = module_dimension(a_hat)
@@ -546,7 +539,7 @@ def verify_decomposition(n: int, k: int) -> DecompositionReport:
 
 def _stabilizer_exact(
     w: Permutation,
-    vec: dict[Permutation, Coeff],
+    vec: dict[int, Coeff],
     matrices: dict[int, ActionMatrix],
 ) -> bool:
     """Every simple generator of the block subgroup fixes the vector; every

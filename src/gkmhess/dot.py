@@ -30,13 +30,14 @@ both the recursion and ``build_auxiliary_class``.  It builds one
 ``AuxiliaryTerm`` tuple per ``(P, Q)`` and no other object per summand: a
 summand that needs no boundary correction has its ``tilde`` as target and
 one shared identity as mover, whose word the recursion does not apply.
-A permutohedral ``generator_matrix`` takes each column straight from the
-memo, so the columns of its matrices are shared and must not be changed.
+``generator_matrix`` numbers each expansion by position in the degree
+basis, the one numbering of every ``ActionMatrix``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -390,25 +391,32 @@ def perm_si_action(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
 class ActionMatrix:
     """Exact matrix of a group element on one ordinary cohomology degree.
 
-    ``columns[w]`` is the image of basis vector ``w``, with only its nonzero
-    entries stored, so equal matrices have equal columns.  Entries are
-    exact: ``int`` where integral, ``Fraction`` otherwise.  Mixed
-    ``int``/``Fraction`` arithmetic is exact, so products and traces stay
-    ``int`` as long as the entries are.
+    Rows, columns and vectors are keyed by position in the lexicographic
+    ``basis_order``: ``columns[j]`` is the image ``{row: coeff}`` of basis
+    vector ``j``, with only its nonzero entries stored, so equal matrices
+    have equal columns.  Entries are exact: ``int`` where integral,
+    ``Fraction`` otherwise.  Mixed ``int``/``Fraction`` arithmetic is exact,
+    so products and traces stay ``int`` as long as the entries are.
     """
 
     basis_order: tuple[Permutation, ...]
-    columns: dict[Permutation, dict[Permutation, Coeff]]
+    columns: list[dict[int, Coeff]]
 
     def entry(self, row: Permutation, col: Permutation) -> Coeff:
-        return self.columns.get(col, {}).get(row, 0)
+        """The entry at basis permutations ``row``, ``col`` by bisection; 0 off the basis."""
+        order = self.basis_order
+        r, c = bisect_left(order, row), bisect_left(order, col)
+        if order[r:r + 1] != (row,) or order[c:c + 1] != (col,):
+            return 0
+        return self.columns[c].get(r, 0)
 
-    def apply_vector(self, vec: dict[Permutation, Coeff]) -> dict[Permutation, Coeff]:
-        out: dict[Permutation, Coeff] = {}
+    def apply_vector(self, vec: dict[int, Coeff]) -> dict[int, Coeff]:
+        columns = self.columns
+        out: dict[int, Coeff] = {}
         for col, coeff in vec.items():
             if not coeff:
                 continue
-            for row, val in self.columns.get(col, {}).items():
+            for row, val in columns[col].items():
                 acc = out.get(row, 0) + coeff * val
                 if acc:
                     out[row] = acc
@@ -418,17 +426,14 @@ class ActionMatrix:
 
     def compose(self, other: "ActionMatrix") -> "ActionMatrix":
         """Matrix of ``self`` after ``other`` (self @ other)."""
-        columns = {
-            col: self.apply_vector(vec) for col, vec in other.columns.items()
-        }
-        return ActionMatrix(self.basis_order, columns)
+        return ActionMatrix(self.basis_order, [self.apply_vector(vec) for vec in other.columns])
 
     @classmethod
     def identity(cls, basis_order: tuple[Permutation, ...]) -> "ActionMatrix":
-        return cls(basis_order, {w: {w: 1} for w in basis_order})
+        return cls(basis_order, [{j: 1} for j in range(len(basis_order))])
 
     def trace(self) -> Coeff:
-        return sum(self.columns.get(w, {}).get(w, 0) for w in self.basis_order)
+        return sum(column.get(j, 0) for j, column in enumerate(self.columns))
 
 
 def degree_basis(h: HessenbergFunction, k: int) -> tuple[Permutation, ...]:
@@ -442,31 +447,33 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:
     """Matrix of ``s_i`` on ordinary degree-2k cohomology.
 
     One route per family.  Permutohedral h: the recursion of
-    ``perm_si_action`` run on integers at t = 0; each column is the memo's
-    expansion itself, checked to lie in degree k, the same dict on every
-    call, which callers must not change.  Full flag: the identity,
+    ``perm_si_action`` run on integers at t = 0.  Full flag: the identity,
     the t = 0 image of ``full_flag_si_expansion``, whose only other term
-    carries the root ``t_{i+1} - t_i``.  Any other h: each column is
-    ``reduce_to_ordinary`` of ``s_i . sigma_w`` over ``flow_up_basis(h)``.
+    carries the root ``t_{i+1} - t_i``.  Any other h: ``reduce_to_ordinary``
+    of ``s_i . sigma_w`` over ``flow_up_basis(h)``.  Each column is keyed
+    by degree-basis position; a term outside the basis is an AssertionError.
     """
     _check_generator(i, h.n)
     order = degree_basis(h, k)
     if h.is_full_flag():
         return ActionMatrix.identity(order)
     if h.is_permutohedral():
-        degree_set = frozenset(order)
         cache = _expansion_cache(h.n, _ConstantRing)
-        columns = {}
-        for w in order:
-            column = columns[w] = cache.expansion(w, i)
-            if not degree_set.issuperset(column):
-                raise AssertionError(f"s_{i} . sigma_{w} leaves degree {k}: {column}")
-        return ActionMatrix(order, columns)
-    basis = flow_up_basis(h)
-    si = Permutation.simple(i, h.n)
-    return ActionMatrix(
-        order, {w: reduce_to_ordinary(dot(si, basis[w]), k, h, basis) for w in order}
-    )
+        images = (cache.expansion(w, i) for w in order)
+    else:
+        basis = flow_up_basis(h)
+        si = Permutation.simple(i, h.n)
+        images = (reduce_to_ordinary(dot(si, basis[w]), k, h, basis) for w in order)
+    position = {w: j for j, w in enumerate(order)}
+    columns = []
+    for w, image in zip(order, images):
+        try:
+            columns.append({position[v]: c for v, c in image.items()})
+        except KeyError as exc:
+            raise AssertionError(
+                f"s_{i} . sigma_{w} leaves degree {k}: it reaches {exc.args[0]}"
+            ) from None
+    return ActionMatrix(order, columns)
 
 
 def action_matrix(u: Permutation, k: int, h: HessenbergFunction) -> ActionMatrix:

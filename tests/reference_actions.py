@@ -57,10 +57,11 @@ def _coset_walk(blocks, vec, generators, matrices):
 
 def walk_sigma_hat_vector(w, matrices):
     """Sum of ``v . e_w`` over the minimal coset representatives ``v`` of
-    the fine block subgroup in the coarse one."""
+    the fine block subgroup in the coarse one, keyed by basis position."""
     groups = block_subgroups(w)
     total = {}
-    for vec in _coset_walk(groups.fine_blocks, {w: 1},
+    e_w = {matrices[1].basis_order.index(w): 1}
+    for vec in _coset_walk(groups.fine_blocks, e_w,
                            groups.coarse_simple_generators(), matrices):
         for v, c in vec.items():
             total[v] = total.get(v, 0) + c

@@ -89,7 +89,7 @@ def test_emit_basis_prints_the_recomputed_orbits(n, capsys):
     # the rows the direct-sum rank read, against a second build of each orbit
     from gkmhess import cli
     from gkmhess.decomp import coset_orbit_vectors, sigma_hat_vector
-    from gkmhess.dot import generator_matrix
+    from gkmhess.dot import degree_basis, generator_matrix
     from gkmhess.gkm import HessenbergFunction
     from gkmhess.perms import Permutation
 
@@ -98,11 +98,12 @@ def test_emit_basis_prints_the_recomputed_orbits(n, capsys):
         assert cli.main(["decompose", "--n", str(n), "--k", str(k), "--emit-basis"]) == 0
         data = json.loads(capsys.readouterr().out)
         matrices = {i: generator_matrix(i, k, h) for i in range(1, n)}
+        basis = degree_basis(h, k)
         expected = []
         for module in data["modules"]:
             w = Permutation.from_one_line(module["generator"])
             for v in coset_orbit_vectors(w, sigma_hat_vector(w, matrices), matrices):
-                expected.append({str(b): str(c) for b, c in sorted(v.items())})
+                expected.append({str(basis[j]): str(c) for j, c in sorted(v.items())})
         assert data["basis_vectors"] == expected
 
 
@@ -358,8 +359,9 @@ def test_poincare_at_n4_matches_the_geometry_reference():
 # matrices that the other suites hold per h.  The first two faults sit on
 # the two independent derivations of the Betti numbers: the inversion table
 # that the degree bases are read from, and the masks that verify_poincare
-# derives itself and counts out-degrees from.  The other two plant a wrong
-# entry in s_1's matrix and a wrong flow-up class.  Each command prints its
+# derives itself and counts out-degrees from.  The others plant a wrong
+# entry in s_1's matrix, a wrong flow-up or permutohedral class, a wrong
+# module type count and a wrong lattice permutation.  Each command prints its
 # suite, its exit code and either the verdict and failed checks of its report
 # or, with no report, its error line.
 _PLANT_FAULT = """
@@ -390,16 +392,16 @@ def length_drops(w, j, i):
 
 
 def s1_matrix():
-    # add 1 off the diagonal of s_1's permutohedral t = 0 matrix, in
-    # every degree of dimension at least 2
+    # add 1 to the entry at row 1, column 0 of s_1's permutohedral t = 0
+    # matrix, in every degree of dimension at least 2
     exact = dot.generator_matrix
 
     def faulty(i, k, h):
         matrix = exact(i, k, h)
         if i == 1 and h.is_permutohedral() and len(matrix.basis_order) > 1:
-            col, row = matrix.basis_order[:2]
-            column = {**matrix.columns[col], row: matrix.entry(row, col) + 1}
-            matrix = dot.ActionMatrix(matrix.basis_order, {**matrix.columns, col: column})
+            columns = list(matrix.columns)
+            columns[0] = {**columns[0], 1: columns[0].get(1, 0) + 1}
+            matrix = dot.ActionMatrix(matrix.basis_order, columns)
         return matrix
     for module in (chromatic, cli, decomp, dot):
         module.generator_matrix = faulty
@@ -434,6 +436,16 @@ def flow_up_class():
         return result
     for module in (cli, dot):
         module.flow_up_class = faulty
+
+
+def permutohedral_class(w):
+    # add the class of the longest permutation to the permutohedral class of w
+    exact, w_0 = cli.permutohedral_class, Permutation.from_one_line(w)
+    top = Permutation.longest(len(w_0))
+
+    def faulty(v):
+        return exact(v) + exact(top) if v == w_0 else exact(v)
+    cli.permutohedral_class = faulty
 
 
 fault, *args = sys.argv[1].split()
@@ -475,10 +487,18 @@ def test_poincare_catches_a_planted_fault(layer):
 
 
 def test_coxeter_catches_a_wrong_s1_matrix():
-    # verify decomposition trusts the matrices, so it is not asserted here
-    lines = _run_with_fault("s1-matrix", "coxeter --n 5", "all --n 5")
-    assert lines[0] == "coxeter 1 False coxeter"
-    _assert_all_fails(lines[1], "coxeter")
+    # verify decomposition trusts the matrices, so it is not asserted here;
+    # the traces of Shareshian-Wachs read them too
+    lines = _run_with_fault("s1-matrix", "coxeter --n 5", "sw --n 5", "all --n 5")
+    assert lines[:2] == ["coxeter 1 False coxeter", "sw 1 False sw"]
+    _assert_all_fails(lines[2], "coxeter")
+    _assert_all_fails(lines[2], "sw")
+
+
+def test_classes_catch_a_wrong_permutohedral_class():
+    lines = _run_with_fault("permutohedral-class 2143", "classes --n 4", "all --n 4")
+    assert lines[0] == "classes 1 False classes"
+    _assert_all_fails(lines[1], "classes")
 
 
 def test_dot_rules_catch_a_wrong_flow_up_class():
@@ -504,8 +524,7 @@ def test_decomposition_names_a_permutation_outside_the_degree_basis():
     # without the inversion (1, 2), 54321 leaves the top degree 4 (h has four
     # pairs) for degree 3, but it still generates degree 4
     lines = _run_with_fault("inversion-table 54321 1 2", "decomposition --n 5", "all --n 5")
-    message = ("error: internal AssertionError: the orbit of generator 54321 "
-               "reaches 54321, outside the degree-4 basis")
+    message = "error: internal AssertionError: generator 54321 lies outside the degree-4 basis"
     assert lines == [f"{suite} 1 {message}" for suite in ("decomposition", "all")]
 
 

@@ -25,7 +25,7 @@ from gkmhess.decomp import (
     verify_wz_completeness,
     w_z,
 )
-from gkmhess.dot import ActionMatrix, generator_matrix
+from gkmhess.dot import ActionMatrix, degree_basis, generator_matrix
 from gkmhess.gkm import HessenbergFunction
 from gkmhess.perms import Composition, Permutation
 
@@ -206,15 +206,6 @@ def test_w_z_counts_match_descent_classes():
             assert len(graph.vertices) == len(descent_class(a))
 
 
-def test_edge_adjacency_relation():
-    # along an edge with label i, the endpoints differ by the value swap i
-    for n in (4, 5, 6):
-        for a in Composition.all(n):
-            graph = composition_graph(a)
-            for src, dst, label in graph.edges:
-                assert w_z(a, dst) == Permutation.simple(label, n) * w_z(a, src)
-
-
 @pytest.mark.parametrize("n", range(1, 8))
 def test_w_z_steps_along_the_edge_labels_of_the_graph(n):
     # the labels composition_graph puts on its edges are the steps w_z takes
@@ -331,9 +322,11 @@ def test_sigma_hat_vector_matches_equivariant_reduction(n):
     basis = {w: permutohedral_class(w) for w in Permutation.all(n)}
     for k in range(n):
         matrices = {i: generator_matrix(i, k, h) for i in range(1, n)}
+        order = degree_basis(h, k)
         for w in g_set(n, k):
             expected = reduce_to_ordinary(sigma_hat(w), k, h, basis)
-            assert sigma_hat_vector(w, matrices) == {v: c for v, c in expected.items() if c}
+            vec = {order[j]: c for j, c in sigma_hat_vector(w, matrices).items()}
+            assert vec == {v: c for v, c in expected.items() if c}
 
 
 def test_coset_walks_need_interval_blocks():
@@ -342,7 +335,7 @@ def test_coset_walks_need_interval_blocks():
     h = HessenbergFunction.permutohedral(4)
     matrices = {i: generator_matrix(i, 2, h) for i in range(1, 4)}
     with pytest.raises(ValueError):
-        coset_orbit_vectors(w, {w: 1}, matrices)
+        coset_orbit_vectors(w, {degree_basis(h, 2).index(w): 1}, matrices)
     with pytest.raises(ValueError):
         sigma_hat_vector(w, matrices)
 
@@ -366,10 +359,11 @@ def _degree_one_matrices_n3():
 
 def test_sigma_hat_names_a_fine_generator_that_moves_e_w():
     w, matrices = _degree_one_matrices_n3()
-    other = next(v for v in matrices[1].basis_order if v != w)
-    columns = dict(matrices[1].columns)
-    columns[w] = {other: 1}
-    matrices[1] = ActionMatrix(matrices[1].basis_order, columns)
+    order = matrices[1].basis_order
+    other = next(j for j, v in enumerate(order) if v != w)
+    columns = list(matrices[1].columns)
+    columns[order.index(w)] = {other: 1}
+    matrices[1] = ActionMatrix(order, columns)
     with pytest.raises(AssertionError, match="s_1 of the fine block subgroup moves e_312"):
         sigma_hat_vector(w, matrices)
 
@@ -378,8 +372,8 @@ def test_sigma_hat_that_is_not_integral_raises():
     # s_2 lies only in the coarse subgroup; a third of it leaves thirds in
     # the sum, which |W_fine| = 2 does not divide
     w, matrices = _degree_one_matrices_n3()
-    columns = {col: {row: Fraction(c, 3) for row, c in vec.items()}
-               for col, vec in matrices[2].columns.items()}
+    columns = [{row: Fraction(c, 3) for row, c in vec.items()}
+               for vec in matrices[2].columns]
     matrices[2] = ActionMatrix(matrices[2].basis_order, columns)
     with pytest.raises(AssertionError, match=r"e_312 is not divisible by \|W_fine\| = 2"):
         sigma_hat_vector(w, matrices)

@@ -252,10 +252,24 @@ def test_only_the_descent_case_is_memoized(ring):
     assert len(cache.cache) == (n - 1) * math.factorial(n - 1)
 
 
+def _by_permutation(matrix):
+    """The columns of ``matrix``, and their rows, keyed by basis permutation."""
+    order = matrix.basis_order
+    return {w: {order[r]: c for r, c in column.items()}
+            for w, column in zip(order, matrix.columns)}
+
+
+def _matrix_from(order, columns):
+    """The ``ActionMatrix`` over ``order`` of columns keyed by permutation."""
+    position = {w: j for j, w in enumerate(order)}
+    return ActionMatrix(order, [{position[v]: c for v, c in columns[w].items()}
+                                for w in order])
+
+
 def _matrix_digest(matrix):
     text = json.dumps(
-        [[str(w), sorted((str(v), c) for v, c in matrix.columns[w].items())]
-         for w in matrix.basis_order],
+        [[str(w), sorted((str(v), c) for v, c in column.items())]
+         for w, column in _by_permutation(matrix).items()],
         separators=(",", ":"),
     )
     return hashlib.sha256(text.encode()).hexdigest()
@@ -325,17 +339,20 @@ def test_off_degree_term_in_a_column_is_an_error(monkeypatch):
     monkeypatch.setitem(_caches, (n, _ConstantRing), cache)
     w = Permutation.from_one_line("2134")  # i+1 directly left of i, degree 1
     cache.cache[(w, i)] = {w: 1, Permutation.identity(n): 1}
-    with pytest.raises(AssertionError, match=r"s_1 \. sigma_2134 leaves degree 1"):
+    with pytest.raises(AssertionError,
+                       match=r"s_1 \. sigma_2134 leaves degree 1: it reaches 1234$"):
         generator_matrix(i, 1, h)
 
 
-def test_permutohedral_columns_share_the_memo():
-    # a descent-case column is the memo's expansion itself, not a copy
-    matrix = generator_matrix(2, 2, HessenbergFunction.permutohedral(5))
-    memo = _expansion_cache(5, _ConstantRing).cache
-    shared = [w for w in matrix.basis_order if (w, 2) in memo]
-    assert shared
-    assert all(matrix.columns[w] is memo[(w, 2)] for w in shared)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_permutohedral_columns_are_the_memo_expansions_by_position(n):
+    # each column is the memo's t = 0 expansion, renumbered by the degree basis
+    h = HessenbergFunction.permutohedral(n)
+    cache = _expansion_cache(n, _ConstantRing)
+    for k in range(n):
+        for i in range(1, n):
+            expected = {w: cache.expansion(w, i) for w in degree_basis(h, k)}
+            assert _by_permutation(generator_matrix(i, k, h)) == expected
 
 
 def test_si_expansion_degree_bookkeeping():
@@ -374,11 +391,20 @@ def test_action_matrix_column_example():
     h = HessenbergFunction.permutohedral(4)
     m = generator_matrix(2, 1, h)
     w = Permutation.from_one_line("1324")
-    col = {str(v): c for v, c in m.columns[w].items()}
+    col = {str(v): c for v, c in _by_permutation(m)[w].items()}
     assert col == {
         "1324": 1, "1342": 1, "3412": 1, "3124": 1,
         "1243": -1, "2413": -1, "2134": -1,
     }
+
+
+def test_entry_bisects_the_basis_for_its_permutations():
+    # entry(row, col) answers for basis permutations, and 0 off the basis
+    m = generator_matrix(2, 1, HessenbergFunction.permutohedral(4))
+    columns = _by_permutation(m)
+    for col in Permutation.all(4):
+        for row in Permutation.all(4):
+            assert m.entry(row, col) == columns.get(col, {}).get(row, 0)
 
 
 def test_trace_of_identity_gives_poincare():
@@ -395,7 +421,7 @@ def test_generator_matrix_entries_are_exact_ints(n, family):
     h = getattr(HessenbergFunction, family)(n)
     for k in range(len(poincare_coefficients(h))):
         for i in range(1, n):
-            for column in generator_matrix(i, k, h).columns.values():
+            for column in generator_matrix(i, k, h).columns:
                 assert all(type(v) is int for v in column.values())
 
 
@@ -565,7 +591,7 @@ def test_closed_routes_match_the_interpolated_route(n, family):
         order = degree_basis(h, k)
         for i in range(1, n):
             si = Permutation.simple(i, n)
-            general = ActionMatrix(order, {
+            general = _matrix_from(order, {
                 w: reduce_to_ordinary(dot(si, basis[w]), k, h, basis) for w in order
             })
             assert generator_matrix(i, k, h) == general
@@ -615,7 +641,7 @@ def test_non_unique_classes_are_read_as_their_representatives(monkeypatch):
     order = degree_basis(h, k)
     s1 = Permutation.simple(1, 4)
     assert w in order
-    assert action_matrix(s1, k, h) == ActionMatrix(
+    assert action_matrix(s1, k, h) == _matrix_from(
         order, {v: reduce_to_ordinary(dot(s1, basis[v]), k, h, basis) for v in order}
     )
     # the closed families interpolate nothing
