@@ -9,7 +9,10 @@ x_{alpha,beta} + S(alpha, beta), which vanish for alpha > h(beta).  The sum S
 over decreasing index chains, split at its first step, reads off the f of
 pairs of smaller gap, so each f is computed once per chart.  Solving
 dependent entries in increasing index gap expresses everything in the free
-coordinates.
+coordinates.  The chart reads h only through the cell digraph: its free
+pairs are the digraph's edges, and every other entry is zero or solved.  So
+two h with the same digraph for w give the same chart, and it serves the
+consistency check of each.
 
 Minors of ``x`` detect reachability (nonvanishing iff the column set reaches
 the row set), and the Plücker coordinates of the cell, the leading minors of
@@ -90,6 +93,12 @@ def prime_eigenvalues(n: int) -> EigenvalueVector:
     return EigenvalueVector(tuple(Fraction(p) for p in out))
 
 
+def _free_pairs(w: Permutation, h: HessenbergFunction) -> list[tuple[int, int]]:
+    """The pairs (i, j), ascending, of the edges j -> i of the cell digraph
+    G_{w,h}: ``j < i <= h(j)`` and ``w(j) < w(i)``."""
+    return sorted((i, j) for j, i in h.pairs if w(j) < w(i))
+
+
 class CellChart:
     """All below-diagonal entries of the chart, as polynomials in free variables."""
 
@@ -99,9 +108,7 @@ class CellChart:
         self.w = w
         self.h = h
         self.c = c
-        self.free_pairs: list[tuple[int, int]] = sorted(
-            (i, j) for j, i in h.pairs if w(j) < w(i)
-        )
+        self.free_pairs = _free_pairs(w, h)
         self.var_names = tuple(f"x{i}_{j}" for i, j in self.free_pairs)
         self.nvars = len(self.free_pairs)
         self._var_index = {pair: k for k, pair in enumerate(self.free_pairs)}
@@ -135,7 +142,7 @@ class CellChart:
                 alpha = beta + gap
                 if self.w(alpha) < self.w(beta):
                     entry = self._zero_poly
-                elif alpha <= self.h(beta):
+                elif (alpha, beta) in self._var_index:
                     entry = MultiPoly.variable(self._var_index[(alpha, beta)], self.nvars)
                 else:
                     entry = self._chain_sum(alpha, beta) * Fraction(-1, self._coeff(alpha, beta))
@@ -169,18 +176,25 @@ class CellChart:
             self._equations[(alpha, beta)] = f
         return f
 
-    def consistency_violations(self) -> list[tuple[int, int]]:
+    def consistency_violations(self, h: HessenbergFunction | None = None) -> list[tuple[int, int]]:
         """Pairs alpha > h(beta) whose defining equation fails to vanish.
 
-        A dependent entry is solved from its own equation, so only a pair
+        ``h`` defaults to the chart's own.  Any h with the same cell digraph
+        for w has this chart, so its pairs are read off this chart's
+        equations; an h with another digraph raises ``ValueError``.  A
+        dependent entry is solved from its own equation, so only a pair
         whose entry is forced to 0 (w(alpha) < w(beta)) can fail, and only
         those are evaluated: their equation reads S(alpha, beta) = 0.
         """
-        n = self.h.n
+        if h is None:
+            h = self.h
+        elif h.n != self.h.n or _free_pairs(self.w, h) != self.free_pairs:
+            raise ValueError(f"h = {h} gives w = {self.w} another cell digraph than h = {self.h}")
+        n = h.n
         return [
             (alpha, beta)
             for beta in range(1, n + 1)
-            for alpha in range(self.h(beta) + 1, n + 1)
+            for alpha in range(h(beta) + 1, n + 1)
             if self.w(alpha) < self.w(beta)
             and not self.defining_equation(alpha, beta).is_zero
         ]
@@ -344,19 +358,7 @@ def minor_reachability_certificate(
         current_c = EigenvalueVector.random(h.n, rng, span=10 ** (6 + eigen_resamples))
 
 
-# -- Pluecker patterns and the fixed-point oracle ----------------------------
-
-
-def plucker_pattern(w: Permutation, h: HessenbergFunction) -> list[set[tuple[int, ...]]]:
-    """For j = 1..n, the row sets with nonzero leading j-minor on the cell.
-
-    ``g = \\dot w x`` has row r equal to row ``w^-1(r)`` of ``x``.
-    """
-    patterns: list[set[tuple[int, ...]]] = [set() for _ in range(h.n)]
-    for mask in _nonzero_minor_masks(w, h):
-        rows = tuple(r for r in range(1, h.n + 1) if mask >> (r - 1) & 1)
-        patterns[len(rows) - 1].add(rows)
-    return patterns
+# -- Pluecker coordinates and the fixed-point oracle -------------------------
 
 
 def fixed_point_oracle(w: Permutation, h: HessenbergFunction) -> frozenset[Permutation]:
@@ -371,7 +373,8 @@ def fixed_point_oracle(w: Permutation, h: HessenbergFunction) -> frozenset[Permu
 
 def _nonzero_minor_masks(w: Permutation, h: HessenbergFunction) -> set[int]:
     """Row sets of ``g = \\dot w x``, as bitmasks (bit r - 1 for row r), whose
-    leading minor is a nonzero polynomial in the free coordinates."""
+    leading minor is a nonzero polynomial in the free coordinates: the
+    nonzero Pluecker coordinates.  Row r of ``g`` is row ``w^-1(r)`` of ``x``."""
     w_inv = w.inverse()
     rows = _polynomial_rows(
         build_cell_chart(w, h), [w_inv(r) for r in range(1, h.n + 1)], range(1, h.n + 1)

@@ -50,7 +50,7 @@ from .gkm import (EdgeKind, GkmGraph, HessenbergFunction, edge_kind, l_h, mask_o
                   poincare_coefficients)
 from .perms import Composition, Permutation
 from .polys import MultiPoly, parse_poly
-from .reach import support_A
+from .reach import build_cell_digraph, support_A
 
 SCHEMA = 1
 
@@ -427,27 +427,59 @@ def verify_minors(n: int, config: RunConfig) -> dict:
 
 
 def verify_cell_charts(n: int, config: RunConfig) -> dict:
-    failures = []
-    c = prime_eigenvalues(n)
+    """Each chart's forced-zero equations vanish and its minimal-path
+    coefficients match the closed form."""
     instances = _cell_instances(n, config, 5, 500)
-    for h, w in instances:
-        chart = build_cell_chart(w, h, c)
-        bad = chart.consistency_violations()
-        if bad:
-            failures.append({"w": str(w), "h": str(h), "pairs": bad[:3]})
-            continue
-        g = chart.digraph
-        for j in range(1, n + 1):
-            for i in range(j + 1, n + 1):
-                for path in minimal_paths(g, j, i):
-                    mono = path_monomial_exponents(chart, path)
-                    coeff = chart.entry(i, j).coefficient(mono)
-                    expected = minimal_path_coefficient(path, w, c)
-                    if Fraction(coeff) != expected:
-                        failures.append(
-                            {"w": str(w), "h": str(h), "path": path}
-                        )
+    failures = _cell_chart_failures(instances, prime_eigenvalues(n))
     return _result("cell-charts", not failures, instances=len(instances), failures=failures[:5])
+
+
+def _cell_chart_failures(instances, c: EigenvalueVector) -> list[dict]:
+    """Every failure of the (h, w) in ``instances``, in their order.  A chart
+    is a function of w and the cell digraph G_{w,h}, so the instances are
+    grouped by both: each group's chart is built and its paths checked once,
+    and each member checks the equations that its own h forces to vanish."""
+    groups: dict[tuple, list[int]] = {}
+    for index, (h, w) in enumerate(instances):
+        groups.setdefault((w, build_cell_digraph(w, h).edges), []).append(index)
+    failures: list[tuple[int, dict]] = []
+    for members in groups.values():
+        failures += _cell_chart_group_failures(instances, members, c)
+    failures.sort(key=lambda failure: failure[0])  # stable: a member's own order stays
+    return [failure for _, failure in failures]
+
+
+def _cell_chart_group_failures(instances, members: list[int], c: EigenvalueVector):
+    """(instance index, failure) for the instances ``members``, which share
+    w and the cell digraph; the chart lives only for this call."""
+    h, w = instances[members[0]]
+    chart = build_cell_chart(w, h, c)
+    wrong_paths = None
+    out = []
+    for index in members:
+        h = instances[index][0]
+        bad = chart.consistency_violations(h)
+        if bad:
+            out.append((index, {"w": str(w), "h": str(h), "pairs": bad[:3]}))
+            continue
+        if wrong_paths is None:
+            wrong_paths = _wrong_path_coefficients(chart, c)
+        out += [(index, {"w": str(w), "h": str(h), "path": path}) for path in wrong_paths]
+    return out
+
+
+def _wrong_path_coefficients(chart, c: EigenvalueVector) -> list[tuple[int, ...]]:
+    """The minimal paths whose monomial's coefficient in the chart differs
+    from the closed form, in (j, i, path) order."""
+    n, g = chart.h.n, chart.digraph
+    return [
+        path
+        for j in range(1, n + 1)
+        for i in range(j + 1, n + 1)
+        for path in minimal_paths(g, j, i)
+        if Fraction(chart.entry(i, j).coefficient(path_monomial_exponents(chart, path)))
+        != minimal_path_coefficient(path, chart.w, c)
+    ]
 
 
 def verify_classes(n: int, config: RunConfig) -> dict:

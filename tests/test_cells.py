@@ -23,7 +23,6 @@ from gkmhess.cells import (
     minor_symbolic,
     path_monomial_exponents,
     paths,
-    plucker_pattern,
     prime_eigenvalues,
 )
 from gkmhess.gkm import HessenbergFunction
@@ -113,6 +112,53 @@ def test_consistency_reports_a_forced_zero_pair_with_nonzero_sum(monkeypatch):
     monkeypatch.setitem(chart.entries, (3, 2), MultiPoly.one(chart.nvars))
     assert chart.consistency_violations() == [(3, 1)]
     assert _violations_by_full_scan(chart) == [(3, 1)]
+
+
+def _charts_sharing_a_digraph(n, pairs):
+    """For each (h, w) in ``pairs``, its chart and the first chart of the
+    pairs before it with the same w and cell digraph, where there is one."""
+    first = {}
+    for h, w in pairs:
+        key = (w, build_cell_digraph(w, h).edges)
+        chart = build_cell_chart(w, h)
+        if key in first and first[key].h != h:
+            yield first[key], chart
+        first.setdefault(key, chart)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_chart_reads_h_only_through_its_digraph(n):
+    # every pair h != h' at n <= 4 with the same w and digraph, and those
+    # among 400 seeded draws at n = 5: the same entries, equations and free
+    # pairs, the digraph's edges j -> i read as (i, j)
+    if n <= 4:
+        pairs = [(h, w) for w in Permutation.all(n) for h in HessenbergFunction.all(n)]
+    else:
+        rng, perms = random.Random(505), list(Permutation.all(n))
+        w_pool = [rng.choice(perms) for _ in range(20)]
+        pairs = [(HessenbergFunction.random(n, rng), rng.choice(w_pool)) for _ in range(400)]
+    shared = 0
+    for chart, other in _charts_sharing_a_digraph(n, pairs):
+        shared += 1
+        assert other.entries == chart.entries, (str(chart.w), str(chart.h), str(other.h))
+        assert other.free_pairs == chart.free_pairs == sorted(
+            (i, j) for j, i in build_cell_digraph(other.w, other.h).edges)
+        assert other.consistency_violations() == chart.consistency_violations(other.h) == []
+        for pair in chart.entries:
+            assert other.defining_equation(*pair) == chart.defining_equation(*pair)
+    # (n + 1)^(n - 1) distinct charts at n <= 4, as observed up to n = 6
+    assert shared == len(pairs) - (n + 1) ** (n - 1) if n <= 4 else shared > 100
+
+
+def test_consistency_refuses_an_h_with_another_digraph():
+    # 2,3,3 and 3,3,3 differ in the pair (1, 3), an edge for 123 but not for 321
+    h, other = HessenbergFunction((2, 3, 3)), HessenbergFunction((3, 3, 3))
+    assert build_cell_chart(Permutation.longest(3), h).consistency_violations(other) == []
+    chart = build_cell_chart(Permutation.identity(3), h)
+    with pytest.raises(ValueError, match="another cell digraph"):
+        chart.consistency_violations(other)
+    with pytest.raises(ValueError, match="another cell digraph"):
+        chart.consistency_violations(HessenbergFunction((2, 3, 4, 4)))
 
 
 def _entries_by_chain_enumeration(chart):
@@ -393,30 +439,23 @@ def test_minor_certificates_match_golden():
     assert records == expected
 
 
-def test_plucker_pattern_of_fixed_point():
-    # edgeless digraph: the only point is the permutation matrix itself
-    h = HessenbergFunction((1, 2, 3, 4))
-    for w in [Permutation.from_one_line("3142"), Permutation.longest(4)]:
-        patterns = plucker_pattern(w, h)
-        for j in range(1, 5):
-            assert patterns[j - 1] == {tuple(sorted(w[:j]))}
+def _pattern_of_masks(masks, n):
+    """For j = 1..n, the ascending row j-sets among the bitmasks ``masks``."""
+    patterns = [set() for _ in range(n)]
+    for mask in masks:
+        rows = tuple(r for r in range(1, n + 1) if mask >> (r - 1) & 1)
+        patterns[len(rows) - 1].add(rows)
+    return patterns
 
 
-def test_plucker_pattern_identity_point():
-    h = HessenbergFunction((1, 2, 3))
-    patterns = plucker_pattern(Permutation.identity(3), h)
-    assert patterns[0] == {(1,)}
-    assert patterns[1] == {(1, 2)}
-
-
-def test_plucker_pattern_matches_j_families():
-    from gkmhess.reach import j_family
-
+def test_nonzero_minor_masks_match_j_families():
+    # row r of g = w x is row w^-1(r) of x, so the j-family's sets appear
+    # through w
     w = Permutation.from_one_line("24135")
-    patterns = plucker_pattern(w, H5)
+    patterns = _pattern_of_masks(cells._nonzero_minor_masks(w, H5), 5)
     for j in range(1, 6):
         expected = {
-            tuple(sorted(w(i) for i in combo)) for combo in j_family(w, H5, j)
+            tuple(sorted(w(i) for i in combo)) for combo in reach.j_family(w, H5, j)
         }
         assert patterns[j - 1] == expected
 
@@ -451,14 +490,14 @@ def test_oracle_calls_nothing_from_reach(monkeypatch):
             if callable(value) and getattr(value, "__module__", None) == "gkmhess.reach":
                 monkeypatch.setattr(module, name, forbidden)
     w = Permutation.from_one_line("24135")
-    assert len(plucker_pattern(w, H5)) == 5
+    assert (1 << 5) - 1 in cells._nonzero_minor_masks(w, H5)
     assert w in fixed_point_oracle(w, H5)
 
 
-def _plucker_pattern_by_subset_determinants(w, h):
+def _pattern_by_subset_determinants(w, h):
     """The Plücker pattern with one Leibniz determinant per row subset over
-    the chart's polynomial entries: the reference for ``plucker_pattern``'s
-    subset recurrence."""
+    the chart's polynomial entries: the reference for the subset recurrence
+    of ``_nonzero_minor_masks``."""
     n = h.n
     chart = build_cell_chart(w, h)
     w_inv = w.inverse()
@@ -489,8 +528,9 @@ def test_oracle_matches_subset_determinants(n):
         pairs = [(HessenbergFunction.random(n, rng), rng.choice(perms))
                  for _ in range({5: 300, 6: 100}[n])]
     for h, w in pairs:
-        expected = _plucker_pattern_by_subset_determinants(w, h)
-        assert plucker_pattern(w, h) == expected, (str(h), str(w))
+        expected = _pattern_by_subset_determinants(w, h)
+        masks = cells._nonzero_minor_masks(w, h)
+        assert _pattern_of_masks(masks, n) == expected, (str(h), str(w))
         assert fixed_point_oracle(w, h) == _oracle_by_scan(expected, n), (str(h), str(w))
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -361,7 +362,9 @@ def test_poincare_at_n4_matches_the_geometry_reference():
 # that the degree bases are read from, and the masks that verify_poincare
 # derives itself and counts out-degrees from.  The others plant a wrong
 # entry in s_1's matrix, a wrong flow-up or permutohedral class, a wrong
-# module type count and a wrong lattice permutation.  Each command prints its
+# module type count, a wrong lattice permutation, a support short of one
+# point, a reachable minor read as 0 and a wrong minus-cell chart entry.
+# Each command prints its
 # suite, its exit code and either the verdict and failed checks of its report
 # or, with no report, its error line.
 _PLANT_FAULT = """
@@ -369,10 +372,13 @@ import contextlib, importlib, io, json, sys
 from gkmhess.classes import InterpolationResult
 from gkmhess.gkm import HessenbergFunction
 from gkmhess.perms import Permutation
+from gkmhess.polys import MultiPoly
+from gkmhess.reach import SupportSet
 
 # the package's own ``dot`` is the function, so the modules come by name
-chromatic, cli, decomp, dot, gkm = (importlib.import_module(f"gkmhess.{name}")
-                                    for name in ("chromatic", "cli", "decomp", "dot", "gkm"))
+cells, chromatic, cli, decomp, dot, gkm = (
+    importlib.import_module(f"gkmhess.{name}")
+    for name in ("cells", "chromatic", "cli", "decomp", "dot", "gkm"))
 
 
 def inversion_table(w, j, i):
@@ -448,6 +454,47 @@ def permutohedral_class(w):
     cli.permutohedral_class = faulty
 
 
+def support_point(w, h):
+    # the largest point dropped from the support of (w, h)
+    exact = cli.support_A
+    key = (Permutation.from_one_line(w), HessenbergFunction.from_string(h))
+
+    def faulty(v, g):
+        result = exact(v, g)
+        if (v, g) == key:
+            result = SupportSet(v, g, result.members - {max(result.members)})
+        return result
+    cli.support_A = faulty
+
+
+def zero_minor(w, h, rows, cols):
+    # the minor of the chart of (w, h) on rows x cols read as 0 at every
+    # choice of eigenvalues
+    exact = cells.minor_symbolic
+    key = (Permutation.from_one_line(w), HessenbergFunction.from_string(h),
+           tuple(map(int, rows.split(","))), tuple(map(int, cols.split(","))))
+
+    def faulty(chart, r, c):
+        if (chart.w, chart.h, tuple(r), tuple(c)) == key:
+            return MultiPoly.zero(chart.nvars)
+        return exact(chart, r, c)
+    cells.minor_symbolic = faulty
+
+
+def chart_entry(w_1):
+    # the first nonzero dependent entry doubled in every chart with w(1) = w_1
+    exact = cells.CellChart._build
+
+    def faulty(chart):
+        exact(chart)
+        if chart.w(1) == int(w_1):
+            for pair, entry in chart.entries.items():
+                if pair not in chart._var_index and not entry.is_zero:
+                    chart.entries[pair] = entry * 2
+                    break
+    cells.CellChart._build = faulty
+
+
 fault, *args = sys.argv[1].split()
 globals()[fault.replace("-", "_")](*args)
 for command in sys.argv[2:]:
@@ -518,6 +565,90 @@ def test_wz_catches_a_wrong_lattice_permutation():
     lines = _run_with_fault("wz-s1", "wz --n 5", "all --n 5")
     assert lines[0] == "wz 1 False wz"
     _assert_all_fails(lines[1], "wz")
+
+
+def test_supports_catch_a_missing_support_point():
+    # 2143 has two points under 2,3,4,4: 2143 itself and 2413, the one dropped
+    lines = _run_with_fault("support-point 2143 2,3,4,4", "supports --n 4", "all --n 4")
+    assert lines[0] == "supports 1 False supports"
+    _assert_all_fails(lines[1], "supports")
+
+
+def test_minors_catch_a_reachable_minor_read_as_zero():
+    # column 1 reaches row 2 along the edge 1 -> 2 of the digraph of 1234 under 2,3,4,4
+    lines = _run_with_fault("zero-minor 1234 2,3,4,4 2 1", "minors --n 4", "all --n 4")
+    assert lines[0] == "minors 1 False minors"
+    _assert_all_fails(lines[1], "minors")
+
+
+def test_cell_charts_catch_a_wrong_chart_entry():
+    lines = _run_with_fault("chart-entry 3", "cell-charts --n 4", "all --n 4")
+    assert lines[0] == "cell-charts 1 False cell-charts"
+    _assert_all_fails(lines[1], "cell-charts")
+
+
+def _cell_chart_failures_one_chart_each(n, config):
+    """The cell-charts suite's failure list with one chart per instance: the
+    reference for the suite, which builds one chart per w and cell digraph."""
+    from gkmhess import cli
+    from gkmhess.cells import (build_cell_chart, minimal_path_coefficient, minimal_paths,
+                               path_monomial_exponents, prime_eigenvalues)
+
+    c = prime_eigenvalues(n)
+    failures = []
+    for h, w in cli._cell_instances(n, config, 5, 500):
+        chart = build_cell_chart(w, h, c)
+        bad = chart.consistency_violations()
+        if bad:
+            failures.append({"w": str(w), "h": str(h), "pairs": bad[:3]})
+            continue
+        for j in range(1, n + 1):
+            for i in range(j + 1, n + 1):
+                for path in minimal_paths(chart.digraph, j, i):
+                    mono = path_monomial_exponents(chart, path)
+                    if (Fraction(chart.entry(i, j).coefficient(mono))
+                            != minimal_path_coefficient(path, w, c)):
+                        failures.append({"w": str(w), "h": str(h), "path": path})
+    return failures
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("fault", ["chart-entry", "equation-4-1"])
+def test_grouped_cell_charts_report_the_per_instance_failures(n, fault, monkeypatch):
+    # chart-entry is the planted fault of the harness above: at n = 4 its
+    # failures are the three members of one group.  equation-4-1
+    # makes f_{4,1} nonzero, which fails an instance's consistency when
+    # h(1) < 4 and w(4) < w(1), and passes the members of the same group
+    # with h(1) = 4
+    from gkmhess import cells, cli
+
+    if fault == "chart-entry":
+        exact = cells.CellChart._build
+
+        def faulty(chart):
+            exact(chart)
+            if chart.w(1) == 3:
+                for pair, entry in chart.entries.items():
+                    if pair not in chart._var_index and not entry.is_zero:
+                        chart.entries[pair] = entry * 2
+                        break
+        monkeypatch.setattr(cells.CellChart, "_build", faulty)
+    else:
+        exact = cells.CellChart.defining_equation
+
+        def faulty(chart, alpha, beta):
+            f = exact(chart, alpha, beta)
+            return f + chart.entry(1, 1) if (alpha, beta) == (4, 1) else f
+        monkeypatch.setattr(cells.CellChart, "defining_equation", faulty)
+    config = cli.RunConfig()
+    expected = _cell_chart_failures_one_chart_each(n, config)
+    assert expected
+    instances = cli._cell_instances(n, config, 5, 500)
+    assert cli._cell_chart_failures(instances, cells.prime_eigenvalues(n)) == expected
+    assert cli.verify_cell_charts(n, config) == {
+        "name": "cell-charts", "passed": False, "instances": {4: 336, 5: 5040}[n],
+        "failures": expected[:5],
+    }
 
 
 def test_decomposition_names_a_permutation_outside_the_degree_basis():
@@ -612,6 +743,9 @@ def test_determinism():
         ("decompose_6_2.json", ("decompose", "--n", "6", "--k", "2")),
         # the whole verify battery at n = 3
         ("verify_all_3.json", ("verify", "all", "--n", "3", "--seed", "0")),
+        # every chart at n = 5, and 500 sampled at n = 6
+        ("verify_cell_charts_5.json", ("verify", "cell-charts", "--n", "5")),
+        ("verify_cell_charts_6_seed3.json", ("verify", "cell-charts", "--n", "6", "--seed", "3")),
     ],
 )
 def test_golden_outputs(golden, args):
