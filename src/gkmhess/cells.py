@@ -331,20 +331,27 @@ def minor_reachability_certificate(
     cols,
     rng: random.Random,
     c: EigenvalueVector | None = None,
+    chart: CellChart | None = None,
 ) -> MinorCertificate:
     """Compare minor nonvanishing against set reachability.
 
     The symbolic minor decides.  Nonzero on an unreachable pair is a hard
     failure.  A reachable pair whose minor vanishes identically at these
     eigenvalues is tried again at fresh ones drawn from ``rng``
-    (genericity resampling), before giving up.
+    (genericity resampling), before giving up.  ``chart``, the chart of
+    ``(w, h)`` at the first eigenvalues, and its digraph serve every pair of
+    one ``(w, h)``; without it both are built here.  A resample builds its
+    own chart at the fresh eigenvalues.
     """
     rows, cols = tuple(sorted(rows)), tuple(sorted(cols))
-    reachable = set_reachable(build_cell_digraph(w, h), cols, rows)
+    if chart is None:
+        chart = CellChart(w, h, c if c is not None else prime_eigenvalues(h.n))
+    elif (chart.w, chart.h) != (w, h) or c not in (None, chart.c):
+        raise ValueError(f"the chart given is not the chart of w = {w}, h = {h} at these eigenvalues")
+    reachable = set_reachable(chart.digraph, cols, rows)
     eigen_resamples = 0
-    current_c = c if c is not None else prime_eigenvalues(h.n)
     while True:
-        nonzero = not minor_symbolic(CellChart(w, h, current_c), rows, cols).is_zero
+        nonzero = not minor_symbolic(chart, rows, cols).is_zero
         if nonzero and not reachable:
             raise TheoremViolationError(
                 f"nonzero minor on unreachable pair: w={w}, h={h}, A={rows}, B={cols}"
@@ -355,7 +362,7 @@ def minor_reachability_certificate(
         if eigen_resamples == MAX_EIGENVALUE_RESAMPLES:
             return MinorCertificate(w, h, rows, cols, reachable, nonzero, eigen_resamples)
         eigen_resamples += 1
-        current_c = EigenvalueVector.random(h.n, rng, span=10 ** (6 + eigen_resamples))
+        chart = CellChart(w, h, EigenvalueVector.random(h.n, rng, span=10 ** (6 + eigen_resamples)))
 
 
 # -- Pluecker coordinates and the fixed-point oracle -------------------------

@@ -392,10 +392,12 @@ def verify_minors(n: int, config: RunConfig) -> dict:
     resamples = 0
     count = 0
     if n <= 4:
+        # every (rows, cols) of one (h, w) shares its chart and digraph
         cases = (
-            (w, h, rows, cols)
+            (w, h, rows, cols, chart)
             for h in HessenbergFunction.all(n)
             for w in Permutation.all(n)
+            for chart in [build_cell_chart(w, h)]
             for size in range(1, n + 1)
             for rows in itertools.combinations(range(1, n + 1), size)
             for cols in itertools.combinations(range(1, n + 1), size)
@@ -411,12 +413,13 @@ def verify_minors(n: int, config: RunConfig) -> dict:
                     HessenbergFunction.random(n, rng),
                     tuple(sorted(rng.sample(range(1, n + 1), size))),
                     tuple(sorted(rng.sample(range(1, n + 1), size))),
+                    None,
                 )
 
         cases = sample()
-    for w, h, rows, cols in cases:
+    for w, h, rows, cols, chart in cases:
         count += 1
-        cert = minor_reachability_certificate(w, h, rows, cols, rng)
+        cert = minor_reachability_certificate(w, h, rows, cols, rng, chart=chart)
         resamples += cert.eigenvalue_resamples
         if not cert.agree:
             failures.append({"w": str(w), "h": str(h), "A": rows, "B": cols})

@@ -163,31 +163,25 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
 
 
 def prefix_closed(n: int, keep: Callable[[int], bool]) -> list[Permutation]:
-    """The permutations of [n] whose every prefix passes ``keep``.
+    """The permutations of [n] whose every prefix passes ``keep``, in no
+    particular order.
 
     A prefix is handed to ``keep`` as the bitmask of its values (bit v - 1
-    for v), and each mask is decided once, however many prefixes share it.
-    Prefixes grow one value at a time; one that fails is not extended.
+    for v).  Prefixes grow one value at a time, and the prefixes with one
+    value set grow together, so ``keep`` is asked once per set and added
+    value, not once per prefix; the prefixes of a set that fails are
+    dropped.
     """
-    decided: dict[int, bool] = {}
-    out: list[Permutation] = []
-
-    def extend(prefix: list[int], mask: int) -> None:
-        if len(prefix) == n:
-            out.append(tuple.__new__(Permutation, prefix))
-            return
-        for value in range(1, n + 1):
-            grown = mask | 1 << (value - 1)
-            if grown == mask:
-                continue
-            ok = decided.get(grown)
-            if ok is None:
-                ok = decided[grown] = keep(grown)
-            if ok:
-                extend(prefix + [value], grown)
-
-    extend([], 0)
-    return out
+    steps = [(1 << (v - 1), (v,)) for v in range(1, n + 1)]
+    level: dict[int, list[tuple[int, ...]]] = {0: [()]}
+    for _ in range(n):
+        grown: dict[int, list[tuple[int, ...]]] = {}
+        for mask, prefixes in level.items():
+            for bit, value in steps:
+                if not mask & bit and keep(mask | bit):
+                    grown.setdefault(mask | bit, []).extend([prefix + value for prefix in prefixes])
+        level = grown
+    return [tuple.__new__(Permutation, prefix) for prefixes in level.values() for prefix in prefixes]
 
 
 def young_subgroup(blocks: Iterable[Iterable[int]], n: int) -> Iterator[Permutation]:

@@ -4,17 +4,25 @@
 ``j < i <= h(j)`` and ``w(j) < w(i)``; all edges increase the index, so the
 graph is acyclic.  A set ``A`` is reachable from ``B`` (same sizes) when
 the bipartite graph pairing sources ``b`` with targets ``a`` reachable from
-``b`` admits a perfect matching.  The fixed points of the closed minus cell
+``b`` admits a perfect matching.  Sets are bitmasks (bit i - 1 for i), and
+the vertices each vertex reaches are one mask, ``CellDigraph.reach_masks``.
+
+One recursion decides every reachability question.  With sources
+b_1 < ... < b_k, a target set S of size k is reachable exactly when some t
+in S that b_k reaches leaves S - t reachable from b_1, ..., b_{k-1}: every
+perfect matching pairs b_k with such a t.  ``_reachable_subsets`` runs it
+over all subsets at once.  The fixed points of the closed minus cell
 attached to ``(w, h)`` are the permutations whose every prefix, pulled back
-through ``w``, is reachable from an initial segment.  Many prefixes pull back
-to the same index set, so ``support_A`` decides each set by one matching.
+through ``w``, is reachable from an initial segment, so ``support_A`` reads
+them off one table over the 2^n value sets.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .gkm import HessenbergFunction
 from .perms import Permutation, prefix_closed
@@ -31,25 +39,23 @@ class CellDigraph:
         self._successors: dict[int, list[int]] = {}
         for j, i in sorted(self.edges):
             self._successors.setdefault(j, []).append(i)
-        self._closure: dict[int, frozenset[int]] | None = None
 
     def successors(self, j: int) -> list[int]:
         """The heads of the edges out of ``j``, ascending; the same list on
         every call, which callers must not change."""
         return self._successors.get(j, [])
 
-    def reach_closure(self) -> dict[int, frozenset[int]]:
-        """Vertex -> set of reachable vertices (including itself)."""
-        if self._closure is None:
-            closure: dict[int, frozenset[int]] = {}
-            # vertices in decreasing order: successors already resolved
-            for j in range(self.n, 0, -1):
-                reached = {j}
-                for i in self.successors(j):
-                    reached |= closure[i]
-                closure[j] = frozenset(reached)
-            self._closure = closure
-        return self._closure
+    @functools.cached_property
+    def reach_masks(self) -> tuple[int, ...]:
+        """Entry j - 1 is the mask of the vertices that j reaches, j included."""
+        reach = [0] * self.n
+        # vertices in decreasing order: successors already resolved
+        for j in range(self.n, 0, -1):
+            mask = 1 << (j - 1)
+            for i in self.successors(j):
+                mask |= reach[i - 1]
+            reach[j - 1] = mask
+        return tuple(reach)
 
     def __repr__(self) -> str:
         return f"CellDigraph(n={self.n}, edges={sorted(self.edges)})"
@@ -60,7 +66,37 @@ def build_cell_digraph(w: Permutation, h: HessenbergFunction) -> CellDigraph:
 
 
 def vertex_reachable(g: CellDigraph, j: int, i: int) -> bool:
-    return i in g.reach_closure()[j]
+    return bool(g.reach_masks[j - 1] >> (i - 1) & 1)
+
+
+def _reachable_subsets(source_reach: Sequence[int], within: int) -> bytearray:
+    """``table[S]`` is 1 exactly when ``S``, a subset of ``within`` of size
+    at most ``len(source_reach)``, is reachable from the first |S| sources.
+
+    ``source_reach[k - 1]`` is the reach mask of source b_k.  The subsets
+    grow by size: each reachable S - t of size k - 1 and each t outside it
+    that b_k reaches give the reachable S, which is the recursion of the
+    module docstring run forward.
+    """
+    table = bytearray(within + 1)
+    table[0] = 1
+    level = [0]
+    for reach in source_reach:
+        grown = []
+        for subset in level:
+            free = reach & within & ~subset
+            while free:
+                t = free & -free
+                free ^= t
+                if not table[subset | t]:
+                    table[subset | t] = 1
+                    grown.append(subset | t)
+        level = grown
+    return table
+
+
+def _mask(values: Iterable[int]) -> int:
+    return sum(1 << (v - 1) for v in values)
 
 
 def _check_sorted(label: str, values) -> tuple[int, ...]:
@@ -73,46 +109,22 @@ def _check_sorted(label: str, values) -> tuple[int, ...]:
 def set_reachable(g: CellDigraph, sources, targets) -> bool:
     """True when ``targets`` is reachable from ``sources`` (perfect matching).
 
-    Both arguments are ascending tuples/sets of the same size.  Matching by
-    augmenting paths over the reachability closure.
+    Both arguments are ascending tuples/sets of the same size.
     """
     b = _check_sorted("sources", sorted(sources) if isinstance(sources, (set, frozenset)) else sources)
     a = _check_sorted("targets", sorted(targets) if isinstance(targets, (set, frozenset)) else targets)
     if len(a) != len(b):
         raise ValueError("sources and targets must have equal sizes")
-    return _matchable(g.reach_closure(), b, a)
-
-
-def _matchable(closure: dict[int, frozenset[int]], sources: tuple[int, ...],
-               targets: tuple[int, ...]) -> bool:
-    """``set_reachable`` on already checked sorted tuples of equal size."""
-    adjacency = [[t for t, target in enumerate(targets) if target in closure[source]]
-                 for source in sources]
-    matched_target = [-1] * len(targets)
-
-    def augment(s: int, seen: list[bool]) -> bool:
-        for t in adjacency[s]:
-            if not seen[t]:
-                seen[t] = True
-                if matched_target[t] == -1 or augment(matched_target[t], seen):
-                    matched_target[t] = s
-                    return True
-        return False
-
-    return all(augment(s, [False] * len(targets)) for s in range(len(sources)))
+    within = _mask(a)
+    return bool(_reachable_subsets([g.reach_masks[s - 1] for s in b], within)[within])
 
 
 def j_family(w: Permutation, h: HessenbergFunction, j: int) -> set[tuple[int, ...]]:
     """Ascending j-tuples whose underlying set is reachable from [j]."""
     if not 1 <= j <= h.n:
         raise ValueError(f"level {j} outside [1,{h.n}]")
-    closure = build_cell_digraph(w, h).reach_closure()
-    initial = tuple(range(1, j + 1))
-    return {
-        combo
-        for combo in itertools.combinations(range(1, h.n + 1), j)
-        if _matchable(closure, initial, combo)
-    }
+    table = _reachable_subsets(build_cell_digraph(w, h).reach_masks[:j], (1 << h.n) - 1)
+    return {combo for combo in itertools.combinations(range(1, h.n + 1), j) if table[_mask(combo)]}
 
 
 @dataclass(frozen=True)
@@ -131,21 +143,22 @@ class SupportSet:
         return sorted(self.members)
 
 
+def _support_table(w: Permutation, h: HessenbergFunction) -> bytearray:
+    """``table[U]`` is 1 exactly when the value set ``U`` pulls back through
+    ``w`` to a set reachable from [|U|].  Pulling back is a relabelling, so
+    the recursion runs on the images under ``w`` of the reach masks."""
+    reach = build_cell_digraph(w, h).reach_masks
+    return _reachable_subsets(
+        [_mask(w[i] for i in range(h.n) if mask >> i & 1) for mask in reach], (1 << h.n) - 1
+    )
+
+
 def support_A(w: Permutation, h: HessenbergFunction) -> SupportSet:
     """Fixed points of the closed minus cell of ``(w, h)``.
 
     ``u`` belongs when every index set ``{w^-1(u(1)), ..., w^-1(u(j))}`` is
-    reachable from [j].  The walk runs over these pulled indices, ``u = w p``
-    for the index sequence ``p``: ``prefix_closed`` drops a prefix as soon as
-    its set fails, which kills every extension, and decides each set by one
-    matching.
+    reachable from [j].  ``prefix_closed`` walks the prefixes of ``u``
+    itself, reading each prefix's value set off ``_support_table``, and
+    drops a prefix as soon as its set fails, which kills every extension.
     """
-    n = h.n
-    closure = build_cell_digraph(w, h).reach_closure()
-
-    def reachable(pulled: int) -> bool:
-        targets = tuple(i for i in range(1, n + 1) if pulled >> (i - 1) & 1)
-        return _matchable(closure, tuple(range(1, len(targets) + 1)), targets)
-
-    members = frozenset(w * p for p in prefix_closed(n, reachable))
-    return SupportSet(w=w, h=h, members=members)
+    return SupportSet(w=w, h=h, members=frozenset(prefix_closed(h.n, _support_table(w, h).__getitem__)))

@@ -392,20 +392,35 @@ def test_certificate_trivial_full_sets():
 
 
 def test_certificate_exhaustive_n3():
-    import itertools
-
+    # a chart shared by every pair of one (h, w) gives the certificate that
+    # builds its own
     rng = random.Random(11)
     for h in HessenbergFunction.all(3):
         for w in Permutation.all(3):
+            chart = build_cell_chart(w, h)
             for size in (1, 2, 3):
                 for rows in itertools.combinations((1, 2, 3), size):
                     for cols in itertools.combinations((1, 2, 3), size):
-                        assert minor_reachability_certificate(w, h, rows, cols, rng).agree
+                        cert = minor_reachability_certificate(w, h, rows, cols, rng)
+                        assert cert.agree
+                        assert minor_reachability_certificate(w, h, rows, cols, rng, chart=chart) == cert
+
+
+def test_certificate_refuses_the_chart_of_another_instance():
+    w, h = Permutation.from_one_line("2413"), HessenbergFunction((2, 3, 4, 4))
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="not the chart"):
+        minor_reachability_certificate(w, h, (1,), (1,), rng,
+                                       chart=build_cell_chart(Permutation.identity(4), h))
+    with pytest.raises(ValueError, match="not the chart"):
+        minor_reachability_certificate(w, h, (1,), (1,), rng, c=EigenvalueVector.random(4, rng),
+                                       chart=build_cell_chart(w, h))
 
 
 def test_certificate_counts_the_eigenvalue_draws_it_made(monkeypatch):
     # a reachable pair whose minor keeps vanishing: the certificate gives up
-    # after MAX_EIGENVALUE_RESAMPLES fresh vectors and reports exactly that many
+    # after MAX_EIGENVALUE_RESAMPLES fresh vectors and reports exactly that
+    # many, the same draws whether its first chart is shared or its own
     w, h = Permutation.from_one_line("2413"), HessenbergFunction((2, 3, 4, 4))
     spans = []
     draw = EigenvalueVector.random.__func__
@@ -418,10 +433,16 @@ def test_certificate_counts_the_eigenvalue_draws_it_made(monkeypatch):
     monkeypatch.setattr(
         cells, "minor_symbolic", lambda chart, rows, cols: MultiPoly.zero(chart.nvars)
     )
-    cert = minor_reachability_certificate(w, h, (1, 2), (1, 2), random.Random(0))
-    assert cert.reachable and not cert.minor_nonzero
-    assert cert.eigenvalue_resamples == cells.MAX_EIGENVALUE_RESAMPLES == len(spans)
-    assert spans == [10**7, 10**8, 10**9]
+    draws = []
+    for chart in (None, build_cell_chart(w, h)):
+        spans.clear()
+        rng = random.Random(0)
+        cert = minor_reachability_certificate(w, h, (1, 2), (1, 2), rng, chart=chart)
+        assert cert.reachable and not cert.minor_nonzero
+        assert cert.eigenvalue_resamples == cells.MAX_EIGENVALUE_RESAMPLES == len(spans)
+        assert spans == [10**7, 10**8, 10**9]
+        draws.append(rng.random())
+    assert draws[0] == draws[1]
 
 
 def test_minor_certificates_match_golden():

@@ -376,9 +376,9 @@ from gkmhess.polys import MultiPoly
 from gkmhess.reach import SupportSet
 
 # the package's own ``dot`` is the function, so the modules come by name
-cells, chromatic, cli, decomp, dot, gkm = (
+cells, chromatic, cli, decomp, dot, gkm, reach = (
     importlib.import_module(f"gkmhess.{name}")
-    for name in ("cells", "chromatic", "cli", "decomp", "dot", "gkm"))
+    for name in ("cells", "chromatic", "cli", "decomp", "dot", "gkm", "reach"))
 
 
 def inversion_table(w, j, i):
@@ -465,6 +465,17 @@ def support_point(w, h):
             result = SupportSet(v, g, result.members - {max(result.members)})
         return result
     cli.support_A = faulty
+
+
+def reach_recursion():
+    # every source also reaches the largest element of the universe, so the
+    # recursion accepts that element as a candidate whether reached or not
+    exact = reach._reachable_subsets
+
+    def faulty(source_reach, within):
+        top = 1 << within.bit_length() >> 1
+        return exact([r | top for r in source_reach], within)
+    reach._reachable_subsets = faulty
 
 
 def zero_minor(w, h, rows, cols):
@@ -579,6 +590,15 @@ def test_minors_catch_a_reachable_minor_read_as_zero():
     lines = _run_with_fault("zero-minor 1234 2,3,4,4 2 1", "minors --n 4", "all --n 4")
     assert lines[0] == "minors 1 False minors"
     _assert_all_fails(lines[1], "minors")
+
+
+def test_supports_and_minors_catch_a_wrong_reachability_recursion():
+    # the fault only adds reachable sets: one it dropped would give a nonzero
+    # minor on an unreachable pair, which raises instead of failing a check
+    lines = _run_with_fault("reach-recursion", "supports --n 4", "minors --n 4", "all --n 4")
+    assert lines[:2] == ["supports 1 False supports", "minors 1 False minors"]
+    _assert_all_fails(lines[2], "supports")
+    _assert_all_fails(lines[2], "minors")
 
 
 def test_cell_charts_catch_a_wrong_chart_entry():

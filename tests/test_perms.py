@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from collections import deque
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from gkmhess.cli import _inversion_masks
 from gkmhess.gkm import _inversion_table, coxeter_lengths, mask_of_pairs
-from gkmhess.perms import Composition, Permutation, compose, partitions, young_subgroup
+from gkmhess.perms import (Composition, Permutation, compose, partitions, prefix_closed,
+                           young_subgroup)
 
 _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -215,3 +217,14 @@ def test_young_subgroup_is_the_block_stabilizer(blocks):
     assert sorted(members) == expected
     assert len(set(members)) == len(members)
     assert all(type(u) is Permutation for u in members)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_prefix_closed_is_the_filter_over_every_prefix(n):
+    # the grouped walk against the definition, for seeded random keeps
+    rng = random.Random(n)
+    for _ in range(20):
+        passing = {mask for mask in range(1, 2 ** n) if rng.random() < 0.8}
+        expected = [w for w in Permutation.all(n)
+                    if all(sum(1 << (v - 1) for v in w[:j]) in passing for j in range(1, n + 1))]
+        assert sorted(prefix_closed(n, passing.__contains__)) == expected

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
+import reference_reach
 from gkmhess import reach
-
 from gkmhess.gkm import HessenbergFunction
 from gkmhess.perms import Permutation
 from gkmhess.reach import (
@@ -120,8 +121,6 @@ def test_j_family_examples():
     w2 = Permutation.from_one_line("15342")
     assert j_family(w2, H5, 2) == {(1, 2), (2, 3), (2, 4)}
     ident = Permutation.identity(5)
-    import itertools
-
     for j in range(1, 6):
         assert j_family(ident, H5, j) == set(
             itertools.combinations(range(1, 6), j)
@@ -196,10 +195,11 @@ def test_permutohedral_support_is_block_orbit():
 
 def _support_by_scan(w, h):
     """Every u in S_n whose every prefix, pulled back through w, lies in the
-    matching j_family: the definition ``support_A`` prunes its way to."""
+    reference j-family: the definition ``support_A`` prunes its way to."""
     n = h.n
     w_inv = w.inverse()
-    families = [j_family(w, h, j) for j in range(1, n + 1)]
+    g = build_cell_digraph(w, h)
+    families = [reference_reach.j_family(g, j) for j in range(1, n + 1)]
     return frozenset(
         u for u in Permutation.all(n)
         if all(tuple(sorted(w_inv(v) for v in u[:j])) in families[j - 1]
@@ -207,34 +207,66 @@ def _support_by_scan(w, h):
     )
 
 
+def _instances(n, samples, seed):
+    """Every (h, w) at n <= 4, otherwise ``samples`` seeded pairs."""
+    if n <= 4:
+        return [(h, w) for h in HessenbergFunction.all(n) for w in Permutation.all(n)]
+    rng = random.Random(seed)
+    perms = list(Permutation.all(n))
+    return [(HessenbergFunction.random(n, rng), rng.choice(perms)) for _ in range(samples)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_support_matches_the_prefix_scan(n):
-    if n <= 4:
-        pairs = [(h, w) for h in HessenbergFunction.all(n) for w in Permutation.all(n)]
-    else:
-        rng = random.Random(55)
-        perms = list(Permutation.all(n))
-        pairs = [(HessenbergFunction.random(n, rng), rng.choice(perms)) for _ in range(600)]
-    for h, w in pairs:
+    for h, w in _instances(n, 600, 55):
         assert support_A(w, h).members == _support_by_scan(w, h), (str(h), str(w))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_support_decides_each_pulled_set_once(n, monkeypatch):
-    calls = []
-    matchable = reach._matchable
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_support_table_matches_the_reference(n):
+    # the table support_A walks, on every value set U: U pulls back through
+    # w to a set reachable from [|U|] exactly when the reference matches it
+    for h, w in _instances(n, {5: 100, 6: 20}.get(n), n):
+        table = reach._support_table(w, h)
+        closure = reference_reach.reach_closure(build_cell_digraph(w, h))
+        w_inv = w.inverse()
+        assert len(table) == 2 ** n
+        for values in range(2 ** n):
+            pulled = sorted(w_inv(v) for v in range(1, n + 1) if values >> (v - 1) & 1)
+            expected = reference_reach.matchable(closure, range(1, len(pulled) + 1), pulled)
+            assert table[values] == expected, (str(h), str(w), values)
 
-    def spy(closure, sources, targets):
-        calls.append(targets)
-        return matchable(closure, sources, targets)
 
-    monkeypatch.setattr(reach, "_matchable", spy)
-    rng = random.Random(n)
-    perms = list(Permutation.all(n))
-    for _ in range(20):
-        calls.clear()
-        support_A(rng.choice(perms), HessenbergFunction.random(n, rng))
-        assert len(calls) == len(set(calls)) <= 2 ** n - 1
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_set_reachable_matches_the_reference(n):
+    # every equal-size (sources, targets) of every instance's digraph
+    subsets = [combo for size in range(n + 1)
+               for combo in itertools.combinations(range(1, n + 1), size)]
+    for h, w in _instances(n, 300, 100 + n):
+        g = build_cell_digraph(w, h)
+        closure = reference_reach.reach_closure(g)
+        for sources in subsets:
+            for targets in subsets:
+                if len(sources) == len(targets):
+                    assert set_reachable(g, sources, targets) == reference_reach.matchable(
+                        closure, sources, targets), (str(h), str(w), sources, targets)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_j_family_matches_the_reference(n):
+    for h, w in _instances(n, 100, 200 + n):
+        g = build_cell_digraph(w, h)
+        for j in range(1, n + 1):
+            assert j_family(w, h, j) == reference_reach.j_family(g, j), (str(h), str(w), j)
+
+
+def test_vertex_reachable_matches_the_reference():
+    for h, w in _instances(4, None, None):
+        g = build_cell_digraph(w, h)
+        closure = reference_reach.reach_closure(g)
+        for j in range(1, 5):
+            for i in range(1, 5):
+                assert vertex_reachable(g, j, i) == (i in closure[j])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
