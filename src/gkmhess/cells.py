@@ -14,6 +14,11 @@ pairs are the digraph's edges, and every other entry is zero or solved.  So
 two h with the same digraph for w give the same chart, and it serves the
 consistency check of each.
 
+``build_cell_chart`` is the one way to make a chart; every consumer,
+the minors certificate included, takes the chart it builds.  Minimal paths
+of the cell digraph come from one depth-first walk that never extends a path
+by a vertex an earlier vertex has an edge to.
+
 Minors of ``x`` detect reachability (nonvanishing iff the column set reaches
 the row set), and the Plücker coordinates of the cell, the leading minors of
 ``\\dot w x`` as polynomials in the free coordinates, recover the fixed points
@@ -70,27 +75,17 @@ class EigenvalueVector:
         return cls(tuple(Fraction(v) for v in values))
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @functools.cache
 def prime_eigenvalues(n: int) -> EigenvalueVector:
     """c_k = k-th prime; the default generic choice."""
-    out: list[int] = []
+    primes: list[int] = []
     candidate = 2
-    while len(out) < n:
-        if _is_prime(candidate):
-            out.append(candidate)
+    while len(primes) < n:
+        # trial division by the primes found so far
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
         candidate += 1
-    return EigenvalueVector(tuple(Fraction(p) for p in out))
+    return EigenvalueVector(tuple(Fraction(p) for p in primes))
 
 
 def _free_pairs(w: Permutation, h: HessenbergFunction) -> list[tuple[int, int]]:
@@ -127,12 +122,9 @@ class CellChart:
         return build_cell_digraph(self.w, self.h)
 
     def _coeff(self, a: int, b: int) -> int | Fraction:
-        """c_{w(a)} - c_{w(b)} for positions a, b, an ``int`` where integral."""
+        """c_{w(a)} - c_{w(b)} for positions a != b, an ``int`` where
+        integral; nonzero, as the eigenvalues are distinct."""
         diff = self._eigen_at[a - 1] - self._eigen_at[b - 1]
-        if diff == 0:
-            raise DegenerateEigenvaluesError(
-                f"vanishing denominator c_{self.w(a)} - c_{self.w(b)}"
-            )
         return diff.numerator if diff.denominator == 1 else diff
 
     def _build(self) -> None:
@@ -207,28 +199,30 @@ def build_cell_chart(w: Permutation, h: HessenbergFunction, c: EigenvalueVector 
 # -- minimal paths -----------------------------------------------------------
 
 
-def paths(g: CellDigraph, j: int, i: int) -> list[tuple[int, ...]]:
-    """All directed paths from j to i, each as the full vertex sequence."""
-    if j == i:
-        return [(j,)]
-    out = []
-    for mid in g.successors(j):
-        for tail in paths(g, mid, i):
-            out.append((j,) + tail)
-    return out
-
-
-def is_minimal_path(g: CellDigraph, path: tuple[int, ...]) -> bool:
-    """No edge of the digraph may join two non-consecutive path vertices."""
-    for a in range(len(path)):
-        for b in range(a + 2, len(path)):
-            if (path[a], path[b]) in g.edges:
-                return False
-    return True
-
-
 def minimal_paths(g: CellDigraph, j: int, i: int) -> list[tuple[int, ...]]:
-    return [p for p in paths(g, j, i) if is_minimal_path(g, p)]
+    """The directed paths from j to i with no edge between two
+    non-consecutive vertices, each as its full vertex sequence, in
+    depth-first order over ``g.successors``.
+
+    A path grows only by a successor of its last vertex that no earlier
+    vertex has an edge to, as such an edge stays in every extension, and
+    never past i, as edges increase the index.
+    """
+    out = []
+    stack = [(j,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == i:
+            out.append(path)
+            continue
+        for s in reversed(g.successors(path[-1])):
+            if s <= i:
+                for v in path[:-1]:
+                    if (v, s) in g.edges:
+                        break
+                else:
+                    stack.append(path + (s,))
+    return out
 
 
 def minimal_path_coefficient(path: Sequence[int], w: Permutation, c: EigenvalueVector) -> Fraction:
@@ -325,29 +319,20 @@ class MinorCertificate:
 
 
 def minor_reachability_certificate(
-    w: Permutation,
-    h: HessenbergFunction,
-    rows,
-    cols,
-    rng: random.Random,
-    c: EigenvalueVector | None = None,
-    chart: CellChart | None = None,
+    chart: CellChart, rows, cols, rng: random.Random
 ) -> MinorCertificate:
-    """Compare minor nonvanishing against set reachability.
+    """Compare minor nonvanishing against set reachability in the cell of
+    ``(chart.w, chart.h)``.
 
-    The symbolic minor decides.  Nonzero on an unreachable pair is a hard
-    failure.  A reachable pair whose minor vanishes identically at these
-    eigenvalues is tried again at fresh ones drawn from ``rng``
-    (genericity resampling), before giving up.  ``chart``, the chart of
-    ``(w, h)`` at the first eigenvalues, and its digraph serve every pair of
-    one ``(w, h)``; without it both are built here.  A resample builds its
-    own chart at the fresh eigenvalues.
+    The symbolic minor on ``chart`` decides, and the chart's digraph gives
+    reachability, so one chart serves every pair of one ``(w, h)``.
+    Nonzero on an unreachable pair is a hard failure.  A reachable pair
+    whose minor vanishes identically at the chart's eigenvalues is tried
+    again on the chart of the same ``(w, h)`` at fresh ones drawn from
+    ``rng`` (genericity resampling), before giving up.
     """
+    w, h = chart.w, chart.h
     rows, cols = tuple(sorted(rows)), tuple(sorted(cols))
-    if chart is None:
-        chart = CellChart(w, h, c if c is not None else prime_eigenvalues(h.n))
-    elif (chart.w, chart.h) != (w, h) or c not in (None, chart.c):
-        raise ValueError(f"the chart given is not the chart of w = {w}, h = {h} at these eigenvalues")
     reachable = set_reachable(chart.digraph, cols, rows)
     eigen_resamples = 0
     while True:
@@ -362,7 +347,8 @@ def minor_reachability_certificate(
         if eigen_resamples == MAX_EIGENVALUE_RESAMPLES:
             return MinorCertificate(w, h, rows, cols, reachable, nonzero, eigen_resamples)
         eigen_resamples += 1
-        chart = CellChart(w, h, EigenvalueVector.random(h.n, rng, span=10 ** (6 + eigen_resamples)))
+        fresh = EigenvalueVector.random(h.n, rng, span=10 ** (6 + eigen_resamples))
+        chart = build_cell_chart(w, h, fresh)
 
 
 # -- Pluecker coordinates and the fixed-point oracle -------------------------

@@ -392,9 +392,9 @@ def verify_minors(n: int, config: RunConfig) -> dict:
     resamples = 0
     count = 0
     if n <= 4:
-        # every (rows, cols) of one (h, w) shares its chart and digraph
+        # every (rows, cols) of one (h, w) shares its chart
         cases = (
-            (w, h, rows, cols, chart)
+            (chart, rows, cols)
             for h in HessenbergFunction.all(n)
             for w in Permutation.all(n)
             for chart in [build_cell_chart(w, h)]
@@ -406,23 +406,22 @@ def verify_minors(n: int, config: RunConfig) -> dict:
         perms = list(Permutation.all(n))
 
         def sample():
+            # draws size, w, h, rows and cols, in that order
             for _ in range(500):
                 size = rng.randint(1, n)
                 yield (
-                    rng.choice(perms),
-                    HessenbergFunction.random(n, rng),
+                    build_cell_chart(rng.choice(perms), HessenbergFunction.random(n, rng)),
                     tuple(sorted(rng.sample(range(1, n + 1), size))),
                     tuple(sorted(rng.sample(range(1, n + 1), size))),
-                    None,
                 )
 
         cases = sample()
-    for w, h, rows, cols, chart in cases:
+    for chart, rows, cols in cases:
         count += 1
-        cert = minor_reachability_certificate(w, h, rows, cols, rng, chart=chart)
+        cert = minor_reachability_certificate(chart, rows, cols, rng)
         resamples += cert.eigenvalue_resamples
         if not cert.agree:
-            failures.append({"w": str(w), "h": str(h), "A": rows, "B": cols})
+            failures.append({"w": str(cert.w), "h": str(cert.h), "A": rows, "B": cols})
     return _result(
         "minors", not failures, instances=count,
         eigenvalue_resamples=resamples, failures=failures[:5],

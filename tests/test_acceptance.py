@@ -97,11 +97,12 @@ def test_criterion_02_minor_reachability():
     count = 0
     for h in HessenbergFunction.all(4):
         for w in Permutation.all(4):
+            chart = build_cell_chart(w, h)
             for size in range(1, 5):
                 for rows in itertools.combinations(range(1, 5), size):
                     for cols in itertools.combinations(range(1, 5), size):
                         count += 1
-                        cert = minor_reachability_certificate(w, h, rows, cols, rng)
+                        cert = minor_reachability_certificate(chart, rows, cols, rng)
                         resamples += cert.eigenvalue_resamples
                         if not cert.agree:
                             disagreements.append((str(w), str(h), rows, cols))
@@ -115,7 +116,7 @@ def test_criterion_02_minor_reachability():
         cols = tuple(sorted(rng.sample(range(1, 6), size)))
         for c in seeds:
             count += 1
-            cert = minor_reachability_certificate(w, h, rows, cols, rng, c=c)
+            cert = minor_reachability_certificate(build_cell_chart(w, h, c), rows, cols, rng)
             resamples += cert.eigenvalue_resamples
             if not cert.agree:
                 disagreements.append((str(w), str(h), rows, cols))

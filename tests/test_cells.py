@@ -9,6 +9,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+import reference_paths
 from determinants import elimination_det, leibniz
 from gkmhess import cells, reach
 from gkmhess.cells import (
@@ -22,7 +23,6 @@ from gkmhess.cells import (
     minor_reachability_certificate,
     minor_symbolic,
     path_monomial_exponents,
-    paths,
     prime_eigenvalues,
 )
 from gkmhess.gkm import HessenbergFunction
@@ -245,9 +245,24 @@ def test_minimal_path_examples():
 
 def test_minimality_detection():
     g = build_cell_digraph(Permutation.identity(5), H5)
-    assert (1, 2, 3, 4) in paths(g, 1, 4)
-    assert not any(p == (1, 2, 3, 4) for p in minimal_paths(g, 1, 4))
+    assert (1, 2, 3, 4) in reference_paths.paths(g, 1, 4)
+    assert not reference_paths.is_minimal_path(g, (1, 2, 3, 4))
+    assert reference_paths.is_minimal_path(g, (1, 3, 4))
+    assert (1, 2, 3, 4) not in minimal_paths(g, 1, 4)
     assert (1, 3, 4) in minimal_paths(g, 1, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_minimal_paths_match_the_enumerate_and_filter_reference(n):
+    # the same paths in the same order, so failure lists keep their order
+    for h in HessenbergFunction.all(n):
+        for w in Permutation.all(n):
+            g = build_cell_digraph(w, h)
+            for j in range(1, n + 1):
+                for i in range(1, n + 1):
+                    assert minimal_paths(g, j, i) == reference_paths.minimal_paths(g, j, i), (
+                        str(h), str(w), j, i
+                    )
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -386,14 +401,15 @@ def test_minor_point_evaluation_agrees_with_symbolic():
 
 def test_certificate_trivial_full_sets():
     rng = random.Random(5)
-    w = Permutation.from_one_line("24135")
-    cert = minor_reachability_certificate(w, H5, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), rng)
+    chart = build_cell_chart(Permutation.from_one_line("24135"), H5)
+    cert = minor_reachability_certificate(chart, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), rng)
     assert cert.agree and cert.reachable and cert.minor_nonzero
+    assert (cert.w, cert.h) == (chart.w, chart.h)
 
 
 def test_certificate_exhaustive_n3():
-    # a chart shared by every pair of one (h, w) gives the certificate that
-    # builds its own
+    # a chart shared by every pair of one (h, w) gives the certificate on a
+    # chart of its own
     rng = random.Random(11)
     for h in HessenbergFunction.all(3):
         for w in Permutation.all(3):
@@ -401,63 +417,104 @@ def test_certificate_exhaustive_n3():
             for size in (1, 2, 3):
                 for rows in itertools.combinations((1, 2, 3), size):
                     for cols in itertools.combinations((1, 2, 3), size):
-                        cert = minor_reachability_certificate(w, h, rows, cols, rng)
+                        cert = minor_reachability_certificate(build_cell_chart(w, h), rows, cols, rng)
                         assert cert.agree
-                        assert minor_reachability_certificate(w, h, rows, cols, rng, chart=chart) == cert
-
-
-def test_certificate_refuses_the_chart_of_another_instance():
-    w, h = Permutation.from_one_line("2413"), HessenbergFunction((2, 3, 4, 4))
-    rng = random.Random(0)
-    with pytest.raises(ValueError, match="not the chart"):
-        minor_reachability_certificate(w, h, (1,), (1,), rng,
-                                       chart=build_cell_chart(Permutation.identity(4), h))
-    with pytest.raises(ValueError, match="not the chart"):
-        minor_reachability_certificate(w, h, (1,), (1,), rng, c=EigenvalueVector.random(4, rng),
-                                       chart=build_cell_chart(w, h))
+                        assert minor_reachability_certificate(chart, rows, cols, rng) == cert
 
 
 def test_certificate_counts_the_eigenvalue_draws_it_made(monkeypatch):
     # a reachable pair whose minor keeps vanishing: the certificate gives up
     # after MAX_EIGENVALUE_RESAMPLES fresh vectors and reports exactly that
-    # many, the same draws whether its first chart is shared or its own
+    # many, the same draws whether its first chart is shared or fresh; each
+    # resample's chart comes from build_cell_chart at the vector just drawn
     w, h = Permutation.from_one_line("2413"), HessenbergFunction((2, 3, 4, 4))
-    spans = []
+    spans, vectors, built = [], [], []
     draw = EigenvalueVector.random.__func__
+    build = cells.build_cell_chart
 
     def counted(cls, n, rng, span=10**6):
         spans.append(span)
-        return draw(cls, n, rng, span)
+        vectors.append(draw(cls, n, rng, span))
+        return vectors[-1]
 
+    def recorded_build(w, h, c=None):
+        built.append((w, h, c))
+        return build(w, h, c)
+
+    shared = build_cell_chart(w, h)
     monkeypatch.setattr(EigenvalueVector, "random", classmethod(counted))
+    monkeypatch.setattr(cells, "build_cell_chart", recorded_build)
     monkeypatch.setattr(
         cells, "minor_symbolic", lambda chart, rows, cols: MultiPoly.zero(chart.nvars)
     )
     draws = []
-    for chart in (None, build_cell_chart(w, h)):
+    for chart in (build_cell_chart(w, h), shared, shared):
         spans.clear()
+        vectors.clear()
+        built.clear()
         rng = random.Random(0)
-        cert = minor_reachability_certificate(w, h, (1, 2), (1, 2), rng, chart=chart)
+        cert = minor_reachability_certificate(chart, (1, 2), (1, 2), rng)
         assert cert.reachable and not cert.minor_nonzero
         assert cert.eigenvalue_resamples == cells.MAX_EIGENVALUE_RESAMPLES == len(spans)
         assert spans == [10**7, 10**8, 10**9]
+        assert built == [(w, h, c) for c in vectors]
         draws.append(rng.random())
-    assert draws[0] == draws[1]
+    assert draws[0] == draws[1] == draws[2]
 
 
 def test_minor_certificates_match_golden():
     # 200 recorded cases at n = 6 (132 unreachable), each certified again
-    # from its w, h, rows and cols; rng is read only by an eigenvalue resample
+    # on the chart of its w and h; rng is read only by an eigenvalue resample
     expected = json.loads((GOLDEN / "minor_certificates_n6_seed0.json").read_text())
     records = []
     for case in expected:
-        w = Permutation.from_one_line(case["w"])
-        h = HessenbergFunction.from_string(case["h"])
-        cert = minor_reachability_certificate(w, h, case["rows"], case["cols"], random.Random(0))
+        chart = build_cell_chart(
+            Permutation.from_one_line(case["w"]), HessenbergFunction.from_string(case["h"])
+        )
+        cert = minor_reachability_certificate(chart, case["rows"], case["cols"], random.Random(0))
         records.append({
             field.name: getattr(cert, field.name) for field in dataclasses.fields(cert)
-        } | {"w": str(w), "h": str(h), "rows": list(cert.rows), "cols": list(cert.cols)})
+        } | {"w": str(cert.w), "h": str(cert.h), "rows": list(cert.rows), "cols": list(cert.cols)})
     assert records == expected
+
+
+def _minor_cases_drawn(n, seed, count=500):
+    """The (w, h, rows, cols) that ``verify minors`` samples at n >= 5,
+    replayed in its draw order: size, w, h, rows, cols.  The certificate
+    reads the same rng only to resample eigenvalues."""
+    rng = random.Random(seed)
+    perms = list(Permutation.all(n))
+    cases = []
+    for _ in range(count):
+        size = rng.randint(1, n)
+        w = rng.choice(perms)
+        h = HessenbergFunction.random(n, rng)
+        rows = sorted(rng.sample(range(1, n + 1), size))
+        cases.append({"w": str(w), "h": str(h), "rows": rows,
+                      "cols": sorted(rng.sample(range(1, n + 1), size))})
+    return cases
+
+
+def test_verify_minors_draws_its_cases_in_order(monkeypatch):
+    # a spy on the certificate records what verify minors --n 6 --seed 0
+    # certifies.  The golden was captured while the certificate still drew
+    # sample points from this rng, so only its first case, drawn before any
+    # certificate ran, is still a draw of the sampler
+    from gkmhess import cli
+
+    calls = []
+    certify = cli.minor_reachability_certificate
+
+    def spy(chart, rows, cols, rng):
+        calls.append({"w": str(chart.w), "h": str(chart.h), "rows": list(rows), "cols": list(cols)})
+        return certify(chart, rows, cols, rng)
+
+    monkeypatch.setattr(cli, "minor_reachability_certificate", spy)
+    report = cli.verify_minors(6, cli.RunConfig(seed=0))
+    assert report["passed"] and report["eigenvalue_resamples"] == 0
+    assert calls == _minor_cases_drawn(6, 0)
+    [first, *_] = json.loads((GOLDEN / "minor_certificates_n6_seed0.json").read_text())
+    assert calls[0] == {key: first[key] for key in ("w", "h", "rows", "cols")}
 
 
 def _pattern_of_masks(masks, n):

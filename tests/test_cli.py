@@ -1,17 +1,25 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-PKG = [sys.executable, "-m", "gkmhess"]
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(*argv, timeout=600):
+    """A fresh interpreter on ``argv``, with the package's source first on
+    its ``PYTHONPATH``."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": path})
 
 
 def run_cli(*args):
-    return subprocess.run(
-        PKG + list(args), capture_output=True, text=True, timeout=600
-    )
+    return run_python("-m", "gkmhess", *args)
 
 
 def run_json(*args):
@@ -205,11 +213,8 @@ def test_nonpositive_n_is_a_usage_error(argv, capsys):
     (["--max-n", "-1"], "argument --max-n: must be at least 1, got -1"),
 ], ids=["empty-range", "zero-min", "negative-max"])
 def test_verification_script_rejects_an_empty_or_nonpositive_range(argv, message):
-    import pathlib
-
     script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
-    proc = subprocess.run([sys.executable, str(script), *argv],
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(str(script), *argv, timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert message in proc.stderr
@@ -217,7 +222,6 @@ def test_verification_script_rejects_an_empty_or_nonpositive_range(argv, message
 
 def _decomposition_table():
     import importlib.util
-    import pathlib
 
     path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "decomposition_table.py"
     spec = importlib.util.spec_from_file_location("decomposition_table", path)
@@ -228,11 +232,8 @@ def _decomposition_table():
 
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_decomposition_table_rejects_a_nonpositive_n(n):
-    import pathlib
-
     script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "decomposition_table.py"
-    proc = subprocess.run([sys.executable, str(script), "--n", n],
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(str(script), "--n", n, timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"argument --n: must be at least 1, got {n}" in proc.stderr
@@ -302,8 +303,6 @@ def test_empty_permutation_is_a_usage_error(argv, capsys):
 def test_geometry_suites_match_the_benchmark_reference(seed, capsys):
     # the supports, minors and poincare checks of ``verify all --n 5`` as the
     # benchmark recorded them, for every seed it runs
-    import pathlib
-
     from gkmhess import cli
 
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -318,8 +317,6 @@ def test_geometry_suites_match_the_benchmark_reference(seed, capsys):
 @pytest.mark.parametrize("seed", range(16))
 def test_sw_suite_matches_the_benchmark_reference(seed, capsys):
     # the sw check of ``verify all --n 5`` as the benchmark recorded it
-    import pathlib
-
     from gkmhess import cli
 
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -331,8 +328,6 @@ def test_sw_suite_matches_the_benchmark_reference(seed, capsys):
 
 
 def test_sw_degrees_match_the_benchmark_reference():
-    import pathlib
-
     from gkmhess.chromatic import verify_shareshian_wachs
     from gkmhess.gkm import HessenbergFunction
 
@@ -343,8 +338,6 @@ def test_sw_degrees_match_the_benchmark_reference():
 
 
 def test_poincare_at_n4_matches_the_geometry_reference():
-    import pathlib
-
     from gkmhess import cli
 
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -523,8 +516,7 @@ for command in sys.argv[2:]:
 
 
 def _run_with_fault(fault, *commands):
-    proc = subprocess.run([sys.executable, "-c", _PLANT_FAULT, fault, *commands],
-                          capture_output=True, text=True, timeout=600)
+    proc = run_python("-c", _PLANT_FAULT, fault, *commands)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -716,8 +708,7 @@ def test_repeated_value_in_w_is_a_usage_error():
 
 def test_package_imports_without_numpy():
     code = "import sys, gkmhess, gkmhess.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60)
+    proc = run_python("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -769,8 +760,6 @@ def test_determinism():
     ],
 )
 def test_golden_outputs(golden, args):
-    import pathlib
-
     expected = (pathlib.Path(__file__).parent / "golden" / golden).read_text()
     proc = run_cli(*args)
     assert proc.stdout == expected
