@@ -27,7 +27,11 @@ looks at the reachability combinatorics.  Both are exact: a minor counts as
 nonzero when its polynomial is, and no point is sampled.  Every minor and
 every Plücker coordinate comes from one Laplace recurrence over row subsets,
 each minor from the minors of its subsets one row smaller, over the chart's
-polynomial entries.
+polynomial entries.  The recurrence keeps a vanishing minor as the ``int``
+0 and skips every term with a zero entry or a zero sub-minor, so no
+polynomial is ever multiplied by a known zero.  Likewise the consistency
+check reads each chart's forced-zero pairs from one list made once, and a
+path coefficient is one ``Fraction`` built from two integer products.
 """
 
 from __future__ import annotations
@@ -182,13 +186,22 @@ class CellChart:
             h = self.h
         elif h.n != self.h.n or _free_pairs(self.w, h) != self.free_pairs:
             raise ValueError(f"h = {h} gives w = {self.w} another cell digraph than h = {self.h}")
-        n = h.n
+        return [
+            (alpha, beta)
+            for alpha, beta in self._forced_zero_pairs
+            if alpha > h(beta) and not self.defining_equation(alpha, beta).is_zero
+        ]
+
+    @functools.cached_property
+    def _forced_zero_pairs(self) -> list[tuple[int, int]]:
+        """The pairs alpha > beta with w(alpha) < w(beta), whose entry is 0,
+        by ascending beta and then alpha."""
+        n, w = self.h.n, self.w
         return [
             (alpha, beta)
             for beta in range(1, n + 1)
-            for alpha in range(h(beta) + 1, n + 1)
-            if self.w(alpha) < self.w(beta)
-            and not self.defining_equation(alpha, beta).is_zero
+            for alpha in range(beta + 1, n + 1)
+            if w(alpha) < w(beta)
         ]
 
 
@@ -230,18 +243,20 @@ def minimal_path_coefficient(path: Sequence[int], w: Permutation, c: EigenvalueV
 
     For the path ``j = g_{t+1} -> g_t -> ... -> g_1 -> g_0 = i`` the value is
     the product of ``c_{w(g_l)} - c_{w(g_{l+1})}`` for ``l = 1..t`` divided by
-    the product of ``c_{w(i)} - c_{w(g_l)}`` for ``l = 2..t+1``.
+    the product of ``c_{w(i)} - c_{w(g_l)}`` for ``l = 2..t+1``.  The
+    factors' numerators and denominators are multiplied as integers, so
+    one ``Fraction`` is made, at the end.
     """
-    ascending = list(path)
-    gammas = list(reversed(ascending))  # g_0 = i down to g_{t+1} = j
-    t = len(gammas) - 2
-    numerator = Fraction(1)
-    for ell in range(1, t + 1):
-        numerator *= c[w(gammas[ell])] - c[w(gammas[ell + 1])]
-    denominator = Fraction(1)
-    for ell in range(2, t + 2):
-        denominator *= c[w(gammas[0])] - c[w(gammas[ell])]
-    return numerator / denominator
+    values = c.exact
+    at = [values[w(g) - 1] for g in path]
+    top = at[-1]
+    # each factor is an int or a Fraction, so its parts go on either side
+    numerator = denominator = 1
+    for k in range(len(at) - 2):
+        step, drop = at[k + 1] - at[k], top - at[k]
+        numerator *= step.numerator * drop.denominator
+        denominator *= step.denominator * drop.numerator
+    return Fraction(numerator, denominator)
 
 
 def path_monomial_exponents(chart: CellChart, path: Sequence[int]) -> tuple[int, ...]:
@@ -259,24 +274,35 @@ def _leading_minors(rows: Sequence[Sequence]) -> list:
     for every row subset ``R`` as a bitmask (bit r for ``rows[r]``).
 
     The package's one determinant: entries may be ``int``, ``Fraction`` or
-    ``MultiPoly`` (a zero entry passed as the ``int`` 0 is skipped).  Laplace
-    expansion along column ``|R|``: det(R) = sum over r in R of
-    (-1)^(pos + |R|) rows[r][|R| - 1] det(R minus r), pos the 1-based rank of
-    r in R.  A subset comes after all of its subsets in numeric order.
+    ``MultiPoly``, a zero entry passed as the ``int`` 0.  Laplace expansion
+    along column ``|R|``: det(R) = sum over r in R of (-1)^(pos + |R|)
+    rows[r][|R| - 1] det(R minus r), pos the 1-based rank of r in R.  A
+    subset comes after all of its subsets in numeric order.  A vanishing
+    minor is stored as the ``int`` 0, so every stored ``MultiPoly`` is
+    nonzero, and a term whose entry or sub-minor is zero is never
+    multiplied: each product has two nonzero factors.
     """
     n = len(rows)
     minors = [1] + [0] * ((1 << n) - 1)
     for mask in range(1, 1 << n):
         col = mask.bit_count() - 1
-        total, sign = 0, 1
+        total = None
+        negative = False  # the sign of the term for the next row of R
         for r in range(n - 1, -1, -1):
             bit = 1 << r
             if mask & bit:
-                entry = rows[r][col]
-                if entry:
-                    total += sign * entry * minors[mask ^ bit]
-                sign = -sign
-        minors[mask] = total
+                entry, sub = rows[r][col], minors[mask ^ bit]
+                if entry and sub:
+                    term = entry * sub
+                    if total is None:
+                        total = -term if negative else term
+                    elif negative:
+                        total = total - term
+                    else:
+                        total = total + term
+                negative = not negative
+        if total is not None and total != 0:
+            minors[mask] = total
     return minors
 
 
@@ -293,7 +319,7 @@ def _polynomial_rows(chart: CellChart, rows, cols) -> list[list[MultiPoly | int]
 def minor_symbolic(chart: CellChart, rows, cols) -> MultiPoly:
     """det over chart entries, rows/cols ascending index tuples of equal size."""
     det = _leading_minors(_polynomial_rows(chart, rows, cols))[-1]
-    return MultiPoly.zero(chart.nvars) + det
+    return det if type(det) is MultiPoly else MultiPoly.constant(det, chart.nvars)
 
 
 MAX_EIGENVALUE_RESAMPLES = 3
@@ -373,4 +399,4 @@ def _nonzero_minor_masks(w: Permutation, h: HessenbergFunction) -> set[int]:
         build_cell_chart(w, h), [w_inv(r) for r in range(1, h.n + 1)], range(1, h.n + 1)
     )
     minors = _leading_minors(rows)
-    return {mask for mask in range(1, len(minors)) if minors[mask] != 0}
+    return {mask for mask in range(1, len(minors)) if minors[mask]}

@@ -114,6 +114,24 @@ def test_consistency_reports_a_forced_zero_pair_with_nonzero_sum(monkeypatch):
     assert _violations_by_full_scan(chart) == [(3, 1)]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_consistency_evaluates_exactly_the_forced_zero_pairs_above_h(n):
+    # with every equation made to read 1, the check reports each pair it
+    # evaluates: the pairs alpha > h(beta) with w(alpha) < w(beta), by
+    # ascending beta and then alpha
+    for h in HessenbergFunction.all(n):
+        for w in Permutation.all(n):
+            chart = build_cell_chart(w, h)
+            chart.defining_equation = lambda alpha, beta: MultiPoly.one(chart.nvars)
+            expected = [
+                (alpha, beta)
+                for beta in range(1, n + 1)
+                for alpha in range(h(beta) + 1, n + 1)
+                if w(alpha) < w(beta)
+            ]
+            assert chart.consistency_violations() == expected, (str(h), str(w))
+
+
 def _charts_sharing_a_digraph(n, pairs):
     """For each (h, w) in ``pairs``, its chart and the first chart of the
     pairs before it with the same w and cell digraph, where there is one."""
@@ -463,8 +481,9 @@ def test_certificate_counts_the_eigenvalue_draws_it_made(monkeypatch):
 
 
 def test_minor_certificates_match_golden():
-    # 200 recorded cases at n = 6 (132 unreachable), each certified again
-    # on the chart of its w and h; rng is read only by an eigenvalue resample
+    # the 500 cases verify minors --n 6 --seed 0 certifies (309 unreachable),
+    # each certified again on the chart of its w and h; rng is read only by
+    # an eigenvalue resample
     expected = json.loads((GOLDEN / "minor_certificates_n6_seed0.json").read_text())
     records = []
     for case in expected:
@@ -497,9 +516,7 @@ def _minor_cases_drawn(n, seed, count=500):
 
 def test_verify_minors_draws_its_cases_in_order(monkeypatch):
     # a spy on the certificate records what verify minors --n 6 --seed 0
-    # certifies.  The golden was captured while the certificate still drew
-    # sample points from this rng, so only its first case, drawn before any
-    # certificate ran, is still a draw of the sampler
+    # certifies: the replayed draws, and the cases of the golden
     from gkmhess import cli
 
     calls = []
@@ -513,8 +530,8 @@ def test_verify_minors_draws_its_cases_in_order(monkeypatch):
     report = cli.verify_minors(6, cli.RunConfig(seed=0))
     assert report["passed"] and report["eigenvalue_resamples"] == 0
     assert calls == _minor_cases_drawn(6, 0)
-    [first, *_] = json.loads((GOLDEN / "minor_certificates_n6_seed0.json").read_text())
-    assert calls[0] == {key: first[key] for key in ("w", "h", "rows", "cols")}
+    golden = json.loads((GOLDEN / "minor_certificates_n6_seed0.json").read_text())
+    assert calls == [{key: case[key] for key in ("w", "h", "rows", "cols")} for case in golden]
 
 
 def _pattern_of_masks(masks, n):
@@ -637,3 +654,99 @@ def test_leading_minors_match_exact_determinants(rows):
         sub = sympy.Matrix([[sympy.Rational(rows[r][col]) for col in range(len(chosen))]
                             for r in chosen])
         assert minors[mask] == Fraction(str(sub.det())), (rows, chosen)
+
+
+def _assert_minors_match_leibniz(rows):
+    """Every leading minor of ``rows`` equals its Leibniz sum, and every
+    vanishing one is stored as the ``int`` 0."""
+    minors = _leading_minors(rows)
+    for mask in range(1, 1 << len(rows)):
+        chosen = [rows[r] for r in range(len(rows)) if mask >> r & 1]
+        expected = leibniz([row[:len(chosen)] for row in chosen])
+        if expected == 0:
+            assert type(minors[mask]) is int and minors[mask] == 0, (rows, mask)
+        else:
+            assert minors[mask] == expected, (rows, mask)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_oracle_minors_match_leibniz(n):
+    # the rows of g = w x that the oracle expands, every (h, w) at n <= 4
+    pairs = [(h, w) for h in HessenbergFunction.all(n) for w in Permutation.all(n)]
+    if n == 5:
+        pairs = random.Random(5).sample(pairs, 60)
+    for h, w in pairs:
+        w_inv = w.inverse()
+        rows = cells._polynomial_rows(
+            build_cell_chart(w, h), [w_inv(r) for r in range(1, n + 1)], range(1, n + 1)
+        )
+        _assert_minors_match_leibniz(rows)
+
+
+_small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-2, 2), max_size=3
+).map(lambda terms: MultiPoly(2, terms))
+
+
+def _as_entry(poly):
+    """A polynomial as ``_leading_minors`` takes it: zero as the ``int`` 0."""
+    return 0 if poly.is_zero else poly
+
+
+@st.composite
+def _cancelling_poly_matrices(draw):
+    """A k x k matrix of polynomials whose larger minors cancel: the product
+    of a k x r and an r x k matrix with r < k, or a matrix with one row a
+    polynomial multiple of another."""
+    k = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        r = draw(st.integers(1, k - 1))
+        left = draw(st.lists(st.lists(_small_polys, min_size=r, max_size=r), min_size=k, max_size=k))
+        right = draw(st.lists(st.lists(_small_polys, min_size=k, max_size=k), min_size=r, max_size=r))
+        return [
+            [_as_entry(sum((left[i][t] * right[t][j] for t in range(r)), MultiPoly.zero(2)))
+             for j in range(k)]
+            for i in range(k)
+        ]
+    rows = draw(st.lists(st.lists(_small_polys, min_size=k, max_size=k), min_size=k, max_size=k))
+    source, target = draw(st.permutations(range(k)))[:2]
+    factor = draw(_small_polys)
+    rows[target] = [p * factor for p in rows[source]]
+    return [[_as_entry(p) for p in row] for row in rows]
+
+
+@given(_cancelling_poly_matrices())
+@settings(max_examples=60, deadline=None)
+def test_polynomial_minors_that_cancel_are_the_int_zero(rows):
+    _assert_minors_match_leibniz(rows)
+
+
+@given(_square_matrices(
+    st.sampled_from([Fraction(0)]) | st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    max_size=5,
+))
+@example([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]])
+@example([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+@settings(max_examples=60, deadline=None)
+def test_numeric_minors_with_fraction_zeros(rows):
+    _assert_minors_match_leibniz(rows)
+
+
+def _eigenvalue_vectors():
+    yield from ((n, prime_eigenvalues(n)) for n in range(1, 6))
+    yield 4, EigenvalueVector((Fraction(1, 2), Fraction(3), Fraction(7, 3), Fraction(5)))
+
+
+@pytest.mark.parametrize("n,c", list(_eigenvalue_vectors()))
+def test_minimal_path_coefficient_matches_the_fraction_product(n, c):
+    for h in HessenbergFunction.all(n):
+        for w in Permutation.all(n):
+            g = build_cell_digraph(w, h)
+            for j in range(1, n + 1):
+                for i in range(j, n + 1):
+                    for path in minimal_paths(g, j, i):
+                        found = minimal_path_coefficient(path, w, c)
+                        assert type(found) is Fraction
+                        assert found == reference_paths.minimal_path_coefficient(path, w, c), (
+                            str(h), str(w), path
+                        )
