@@ -29,9 +29,7 @@ every Plücker coordinate comes from one Laplace recurrence over row subsets,
 each minor from the minors of its subsets one row smaller, over the chart's
 polynomial entries.  The recurrence keeps a vanishing minor as the ``int``
 0 and skips every term with a zero entry or a zero sub-minor, so no
-polynomial is ever multiplied by a known zero.  Likewise the consistency
-check reads each chart's forced-zero pairs from one list made once, and a
-path coefficient is one ``Fraction`` built from two integer products.
+polynomial is ever multiplied by a known zero.
 """
 
 from __future__ import annotations
@@ -186,22 +184,13 @@ class CellChart:
             h = self.h
         elif h.n != self.h.n or _free_pairs(self.w, h) != self.free_pairs:
             raise ValueError(f"h = {h} gives w = {self.w} another cell digraph than h = {self.h}")
-        return [
-            (alpha, beta)
-            for alpha, beta in self._forced_zero_pairs
-            if alpha > h(beta) and not self.defining_equation(alpha, beta).is_zero
-        ]
-
-    @functools.cached_property
-    def _forced_zero_pairs(self) -> list[tuple[int, int]]:
-        """The pairs alpha > beta with w(alpha) < w(beta), whose entry is 0,
-        by ascending beta and then alpha."""
-        n, w = self.h.n, self.w
+        n = h.n
         return [
             (alpha, beta)
             for beta in range(1, n + 1)
-            for alpha in range(beta + 1, n + 1)
-            if w(alpha) < w(beta)
+            for alpha in range(h(beta) + 1, n + 1)
+            if self.w(alpha) < self.w(beta)
+            and not self.defining_equation(alpha, beta).is_zero
         ]
 
 
@@ -243,20 +232,18 @@ def minimal_path_coefficient(path: Sequence[int], w: Permutation, c: EigenvalueV
 
     For the path ``j = g_{t+1} -> g_t -> ... -> g_1 -> g_0 = i`` the value is
     the product of ``c_{w(g_l)} - c_{w(g_{l+1})}`` for ``l = 1..t`` divided by
-    the product of ``c_{w(i)} - c_{w(g_l)}`` for ``l = 2..t+1``.  The
-    factors' numerators and denominators are multiplied as integers, so
-    one ``Fraction`` is made, at the end.
+    the product of ``c_{w(i)} - c_{w(g_l)}`` for ``l = 2..t+1``.
     """
-    values = c.exact
-    at = [values[w(g) - 1] for g in path]
-    top = at[-1]
-    # each factor is an int or a Fraction, so its parts go on either side
-    numerator = denominator = 1
-    for k in range(len(at) - 2):
-        step, drop = at[k + 1] - at[k], top - at[k]
-        numerator *= step.numerator * drop.denominator
-        denominator *= step.denominator * drop.numerator
-    return Fraction(numerator, denominator)
+    ascending = list(path)
+    gammas = list(reversed(ascending))  # g_0 = i down to g_{t+1} = j
+    t = len(gammas) - 2
+    numerator = Fraction(1)
+    for ell in range(1, t + 1):
+        numerator *= c[w(gammas[ell])] - c[w(gammas[ell + 1])]
+    denominator = Fraction(1)
+    for ell in range(2, t + 2):
+        denominator *= c[w(gammas[0])] - c[w(gammas[ell])]
+    return numerator / denominator
 
 
 def path_monomial_exponents(chart: CellChart, path: Sequence[int]) -> tuple[int, ...]:
@@ -274,10 +261,11 @@ def _leading_minors(rows: Sequence[Sequence]) -> list:
     for every row subset ``R`` as a bitmask (bit r for ``rows[r]``).
 
     The package's one determinant: entries may be ``int``, ``Fraction`` or
-    ``MultiPoly``, a zero entry passed as the ``int`` 0.  Laplace expansion
-    along column ``|R|``: det(R) = sum over r in R of (-1)^(pos + |R|)
-    rows[r][|R| - 1] det(R minus r), pos the 1-based rank of r in R.  A
-    subset comes after all of its subsets in numeric order.  A vanishing
+    ``MultiPoly`` in any mix, a zero entry passed as the ``int`` 0.  Laplace
+    expansion along column ``|R|``: det(R) = sum over r in R of
+    (-1)^(pos + |R|) rows[r][|R| - 1] det(R minus r), pos the 1-based rank
+    of r in R.  A subset comes after all of its subsets in numeric order.
+    A vanishing
     minor is stored as the ``int`` 0, so every stored ``MultiPoly`` is
     nonzero, and a term whose entry or sub-minor is zero is never
     multiplied: each product has two nonzero factors.
@@ -296,10 +284,8 @@ def _leading_minors(rows: Sequence[Sequence]) -> list:
                     term = entry * sub
                     if total is None:
                         total = -term if negative else term
-                    elif negative:
-                        total = total - term
                     else:
-                        total = total + term
+                        total = total - term if negative else total + term
                 negative = not negative
         if total is not None and total != 0:
             minors[mask] = total

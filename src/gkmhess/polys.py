@@ -246,6 +246,12 @@ class MultiPoly:
                 del terms[m]
         return _trusted(self.nvars, terms)
 
+    def __rsub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
     def __mul__(self, other):
         if type(other) is not MultiPoly:
             if not isinstance(other, (int, Fraction)):

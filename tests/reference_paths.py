@@ -1,9 +1,5 @@
 """Minimal paths by enumerating every path and filtering: the reference for
-the pruned walk of ``cells.minimal_paths``; and the closed-form coefficient
-of a minimal path as a product of ``Fraction`` factors, the reference for
-the integer products of ``cells.minimal_path_coefficient``."""
-
-from fractions import Fraction
+the pruned walk of ``cells.minimal_paths``."""
 
 
 def paths(g, j, i):
@@ -29,18 +25,3 @@ def is_minimal_path(g, path):
 
 def minimal_paths(g, j, i):
     return [p for p in paths(g, j, i) if is_minimal_path(g, p)]
-
-
-def minimal_path_coefficient(path, w, c):
-    """For the path ``j = g_{t+1} -> g_t -> ... -> g_1 -> g_0 = i``: the
-    product of ``c_{w(g_l)} - c_{w(g_{l+1})}`` for ``l = 1..t`` over the
-    product of ``c_{w(i)} - c_{w(g_l)}`` for ``l = 2..t+1``."""
-    gammas = list(reversed(path))  # g_0 = i down to g_{t+1} = j
-    t = len(gammas) - 2
-    numerator = Fraction(1)
-    for ell in range(1, t + 1):
-        numerator *= c[w(gammas[ell])] - c[w(gammas[ell + 1])]
-    denominator = Fraction(1)
-    for ell in range(2, t + 2):
-        denominator *= c[w(gammas[0])] - c[w(gammas[ell])]
-    return numerator / denominator

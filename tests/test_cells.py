@@ -299,6 +299,20 @@ def test_minimal_path_coefficients_in_charts(n):
                         )
 
 
+def test_minimal_path_coefficients_in_charts_at_non_integral_eigenvalues():
+    c = EigenvalueVector((Fraction(1, 2), Fraction(3), Fraction(7, 3), Fraction(5)))
+    for h in HessenbergFunction.all(4):
+        for w in Permutation.all(4):
+            chart = build_cell_chart(w, h, c)
+            for j in range(1, 5):
+                for i in range(j + 1, 5):
+                    for path in minimal_paths(chart.digraph, j, i):
+                        found = minimal_path_coefficient(path, w, c)
+                        assert type(found) is Fraction
+                        mono = path_monomial_exponents(chart, path)
+                        assert chart.entry(i, j).coefficient(mono) == found, (str(h), str(w), path)
+
+
 def test_minor_examples():
     w = Permutation.from_one_line("24135")
     chart = build_cell_chart(w, H5)
@@ -732,21 +746,9 @@ def test_numeric_minors_with_fraction_zeros(rows):
     _assert_minors_match_leibniz(rows)
 
 
-def _eigenvalue_vectors():
-    yield from ((n, prime_eigenvalues(n)) for n in range(1, 6))
-    yield 4, EigenvalueVector((Fraction(1, 2), Fraction(3), Fraction(7, 3), Fraction(5)))
-
-
-@pytest.mark.parametrize("n,c", list(_eigenvalue_vectors()))
-def test_minimal_path_coefficient_matches_the_fraction_product(n, c):
-    for h in HessenbergFunction.all(n):
-        for w in Permutation.all(n):
-            g = build_cell_digraph(w, h)
-            for j in range(1, n + 1):
-                for i in range(j, n + 1):
-                    for path in minimal_paths(g, j, i):
-                        found = minimal_path_coefficient(path, w, c)
-                        assert type(found) is Fraction
-                        assert found == reference_paths.minimal_path_coefficient(path, w, c), (
-                            str(h), str(w), path
-                        )
+@given(_square_matrices(st.integers(-2, 2) | _small_polys.map(_as_entry), max_size=4))
+@example([[1, MultiPoly.variable(0, 2)], [1, 1]])
+@settings(max_examples=60, deadline=None)
+def test_minors_of_mixed_number_and_polynomial_matrices(rows):
+    # a sum that starts as a number may then subtract a polynomial term
+    _assert_minors_match_leibniz(rows)

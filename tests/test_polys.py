@@ -35,6 +35,11 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+@given(polys(), st.integers(-9, 9) | st.fractions(-3, 3, max_denominator=4))
+def test_a_number_minus_a_polynomial(p, a):
+    assert a - p == MultiPoly.constant(a, NVARS) - p == -(p - a)
+
+
 @given(polys())
 def test_no_stored_zeros(p):
     assert all(c for c in p.terms.values())
