@@ -3,6 +3,7 @@
 two checkouts.
 
     python3 scripts/cli_parity.py ARGS_FILE SRC_DIR > fingerprints.jsonl
+    python3 scripts/cli_parity.py ARGS_FILE SRC_DIR --check fingerprints.jsonl
 
 ``ARGS_FILE`` holds one invocation per line, the arguments after
 ``gkmhess`` in shell syntax (blank lines and ``#`` comments are skipped).
@@ -12,6 +13,12 @@ line is printed per invocation: its arguments, its exit code, and the
 sha256 of its standard output and of its standard error.  Running the same
 file against two ``src`` directories and diffing the outputs shows every
 invocation whose output or exit code differs.
+
+With ``--check FILE`` the fingerprints are compared with those in ``FILE``
+instead, keyed by arguments: only the invocations whose fingerprint differs
+(or that ``FILE`` lacks) are printed, with a count on standard error, and
+the exit status is 1 on any difference, 0 otherwise.  The committed corpus
+is ``tests/golden/parity.args`` with ``tests/golden/parity.jsonl``.
 """
 
 import argparse
@@ -38,19 +45,49 @@ def fingerprint(main, args: list[str]) -> dict:
     }
 
 
+def read_invocations(path: str) -> list[list[str]]:
+    """The argument lists of ``path``, one per non-blank, non-comment line."""
+    with open(path) as handle:
+        lines = [line.strip() for line in handle]
+    return [shlex.split(line) for line in lines if line and not line.startswith("#")]
+
+
+def read_fingerprints(path: str) -> dict[str, dict]:
+    """The fingerprints of ``path``, keyed by their ``args``."""
+    with open(path) as handle:
+        records = [json.loads(line) for line in handle if line.strip()]
+    return {record["args"]: record for record in records}
+
+
+def differences(main, invocations, expected: dict[str, dict]) -> list[dict]:
+    """The fingerprint of each invocation that differs from ``expected``."""
+    found = []
+    for args in invocations:
+        record = fingerprint(main, args)
+        if expected.get(record["args"]) != record:
+            found.append(record)
+    return found
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("args_file", help="one line of gkmhess arguments per invocation")
     parser.add_argument("src", help="the directory to import gkmhess from")
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with these fingerprints; exit 1 on any difference")
     options = parser.parse_args()
     sys.path.insert(0, options.src)
     from gkmhess.cli import main as gkmhess_main
 
-    with open(options.args_file) as handle:
-        lines = [line.strip() for line in handle]
-    for line in lines:
-        if line and not line.startswith("#"):
-            print(json.dumps(fingerprint(gkmhess_main, shlex.split(line))), flush=True)
+    invocations = read_invocations(options.args_file)
+    if options.check:
+        found = differences(gkmhess_main, invocations, read_fingerprints(options.check))
+        for record in found:
+            print(json.dumps(record), flush=True)
+        print(f"{len(found)} of {len(invocations)} invocations differ", file=sys.stderr)
+        return 1 if found else 0
+    for args in invocations:
+        print(json.dumps(fingerprint(gkmhess_main, args)), flush=True)
     return 0
 
 
