@@ -155,56 +155,80 @@ def _assert_symmetric(counts: dict[tuple[int, ...], list[int]], n: int) -> None:
 
 
 def frobenius_of_degree(h: HessenbergFunction, k: int) -> SymFunc:
-    """Character of degree 2k under the dot action, as an h-basis vector.
+    """Character of degree 2k under the dot action, as an h-basis vector:
+    ``_power_sum_character`` converted to complete homogeneous coordinates."""
+    return _power_sum_character(h, k).to_basis("h")
+
+
+def _power_sum_character(h: HessenbergFunction, k: int) -> SymFunc:
+    """Frobenius characteristic of degree 2k, as a power-sum vector.
 
     Traces at one representative per cycle type, from one generator matrix
     per letter; the class function is assembled over power sums with
     centralizer normalization.
     """
-    n = h.n
-    matrices_by_generator = {i: generator_matrix(i, k, h) for i in range(1, n)}
+    matrices_by_generator = {i: generator_matrix(i, k, h) for i in range(1, h.n)}
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for mu, chi in _cycle_type_traces(h, k, matrices_by_generator).items():
         if chi:
             coeffs[mu] = Fraction(chi, z_mu(mu))
-    return SymFunc(n, "p", coeffs).to_basis("h")
+    return SymFunc(h.n, "p", coeffs)
 
 
 def _cycle_type_traces(h: HessenbergFunction, k: int,
                        matrices_by_generator: dict[int, ActionMatrix]) -> dict[tuple[int, ...], Coeff]:
     """Trace on degree 2k at each ``cycle_type_representative``, by cycle type.
 
-    No word's matrix is formed: a reduced word splits as ``L R``, and
+    The representative of ``mu`` is the product of its cycles, one block
+    ``s_a s_{a+1} ... s_{b-1}`` per part on the letters ``a..b``; the blocks
+    act on disjoint letters, so they commute.  Its word is written block by
+    block and split as ``L R``: ``L`` is the first block, a prefix of
+    ``s_1 s_2 ... s_{n-1}`` shared by every ``mu`` with the same first part,
+    and ``R`` is the rest.  No word's matrix is formed:
     ``trace(L R) = sum L[x, v] R[v, x]`` over the entries of ``R``.  The
-    matrix of each segment is built along its prefixes, each prefix's
-    product memoized for the degree, since the representatives' words share
-    most of them; the memo goes when the traces are returned.
+    matrix of each factor is built along its prefixes, each prefix's
+    product memoized for the degree; the memo goes when the traces are
+    returned.
     """
     products: dict[tuple[int, ...], ActionMatrix] = {}
+
+    def word_matrix(word: tuple[int, ...]) -> ActionMatrix | None:
+        if not word:
+            return None
+        matrix = matrices_by_generator[word[0]]
+        for end in range(2, len(word) + 1):
+            prefix = word[:end]
+            if prefix not in products:
+                products[prefix] = matrix.compose(matrices_by_generator[word[end - 1]])
+            matrix = products[prefix]
+        return matrix
+
     traces: dict[tuple[int, ...], Coeff] = {}
     for mu in partitions(h.n):
-        word = cycle_type_representative(mu).reduced_word()
-        if len(word) < 2:
-            traces[mu] = (matrices_by_generator[word[0]].trace() if word
-                          else len(degree_basis(h, k)))
+        blocks = _cycle_blocks(mu)
+        left = word_matrix(blocks[0])
+        right = word_matrix(sum(blocks[1:], ()))
+        if right is None:
+            traces[mu] = left.trace() if left else len(degree_basis(h, k))
             continue
-        half = len(word) // 2
-        halves = []
-        for segment in (word[:half], word[half:]):
-            matrix = matrices_by_generator[segment[0]]
-            for end in range(2, len(segment) + 1):
-                prefix = segment[:end]
-                if prefix not in products:
-                    products[prefix] = matrix.compose(matrices_by_generator[segment[end - 1]])
-                matrix = products[prefix]
-            halves.append(matrix.columns)
-        left, right = halves
+        left_columns = left.columns
         traces[mu] = sum(
-            value * left[v].get(x, 0)
-            for x, column in enumerate(right)
+            value * left_columns[v].get(x, 0)
+            for x, column in enumerate(right.columns)
             for v, value in column.items()
         )
     return traces
+
+
+def _cycle_blocks(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The word ``a, a+1, ..., b-1`` of each cycle of
+    ``cycle_type_representative(mu)``, on the letters ``a..b`` of its part."""
+    blocks = []
+    start = 1
+    for part in mu:
+        blocks.append(tuple(range(start, start + part - 1)))
+        start += part
+    return blocks
 
 
 @dataclass
@@ -216,8 +240,10 @@ class SwReport:
 
 
 def verify_shareshian_wachs(h: HessenbergFunction) -> SwReport:
-    """Coefficientwise h-basis equality of the involuted chromatic function
-    and the graded Frobenius characteristic, degree by degree.
+    """Equality of the chromatic function with the involuted graded
+    Frobenius characteristic, degree by degree: ``omega`` of each power-sum
+    character, by the sign rule on ``p``, against the m-basis chromatic
+    coefficient, compared over the counted p-to-m transition only.
 
     ``agree`` also asks the characters to be palindromic, degree k equal to
     degree ``top - k``, as hard Lefschetz requires; ``per_degree`` holds the
@@ -226,8 +252,8 @@ def verify_shareshian_wachs(h: HessenbergFunction) -> SwReport:
     graded = chromatic_qsym(h)
     top = len(h.pairs)
     # one degree's generator matrices at a time, freed before the next is built
-    characters = [frobenius_of_degree(h, k) for k in range(top + 1)]
-    per_degree = [graded[k].omega().to_basis("h") == characters[k] for k in range(top + 1)]
+    characters = [_power_sum_character(h, k) for k in range(top + 1)]
+    per_degree = [characters[k].omega() == graded[k] for k in range(top + 1)]
     palindromic = all(characters[k] == characters[top - k] for k in range(top + 1))
     return SwReport(h=h, n=h.n, agree=all(per_degree) and palindromic, per_degree=per_degree)
 

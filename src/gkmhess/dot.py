@@ -281,15 +281,9 @@ class _SiExpansionCache:
         self._depth_limit = math.factorial(n)
 
     def expansion(self, w: Permutation, i: int) -> dict[Permutation, object]:
-        j, k = w.index(i), w.index(i + 1)
-        if j + 1 == k:
-            # ascent i, i+1: acting from below fixes the class
-            return {w: self.ring.one}
-        if k + 1 != j:
-            # descent pattern unchanged: the class moves along to s_i w
-            images = list(w)
-            images[j], images[k] = i + 1, i
-            return {tuple.__new__(Permutation, images): self.ring.one}
+        moved = _one_term_image(w, i)
+        if moved is not None:
+            return {moved: self.ring.one}
         key = (w, i)
         hit = self.cache.get(key)
         if hit is not None:
@@ -342,6 +336,24 @@ class _SiExpansionCache:
                     _add(nxt, target, moved_coeff * inner)
             current = {v: c for v, c in nxt.items() if not ring.is_zero(c)}
         return current
+
+
+def _one_term_image(w: Permutation, i: int) -> Permutation | None:
+    """The one class ``s_i . sigma_w`` equals, read off the positions of
+    ``i`` and ``i+1`` in ``w``; ``None`` in the descent case.
+
+    With ``i`` directly left of ``i+1`` the class is fixed; when the two
+    are not adjacent the descent pattern is unchanged and the class moves
+    to ``sigma_{s_i w}``.  Both images have coefficient 1 in either ring.
+    """
+    j, k = w.index(i), w.index(i + 1)
+    if j + 1 == k:
+        return w
+    if k + 1 == j:
+        return None
+    images = list(w)
+    images[j], images[k] = i + 1, i
+    return tuple.__new__(Permutation, images)
 
 
 def _add(acc: dict, key: Permutation, coeff) -> None:
@@ -411,7 +423,13 @@ class ActionMatrix:
         return self.columns[c].get(r, 0)
 
     def apply_vector(self, vec: dict[int, Coeff]) -> dict[int, Coeff]:
+        """The image of ``vec``; a basis vector with the ``int`` 1 maps to
+        a copy of its column."""
         columns = self.columns
+        if len(vec) == 1:
+            [(col, coeff)] = vec.items()
+            if coeff == 1 and type(coeff) is int:
+                return dict(columns[col])
         out: dict[int, Coeff] = {}
         for col, coeff in vec.items():
             if not coeff:
@@ -446,9 +464,11 @@ def degree_basis(h: HessenbergFunction, k: int) -> tuple[Permutation, ...]:
 def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:
     """Matrix of ``s_i`` on ordinary degree-2k cohomology.
 
-    One route per family.  Permutohedral h: the recursion of
-    ``perm_si_action`` run on integers at t = 0.  Full flag: the identity,
-    the t = 0 image of ``full_flag_si_expansion``, whose only other term
+    One route per family.  Permutohedral h: a column whose image is one
+    class (``_one_term_image``) is read off the positions of ``i`` and
+    ``i+1`` with coefficient 1; only a descent column runs the recursion of
+    ``perm_si_action`` on integers at t = 0.  Full flag: the identity, the
+    t = 0 image of ``full_flag_si_expansion``, whose only other term
     carries the root ``t_{i+1} - t_i``.  Any other h: ``reduce_to_ordinary``
     of ``s_i . sigma_w`` over ``flow_up_basis(h)``.  Each column is keyed
     by degree-basis position; a term outside the basis is an AssertionError.
@@ -457,23 +477,35 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:
     order = degree_basis(h, k)
     if h.is_full_flag():
         return ActionMatrix.identity(order)
+    position = {w: j for j, w in enumerate(order)}
+    columns = []
     if h.is_permutohedral():
         cache = _expansion_cache(h.n, _ConstantRing)
-        images = (cache.expansion(w, i) for w in order)
+        for w in order:
+            moved = _one_term_image(w, i)
+            if moved is None:
+                columns.append(_by_position(position, cache.expansion(w, i), i, w, k))
+            else:
+                # a fixed or moved class keeps w's descents, so its degree
+                columns.append({position[moved]: 1})
     else:
         basis = flow_up_basis(h)
         si = Permutation.simple(i, h.n)
-        images = (reduce_to_ordinary(dot(si, basis[w]), k, h, basis) for w in order)
-    position = {w: j for j, w in enumerate(order)}
-    columns = []
-    for w, image in zip(order, images):
-        try:
-            columns.append({position[v]: c for v, c in image.items()})
-        except KeyError as exc:
-            raise AssertionError(
-                f"s_{i} . sigma_{w} leaves degree {k}: it reaches {exc.args[0]}"
-            ) from None
+        for w in order:
+            image = reduce_to_ordinary(dot(si, basis[w]), k, h, basis)
+            columns.append(_by_position(position, image, i, w, k))
     return ActionMatrix(order, columns)
+
+
+def _by_position(position: dict[Permutation, int], image: dict, i: int,
+                 w: Permutation, k: int) -> dict[int, Coeff]:
+    """The column of ``s_i . sigma_w = image``, keyed by degree-basis position."""
+    try:
+        return {position[v]: c for v, c in image.items()}
+    except KeyError as exc:
+        raise AssertionError(
+            f"s_{i} . sigma_{w} leaves degree {k}: it reaches {exc.args[0]}"
+        ) from None
 
 
 def action_matrix(u: Permutation, k: int, h: HessenbergFunction) -> ActionMatrix:

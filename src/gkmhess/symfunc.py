@@ -217,6 +217,8 @@ class SymFunc:
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
+        if self.basis == other.basis:
+            return self.n == other.n and self.coeffs == other.coeffs
         return (
             self.n == other.n
             and self.to_basis("m").coeffs == other.to_basis("m").coeffs
@@ -258,6 +260,11 @@ class SymFunc:
             return SymFunc(self.n, "h", self.coeffs)
         if self.basis == "h":
             return SymFunc(self.n, "e", self.coeffs)
+        if self.basis == "p":
+            # omega p_mu = (-1)^(n - len(mu)) p_mu
+            return SymFunc(self.n, "p", {
+                mu: -c if (self.n - len(mu)) % 2 else c for mu, c in self.coeffs.items()
+            })
         return self.to_basis("e").omega().to_basis(self.basis)
 
     def __str__(self) -> str:

@@ -338,8 +338,8 @@ def test_non_palindromic_characters_fail_the_identity(monkeypatch):
         SymFunc(3, "m", {(2, 1): Fraction(1)}),
     ]
     monkeypatch.setattr(chromatic, "chromatic_qsym", lambda h: graded)
-    monkeypatch.setattr(chromatic, "frobenius_of_degree",
-                        lambda h, k: graded[k].omega().to_basis("h"))
+    monkeypatch.setattr(chromatic, "_power_sum_character",
+                        lambda h, k: graded[k].omega().to_basis("p"))
     report = verify_shareshian_wachs(HessenbergFunction.permutohedral(3))
     assert report.per_degree == [True, True, True]
     assert not report.agree
