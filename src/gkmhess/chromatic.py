@@ -9,15 +9,20 @@ still see.  Each t-coefficient must come out symmetric, which the
 construction asserts by comparing rearranged contents.
 
 The graded character side takes traces of the exact action at one
-representative per cycle type, each from the products of the two halves of
-a reduced word, assembles the Frobenius characteristic in
-the power-sum basis, and converts to complete homogeneous coordinates.
-The two sides agree after applying the elementary/homogeneous involution
-to the chromatic side.  Both are palindromic in t (the character side by
-hard Lefschetz), so the check compares degree by degree and also asks the
-characters to be palindromic; no mirrored statistic is tried.  For the
-permutohedral family the module types produced by the erasing-marks
-decomposition match a closed product formula degree by degree.
+representative per cycle type, its word written one cycle at a time so that
+the first cycle's matrix is a prefix product of ``s_1 s_2 ...`` shared
+across cycle types, and assembles the Frobenius characteristic in the
+power-sum basis (``frobenius_of_degree`` converts it to complete
+homogeneous coordinates).  The two sides agree after applying the
+elementary/homogeneous involution: the check applies it to the power-sum
+character, where it is a sign per cycle type, and compares with the
+m-basis chromatic side through the counted p-to-m transition alone, so no
+transition matrix is inverted.  Both are palindromic in t (the character
+side by hard Lefschetz), so the check compares degree by degree and also
+asks the characters to be palindromic; no mirrored statistic is tried.
+For the permutohedral family the module types produced by the
+erasing-marks decomposition match a closed product formula degree by
+degree.
 """
 
 from __future__ import annotations

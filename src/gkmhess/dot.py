@@ -25,13 +25,18 @@ and kills the root ``t_{i+1} - t_i``, and the recursion uses nothing but the
 ring operations, those roots and that action.  So the integer run yields
 exactly the constant terms of the polynomial run.
 
-``auxiliary_terms`` is the one walk over the auxiliary summands, read by
-both the recursion and ``build_auxiliary_class``.  It builds one
+The first two cases are read in one place, ``_one_term_image``, by the
+recursion and by ``generator_matrix`` alike; only the descent case reaches
+the memo.  ``auxiliary_terms`` is the one walk over the auxiliary summands,
+read by both the recursion and ``build_auxiliary_class``.  It builds one
 ``AuxiliaryTerm`` tuple per ``(P, Q)`` and no other object per summand: a
 summand that needs no boundary correction has its ``tilde`` as target and
 one shared identity as mover, whose word the recursion does not apply.
-``generator_matrix`` numbers each expansion by position in the degree
-basis, the one numbering of every ``ActionMatrix``.
+``generator_matrix`` numbers each column by position in the degree basis,
+the one numbering of every ``ActionMatrix``; a one-term column is the
+position of its one class with coefficient 1.  ``ActionMatrix.apply_vector``
+maps a basis vector with the ``int`` 1 to a copy of its column, so a
+product by a matrix of one-term columns mostly copies columns.
 """
 
 from __future__ import annotations
@@ -268,7 +273,7 @@ class _SiExpansionCache:
     Values are dicts mapping basis permutations to nonzero coefficients in
     ``ring``: polynomials (``_PolyRing``) or their values at t = 0
     (``_ConstantRing``).  Only the descent case is memoized: the other two
-    are one-term moves, read off the positions of ``i`` and ``i+1``.  A
+    are one-term moves, ``_one_term_image``.  A
     recursion guard raises on re-entry for the same pair, which the
     underlying identities rule out in practice.
     """

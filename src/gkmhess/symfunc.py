@@ -7,8 +7,12 @@ matrices are built once per degree by counting: the coefficient of
 factors is the number of ways to pick one monomial per factor with product
 ``x^mu``, and Schur functions expand through Kostka numbers.  They are
 inverted with the shared exact kernel of ``linalg``, so every
-conversion round-trips bit-exactly.  The involution swapping elementary and
-complete homogeneous generators acts by retagging in the e/h pair of bases.
+conversion round-trips bit-exactly; a conversion to ``m`` reads only the
+counted matrix, and two vectors in one basis compare without conversion.
+The involution omega swapping elementary and complete homogeneous
+generators acts by retagging in the e/h pair of bases and by the sign
+``(-1)^(n - len(mu))`` on each power sum ``p_mu``; in ``m`` and ``s`` it
+goes through ``e``.
 """
 
 from __future__ import annotations
@@ -255,7 +259,9 @@ class SymFunc:
         return SymFunc(self.n, basis, coeffs)
 
     def omega(self) -> "SymFunc":
-        """The involution exchanging elementary and complete homogeneous bases."""
+        """The involution exchanging elementary and complete homogeneous
+        bases: a retagging in e/h, a sign per part count in p, through e
+        otherwise."""
         if self.basis == "e":
             return SymFunc(self.n, "h", self.coeffs)
         if self.basis == "h":

@@ -7,14 +7,20 @@ the auxiliary summands of the descent case from the inverse permutation and
 re-derives the descent set of every permutation it builds.
 ``min_length_coset_reps`` finds the shortest element of each coset of the
 fine block subgroup in the coarse one by a minimum search over Coxeter
-lengths.
+lengths.  ``position_keyed_generator_matrix`` assembles a permutohedral
+generator matrix by keying every memo expansion by position, one-term
+columns included.  ``half_word_traces`` takes each cycle type's trace from
+the two halves of its reduced word.  ``omega_through_e`` applies the
+involution by converting to the elementary basis and retagging.
 """
 
 from itertools import chain, combinations
 
 from gkmhess.decomp import block_subgroups
-from gkmhess.dot import AuxiliaryTerm
-from gkmhess.perms import Permutation, young_subgroup
+from gkmhess.dot import (AuxiliaryTerm, ActionMatrix, _ConstantRing, _expansion_cache,
+                         degree_basis)
+from gkmhess.perms import Permutation, partitions, young_subgroup
+from gkmhess.symfunc import cycle_type_representative
 
 
 def min_length_coset_reps(w):
@@ -144,3 +150,58 @@ def walk_auxiliary_terms(w, i):
             mover = tilde * target.inverse()
             terms.append(AuxiliaryTerm(tilde=tilde, target=target, mover=mover))
     return terms
+
+
+def position_keyed_generator_matrix(i, k, h):
+    """Matrix of ``s_i`` on permutohedral degree 2k: each column is the
+    memo's t = 0 expansion ``expansion(w, i)``, keyed by position."""
+    order = degree_basis(h, k)
+    cache = _expansion_cache(h.n, _ConstantRing)
+    position = {w: j for j, w in enumerate(order)}
+    columns = []
+    for w in order:
+        image = cache.expansion(w, i)
+        try:
+            columns.append({position[v]: c for v, c in image.items()})
+        except KeyError as exc:
+            raise AssertionError(
+                f"s_{i} . sigma_{w} leaves degree {k}: it reaches {exc.args[0]}"
+            ) from None
+    return ActionMatrix(order, columns)
+
+
+def half_word_traces(h, k, matrices_by_generator):
+    """Trace at each ``cycle_type_representative``: its reduced word split
+    in two halves ``L R``, each built along its prefixes, and
+    ``trace(L R) = sum L[x, v] R[v, x]``."""
+    products = {}
+    traces = {}
+    for mu in partitions(h.n):
+        word = cycle_type_representative(mu).reduced_word()
+        if len(word) < 2:
+            traces[mu] = (matrices_by_generator[word[0]].trace() if word
+                          else len(degree_basis(h, k)))
+            continue
+        half = len(word) // 2
+        halves = []
+        for segment in (word[:half], word[half:]):
+            matrix = matrices_by_generator[segment[0]]
+            for end in range(2, len(segment) + 1):
+                prefix = segment[:end]
+                if prefix not in products:
+                    products[prefix] = matrix.compose(matrices_by_generator[segment[end - 1]])
+                matrix = products[prefix]
+            halves.append(matrix.columns)
+        left, right = halves
+        traces[mu] = sum(
+            value * left[v].get(x, 0)
+            for x, column in enumerate(right)
+            for v, value in column.items()
+        )
+    return traces
+
+
+def omega_through_e(f):
+    """The involution of ``f``: to the elementary basis, retagged as
+    complete homogeneous, back to ``f``'s basis."""
+    return f.to_basis("e").omega().to_basis(f.basis)

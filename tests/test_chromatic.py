@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_actions import half_word_traces, omega_through_e
 
 from gkmhess.chromatic import (
     SymmetryViolationError,
     _assert_symmetric,
     _coloring_counts,
+    _cycle_blocks,
     _cycle_type_traces,
     chromatic_qsym,
     frobenius_of_degree,
@@ -153,6 +155,34 @@ def test_half_word_traces_match_composed_matrices(h):
             assert chi == action_matrix(u, k, h).trace()
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cycle_blocks_multiply_to_the_representative(n):
+    for mu in partition_list(n):
+        blocks = _cycle_blocks(mu)
+        assert [len(block) + 1 for block in blocks] == list(mu)
+        product = Permutation.identity(n)
+        for block in blocks:
+            for gen in block:
+                product = product * Permutation.simple(gen, n)
+        assert product == cycle_type_representative(mu)
+
+
+def _traced_functions():
+    families = [make(n) for n in range(1, 7)
+                for make in (HessenbergFunction.permutohedral, HessenbergFunction.full_flag)]
+    return list(dict.fromkeys(families + list(HessenbergFunction.all(4))))
+
+
+@pytest.mark.parametrize("h", _traced_functions(), ids=str)
+def test_block_traces_match_composed_matrices_and_half_words(h):
+    for k in range(len(h.pairs) + 1):
+        matrices = {i: generator_matrix(i, k, h) for i in range(1, h.n)}
+        traces = _cycle_type_traces(h, k, matrices)
+        assert traces == half_word_traces(h, k, matrices)
+        for mu, chi in traces.items():
+            assert chi == action_matrix(cycle_type_representative(mu), k, h).trace()
+
+
 def test_trace_products_are_freed_when_the_degree_returns(monkeypatch):
     # the segment memo is a plain local, so reference counting frees every
     # product on return, with the cycle collector off
@@ -203,6 +233,16 @@ def test_basis_round_trips():
 def test_round_trip_random_m_vectors(coeffs):
     f = SymFunc(4, "m", coeffs)
     assert f.to_basis("p").to_basis("e").to_basis("m") == f
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_omega_on_power_sums_matches_the_route_through_e(n):
+    for mu in partition_list(n):
+        p_mu = SymFunc(n, "p", {mu: Fraction(3, 2)})
+        image = p_mu.omega()
+        assert image.basis == "p"
+        assert image.coeffs == {mu: Fraction(3, 2) * (-1) ** (n - len(mu))}
+        assert image == omega_through_e(p_mu)
 
 
 def test_omega_swaps_e_and_h():

@@ -406,6 +406,14 @@ def s1_matrix():
         module.generator_matrix = faulty
 
 
+def s2_column(w):
+    # s_2 . sigma_w read as sigma_w itself, where 2 and 3 stand apart in w
+    # and the class moves to sigma_{s_2 w}: one one-term column of every s_2
+    # permutohedral matrix, in both rings
+    exact, w_0 = dot._one_term_image, Permutation.from_one_line(w)
+    dot._one_term_image = lambda v, i: v if (v, i) == (w_0, 2) else exact(v, i)
+
+
 def type_multiset():
     # one more module of type (5,) in degree 2 at n = 5 than the decomposition has
     exact = decomp.expected_type_multiset
@@ -540,6 +548,14 @@ def test_coxeter_catches_a_wrong_s1_matrix():
     # verify decomposition trusts the matrices, so it is not asserted here;
     # the traces of Shareshian-Wachs read them too
     lines = _run_with_fault("s1-matrix", "coxeter --n 5", "sw --n 5", "all --n 5")
+    assert lines[:2] == ["coxeter 1 False coxeter", "sw 1 False sw"]
+    _assert_all_fails(lines[2], "coxeter")
+    _assert_all_fails(lines[2], "sw")
+
+
+def test_coxeter_and_sw_catch_a_one_term_column_that_stays():
+    # 2 and 3 are apart in 31425, so s_2 moves its class to that of 21435
+    lines = _run_with_fault("s2-column 31425", "coxeter --n 5", "sw --n 5", "all --n 5")
     assert lines[:2] == ["coxeter 1 False coxeter", "sw 1 False sw"]
     _assert_all_fails(lines[2], "coxeter")
     _assert_all_fails(lines[2], "sw")

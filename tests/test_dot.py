@@ -3,10 +3,11 @@ import json
 import math
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_actions import walk_auxiliary_terms
+from reference_actions import position_keyed_generator_matrix, walk_auxiliary_terms
 
 from gkmhess.classes import (
     EquivariantClass,
@@ -36,6 +37,7 @@ from gkmhess.dot import (
     _caches,
     _ConstantRing,
     _expansion_cache,
+    _one_term_image,
     _PolyRing,
     _SiExpansionCache,
 )
@@ -339,9 +341,51 @@ def test_off_degree_term_in_a_column_is_an_error(monkeypatch):
     monkeypatch.setitem(_caches, (n, _ConstantRing), cache)
     w = Permutation.from_one_line("2134")  # i+1 directly left of i, degree 1
     cache.cache[(w, i)] = {w: 1, Permutation.identity(n): 1}
-    with pytest.raises(AssertionError,
-                       match=r"s_1 \. sigma_2134 leaves degree 1: it reaches 1234$"):
-        generator_matrix(i, 1, h)
+    for assemble in (generator_matrix, position_keyed_generator_matrix):
+        with pytest.raises(AssertionError,
+                           match=r"s_1 \. sigma_2134 leaves degree 1: it reaches 1234$"):
+            assemble(i, 1, h)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_generator_matrices_equal_the_position_keyed_assembly(n):
+    # one-term columns read off positions against every column from the memo
+    h = HessenbergFunction.permutohedral(n)
+    for k in range(n):
+        for i in range(1, n):
+            matrix = generator_matrix(i, k, h)
+            assert matrix == position_keyed_generator_matrix(i, k, h)
+            assert all(type(c) is int for column in matrix.columns for c in column.values())
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_one_term_images_are_the_one_term_expansions(n):
+    # None exactly when i+1 stands directly left of i; otherwise the one
+    # class of the polynomial expansion, with coefficient 1
+    one = MultiPoly.one(n)
+    for w in Permutation.all(n):
+        for i in range(1, n):
+            image = _one_term_image(w, i)
+            descent = w.index(i + 1) + 1 == w.index(i)
+            assert (image is None) == descent
+            if image is not None:
+                assert perm_si_action(w, i) == {image: one}
+                expected = w if w.index(i) + 1 == w.index(i + 1) else Permutation.simple(i, n) * w
+                assert image == expected
+
+
+def test_a_basis_vector_with_the_int_one_maps_to_a_copy_of_its_column():
+    order = degree_basis(HessenbergFunction.permutohedral(3), 1)
+    columns = [{0: Fraction(1, 2), 2: 3}, {1: 1}, {2: -1, 3: 2}, {0: 5}]
+    matrix = ActionMatrix(order, columns)
+    image = matrix.apply_vector({2: 1})
+    assert image == columns[2] and image is not columns[2]
+    image[2] = 7
+    assert columns[2] == {2: -1, 3: 2}
+    # any other coefficient, a Fraction 1 included, takes the general sum
+    scaled = matrix.apply_vector({0: Fraction(1)})
+    assert scaled == {0: Fraction(1, 2), 2: 3} and type(scaled[2]) is Fraction
+    assert matrix.apply_vector({0: 10, 3: -1}) == {2: 30}
 
 
 @pytest.mark.parametrize("n", range(2, 7))
