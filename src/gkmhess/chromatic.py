@@ -43,7 +43,7 @@ from .dot import ActionMatrix, degree_basis, generator_matrix
 from .gkm import HessenbergFunction
 from .perms import partitions
 from .polys import Coeff
-from .symfunc import SymFunc, cycle_type_representative, z_mu
+from .symfunc import SymFunc, z_mu
 
 
 class SymmetryViolationError(AssertionError):
