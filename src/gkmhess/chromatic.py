@@ -189,7 +189,8 @@ def _cycle_type_traces(h: HessenbergFunction, k: int,
     act on disjoint letters, so they commute.  Its word is written block by
     block and split as ``L R``: ``L`` is the first block, a prefix of
     ``s_1 s_2 ... s_{n-1}`` shared by every ``mu`` with the same first part,
-    and ``R`` is the rest.  No word's matrix is formed:
+    and ``R`` is the rest; where the rest is empty (every other part is 1),
+    ``R`` is the block's last letter.  No word's matrix is formed:
     ``trace(L R) = sum L[x, v] R[v, x]`` over the entries of ``R``.  The
     matrix of each factor is built along its prefixes, each prefix's
     product memoized for the degree; the memo goes when the traces are
@@ -211,10 +212,12 @@ def _cycle_type_traces(h: HessenbergFunction, k: int,
     traces: dict[tuple[int, ...], Coeff] = {}
     for mu in partitions(h.n):
         blocks = _cycle_blocks(mu)
-        left = word_matrix(blocks[0])
-        right = word_matrix(sum(blocks[1:], ()))
-        if right is None:
-            traces[mu] = left.trace() if left else len(degree_basis(h, k))
+        left_word, right_word = blocks[0], sum(blocks[1:], ())
+        if not right_word:  # every other part is 1: R is the block's last letter
+            left_word, right_word = left_word[:-1], left_word[-1:]
+        left, right = word_matrix(left_word), word_matrix(right_word)
+        if left is None:
+            traces[mu] = right.trace() if right else len(degree_basis(h, k))
             continue
         left_columns = left.columns
         traces[mu] = sum(

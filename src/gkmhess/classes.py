@@ -2,16 +2,22 @@
 
 A class assigns a polynomial in ``t1..tn`` to every permutation, subject to
 the divisibility condition along moment-graph edges: the label ``t_a - t_b``
-of an edge divides the difference of the endpoint values.  Both the check
-and the interpolation test it one way, as the difference vanishing under
-``t_a := t_b``; a label becomes a polynomial only as a factor of a class
-value or in a reported violation.  The geometric basis element attached to ``(w, h)``
-is supported on the fixed points of the closed minus cell, is homogeneous
-of degree ``l_h(w)``, and takes the product of the downward edge labels as
-its value at ``w``.
+of an edge divides the difference of the endpoint values, tested as the
+difference vanishing under ``t_a := t_b``.  The geometric basis element
+attached to ``(w, h)`` is supported on the fixed points of the closed minus
+cell, is homogeneous of degree ``l_h(w)``, and takes the product of the
+downward edge labels as its value at ``w``.
 
-For the permutohedral Hessenberg function every basis class has a closed
-form; for arbitrary ``h`` the flow-up class is reconstructed by exact linear
+The values the paper writes as products of roots are built as a
+``RootProduct``, a sign and the sorted pairs of the factors: the
+permutohedral classes, the top values and the smooth-point values.  Z[t] is
+a unique factorization domain and the roots are pairwise non-associate
+primes, so equal products have equal factors, and ``t_a := t_b`` takes each
+factor to a factor or to 0.  So the closed-form suites of the CLI decide
+divisibility, top and smooth-point values on the factors; a root product
+has no sum, and each public function expands its values once.
+
+For arbitrary ``h`` the flow-up class is reconstructed by exact linear
 interpolation over the support in one pass, processing fixed points in
 increasing Coxeter length with the shared exact kernel of ``linalg``.  Each
 free monomial of a vertex system becomes a new rational parameter, and a
@@ -25,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .gkm import GkmGraph, HessenbergFunction, coxeter_lengths, l_h
 from .linalg import row_reduce
@@ -126,21 +133,68 @@ def gkm_check(p: EquivariantClass, h: HessenbergFunction) -> tuple[bool, GkmViol
     return True, None
 
 
+class RootProduct(NamedTuple):
+    """``sign * prod (t_a - t_b)`` over ``pairs``, sorted, each with ``a < b``.
+
+    The zero value has sign 0 and no pairs.  Equal values have equal tuples,
+    because the roots are pairwise non-associate primes of ``Z[t]``.  There
+    is no sum: a sum is one of the ``MultiPoly`` values that ``expand`` gives.
+    """
+
+    sign: int
+    pairs: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of_labels(cls, labels, sign: int = 1) -> "RootProduct":
+        """``sign`` times the product of ``t_a - t_b`` over the ``(a, b)``
+        of ``labels``; 0 if some ``a == b``."""
+        pairs = []
+        for a, b in labels:
+            if a > b:
+                a, b, sign = b, a, -sign
+            elif a == b:
+                return _ZERO
+            pairs.append((a, b))
+        pairs.sort()
+        return tuple.__new__(cls, (sign, tuple(pairs)))
+
+    def __mul__(self, other: "RootProduct") -> "RootProduct":
+        if not (self.sign and other.sign):
+            return _ZERO
+        return RootProduct.of_labels(self.pairs + other.pairs, self.sign * other.sign)
+
+    def substitute(self, a: int, b: int) -> "RootProduct":
+        """Set ``t_a := t_b``: each factor stays a root or becomes 0."""
+        return RootProduct.of_labels(
+            [(b if x == a else x, b if y == a else y) for x, y in self.pairs], self.sign)
+
+    def relabel(self, u: Permutation) -> "RootProduct":
+        """Replace each ``t_i`` by ``t_{u(i)}``."""
+        return RootProduct.of_labels([(u[x - 1], u[y - 1]) for x, y in self.pairs], self.sign)
+
+    def expand(self, n: int) -> MultiPoly:
+        """The value as a polynomial in ``t1..tn``."""
+        poly = MultiPoly.constant(self.sign, n)
+        for a, b in self.pairs:
+            poly = poly * MultiPoly.linear_form(a, b, n)
+        return poly
+
+
+_ZERO = tuple.__new__(RootProduct, (0, ()))
+
+
 def top_value(w: Permutation, h: HessenbergFunction) -> MultiPoly:
     """Product of the labels on oriented edges leaving ``w``."""
-    graph = GkmGraph(h)
-    result = MultiPoly.one(h.n)
-    for _target, a, b in graph.oriented_out(w):
-        result = result * MultiPoly.linear_form(a, b, h.n)
-    return result
+    return RootProduct.of_labels(
+        (a, b) for _target, a, b in GkmGraph(h).oriented_out(w)).expand(h.n)
 
 
-def permutohedral_class(w: Permutation) -> EquivariantClass:
-    """Closed-form basis class for ``h = (2, 3, ..., n, n)``.
+def permutohedral_root_products(w: Permutation) -> dict[Permutation, RootProduct]:
+    """The values of ``permutohedral_class(w)``, as root products.
 
     Supported on the left Young-subgroup orbit determined by the descent
-    blocks of ``w``; at each support point ``v`` the value is the product of
-    ``t_{v(d+1)} - t_{v(d)}`` over descents ``d`` of ``w``.
+    blocks of ``w``; at each support point ``u`` the value is the product of
+    ``t_{u(d+1)} - t_{u(d)}`` over descents ``d`` of ``w``.
     """
     n = len(w)
     w = Permutation(w)
@@ -153,22 +207,24 @@ def permutohedral_class(w: Permutation) -> EquivariantClass:
     values = {}
     for y in young_subgroup(blocks, n):
         u = y * w
-        poly = MultiPoly.one(n)
-        for d in descents:
-            poly = poly * MultiPoly.linear_form(u[d], u[d - 1], n)
-        values[u] = poly
-    return EquivariantClass(n, values)
+        values[u] = RootProduct.of_labels((u[d], u[d - 1]) for d in descents)
+    return values
+
+
+def permutohedral_class(w: Permutation) -> EquivariantClass:
+    """Closed-form basis class for ``h = (2, 3, ..., n, n)``: the expanded
+    ``permutohedral_root_products(w)``."""
+    n = len(w)
+    return EquivariantClass(
+        n, {u: value.expand(n) for u, value in permutohedral_root_products(w).items()})
 
 
 def smooth_point_value(w: Permutation, v: Permutation, h: HessenbergFunction,
                        support: frozenset[Permutation]) -> MultiPoly:
     """Product of labels on edges out of ``v`` leaving the support."""
-    graph = GkmGraph(h)
-    result = MultiPoly.one(h.n)
-    for target, a, b in graph.neighbors(v):
-        if target not in support:
-            result = result * MultiPoly.linear_form(a, b, h.n)
-    return result
+    return RootProduct.of_labels(
+        (a, b) for target, a, b in GkmGraph(h).neighbors(v) if target not in support
+    ).expand(h.n)
 
 
 # -- interpolation of flow-up classes for arbitrary h ------------------------

@@ -30,13 +30,13 @@ from .cells import (
     prime_eigenvalues,
 )
 from .chromatic import chromatic_qsym, verify_closed_expansion, verify_shareshian_wachs
-from .classes import (EquivariantClass, expand_in_basis, gkm_check, permutohedral_class,
-                      smooth_point_value, top_value)
+from .classes import (EquivariantClass, RootProduct, expand_in_basis, gkm_check,
+                      permutohedral_root_products, top_value)
 from .decomp import verify_decomposition, verify_wz_completeness
 from .dot import (
     ActionMatrix,
     action_matrix,
-    build_auxiliary_class,
+    auxiliary_terms,
     dashed_rule_check,
     degree_basis,
     dot,
@@ -485,25 +485,44 @@ def _wrong_path_coefficients(chart, c: EigenvalueVector) -> list[tuple[int, ...]
 
 
 def verify_classes(n: int, config: RunConfig) -> dict:
+    """Each permutohedral class against the geometry, on its root products.
+
+    One walk over the edges of each support point decides the divisibility
+    condition on them (an edge that leaves the support needs its label
+    among the point's factors), the smooth-point value (the product of the
+    labels that leave the support) and, at ``w``, the top value (the
+    product of the labels of the oriented edges, those with ``a < b``).  A
+    class fails on its first failed check in the order gkm, support, top
+    value, smooth point, the last naming its least failing point.
+    """
     h = HessenbergFunction.permutohedral(n)
+    graph = GkmGraph(h)
     failures = []
     for w in Permutation.all(n):
-        cls = permutohedral_class(w)
-        ok, violation = gkm_check(cls, h)
-        if not ok:
+        values = permutohedral_root_products(w)
+        gkm_ok, top_ok, smooth_bad = True, True, None
+        for v in sorted(values):
+            value, leaving = values[v], []
+            edges = graph.neighbors(v)
+            for target, a, b in edges:
+                other = values.get(target)
+                if other is None:
+                    leaving.append((a, b))
+                    gkm_ok = gkm_ok and (min(a, b), max(a, b)) in value.pairs
+                elif v < target:
+                    gkm_ok = gkm_ok and value.substitute(a, b) == other.substitute(a, b)
+            if v == w:
+                top_ok = value == RootProduct.of_labels((a, b) for _t, a, b in edges if a < b)
+            if smooth_bad is None and value != RootProduct.of_labels(leaving):
+                smooth_bad = v
+        if not gkm_ok:
             failures.append({"w": str(w), "kind": "gkm"})
-            continue
-        if cls.support() != support_A(w, h).members:
+        elif values.keys() != support_A(w, h).members:
             failures.append({"w": str(w), "kind": "support"})
-            continue
-        if cls.value(w) != top_value(w, h):
+        elif not top_ok:
             failures.append({"w": str(w), "kind": "top-value"})
-            continue
-        support = cls.support()
-        for v in support:
-            if cls.value(v) != smooth_point_value(w, v, h, support):
-                failures.append({"w": str(w), "v": str(v), "kind": "smooth-point"})
-                break
+        elif smooth_bad is not None:
+            failures.append({"w": str(w), "v": str(smooth_bad), "kind": "smooth-point"})
     return _result("classes", not failures, instances=math.factorial(n), failures=failures[:5])
 
 
@@ -537,17 +556,14 @@ def verify_poincare(n: int, config: RunConfig) -> dict:
 
 def verify_dot_rules(n: int, config: RunConfig) -> dict:
     failures = []
-    tii = lambda i: MultiPoly.linear_form(i + 1, i, n)
+    # the master identity on root products: the packed expansion of each
+    # factor tuple left once a point's common factors are divided out, held
+    # until the suite returns
+    expansions: dict[tuple, dict[int, int]] = {}
     for w in Permutation.all(n):
         w_inv = w.inverse()
         for i in range(1, n):
-            if w_inv(i + 1) + 1 != w_inv(i):
-                continue
-            aux = build_auxiliary_class(w, i)
-            si = Permutation.simple(i, n)
-            lhs = permutohedral_class(si * w).scale(tii(i))
-            rhs = dot(si, aux) - aux
-            if lhs != rhs:
+            if w_inv(i + 1) + 1 == w_inv(i) and not _master_identity_holds(w, i, expansions):
                 failures.append({"w": str(w), "i": i, "kind": "master-identity"})
     for h4 in HessenbergFunction.all(min(n, 4)):
         n4 = h4.n
@@ -564,6 +580,55 @@ def verify_dot_rules(n: int, config: RunConfig) -> dict:
     # the field stays because schema 1 has it, and so do the verify golden and
     # the benchmark's byte-checked reference output
     return _result("dot-rules", not failures, skipped=0, failures=failures[:5])
+
+
+def _master_identity_holds(w: Permutation, i: int, expansions: dict) -> bool:
+    """``(t_{i+1} - t_i) sigma_{s_i w} = s_i . aux - aux`` on root products.
+
+    The dot action permutes the variables, so a summand ``mover .
+    sigma_target`` of ``aux`` takes the root products of ``sigma_target``,
+    relabelled by the mover, to the points ``mover u``, and ``s_i`` moves
+    each on to ``s_i mover u``, relabelled by ``s_i``.  The terms of ``lhs
+    + aux - s_i . aux`` are collected per point by their factors; only a
+    point whose collected coefficients are not all 0 is expanded and summed.
+    """
+    n = len(w)
+    si = Permutation.simple(i, n)
+    root = RootProduct.of_labels([(i + 1, i)])
+    sums: dict[Permutation, dict[tuple, int]] = {}
+
+    def add(u: Permutation, value: RootProduct, coeff: int) -> None:
+        at = sums.setdefault(u, {})
+        at[value.pairs] = at.get(value.pairs, 0) + coeff * value.sign
+
+    for u, value in permutohedral_root_products(si * w).items():
+        add(u, root * value, 1)
+    for tilde, target, mover in auxiliary_terms(w, i):
+        for u, value in permutohedral_root_products(target).items():
+            if target is not tilde:  # the mover is not the identity
+                u, value = mover * u, value.relabel(mover)
+            add(u, value, 1)
+            add(si * u, value.relabel(si), -1)
+    for at in sums.values():
+        terms = [(pairs, coeff) for pairs, coeff in at.items() if coeff]
+        if not terms:
+            continue
+        # a factor of every term divides the sum; the rest is expanded
+        common = set(terms[0][0]).intersection(*(pairs for pairs, _coeff in terms[1:]))
+        total: dict[int, int] = {}
+        for pairs, coeff in terms:
+            rest = list(pairs)
+            for factor in common:
+                rest.remove(factor)
+            rest = tuple(rest)
+            expanded = expansions.get(rest)
+            if expanded is None:
+                expanded = expansions[rest] = RootProduct(1, rest).expand(n).packed
+            for mono, c in expanded.items():
+                total[mono] = total.get(mono, 0) + coeff * c
+        if any(total.values()):
+            return False
+    return True
 
 
 def verify_coxeter(n: int, config: RunConfig) -> dict:
@@ -591,7 +656,10 @@ def verify_decomposition_suite(n: int, config: RunConfig) -> dict:
     failures = []
     for k in range(n):
         report = verify_decomposition(n, k)
-        if not report.passed:
+        if report.outside_basis:
+            failures.append({"k": k, "reason": f"generator {report.outside_basis[0]} lies "
+                                               f"outside the degree-{k} basis"})
+        elif not report.passed:
             failures.append({"k": k})
     return _result("decomposition", not failures, failures=failures)
 
@@ -611,8 +679,25 @@ def verify_sw(n: int, config: RunConfig) -> dict:
         ]
     reports = [verify_shareshian_wachs(h) for h in functions]
     # schema 1 keeps the "flag" field, which no check sets
-    failures = [{"h": str(r.h), "flag": None} for r in reports if not r.agree]
+    failures = [{"h": str(r.h), "flag": None} for r in reports
+                if not (r.agree and _flow_up_basis_holds(r.h))]
     return _result("sw", not failures, failures=failures)
+
+
+def _flow_up_basis_holds(h: HessenbergFunction) -> bool:
+    """Each flow-up class that the matrices of a general h read passes the
+    GKM condition, is supported on ``support_A``, takes ``top_value`` at w
+    and is homogeneous of degree ``l_h(w)``.  Traces cannot see a change of
+    basis, so the character check alone would pass a wrong class.  The
+    permutohedral and full-flag matrices read no class."""
+    if h.is_permutohedral() or h.is_full_flag():
+        return True
+    for w in Permutation.all(h.n):
+        cls = flow_up_class(w, h).cls
+        if not (gkm_check(cls, h)[0] and cls.support() == support_A(w, h).members
+                and cls.value(w) == top_value(w, h) and cls.is_homogeneous(l_h(w, h))):
+            return False
+    return True
 
 
 def verify_wz(n: int, config: RunConfig) -> dict:

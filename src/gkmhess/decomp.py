@@ -416,11 +416,14 @@ class DecompositionReport:
     total_dim: int
     eulerian: int
     genfunc_match: bool
+    # generators outside the degree basis of the matrices: no module, a failure
+    outside_basis: list[Permutation] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return (
-            self.direct_sum
+            not self.outside_basis
+            and self.direct_sum
             and self.total_dim == self.eulerian
             and all(m.dim_computed == m.dim_expected for m in self.modules)
             and all(m.stabilizer_exact for m in self.modules)
@@ -495,14 +498,20 @@ def verify_decomposition(n: int, k: int) -> DecompositionReport:
     the direct sum and, since each module contributes exactly its expected
     number of rows, the independence of every module's rows.  A short rank
     is retried at a second prime; only if the direct sum still falls short
-    is each module ranked on its own, to name the modules at fault.
+    is each module ranked on its own, to name the modules at fault.  A
+    generator outside the degree basis builds no module and fails the
+    report, named in ``outside_basis``.
     """
     h = HessenbergFunction.permutohedral(n)
     matrices = {i: generator_matrix(i, k, h) for i in range(1, n)}
+    basis = set(degree_basis(h, k))
     generators = g_set(n, k)
+    outside = [w for w in generators if w not in basis]
 
     modules: list[ModuleReport] = []
     for w in generators:
+        if w in outside:
+            continue
         vec = sigma_hat_vector(w, matrices)
         rows = coset_orbit_vectors(w, vec, matrices)
         a = w.descent_composition()
@@ -534,6 +543,7 @@ def verify_decomposition(n: int, k: int) -> DecompositionReport:
         total_dim=total,
         eulerian=eulerian_number(n, k),
         genfunc_match=genfunc_match,
+        outside_basis=outside,
     )
 
 

@@ -28,7 +28,9 @@ exactly the constant terms of the polynomial run.
 The first two cases are read in one place, ``_one_term_image``, by the
 recursion and by ``generator_matrix`` alike; only the descent case reaches
 the memo.  ``auxiliary_terms`` is the one walk over the auxiliary summands,
-read by both the recursion and ``build_auxiliary_class``.  It builds one
+read by the recursion and by the master identity of ``gkmhess verify
+dot-rules``, which moves the summands' root products and never builds the
+auxiliary class.  It builds one
 ``AuxiliaryTerm`` tuple per ``(P, Q)`` and no other object per summand: a
 summand that needs no boundary correction has its ``tilde`` as target and
 one shared identity as mover, whose word the recursion does not apply.
@@ -209,15 +211,6 @@ def auxiliary_terms(w: Permutation, i: int) -> list[AuxiliaryTerm]:
                 )
             terms.append(AuxiliaryTerm(tilde, target, mover))
     return terms
-
-
-def build_auxiliary_class(w: Permutation, i: int) -> EquivariantClass:
-    """The sum ``sum_{P,Q} mover . sigma_target`` as an explicit class."""
-    n = len(w)
-    total = EquivariantClass.zero(n)
-    for term in auxiliary_terms(w, i):
-        total = total + dot(term.mover, permutohedral_class(term.target))
-    return total
 
 
 class _PolyRing:

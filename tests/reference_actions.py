@@ -12,13 +12,16 @@ generator matrix by keying every memo expansion by position, one-term
 columns included.  ``half_word_traces`` takes each cycle type's trace from
 the two halves of its reduced word.  ``omega_through_e`` applies the
 involution by converting to the elementary basis and retagging.
+``build_auxiliary_class`` sums the auxiliary summands as expanded classes,
+the reference for the master identity on root products.
 """
 
 from itertools import chain, combinations
 
+from gkmhess.classes import EquivariantClass, permutohedral_class
 from gkmhess.decomp import block_subgroups
 from gkmhess.dot import (AuxiliaryTerm, ActionMatrix, _ConstantRing, _expansion_cache,
-                         degree_basis)
+                         auxiliary_terms, degree_basis, dot)
 from gkmhess.perms import Permutation, partitions, young_subgroup
 from gkmhess.symfunc import cycle_type_representative
 
@@ -205,3 +208,12 @@ def omega_through_e(f):
     """The involution of ``f``: to the elementary basis, retagged as
     complete homogeneous, back to ``f``'s basis."""
     return f.to_basis("e").omega().to_basis(f.basis)
+
+
+def build_auxiliary_class(w, i, terms=None):
+    """The sum ``sum_{P,Q} mover . sigma_target`` of ``terms`` (by default
+    ``auxiliary_terms(w, i)``) as an explicit class."""
+    total = EquivariantClass.zero(len(w))
+    for term in auxiliary_terms(w, i) if terms is None else terms:
+        total = total + dot(term.mover, permutohedral_class(term.target))
+    return total

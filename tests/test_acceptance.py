@@ -42,7 +42,6 @@ from gkmhess.decomp import (
 )
 from gkmhess.dot import (
     ActionMatrix,
-    build_auxiliary_class,
     dashed_rule_check,
     degree_basis,
     dot,
@@ -54,6 +53,7 @@ from gkmhess.gkm import EdgeKind, GkmGraph, HessenbergFunction, edge_kind, l_h, 
 from gkmhess.perms import Composition, Permutation
 from gkmhess.polys import MultiPoly
 from gkmhess.reach import support_A
+from reference_actions import build_auxiliary_class
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:

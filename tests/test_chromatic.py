@@ -204,6 +204,24 @@ def test_trace_products_are_freed_when_the_degree_returns(monkeypatch):
     assert made and not alive
 
 
+def test_traces_form_only_the_products_of_proper_prefixes(monkeypatch):
+    # at n = 5 the words split as L R into (s1 s2 s3)(s4), (s1 s2)(s3),
+    # (s1 s2)(s4), (s1)(s2), (s1)(s3) and ()(s1): only s1 s2 and s1 s2 s3
+    # are products, and s1 s2 s3 s4 is never formed
+    made = []
+    compose = ActionMatrix.compose
+
+    def recorded(self, other):
+        made.append(other)
+        return compose(self, other)
+
+    monkeypatch.setattr(ActionMatrix, "compose", recorded)
+    h = HessenbergFunction.permutohedral(5)
+    matrices = {i: generator_matrix(i, 2, h) for i in range(1, 5)}
+    _cycle_type_traces(h, 2, matrices)
+    assert made == [matrices[2], matrices[3]]
+
+
 def test_cycle_type_representative_is_a_permutation_of_its_type():
     # the representative is built unchecked, so check it here
     for n in range(1, 8):

@@ -7,16 +7,18 @@ from hypothesis import given, settings, strategies as st
 from gkmhess.classes import (
     EquivariantClass,
     ExpansionError,
+    RootProduct,
     _divide_general,
     expand_in_basis,
     gkm_check,
     interpolate_class,
     permutohedral_class,
+    permutohedral_root_products,
     reduce_to_ordinary,
     smooth_point_value,
     top_value,
 )
-from gkmhess.gkm import HessenbergFunction, l_h
+from gkmhess.gkm import GkmGraph, HessenbergFunction, l_h
 from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
 from gkmhess.reach import support_A
@@ -327,6 +329,73 @@ def test_smooth_point_formula_permutohedral():
             support = cls.support()
             for v in support:
                 assert cls.value(v) == smooth_point_value(w, v, h, support)
+
+
+# -- root products against their expansions ----------------------------------
+
+
+def _product_of_labels(labels, n):
+    """The product of the ``t_a - t_b`` as ``MultiPoly``, multiplied out one
+    label at a time in the given order."""
+    poly = MultiPoly.one(n)
+    for a, b in labels:
+        poly = poly * lf(a, b, n)
+    return poly
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_root_products_expand_to_the_products_of_labels(n):
+    # every permutohedral class, top value and smooth-point value at n <= 6
+    h = HessenbergFunction.permutohedral(n)
+    graph = GkmGraph(h)
+    for w in Permutation.all(n):
+        values = permutohedral_root_products(w)
+        cls = permutohedral_class(w)
+        support = cls.support()
+        assert values.keys() == support
+        for u, value in values.items():
+            expected = _product_of_labels([(u[d], u[d - 1]) for d in w.descents()], n)
+            assert value.expand(n) == cls.value(u) == expected
+            leaving = [(a, b) for target, a, b in graph.neighbors(u) if target not in support]
+            assert smooth_point_value(w, u, h, support) == _product_of_labels(leaving, n)
+        oriented = [(a, b) for _target, a, b in graph.oriented_out(w)]
+        assert top_value(w, h) == _product_of_labels(oriented, n)
+
+
+def test_top_values_expand_for_every_h():
+    for h in HessenbergFunction.all(4):
+        graph = GkmGraph(h)
+        for w in Permutation.all(4):
+            oriented = [(a, b) for _target, a, b in graph.oriented_out(w)]
+            assert top_value(w, h) == _product_of_labels(oriented, 4)
+
+
+_labels = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda ab: ab[0] != ab[1]),
+                   max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labels, _labels, st.sampled_from([-1, 1]), st.integers(1, 4), st.integers(1, 4),
+       st.permutations(range(1, 5)))
+def test_root_product_operations_match_their_expansions(left, right, sign, a, b, images):
+    n, u = 4, Permutation(images)
+    f, g = RootProduct.of_labels(left, sign), RootProduct.of_labels(right)
+    assert f.expand(n) == _product_of_labels(left, n) * sign
+    assert (f * g).expand(n) == f.expand(n) * g.expand(n)
+    assert f.substitute(a, b).expand(n) == f.expand(n).substitute_var(a, b)
+    assert f.relabel(u).expand(n) == f.expand(n).substitute_permutation(u)
+    # unique factorization: equal values are equal tuples
+    assert (f == g) == (f.expand(n) == g.expand(n))
+    assert all(x < y for x, y in f.pairs) and list(f.pairs) == sorted(f.pairs)
+
+
+def test_root_product_zero():
+    zero = RootProduct.of_labels([(1, 2), (3, 3)])
+    assert zero == RootProduct(0, ()) and zero.expand(3).is_zero
+    f = RootProduct.of_labels([(2, 1), (3, 1)])
+    assert f == RootProduct(1, ((1, 2), (1, 3)))
+    assert f.substitute(2, 1) == zero and f * zero == zero
+    assert f.substitute(3, 2) == RootProduct(1, ((1, 2), (1, 2)))
 
 
 # -- exact division on packed monomials against the tuple-keyed reference ------

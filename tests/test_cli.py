@@ -354,15 +354,16 @@ def test_poincare_at_n4_matches_the_geometry_reference():
 # the two independent derivations of the Betti numbers: the inversion table
 # that the degree bases are read from, and the masks that verify_poincare
 # derives itself and counts out-degrees from.  The others plant a wrong
-# entry in s_1's matrix, a wrong flow-up or permutohedral class, a wrong
-# module type count, a wrong lattice permutation, a support short of one
-# point, a reachable minor read as 0 and a wrong minus-cell chart entry.
+# entry in s_1's matrix, a wrong flow-up or permutohedral class, one wrong
+# root product of a permutohedral class, a dropped auxiliary summand, a
+# wrong module type count, a wrong lattice permutation, a support short of
+# one point, a reachable minor read as 0 and a wrong minus-cell chart entry.
 # Each command prints its
 # suite, its exit code and either the verdict and failed checks of its report
 # or, with no report, its error line.
 _PLANT_FAULT = """
 import contextlib, importlib, io, json, sys
-from gkmhess.classes import InterpolationResult
+from gkmhess.classes import InterpolationResult, RootProduct
 from gkmhess.gkm import HessenbergFunction
 from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
@@ -431,10 +432,10 @@ def wz_s1():
     decomp.w_z = lambda a, z: Permutation.simple(1, a.n) * exact(a, z)
 
 
-def flow_up_class():
-    # add the class of 4321 to the flow-up class of 2143 for h = 2,3,4,4
-    exact, h_0 = dot.flow_up_class, HessenbergFunction.from_string("2,3,4,4")
-    w_0, top = Permutation.from_one_line("2143"), Permutation.from_one_line("4321")
+def flow_up_class(w, h, v):
+    # add the class of v to the flow-up class of (w, h)
+    exact, h_0 = dot.flow_up_class, HessenbergFunction.from_string(h)
+    w_0, top = Permutation.from_one_line(w), Permutation.from_one_line(v)
 
     def faulty(w, h):
         result = exact(w, h)
@@ -446,13 +447,39 @@ def flow_up_class():
 
 
 def permutohedral_class(w):
-    # add the class of the longest permutation to the permutohedral class of w
-    exact, w_0 = cli.permutohedral_class, Permutation.from_one_line(w)
+    # add the class of the longest permutation to the permutohedral class of
+    # w, in the root products that the classes and dot-rules suites read; the
+    # two supports are disjoint, so the sum is the union of the values
+    exact, w_0 = cli.permutohedral_root_products, Permutation.from_one_line(w)
     top = Permutation.longest(len(w_0))
 
     def faulty(v):
-        return exact(v) + exact(top) if v == w_0 else exact(v)
-    cli.permutohedral_class = faulty
+        return {**exact(v), **exact(top)} if v == w_0 else exact(v)
+    cli.permutohedral_root_products = faulty
+
+
+def root_value(change, w, v):
+    # one root product of the permutohedral class of w changed at the point
+    # v: its sign flipped, or its first factor t_a - t_b made t_a - t_(b-1)
+    exact = cli.permutohedral_root_products
+    w_0, v_0 = Permutation.from_one_line(w), Permutation.from_one_line(v)
+
+    def faulty(u):
+        values = exact(u)
+        if u == w_0:
+            sign, ((a, b), *rest) = values[v_0]
+            if change == "sign":
+                values[v_0] = RootProduct(-sign, values[v_0].pairs)
+            else:
+                values[v_0] = RootProduct.of_labels([(a, b - 1), *rest], sign)
+        return values
+    cli.permutohedral_root_products = faulty
+
+
+def aux_summand(w, i):
+    # the last auxiliary summand of (w, i) dropped from the master identity
+    exact, key = cli.auxiliary_terms, (Permutation.from_one_line(w), int(i))
+    cli.auxiliary_terms = lambda v, j: exact(v, j)[:-1] if (v, j) == key else exact(v, j)
 
 
 def support_point(w, h):
@@ -562,15 +589,43 @@ def test_coxeter_and_sw_catch_a_one_term_column_that_stays():
 
 
 def test_classes_catch_a_wrong_permutohedral_class():
+    # the root products of 2143 gain the point 4321, outside its support
     lines = _run_with_fault("permutohedral-class 2143", "classes --n 4", "all --n 4")
     assert lines[0] == "classes 1 False classes"
     _assert_all_fails(lines[1], "classes")
 
 
-def test_dot_rules_catch_a_wrong_flow_up_class():
-    lines = _run_with_fault("flow-up-class", "dot-rules --n 4", "all --n 4")
+@pytest.mark.parametrize("change", ["sign", "factor"])
+def test_classes_catch_one_wrong_root_product(change):
+    # 2413 is the other point of the class of 2143, where the value is
+    # (t1 - t3)(t2 - t4); the factor fault makes it (t1 - t2)(t2 - t4)
+    lines = _run_with_fault(f"root-value {change} 2143 2413", "classes --n 4", "all --n 4")
+    assert lines[0] == "classes 1 False classes"
+    _assert_all_fails(lines[1], "classes")
+
+
+def test_dot_rules_catch_a_dropped_auxiliary_summand():
+    # the last summand of (2143, 1) is 3214 . sigma_2431, the one the
+    # identity relabels by its mover
+    lines = _run_with_fault("aux-summand 2143 1", "dot-rules --n 4", "all --n 4")
     assert lines[0] == "dot-rules 1 False dot-rules"
     _assert_all_fails(lines[1], "dot-rules")
+
+
+def test_dot_rules_catch_a_wrong_flow_up_class():
+    lines = _run_with_fault("flow-up-class 2143 2,3,4,4 4321", "dot-rules --n 4", "all --n 4")
+    assert lines[0] == "dot-rules 1 False dot-rules"
+    _assert_all_fails(lines[1], "dot-rules")
+
+
+def test_sw_catches_a_wrong_general_flow_up_class():
+    # 14325 is longer than 21435 and of the same degree 2 under 3,3,4,5,5,
+    # so adding its class changes the basis unitriangularly and the traces
+    # agree; the support of the sum is not that of 21435
+    lines = _run_with_fault("flow-up-class 21435 3,3,4,5,5 14325", "sw --n 5 --h 3,3,4,5,5",
+                            "all --n 5 --h 3,3,4,5,5")
+    assert lines[0] == "sw 1 False sw"
+    _assert_all_fails(lines[1], "sw")
 
 
 def test_genfunc_and_decomposition_catch_a_wrong_type_multiset():
@@ -679,12 +734,24 @@ def test_grouped_cell_charts_report_the_per_instance_failures(n, fault, monkeypa
     }
 
 
-def test_decomposition_names_a_permutation_outside_the_degree_basis():
+def test_decomposition_names_a_permutation_outside_the_degree_basis(monkeypatch):
     # without the inversion (1, 2), 54321 leaves the top degree 4 (h has four
-    # pairs) for degree 3, but it still generates degree 4
+    # pairs) for degree 3, but it still generates degree 4: a failed check,
+    # so verify all prints its report
     lines = _run_with_fault("inversion-table 54321 1 2", "decomposition --n 5", "all --n 5")
-    message = "error: internal AssertionError: generator 54321 lies outside the degree-4 basis"
-    assert lines == [f"{suite} 1 {message}" for suite in ("decomposition", "all")]
+    assert lines == ["decomposition 1 False decomposition",
+                     "all 1 False poincare,decomposition,sw"]
+    # the failure names the generator; here the basis the decomposition
+    # reads lacks it, and the matrices stay exact
+    from gkmhess import cli, decomp
+    from gkmhess.perms import Permutation
+
+    exact, top = decomp.degree_basis, Permutation.longest(5)
+    monkeypatch.setattr(decomp, "degree_basis",
+                        lambda h, k: tuple(w for w in exact(h, k) if w != top))
+    assert decomp.verify_decomposition(5, 4).outside_basis == [top]
+    assert cli.verify_decomposition_suite(5, cli.RunConfig())["failures"] == [
+        {"k": 4, "reason": "generator 54321 lies outside the degree-4 basis"}]
 
 
 @pytest.mark.parametrize("error", ["AssertionError", "TheoremViolationError",

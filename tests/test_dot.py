@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_actions import position_keyed_generator_matrix, walk_auxiliary_terms
+from reference_actions import (build_auxiliary_class, position_keyed_generator_matrix,
+                               walk_auxiliary_terms)
 
 from gkmhess.classes import (
     EquivariantClass,
@@ -21,7 +22,6 @@ from gkmhess.dot import (
     ActionMatrix,
     action_matrix,
     auxiliary_terms,
-    build_auxiliary_class,
     dashed_rule_check,
     degree_basis,
     dot,
@@ -151,6 +151,28 @@ def test_master_identity_exhaustive_n4():
             si = Permutation.simple(i, n)
             lhs = permutohedral_class(si * w).scale(lf(i + 1, i, n))
             assert lhs == dot(si, aux) - aux
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_master_identity_on_root_products_matches_the_expanded_classes(n, monkeypatch):
+    # with every summand, and with each one dropped, the suite's verdict on
+    # root products is the verdict on the expanded classes
+    from gkmhess import cli
+
+    for w in Permutation.all(n):
+        w_inv = w.inverse()
+        for i in range(1, n):
+            if w_inv(i + 1) + 1 != w_inv(i):
+                continue
+            si = Permutation.simple(i, n)
+            lhs = permutohedral_class(si * w).scale(lf(i + 1, i, n))
+            terms = auxiliary_terms(w, i)
+            for kept in [terms] + [terms[:k] + terms[k + 1:] for k in range(len(terms))]:
+                aux = build_auxiliary_class(w, i, kept)
+                monkeypatch.setattr(cli, "auxiliary_terms", lambda v, j: kept)
+                verdict = lhs == dot(si, aux) - aux
+                assert cli._master_identity_holds(w, i, {}) == verdict
+                assert verdict or kept is not terms
 
 
 def test_si_expansion_example_57():
