@@ -596,12 +596,25 @@ def test_classes_catch_a_wrong_permutohedral_class():
 
 
 @pytest.mark.parametrize("change", ["sign", "factor"])
-def test_classes_catch_one_wrong_root_product(change):
+def test_classes_catch_one_wrong_root_product(change, monkeypatch):
     # 2413 is the other point of the class of 2143, where the value is
     # (t1 - t3)(t2 - t4); the factor fault makes it (t1 - t2)(t2 - t4)
     lines = _run_with_fault(f"root-value {change} 2143 2413", "classes --n 4", "all --n 4")
     assert lines[0] == "classes 1 False classes"
     _assert_all_fails(lines[1], "classes")
+    # the divisibility along the edge 2143 - 2413, labelled t4 - t1, is the
+    # first check to fail; the smooth-point value alone would fail later
+    from gkmhess import cli
+    from gkmhess.classes import RootProduct
+    from gkmhess.perms import Permutation
+
+    exact, v_0 = cli.permutohedral_root_products, Permutation.from_one_line("2413")
+    wrong = {"sign": RootProduct(-1, ((1, 3), (2, 4))),
+             "factor": RootProduct(1, ((1, 2), (2, 4)))}[change]
+    monkeypatch.setattr(cli, "permutohedral_root_products",
+                        lambda u: {**exact(u), v_0: wrong} if str(u) == "2143" else exact(u))
+    assert exact(Permutation.from_one_line("2143"))[v_0] == RootProduct(1, ((1, 3), (2, 4)))
+    assert cli.verify_classes(4, cli.RunConfig())["failures"] == [{"w": "2143", "kind": "gkm"}]
 
 
 def test_dot_rules_catch_a_dropped_auxiliary_summand():
