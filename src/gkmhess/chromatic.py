@@ -182,9 +182,10 @@ def _power_sum_character(h: HessenbergFunction, k: int) -> SymFunc:
 
 def _cycle_type_traces(h: HessenbergFunction, k: int,
                        matrices_by_generator: dict[int, ActionMatrix]) -> dict[tuple[int, ...], Coeff]:
-    """Trace on degree 2k at each ``cycle_type_representative``, by cycle type.
+    """Trace on degree 2k at one permutation of each cycle type.
 
-    The representative of ``mu`` is the product of its cycles, one block
+    The representative of ``mu`` is the product of its increasing cycles
+    on consecutive letters, one block
     ``s_a s_{a+1} ... s_{b-1}`` per part on the letters ``a..b``; the blocks
     act on disjoint letters, so they commute.  Its word is written block by
     block and split as ``L R``: ``L`` is the first block, a prefix of
@@ -229,8 +230,8 @@ def _cycle_type_traces(h: HessenbergFunction, k: int,
 
 
 def _cycle_blocks(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The word ``a, a+1, ..., b-1`` of each cycle of
-    ``cycle_type_representative(mu)``, on the letters ``a..b`` of its part."""
+    """The word ``a, a+1, ..., b-1`` of each cycle of the representative of
+    ``mu``, on the letters ``a..b`` of its part."""
     blocks = []
     start = 1
     for part in mu:

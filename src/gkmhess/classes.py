@@ -10,12 +10,15 @@ downward edge labels as its value at ``w``.
 
 The values the paper writes as products of roots are built as a
 ``RootProduct``, a sign and the sorted pairs of the factors: the
-permutohedral classes, the top values and the smooth-point values.  Z[t] is
-a unique factorization domain and the roots are pairwise non-associate
-primes, so equal products have equal factors, and ``t_a := t_b`` takes each
-factor to a factor or to 0.  So the closed-form suites of the CLI decide
-divisibility, top and smooth-point values on the factors; a root product
-has no sum, and each public function expands its values once.
+permutohedral classes and the top values.  Z[t] is a unique factorization
+domain and the roots are pairwise non-associate primes, so equal products
+have equal factors, and ``t_a := t_b`` takes each factor to a factor or to
+0.  So the closed-form suites of the CLI decide divisibility, top and
+smooth-point values on the factors, and ``sum_vanishes`` decides a signed
+sum of root products at one point: the factors that every term shares
+divide the sum, and where each term leaves one root the sum is a linear
+form, decided on its coefficients.  Only a rest of another shape is
+expanded, and nothing is held from one sum to the next.
 
 For arbitrary ``h`` the flow-up class is reconstructed by exact linear
 interpolation over the support in one pass, processing fixed points in
@@ -114,18 +117,17 @@ def gkm_check(p: EquivariantClass, h: HessenbergFunction) -> tuple[bool, GkmViol
     """Divisibility of value differences along every moment-graph edge.
 
     Edges with both endpoints outside the support are skipped (difference
-    zero).  Returns the first violation found, scanning vertices in
-    lexicographic order.
+    zero), and an edge inside the support is checked from its smaller end.
+    Returns the first violation found, scanning vertices in lexicographic
+    order.
     """
     graph = GkmGraph(h)
-    checked: set[tuple] = set()
-    for v in sorted(p.support()):
+    support = p.support()
+    for v in sorted(support):
         pv = p.value(v)
         for target, a, b in graph.neighbors(v):
-            key = (v, target) if v < target else (target, v)
-            if key in checked:
+            if target < v and target in support:
                 continue
-            checked.add(key)
             diff = pv - p.value(target)
             if not diff.substitute_var(a, b).is_zero:
                 label = MultiPoly.linear_form(a, b, p.n)
@@ -183,6 +185,40 @@ class RootProduct(NamedTuple):
 _ZERO = tuple.__new__(RootProduct, (0, ()))
 
 
+def sum_vanishes(terms: list[tuple[RootProduct, int]], n: int) -> bool:
+    """Whether ``sum coeff * value`` over the ``(value, coeff)`` of
+    ``terms``, root products in ``t1..tn``, is 0.
+
+    The terms are collected by their factors.  A factor of every term left
+    divides the sum and is divided out.  Where each rest is one root
+    ``t_a - t_b`` the sum is a linear form, 0 exactly when the coefficient
+    of every variable is; a rest of any other shape is expanded.
+    """
+    collected: dict[tuple, int] = {}
+    for value, coeff in terms:
+        collected[value.pairs] = collected.get(value.pairs, 0) + coeff * value.sign
+    left = [(pairs, coeff) for pairs, coeff in collected.items() if coeff]
+    if not left:
+        return True
+    common = set(left[0][0]).intersection(*(pairs for pairs, _coeff in left[1:]))
+    rests = []
+    for pairs, coeff in left:
+        rest = list(pairs)
+        for factor in common:
+            rest.remove(factor)
+        rests.append((rest, coeff))
+    if all(len(rest) == 1 for rest, _coeff in rests):
+        linear = [0] * (n + 1)
+        for ((a, b),), coeff in rests:
+            linear[a] += coeff
+            linear[b] -= coeff
+        return not any(linear)
+    total = MultiPoly.zero(n)
+    for rest, coeff in rests:
+        total = total + RootProduct(1, tuple(rest)).expand(n) * coeff
+    return total.is_zero
+
+
 def top_value(w: Permutation, h: HessenbergFunction) -> MultiPoly:
     """Product of the labels on oriented edges leaving ``w``."""
     return RootProduct.of_labels(
@@ -217,14 +253,6 @@ def permutohedral_class(w: Permutation) -> EquivariantClass:
     n = len(w)
     return EquivariantClass(
         n, {u: value.expand(n) for u, value in permutohedral_root_products(w).items()})
-
-
-def smooth_point_value(w: Permutation, v: Permutation, h: HessenbergFunction,
-                       support: frozenset[Permutation]) -> MultiPoly:
-    """Product of labels on edges out of ``v`` leaving the support."""
-    return RootProduct.of_labels(
-        (a, b) for target, a, b in GkmGraph(h).neighbors(v) if target not in support
-    ).expand(h.n)
 
 
 # -- interpolation of flow-up classes for arbitrary h ------------------------

@@ -31,7 +31,7 @@ from .cells import (
 )
 from .chromatic import chromatic_qsym, verify_closed_expansion, verify_shareshian_wachs
 from .classes import (EquivariantClass, RootProduct, expand_in_basis, gkm_check,
-                      permutohedral_root_products, top_value)
+                      permutohedral_root_products, sum_vanishes, top_value)
 from .decomp import verify_decomposition, verify_wz_completeness
 from .dot import (
     ActionMatrix,
@@ -49,7 +49,7 @@ from .dot import (
 from .gkm import (EdgeKind, GkmGraph, HessenbergFunction, edge_kind, l_h, mask_of_pairs,
                   poincare_coefficients)
 from .perms import Composition, Permutation
-from .polys import MultiPoly, parse_poly
+from .polys import parse_poly
 from .reach import build_cell_digraph, support_A
 
 SCHEMA = 1
@@ -508,7 +508,7 @@ def verify_classes(n: int, config: RunConfig) -> dict:
                 other = values.get(target)
                 if other is None:
                     leaving.append((a, b))
-                    gkm_ok = gkm_ok and (min(a, b), max(a, b)) in value.pairs
+                    gkm_ok = gkm_ok and not value.substitute(a, b).sign
                 elif v < target:
                     gkm_ok = gkm_ok and value.substitute(a, b) == other.substitute(a, b)
             if v == w:
@@ -556,14 +556,10 @@ def verify_poincare(n: int, config: RunConfig) -> dict:
 
 def verify_dot_rules(n: int, config: RunConfig) -> dict:
     failures = []
-    # the master identity on root products: the packed expansion of each
-    # factor tuple left once a point's common factors are divided out, held
-    # until the suite returns
-    expansions: dict[tuple, dict[int, int]] = {}
     for w in Permutation.all(n):
         w_inv = w.inverse()
         for i in range(1, n):
-            if w_inv(i + 1) + 1 == w_inv(i) and not _master_identity_holds(w, i, expansions):
+            if w_inv(i + 1) + 1 == w_inv(i) and not _master_identity_holds(w, i):
                 failures.append({"w": str(w), "i": i, "kind": "master-identity"})
     for h4 in HessenbergFunction.all(min(n, 4)):
         n4 = h4.n
@@ -582,53 +578,29 @@ def verify_dot_rules(n: int, config: RunConfig) -> dict:
     return _result("dot-rules", not failures, skipped=0, failures=failures[:5])
 
 
-def _master_identity_holds(w: Permutation, i: int, expansions: dict) -> bool:
+def _master_identity_holds(w: Permutation, i: int) -> bool:
     """``(t_{i+1} - t_i) sigma_{s_i w} = s_i . aux - aux`` on root products.
 
     The dot action permutes the variables, so a summand ``mover .
     sigma_target`` of ``aux`` takes the root products of ``sigma_target``,
     relabelled by the mover, to the points ``mover u``, and ``s_i`` moves
     each on to ``s_i mover u``, relabelled by ``s_i``.  The terms of ``lhs
-    + aux - s_i . aux`` are collected per point by their factors; only a
-    point whose collected coefficients are not all 0 is expanded and summed.
+    + aux - s_i . aux`` are gathered per point, and ``sum_vanishes``
+    decides each point's sum.
     """
     n = len(w)
     si = Permutation.simple(i, n)
     root = RootProduct.of_labels([(i + 1, i)])
-    sums: dict[Permutation, dict[tuple, int]] = {}
-
-    def add(u: Permutation, value: RootProduct, coeff: int) -> None:
-        at = sums.setdefault(u, {})
-        at[value.pairs] = at.get(value.pairs, 0) + coeff * value.sign
-
+    points: dict[Permutation, list] = {}
     for u, value in permutohedral_root_products(si * w).items():
-        add(u, root * value, 1)
+        points.setdefault(u, []).append((root * value, 1))
     for tilde, target, mover in auxiliary_terms(w, i):
         for u, value in permutohedral_root_products(target).items():
             if target is not tilde:  # the mover is not the identity
                 u, value = mover * u, value.relabel(mover)
-            add(u, value, 1)
-            add(si * u, value.relabel(si), -1)
-    for at in sums.values():
-        terms = [(pairs, coeff) for pairs, coeff in at.items() if coeff]
-        if not terms:
-            continue
-        # a factor of every term divides the sum; the rest is expanded
-        common = set(terms[0][0]).intersection(*(pairs for pairs, _coeff in terms[1:]))
-        total: dict[int, int] = {}
-        for pairs, coeff in terms:
-            rest = list(pairs)
-            for factor in common:
-                rest.remove(factor)
-            rest = tuple(rest)
-            expanded = expansions.get(rest)
-            if expanded is None:
-                expanded = expansions[rest] = RootProduct(1, rest).expand(n).packed
-            for mono, c in expanded.items():
-                total[mono] = total.get(mono, 0) + coeff * c
-        if any(total.values()):
-            return False
-    return True
+            points.setdefault(u, []).append((value, 1))
+            points.setdefault(si * u, []).append((value.relabel(si), -1))
+    return all(sum_vanishes(terms, n) for terms in points.values())
 
 
 def verify_coxeter(n: int, config: RunConfig) -> dict:

@@ -43,7 +43,6 @@ product by a matrix of one-term columns mostly copies columns.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -276,7 +275,6 @@ class _SiExpansionCache:
         self.ring = ring(n)
         self.cache: dict[tuple[Permutation, int], dict[Permutation, object]] = {}
         self.in_progress: set[tuple[Permutation, int]] = set()
-        self._depth_limit = math.factorial(n)
 
     def expansion(self, w: Permutation, i: int) -> dict[Permutation, object]:
         moved = _one_term_image(w, i)
@@ -288,8 +286,6 @@ class _SiExpansionCache:
             return hit
         if key in self.in_progress:
             raise RecursionError(f"cyclic expansion request at w={w}, i={i}")
-        if len(self.in_progress) > self._depth_limit:
-            raise RecursionError("expansion recursion exceeded the depth guard")
         self.in_progress.add(key)
         try:
             result = self._compute(w, i)

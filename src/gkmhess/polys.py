@@ -169,7 +169,9 @@ class MultiPoly:
 
     @classmethod
     def linear_form(cls, a: int, b: int, nvars: int) -> "MultiPoly":
-        """``t_a - t_b`` for 1-based variable indices."""
+        """``t_a - t_b`` for 1-based variable indices; 0 if ``a == b``."""
+        if a == b:
+            return cls.zero(nvars)
         return _trusted(nvars, {_variable(a - 1, nvars): 1, _variable(b - 1, nvars): -1})
 
     # -- predicates and readers -------------------------------------------

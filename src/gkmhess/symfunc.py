@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .linalg import row_reduce
-from .perms import Permutation, partitions
+from .perms import partitions
 
 BASES = ("m", "e", "h", "p", "s")
 
@@ -290,13 +290,3 @@ def z_mu(mu: tuple[int, ...]) -> int:
     """Centralizer order of the cycle type: prod i^{m_i} m_i!."""
     return math.prod(part**m * math.factorial(m) for part, m in Counter(mu).items())
 
-
-def cycle_type_representative(mu: tuple[int, ...]) -> Permutation:
-    """Canonical permutation with cycle type mu: concatenated increasing cycles."""
-    images = []
-    start = 1
-    for part in mu:
-        block = list(range(start, start + part))
-        images.extend(block[1:] + block[:1])
-        start += part
-    return tuple.__new__(Permutation, images)

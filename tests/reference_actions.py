@@ -14,16 +14,20 @@ the two halves of its reduced word.  ``omega_through_e`` applies the
 involution by converting to the elementary basis and retagging.
 ``build_auxiliary_class`` sums the auxiliary summands as expanded classes,
 the reference for the master identity on root products.
+``smooth_point_value`` is the product of the labels of the edges that leave
+a class's support at a point, and ``cycle_type_representative`` the
+permutation of a cycle type whose cycles are increasing runs of
+consecutive letters.
 """
 
 from itertools import chain, combinations
 
-from gkmhess.classes import EquivariantClass, permutohedral_class
+from gkmhess.classes import EquivariantClass, RootProduct, permutohedral_class
 from gkmhess.decomp import block_subgroups
 from gkmhess.dot import (AuxiliaryTerm, ActionMatrix, _ConstantRing, _expansion_cache,
                          auxiliary_terms, degree_basis, dot)
+from gkmhess.gkm import GkmGraph
 from gkmhess.perms import Permutation, partitions, young_subgroup
-from gkmhess.symfunc import cycle_type_representative
 
 
 def min_length_coset_reps(w):
@@ -173,6 +177,17 @@ def position_keyed_generator_matrix(i, k, h):
     return ActionMatrix(order, columns)
 
 
+def cycle_type_representative(mu):
+    """Canonical permutation with cycle type mu: concatenated increasing cycles."""
+    images = []
+    start = 1
+    for part in mu:
+        block = list(range(start, start + part))
+        images.extend(block[1:] + block[:1])
+        start += part
+    return Permutation(images)
+
+
 def half_word_traces(h, k, matrices_by_generator):
     """Trace at each ``cycle_type_representative``: its reduced word split
     in two halves ``L R``, each built along its prefixes, and
@@ -217,3 +232,10 @@ def build_auxiliary_class(w, i, terms=None):
     for term in auxiliary_terms(w, i) if terms is None else terms:
         total = total + dot(term.mover, permutohedral_class(term.target))
     return total
+
+
+def smooth_point_value(w, v, h, support):
+    """Product of labels on edges out of ``v`` leaving the support."""
+    return RootProduct.of_labels(
+        (a, b) for target, a, b in GkmGraph(h).neighbors(v) if target not in support
+    ).expand(h.n)

@@ -26,7 +26,6 @@ from gkmhess.classes import (
     interpolate_class,
     permutohedral_class,
     reduce_to_ordinary,
-    smooth_point_value,
     top_value,
 )
 from gkmhess.decomp import (
@@ -53,7 +52,7 @@ from gkmhess.gkm import EdgeKind, GkmGraph, HessenbergFunction, edge_kind, l_h, 
 from gkmhess.perms import Composition, Permutation
 from gkmhess.polys import MultiPoly
 from gkmhess.reach import support_A
-from reference_actions import build_auxiliary_class
+from reference_actions import build_auxiliary_class, smooth_point_value
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:

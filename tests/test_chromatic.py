@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_actions import half_word_traces, omega_through_e
+from reference_actions import cycle_type_representative, half_word_traces, omega_through_e
 
 from gkmhess.chromatic import (
     SymmetryViolationError,
@@ -25,7 +25,6 @@ from gkmhess.polys import MultiPoly
 from gkmhess.symfunc import (
     SymFunc,
     _monomial_expansion,
-    cycle_type_representative,
     partition_list,
     z_mu,
 )

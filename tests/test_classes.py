@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkmhess.classes import (
     EquivariantClass,
+    GkmViolation,
     ExpansionError,
     RootProduct,
     _divide_general,
@@ -15,13 +16,14 @@ from gkmhess.classes import (
     permutohedral_class,
     permutohedral_root_products,
     reduce_to_ordinary,
-    smooth_point_value,
+    sum_vanishes,
     top_value,
 )
 from gkmhess.gkm import GkmGraph, HessenbergFunction, l_h
 from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
 from gkmhess.reach import support_A
+from reference_actions import smooth_point_value
 from reference_polys import TupleMultiPoly, divide_general
 
 
@@ -51,6 +53,48 @@ def test_gkm_check_violation():
     ok, violation = gkm_check(bad, h)
     assert not ok
     assert violation.v == Permutation.identity(3)
+
+
+def _gkm_check_on_edge_sets(p, h):
+    """``gkm_check`` as an edge-set walk: the sorted support is scanned and
+    each edge is checked once, from the endpoint reached first, remembered
+    in a set."""
+    graph = GkmGraph(h)
+    checked = set()
+    for v in sorted(p.support()):
+        pv = p.value(v)
+        for target, a, b in graph.neighbors(v):
+            key = (v, target) if v < target else (target, v)
+            if key in checked:
+                continue
+            checked.add(key)
+            diff = pv - p.value(target)
+            if not diff.substitute_var(a, b).is_zero:
+                return False, GkmViolation(v, target, lf(a, b, p.n), diff)
+    return True, None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gkm_check_matches_the_edge_set_walk(n):
+    # every flow-up class of every h, as it is, with t1 added at one point
+    # and with the value at one support point dropped
+    from gkmhess.dot import flow_up_basis
+
+    perms = list(Permutation.all(n))
+    count, verdicts = 0, set()
+    for h in HessenbergFunction.all(n):
+        for w, cls in flow_up_basis(h).items():
+            support = sorted(cls.support())
+            added = cls + EquivariantClass(n, {perms[count % len(perms)]: MultiPoly.variable(0, n)})
+            dropped = EquivariantClass(n, {v: p for v, p in cls.values.items()
+                                           if v != support[count % len(support)]})
+            count += 1
+            assert gkm_check(cls, h) == (True, None)
+            for corrupted in (added, dropped):
+                verdict = gkm_check(corrupted, h)
+                assert verdict == _gkm_check_on_edge_sets(corrupted, h)
+                verdicts.add(verdict[0])
+    assert verdicts == {True, False}
 
 
 def test_permutohedral_classes_pass_gkm():
@@ -396,6 +440,68 @@ def test_root_product_zero():
     assert f == RootProduct(1, ((1, 2), (1, 3)))
     assert f.substitute(2, 1) == zero and f * zero == zero
     assert f.substitute(3, 2) == RootProduct(1, ((1, 2), (1, 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_linear_form_is_the_root_product_of_its_label(n):
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            assert lf(a, b, n) == RootProduct.of_labels([(a, b)]).expand(n)
+    assert lf(n, n, n).is_zero
+
+
+def _expanding(monkeypatch):
+    """The root products that ``RootProduct.expand`` expands from here on."""
+    expanded = []
+    exact = RootProduct.expand
+    monkeypatch.setattr(RootProduct, "expand",
+                        lambda self, n: expanded.append(self) or exact(self, n))
+    return expanded
+
+
+def test_sum_vanishes_on_one_root_per_term(monkeypatch):
+    # (t1 - t2)(t1 - t3) + (t2 - t1)(t2 - t3) - (t1 - t2)(t1 - t2) = 0: the
+    # shared t1 - t2 leaves t1 - t3, t3 - t2 and t2 - t1
+    expanded = _expanding(monkeypatch)
+    terms = [(RootProduct.of_labels([(1, 2), (1, 3)]), 1),
+             (RootProduct.of_labels([(2, 1), (2, 3)]), 1),
+             (RootProduct.of_labels([(1, 2), (1, 2)]), -1)]
+    assert sum_vanishes(terms, 3)
+    assert not sum_vanishes(terms[:2], 3)
+    assert not sum_vanishes(terms[:1] + terms[2:], 3)
+    assert not expanded
+    # terms that cancel factor for factor, and no term at all
+    assert sum_vanishes(terms[:1] + [(terms[0][0], -1)], 3)
+    assert sum_vanishes([], 3)
+
+
+def test_sum_vanishes_on_two_roots_per_term(monkeypatch):
+    # (t1 - t2)(t3 - t4) - (t1 - t3)(t2 - t4) + (t1 - t4)(t2 - t3) = 0, each
+    # term also times the shared t1 - t5, which is divided out
+    expanded = _expanding(monkeypatch)
+    shared = RootProduct.of_labels([(1, 5)])
+    terms = [(shared * RootProduct.of_labels(labels), coeff) for labels, coeff in [
+        ([(1, 2), (3, 4)], 1), ([(1, 3), (2, 4)], -1), ([(1, 4), (2, 3)], 1)]]
+    assert sum_vanishes(terms, 5)
+    assert len(expanded) == 3 and all(len(value.pairs) == 2 for value in expanded)
+    perturbed = terms[:2] + [(shared * RootProduct.of_labels([(1, 4), (3, 2)]), 1)]
+    assert not sum_vanishes(perturbed, 5)
+    assert not sum_vanishes(terms[:2] + [(terms[2][0], 2)], 5)
+
+
+_signed_products = st.lists(st.tuples(_labels, st.integers(-2, 2)), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signed_products, _labels)
+def test_sum_vanishes_is_the_expanded_sum_vanishing(terms, shared):
+    n = 4
+    common = RootProduct.of_labels(shared)
+    values = [(common * RootProduct.of_labels(labels), coeff) for labels, coeff in terms]
+    total = MultiPoly.zero(n)
+    for value, coeff in values:
+        total = total + value.expand(n) * coeff
+    assert sum_vanishes(values, n) == total.is_zero
 
 
 # -- exact division on packed monomials against the tuple-keyed reference ------

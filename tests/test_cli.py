@@ -355,8 +355,9 @@ def test_poincare_at_n4_matches_the_geometry_reference():
 # that the degree bases are read from, and the masks that verify_poincare
 # derives itself and counts out-degrees from.  The others plant a wrong
 # entry in s_1's matrix, a wrong flow-up or permutohedral class, one wrong
-# root product of a permutohedral class, a dropped auxiliary summand, a
-# wrong module type count, a wrong lattice permutation, a support short of
+# root product of a permutohedral class, or one with an extra root, a root
+# product that keeps its sign when a pair is swapped, a dropped auxiliary
+# summand, a wrong module type count, a wrong lattice permutation, a support short of
 # one point, a reachable minor read as 0 and a wrong minus-cell chart entry.
 # Each command prints its
 # suite, its exit code and either the verdict and failed checks of its report
@@ -474,6 +475,28 @@ def root_value(change, w, v):
                 values[v_0] = RootProduct.of_labels([(a, b - 1), *rest], sign)
         return values
     cli.permutohedral_root_products = faulty
+
+
+def extra_root(w, v, a, b):
+    # the root product of the permutohedral class of w at the point v, as
+    # the classes and dot-rules suites read it, times t_a - t_b
+    exact = cli.permutohedral_root_products
+    w_0, v_0 = Permutation.from_one_line(w), Permutation.from_one_line(v)
+    root = RootProduct.of_labels([(int(a), int(b))])
+
+    def faulty(u):
+        values = exact(u)
+        if u == w_0:
+            values[v_0] = values[v_0] * root
+        return values
+    cli.permutohedral_root_products = faulty
+
+
+def of_labels_sign():
+    # a swapped pair t_b - t_a read as t_a - t_b, its sign change dropped
+    exact = RootProduct.of_labels
+    RootProduct.of_labels = classmethod(
+        lambda cls, labels, sign=1: exact([(min(ab), max(ab)) for ab in labels], sign))
 
 
 def aux_summand(w, i):
@@ -623,6 +646,42 @@ def test_dot_rules_catch_a_dropped_auxiliary_summand():
     lines = _run_with_fault("aux-summand 2143 1", "dot-rules --n 4", "all --n 4")
     assert lines[0] == "dot-rules 1 False dot-rules"
     _assert_all_fails(lines[1], "dot-rules")
+
+
+def test_dot_rules_catch_a_swapped_pair_that_keeps_its_sign():
+    lines = _run_with_fault("of-labels-sign", "dot-rules --n 4", "all --n 4")
+    assert lines[0] == "dot-rules 1 False dot-rules"
+    _assert_all_fails(lines[1], "dot-rules")
+
+
+def test_dot_rules_catch_an_extra_root_on_the_expanded_path(monkeypatch):
+    # 3214 . sigma_2431 is the last summand of (2143, 1); the value of 2431's
+    # class at 4231 gains the root t1 - t2
+    lines = _run_with_fault("extra-root 2431 4231 1 2", "dot-rules --n 4", "all --n 4")
+    assert lines[0] == "dot-rules 1 False dot-rules"
+    _assert_all_fails(lines[1], "dot-rules")
+    # the master identity expands no root product at n = 4, but a point that
+    # the extra root reaches is decided on the expanded rests
+    from gkmhess import cli
+    from gkmhess.classes import RootProduct
+    from gkmhess.perms import Permutation
+
+    expanded = []
+    expand = RootProduct.expand
+    monkeypatch.setattr(RootProduct, "expand",
+                        lambda self, n: expanded.append(self) or expand(self, n))
+    descents = [(w, i) for w in Permutation.all(4) for i in range(1, 4)
+                if w.inverse()(i + 1) + 1 == w.inverse()(i)]
+    assert all(cli._master_identity_holds(w, i) for w, i in descents) and not expanded
+    exact, w_0 = cli.permutohedral_root_products, Permutation.from_one_line("2431")
+    v_0, root = Permutation.from_one_line("4231"), RootProduct.of_labels([(1, 2)])
+    monkeypatch.setattr(cli, "permutohedral_root_products",
+                        lambda u: {**exact(u), v_0: exact(u)[v_0] * root} if u == w_0 else exact(u))
+    for w, i in descents:
+        expanded.clear()
+        if not cli._master_identity_holds(w, i):
+            assert expanded
+    assert not cli._master_identity_holds(Permutation.from_one_line("2143"), 1)
 
 
 def test_dot_rules_catch_a_wrong_flow_up_class():

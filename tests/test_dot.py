@@ -171,7 +171,7 @@ def test_master_identity_on_root_products_matches_the_expanded_classes(n, monkey
                 aux = build_auxiliary_class(w, i, kept)
                 monkeypatch.setattr(cli, "auxiliary_terms", lambda v, j: kept)
                 verdict = lhs == dot(si, aux) - aux
-                assert cli._master_identity_holds(w, i, {}) == verdict
+                assert cli._master_identity_holds(w, i) == verdict
                 assert verdict or kept is not terms
 
 
