@@ -85,7 +85,10 @@ def _parse_h(text: str, n: int | None, source: str | None = None) -> HessenbergF
         return HessenbergFunction.permutohedral(n)
     if text == "fullflag":
         return HessenbergFunction.full_flag(n)
-    h = HessenbergFunction.from_string(text)
+    try:
+        h = HessenbergFunction.from_string(text)
+    except ValueError as exc:
+        raise ValueError(f"--h {text}: {exc}") from None
     if n is not None and h.n != n:
         raise ValueError(f"{source or f'--n is {n}'} but --h has length {h.n}")
     return h

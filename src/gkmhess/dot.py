@@ -16,14 +16,14 @@ cases, by the positions of the values ``i`` and ``i+1`` in ``w``:
   ``(t_{i+1} - t_i) sigma_{s_i w} = s_i . aux - aux``, which unwinds to an
   expansion of ``s_i . sigma_w`` with recursive corrections.
 
-One memoized recursion, ``_SiExpansionCache``, computes this expansion over
-either of two coefficient rings.  ``_PolyRing`` keeps the polynomials in
-``t`` (``perm_si_action``, ``gkmhess dot``).  ``_ConstantRing`` keeps
-integers at t = 0, the ordinary action that ``generator_matrix`` needs.
-Evaluation at t = 0 is a ring map that commutes with permuting the variables
-and kills the root ``t_{i+1} - t_i``, and the recursion uses nothing but the
-ring operations, those roots and that action.  So the integer run yields
-exactly the constant terms of the polynomial run.
+One memoized recursion, ``_SiExpansionCache``, computes this expansion at
+t = 0, on integers: the ordinary action that ``generator_matrix`` needs.
+Evaluation at t = 0 commutes with permuting the variables and kills the root
+``t_{i+1} - t_i``, so the recursion keeps no root term and acts on no
+coefficient.  The polynomial expansion, ``perm_si_action`` (``gkmhess dot
+--permutohedral``), expands the moved class ``dot(s_i, sigma_w)`` in the
+basis by ``expand_in_basis``, reading the basis classes as the elimination
+reaches them.
 
 The first two cases are read in one place, ``_one_term_image``, by the
 recursion and by ``generator_matrix`` alike; only the descent case reaches
@@ -51,6 +51,7 @@ from typing import NamedTuple
 from .classes import (
     EquivariantClass,
     InterpolationResult,
+    expand_in_basis,
     interpolate_class,
     permutohedral_class,
     reduce_to_ordinary,
@@ -212,74 +213,25 @@ def auxiliary_terms(w: Permutation, i: int) -> list[AuxiliaryTerm]:
     return terms
 
 
-class _PolyRing:
-    """Coefficients in Z[t_1..t_n]: the equivariant expansion."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.one = MultiPoly.one(n)
-        self._simple = {i: Permutation.simple(i, n) for i in range(1, n)}
-
-    def root(self, i: int) -> MultiPoly:
-        """``t_{i+1} - t_i``."""
-        return MultiPoly.linear_form(i + 1, i, self.n)
-
-    def act(self, i: int, coeff: MultiPoly) -> MultiPoly:
-        """``s_i`` on a coefficient: exchange ``t_i`` and ``t_{i+1}``."""
-        return coeff.substitute_permutation(self._simple[i])
-
-    @staticmethod
-    def is_zero(coeff: MultiPoly) -> bool:
-        return coeff.is_zero
-
-
-class _ConstantRing:
-    """Coefficients evaluated at t = 0: the ordinary expansion.
-
-    Evaluation at 0 is a ring map that commutes with permuting the variables
-    and sends the root ``t_{i+1} - t_i`` to 0, so the same recursion run on
-    these integers gives exactly the constant terms of the polynomial one.
-    """
-
-    one = 1
-
-    def __init__(self, n: int):
-        self.n = n
-
-    @staticmethod
-    def root(i: int) -> int:
-        return 0
-
-    @staticmethod
-    def act(i: int, coeff: int) -> int:
-        return coeff
-
-    @staticmethod
-    def is_zero(coeff: int) -> bool:
-        return not coeff
-
-
 class _SiExpansionCache:
-    """Memoized expansions of ``s_i . sigma_w`` over the basis classes.
+    """Memoized expansions of ``s_i . sigma_w`` at t = 0 over the basis classes.
 
-    Values are dicts mapping basis permutations to nonzero coefficients in
-    ``ring``: polynomials (``_PolyRing``) or their values at t = 0
-    (``_ConstantRing``).  Only the descent case is memoized: the other two
-    are one-term moves, ``_one_term_image``.  A
+    Values are dicts mapping basis permutations to nonzero ``int``s, the
+    constant terms of the polynomial expansion.  Only the descent case is
+    memoized: the other two are one-term moves, ``_one_term_image``.  A
     recursion guard raises on re-entry for the same pair, which the
     underlying identities rule out in practice.
     """
 
-    def __init__(self, n: int, ring):
+    def __init__(self, n: int):
         self.n = n
-        self.ring = ring(n)
-        self.cache: dict[tuple[Permutation, int], dict[Permutation, object]] = {}
+        self.cache: dict[tuple[Permutation, int], dict[Permutation, int]] = {}
         self.in_progress: set[tuple[Permutation, int]] = set()
 
-    def expansion(self, w: Permutation, i: int) -> dict[Permutation, object]:
+    def expansion(self, w: Permutation, i: int) -> dict[Permutation, int]:
         moved = _one_term_image(w, i)
         if moved is not None:
-            return {moved: self.ring.one}
+            return {moved: 1}
         key = (w, i)
         hit = self.cache.get(key)
         if hit is not None:
@@ -294,41 +246,33 @@ class _SiExpansionCache:
         self.cache[key] = result
         return result
 
-    def _compute(self, w: Permutation, i: int) -> dict[Permutation, object]:
+    def _compute(self, w: Permutation, i: int) -> dict[Permutation, int]:
         """The descent case, ``i+1`` directly left of ``i``: each auxiliary
-        summand other than ``sigma_w`` adds ``(1 - s_i) . summand``."""
-        ring = self.ring
-        one = ring.one
-        result: dict[Permutation, object] = {}
-        root = ring.root(i)
-        if not ring.is_zero(root):
-            _add(result, Permutation.simple(i, self.n) * w, root)
-        _add(result, w, one)
+        summand other than ``sigma_w`` adds ``(1 - s_i) . summand``; the root
+        term ``(t_{i+1} - t_i) sigma_{s_i w}`` is 0 at t = 0."""
+        result = {w: 1}
         for tilde, target, mover in auxiliary_terms(w, i):
             if tilde == w:
                 continue  # the (P~, empty) summand is sigma_w itself
             if target is tilde:  # no correction: the mover is the identity
-                summand = {target: one}
+                summand = {target: 1}
             else:
-                summand = self._apply_word(mover.reduced_word(), {target: one})
+                summand = self._apply_word(mover.reduced_word(), {target: 1})
             for v, coeff in summand.items():
-                _add(result, v, coeff)
-                moved = ring.act(i, coeff)
+                result[v] = result.get(v, 0) + coeff
                 for u, inner in self.expansion(v, i).items():
-                    _add(result, u, -(moved * inner))
-        return {v: c for v, c in result.items() if not ring.is_zero(c)}
+                    result[u] = result.get(u, 0) - coeff * inner
+        return {v: c for v, c in result.items() if c}
 
     def _apply_word(self, word, expansion):
         """Apply ``s_{word[0]} ... s_{word[-1]}`` (left to right) to an expansion."""
-        ring = self.ring
         current = expansion
         for gen in reversed(word):
-            nxt: dict[Permutation, object] = {}
+            nxt: dict[Permutation, int] = {}
             for v, coeff in current.items():
-                moved_coeff = ring.act(gen, coeff)
                 for target, inner in self.expansion(v, gen).items():
-                    _add(nxt, target, moved_coeff * inner)
-            current = {v: c for v, c in nxt.items() if not ring.is_zero(c)}
+                    nxt[target] = nxt.get(target, 0) + coeff * inner
+            current = {v: c for v, c in nxt.items() if c}
         return current
 
 
@@ -338,7 +282,7 @@ def _one_term_image(w: Permutation, i: int) -> Permutation | None:
 
     With ``i`` directly left of ``i+1`` the class is fixed; when the two
     are not adjacent the descent pattern is unchanged and the class moves
-    to ``sigma_{s_i w}``.  Both images have coefficient 1 in either ring.
+    to ``sigma_{s_i w}``.  Both images have coefficient 1.
     """
     j, k = w.index(i), w.index(i + 1)
     if j + 1 == k:
@@ -350,13 +294,8 @@ def _one_term_image(w: Permutation, i: int) -> Permutation | None:
     return tuple.__new__(Permutation, images)
 
 
-def _add(acc: dict, key: Permutation, coeff) -> None:
-    previous = acc.get(key)
-    acc[key] = coeff if previous is None else previous + coeff
-
-
-# One expansion cache per (n, ring).
-_caches: dict[tuple[int, type], _SiExpansionCache] = {}
+# One expansion cache per n.
+_caches: dict[int, _SiExpansionCache] = {}
 _CACHE_BOUND = 4
 
 
@@ -370,8 +309,8 @@ def _held(table: dict, key, make):
     return value
 
 
-def _expansion_cache(n: int, ring: type) -> _SiExpansionCache:
-    return _held(_caches, (n, ring), lambda: _SiExpansionCache(n, ring))
+def _expansion_cache(n: int) -> _SiExpansionCache:
+    return _held(_caches, n, lambda: _SiExpansionCache(n))
 
 
 def _check_generator(i: int, n: int) -> None:
@@ -379,15 +318,31 @@ def _check_generator(i: int, n: int) -> None:
         raise ValueError(f"generator s_{i} outside 1 <= i < n = {n}")
 
 
-def perm_si_action(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
-    """Exact expansion of ``s_i . sigma_w`` over the permutohedral basis.
+class _ClassesOnDemand(dict):
+    """The permutohedral flow-up classes of one h, read as ``expand_in_basis``
+    asks for them, so an expansion builds only the classes it reaches."""
 
-    The recursion is the one ``generator_matrix`` runs at t = 0; here it
-    runs on polynomial coefficients.
-    """
+    def __init__(self, h: HessenbergFunction):
+        super().__init__()
+        self.h = h
+
+    def __missing__(self, v: Permutation) -> EquivariantClass:
+        return flow_up_class(v, self.h).cls
+
+    get = dict.__getitem__
+
+
+def perm_si_action(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
+    """Exact expansion of ``s_i . sigma_w`` over the permutohedral basis:
+    the moved class ``dot(s_i, sigma_w)`` expanded by ``expand_in_basis``.
+    Its constant terms are the t = 0 expansion that ``generator_matrix``
+    reads from the recursion."""
     w = Permutation(w)
-    _check_generator(i, len(w))
-    return _expansion_cache(len(w), _PolyRing).expansion(w, i)
+    n = len(w)
+    _check_generator(i, n)
+    h = HessenbergFunction.permutohedral(n)
+    moved = dot(Permutation.simple(i, n), flow_up_class(w, h).cls)
+    return expand_in_basis(moved, _ClassesOnDemand(h), h)
 
 
 # -- action matrices -----------------------------------------------------------
@@ -460,8 +415,8 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:
 
     One route per family.  Permutohedral h: a column whose image is one
     class (``_one_term_image``) is read off the positions of ``i`` and
-    ``i+1`` with coefficient 1; only a descent column runs the recursion of
-    ``perm_si_action`` on integers at t = 0.  Full flag: the identity, the
+    ``i+1`` with coefficient 1; only a descent column runs the recursion,
+    ``_SiExpansionCache``, on integers at t = 0.  Full flag: the identity, the
     t = 0 image of ``full_flag_si_expansion``, whose only other term
     carries the root ``t_{i+1} - t_i``.  Any other h: ``reduce_to_ordinary``
     of ``s_i . sigma_w`` over ``flow_up_basis(h)``.  Each column is keyed
@@ -474,7 +429,7 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:
     position = {w: j for j, w in enumerate(order)}
     columns = []
     if h.is_permutohedral():
-        cache = _expansion_cache(h.n, _ConstantRing)
+        cache = _expansion_cache(h.n)
         for w in order:
             moved = _one_term_image(w, i)
             if moved is None:

@@ -71,7 +71,13 @@ class HessenbergFunction(tuple):
 
     @classmethod
     def from_string(cls, text: str) -> "HessenbergFunction":
-        return cls(int(part) for part in text.split(","))
+        values = []
+        for part in text.split(","):
+            try:
+                values.append(int(part))
+            except ValueError:
+                raise ValueError(f"{part!r} is not an integer") from None
+        return cls(values)
 
     @classmethod
     def permutohedral(cls, n: int) -> "HessenbergFunction":

@@ -24,8 +24,8 @@ from itertools import chain, combinations
 
 from gkmhess.classes import EquivariantClass, RootProduct, permutohedral_class
 from gkmhess.decomp import block_subgroups
-from gkmhess.dot import (AuxiliaryTerm, ActionMatrix, _ConstantRing, _expansion_cache,
-                         auxiliary_terms, degree_basis, dot)
+from gkmhess.dot import (AuxiliaryTerm, ActionMatrix, _expansion_cache, auxiliary_terms,
+                         degree_basis, dot)
 from gkmhess.gkm import GkmGraph
 from gkmhess.perms import Permutation, partitions, young_subgroup
 
@@ -163,7 +163,7 @@ def position_keyed_generator_matrix(i, k, h):
     """Matrix of ``s_i`` on permutohedral degree 2k: each column is the
     memo's t = 0 expansion ``expansion(w, i)``, keyed by position."""
     order = degree_basis(h, k)
-    cache = _expansion_cache(h.n, _ConstantRing)
+    cache = _expansion_cache(h.n)
     position = {w: j for j, w in enumerate(order)}
     columns = []
     for w in order:

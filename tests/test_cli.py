@@ -411,7 +411,7 @@ def s1_matrix():
 def s2_column(w):
     # s_2 . sigma_w read as sigma_w itself, where 2 and 3 stand apart in w
     # and the class moves to sigma_{s_2 w}: one one-term column of every s_2
-    # permutohedral matrix, in both rings
+    # permutohedral matrix, and one move of the t = 0 recursion
     exact, w_0 = dot._one_term_image, Permutation.from_one_line(w)
     dot._one_term_image = lambda v, i: v if (v, i) == (w_0, 2) else exact(v, i)
 
@@ -505,6 +505,13 @@ def aux_summand(w, i):
     cli.auxiliary_terms = lambda v, j: exact(v, j)[:-1] if (v, j) == key else exact(v, j)
 
 
+def recursion_summand(w, i):
+    # the last auxiliary summand of (w, i) dropped from the t = 0 recursion
+    # alone; the master identity reads its own binding, which stays exact
+    exact, key = dot.auxiliary_terms, (Permutation.from_one_line(w), int(i))
+    dot.auxiliary_terms = lambda v, j: exact(v, j)[:-1] if (v, j) == key else exact(v, j)
+
+
 def support_point(w, h):
     # the largest point dropped from the support of (w, h)
     exact = cli.support_A
@@ -560,11 +567,16 @@ def chart_entry(w_1):
 fault, *args = sys.argv[1].split()
 globals()[fault.replace("-", "_")](*args)
 for command in sys.argv[2:]:
+    # a verify suite and its options, or "gkmhess ..." for any command,
+    # whose exit code and standard output are printed as they are
+    argv = command.split()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["verify", *command.split()])
-    suite = command.split()[0]
-    if out.getvalue():
+        code = cli.main(argv[1:] if argv[0] == "gkmhess" else ["verify", *argv])
+    suite = argv[0]
+    if suite == "gkmhess":
+        print(code, out.getvalue().strip())
+    elif out.getvalue():
         report = json.loads(out.getvalue())
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         print(suite, code, report["passed"], ",".join(failed))
@@ -646,6 +658,19 @@ def test_dot_rules_catch_a_dropped_auxiliary_summand():
     lines = _run_with_fault("aux-summand 2143 1", "dot-rules --n 4", "all --n 4")
     assert lines[0] == "dot-rules 1 False dot-rules"
     _assert_all_fails(lines[1], "dot-rules")
+
+
+def test_matrix_suites_catch_a_dropped_recursion_summand():
+    # the same summand as aux-summand, dropped from the t = 0 recursion that
+    # the permutohedral matrices read; dot-rules keeps its own exact walk,
+    # and the polynomial expansion of dot --permutohedral does not run the
+    # recursion, so its output stays as it is
+    dot_2143 = "gkmhess dot --permutohedral --w 2143 --gen 1"
+    lines = _run_with_fault("recursion-summand 2143 1", "all --n 4", dot_2143)
+    assert lines[0] == "all 1 False coxeter,decomposition,sw"
+    exact = run_cli(*dot_2143.split()[1:])
+    assert exact.returncode == 0
+    assert lines[1] == f"0 {exact.stdout.strip()}"
 
 
 def test_dot_rules_catch_a_swapped_pair_that_keeps_its_sign():
@@ -1080,6 +1105,21 @@ def test_cell_chart_bad_eigenvalues_are_a_usage_error(eigenvalues, message, caps
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("h,message", [
+    ("2,x", "--h 2,x: 'x' is not an integer"),
+    ("", "--h : '' is not an integer"),
+    ("3,2,3", "--h 3,2,3: not weakly increasing: (3, 2, 3)"),
+    ("2,1,3", "--h 2,1,3: h(2) = 1 outside [2,3]"),
+], ids=["not-an-integer", "empty", "not-increasing", "below-the-diagonal"])
+def test_malformed_h_is_a_usage_error_that_names_the_option(h, message, capsys):
+    from gkmhess import cli
+
+    assert cli.main(["gkm-graph", "--h", h]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 

@@ -12,7 +12,6 @@ from reference_actions import (build_auxiliary_class, position_keyed_generator_m
 
 from gkmhess.classes import (
     EquivariantClass,
-    expand_in_basis,
     gkm_check,
     interpolate_class,
     permutohedral_class,
@@ -35,10 +34,8 @@ from gkmhess.dot import (
 from gkmhess.dot import (
     _CACHE_BOUND,
     _caches,
-    _ConstantRing,
     _expansion_cache,
     _one_term_image,
-    _PolyRing,
     _SiExpansionCache,
 )
 from gkmhess.gkm import EdgeKind, HessenbergFunction, edge_kind, l_h, poincare_coefficients
@@ -208,14 +205,29 @@ def test_fully_fenced_si_expansion():
     }
 
 
-def test_si_expansion_matches_dot_expand_n4():
-    n = 4
-    h = HessenbergFunction.permutohedral(n)
+@pytest.mark.parametrize("n", range(2, 6))
+def test_si_expansion_sums_back_to_the_moved_class(n):
+    # sum over v of c_v . sigma_v is s_i . sigma_w, as equivariant classes
     basis = {u: permutohedral_class(u) for u in Permutation.all(n)}
-    for u in Permutation.all(n):
+    for w in Permutation.all(n):
         for i in range(1, n):
-            direct = expand_in_basis(dot(Permutation.simple(i, n), basis[u]), basis, h)
-            assert perm_si_action(u, i) == direct
+            total = EquivariantClass.zero(n)
+            for v, coeff in perm_si_action(w, i).items():
+                total = total + basis[v].scale(coeff)
+            assert total == dot(Permutation.simple(i, n), basis[w])
+
+
+def test_every_descent_memo_entry_is_the_constant_terms_n5():
+    # the t = 0 recursion against the expanded moved class, on every pair
+    # with i+1 directly left of i
+    n = 5
+    cache = _SiExpansionCache(n)
+    for w in Permutation.all(n):
+        for i in range(1, n):
+            if w.index(i + 1) + 1 == w.index(i):
+                constants = {v: c.constant_term() for v, c in perm_si_action(w, i).items()}
+                assert cache.expansion(w, i) == {v: c for v, c in constants.items() if c}
+    assert len(cache.cache) == (n - 1) * math.factorial(n - 1)
 
 
 @st.composite
@@ -228,9 +240,9 @@ def permutation_and_generator(draw):
 @settings(max_examples=80, deadline=None)
 @given(permutation_and_generator())
 def test_expansion_at_t0_is_the_constant_term(case):
-    # the integer recursion is the polynomial one evaluated at t = 0
+    # the integer recursion gives the constant terms of the expanded moved class
     w, i = case
-    at_zero = _expansion_cache(len(w), _ConstantRing).expansion(w, i)
+    at_zero = _expansion_cache(len(w)).expansion(w, i)
     constants = {v: c.constant_term() for v, c in perm_si_action(w, i).items()}
     assert at_zero == {v: c for v, c in constants.items() if c}
     assert all(type(c) is int for c in at_zero.values())
@@ -238,13 +250,12 @@ def test_expansion_at_t0_is_the_constant_term(case):
 
 def test_expansion_caches_stay_within_their_bound():
     for n in range(2, 7):
-        for ring in (_PolyRing, _ConstantRing):
-            _expansion_cache(n, ring).expansion(Permutation.longest(n), 1)
-            assert len(_caches) <= _CACHE_BOUND
+        _expansion_cache(n).expansion(Permutation.longest(n), 1)
+        assert len(_caches) <= _CACHE_BOUND
     # the newest cache is kept, and asking again returns the same object
-    newest = _expansion_cache(6, _ConstantRing)
-    assert newest is _caches[(6, _ConstantRing)]
-    assert _expansion_cache(6, _ConstantRing) is newest
+    newest = _expansion_cache(6)
+    assert newest is _caches[6]
+    assert _expansion_cache(6) is newest
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -258,20 +269,19 @@ def test_auxiliary_terms_match_the_reference(n):
                     auxiliary_terms(w, i)
 
 
-@pytest.mark.parametrize("ring", [_PolyRing, _ConstantRing], ids=lambda r: r.__name__)
-def test_only_the_descent_case_is_memoized(ring):
+def test_only_the_descent_case_is_memoized():
     # a one-term move is read off the positions of i and i+1; the memo holds
     # the (n-1) (n-1)! pairs with i+1 directly left of i, and no other
     n = 5
-    cache = _SiExpansionCache(n, ring)
+    cache = _SiExpansionCache(n)
     for w in Permutation.all(n):
         for i in range(1, n):
             expansion = cache.expansion(w, i)
             j, k = w.index(i), w.index(i + 1)
             if j + 1 == k:
-                assert expansion == {w: cache.ring.one}
+                assert expansion == {w: 1}
             elif k + 1 != j:
-                assert expansion == {Permutation.simple(i, n) * w: cache.ring.one}
+                assert expansion == {Permutation.simple(i, n) * w: 1}
     assert all(w.index(i + 1) + 1 == w.index(i) for w, i in cache.cache)
     assert len(cache.cache) == (n - 1) * math.factorial(n - 1)
 
@@ -359,8 +369,8 @@ def test_off_degree_term_in_a_column_is_an_error(monkeypatch):
     # a memo entry with a term outside degree k must not be filtered away
     n, i = 4, 1
     h = HessenbergFunction.permutohedral(n)
-    cache = _SiExpansionCache(n, _ConstantRing)
-    monkeypatch.setitem(_caches, (n, _ConstantRing), cache)
+    cache = _SiExpansionCache(n)
+    monkeypatch.setitem(_caches, n, cache)
     w = Permutation.from_one_line("2134")  # i+1 directly left of i, degree 1
     cache.cache[(w, i)] = {w: 1, Permutation.identity(n): 1}
     for assemble in (generator_matrix, position_keyed_generator_matrix):
@@ -414,7 +424,7 @@ def test_a_basis_vector_with_the_int_one_maps_to_a_copy_of_its_column():
 def test_permutohedral_columns_are_the_memo_expansions_by_position(n):
     # each column is the memo's t = 0 expansion, renumbered by the degree basis
     h = HessenbergFunction.permutohedral(n)
-    cache = _expansion_cache(n, _ConstantRing)
+    cache = _expansion_cache(n)
     for k in range(n):
         for i in range(1, n):
             expected = {w: cache.expansion(w, i) for w in degree_basis(h, k)}
