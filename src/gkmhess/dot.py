@@ -25,6 +25,27 @@ coefficient.  The polynomial expansion, ``perm_si_action`` (``gkmhess dot
 basis by ``expand_in_basis``, reading the basis classes as the elimination
 reaches them.
 
+The recursion runs only for letters with ``2i <= n``; a letter above n/2 is
+read off its mirror under ``phi(u) = w0 u w0``, whose one-line form is
+``n+1 - u(n+1-k)`` at position k.  Let ``theta`` substitute ``t_a ->
+t_{n+1-a}`` and ``(Phi p)(phi(u)) = theta(p(u))``.  A descent d of w is the
+descent n - d of ``phi(w)``, so the value blocks of ``phi(w)`` are those of
+w complemented, ``supp sigma_{phi(w)} = phi(supp sigma_w)``, and the factor
+``t_{u(d+1)} - t_{u(d)}`` of ``sigma_w(u)`` goes to ``-(t_{phi(u)(n-d+1)} -
+t_{phi(u)(n-d)})`` under theta: ``Phi sigma_w = (-1)^{des w}
+sigma_{phi(w)}``.  Since ``phi(s_i x) = s_{n-i} phi(x)`` and ``theta s_i =
+s_{n-i} theta`` on the variables, ``Phi(s_i . p) = s_{n-i} . Phi p``, and
+``Phi(f p) = theta(f) Phi p``.  So if ``s_{n-i} . sigma_{phi(w)} = sum c_v
+sigma_v``, applying the involution Phi gives ``s_i . sigma_w = sum
+(-1)^{des w + des v} theta(c_v) sigma_{phi(v)}``, the one expansion over
+the basis.  At t = 0, ``theta(c_v)`` and ``c_v`` agree, and only the terms
+with ``des v = des w`` survive, as ``c_v`` is homogeneous of degree ``des w
+- des v``: the sign is +1.  With
+``i+1`` directly left of ``i`` in w, ``n-i`` stands directly left of
+``n-i+1`` in ``phi(w)``, so the mirror of a descent pair is a descent pair,
+and the t = 0 expansion of ``(w, i)`` is that of ``(phi(w), n-i)`` with every
+key mapped by phi.
+
 The first two cases are read in one place, ``_one_term_image``, by the
 recursion and by ``generator_matrix`` alike; only the descent case reaches
 the memo.  ``auxiliary_terms`` is the one walk over the auxiliary summands,
@@ -219,8 +240,11 @@ class _SiExpansionCache:
     Values are dicts mapping basis permutations to nonzero ``int``s, the
     constant terms of the polynomial expansion.  Only the descent case is
     memoized: the other two are one-term moves, ``_one_term_image``.  A
-    recursion guard raises on re-entry for the same pair, which the
-    underlying identities rule out in practice.
+    descent pair with ``2i > n`` is its mirror's entry with every key mapped
+    by ``_mirror`` (see the module docstring), stored under its own key, so
+    ``_compute`` runs only for letters with ``2i <= n``.  A recursion guard
+    raises on re-entry for the same pair, which the underlying identities
+    rule out in practice.
     """
 
     def __init__(self, n: int):
@@ -240,7 +264,11 @@ class _SiExpansionCache:
             raise RecursionError(f"cyclic expansion request at w={w}, i={i}")
         self.in_progress.add(key)
         try:
-            result = self._compute(w, i)
+            if 2 * i > self.n:
+                mirrored = self.expansion(_mirror(w), self.n - i)
+                result = {_mirror(v): c for v, c in mirrored.items()}
+            else:
+                result = self._compute(w, i)
         finally:
             self.in_progress.discard(key)
         self.cache[key] = result
@@ -274,6 +302,12 @@ class _SiExpansionCache:
                     nxt[target] = nxt.get(target, 0) + coeff * inner
             current = {v: c for v, c in nxt.items() if c}
         return current
+
+
+def _mirror(w: Permutation) -> Permutation:
+    """``w0 w w0``: positions reversed and values complemented."""
+    top = len(w) + 1
+    return tuple.__new__(Permutation, [top - x for x in reversed(w)])
 
 
 def _one_term_image(w: Permutation, i: int) -> Permutation | None:

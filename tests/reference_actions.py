@@ -5,6 +5,9 @@ breadth-first walk of the cosets of the fine block subgroup in the coarse
 one, one generator application per coset.  ``walk_auxiliary_terms`` builds
 the auxiliary summands of the descent case from the inverse permutation and
 re-derives the descent set of every permutation it builds.
+``unmirrored_expansion`` runs the t = 0 descent recursion for every letter,
+reading no expansion off its mirror, on the summands of
+``walk_auxiliary_terms``.
 ``min_length_coset_reps`` finds the shortest element of each coset of the
 fine block subgroup in the coarse one by a minimum search over Coxeter
 lengths.  ``position_keyed_generator_matrix`` assembles a permutohedral
@@ -157,6 +160,39 @@ def walk_auxiliary_terms(w, i):
             mover = tilde * target.inverse()
             terms.append(AuxiliaryTerm(tilde=tilde, target=target, mover=mover))
     return terms
+
+
+def unmirrored_expansion(w, i, memo):
+    """The t = 0 expansion of ``s_i . sigma_w`` as ``{v: int}``: a one-term
+    move read off the positions of ``i`` and ``i+1``, or the descent
+    recursion, run for every letter ``i`` and held in ``memo`` by ``(w, i)``.
+    Each summand other than ``sigma_w`` adds ``(1 - s_i)`` of its mover
+    applied to its target."""
+    n = len(w)
+    j, k = w.index(i), w.index(i + 1)
+    if j + 1 == k:
+        return {w: 1}
+    if k + 1 != j:
+        return {Permutation.simple(i, n) * w: 1}
+    if (w, i) in memo:
+        return memo[(w, i)]
+    result = {w: 1}
+    for term in walk_auxiliary_terms(w, i):
+        if term.tilde == w:
+            continue
+        summand = {term.target: 1}
+        for gen in reversed(term.mover.reduced_word()):
+            moved = {}
+            for v, c in summand.items():
+                for u, d in unmirrored_expansion(v, gen, memo).items():
+                    moved[u] = moved.get(u, 0) + c * d
+            summand = moved
+        for v, c in summand.items():
+            result[v] = result.get(v, 0) + c
+            for u, d in unmirrored_expansion(v, i, memo).items():
+                result[u] = result.get(u, 0) - c * d
+    memo[(w, i)] = {v: c for v, c in result.items() if c}
+    return memo[(w, i)]
 
 
 def position_keyed_generator_matrix(i, k, h):

@@ -357,7 +357,8 @@ def test_poincare_at_n4_matches_the_geometry_reference():
 # entry in s_1's matrix, a wrong flow-up or permutohedral class, one wrong
 # root product of a permutohedral class, or one with an extra root, a root
 # product that keeps its sign when a pair is swapped, a dropped auxiliary
-# summand, a wrong module type count, a wrong lattice permutation, a support short of
+# summand, a mirror of the t = 0 recursion that is not conjugated back, a
+# wrong module type count, a wrong lattice permutation, a support short of
 # one point, a reachable minor read as 0 and a wrong minus-cell chart entry.
 # Each command prints its
 # suite, its exit code and either the verdict and failed checks of its report
@@ -510,6 +511,12 @@ def recursion_summand(w, i):
     # alone; the master identity reads its own binding, which stays exact
     exact, key = dot.auxiliary_terms, (Permutation.from_one_line(w), int(i))
     dot.auxiliary_terms = lambda v, j: exact(v, j)[:-1] if (v, j) == key else exact(v, j)
+
+
+def mirror_unconjugated():
+    # a letter i above n/2 read off (w0 w, n - i), keys mapped by w0 alone,
+    # in place of the conjugate w0 w w0
+    dot._mirror = lambda w: Permutation.longest(len(w)) * w
 
 
 def support_point(w, h):
@@ -671,6 +678,16 @@ def test_matrix_suites_catch_a_dropped_recursion_summand():
     exact = run_cli(*dot_2143.split()[1:])
     assert exact.returncode == 0
     assert lines[1] == f"0 {exact.stdout.strip()}"
+
+
+def test_coxeter_and_sw_catch_a_mirror_that_is_not_conjugated():
+    # in w0 w the values n-i, n-i+1 stand in increasing order where i+1, i
+    # stood in w, so every descent column of a letter above n/2 comes out as
+    # its own class, fixed; the recursion of the lower letters reads them too
+    lines = _run_with_fault("mirror-unconjugated", "coxeter --n 5", "sw --n 5", "all --n 5")
+    assert lines[:2] == ["coxeter 1 False coxeter", "sw 1 False sw"]
+    _assert_all_fails(lines[2], "coxeter")
+    _assert_all_fails(lines[2], "sw")
 
 
 def test_dot_rules_catch_a_swapped_pair_that_keeps_its_sign():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_actions import (build_auxiliary_class, position_keyed_generator_matrix,
-                               walk_auxiliary_terms)
+                               unmirrored_expansion, walk_auxiliary_terms)
 
 from gkmhess.classes import (
     EquivariantClass,
@@ -217,10 +217,10 @@ def test_si_expansion_sums_back_to_the_moved_class(n):
             assert total == dot(Permutation.simple(i, n), basis[w])
 
 
-def test_every_descent_memo_entry_is_the_constant_terms_n5():
+@pytest.mark.parametrize("n", [5, 6])
+def test_every_descent_memo_entry_is_the_constant_terms(n):
     # the t = 0 recursion against the expanded moved class, on every pair
-    # with i+1 directly left of i
-    n = 5
+    # with i+1 directly left of i, the letters read off their mirror included
     cache = _SiExpansionCache(n)
     for w in Permutation.all(n):
         for i in range(1, n):
@@ -283,6 +283,38 @@ def test_only_the_descent_case_is_memoized():
             elif k + 1 != j:
                 assert expansion == {Permutation.simple(i, n) * w: 1}
     assert all(w.index(i + 1) + 1 == w.index(i) for w, i in cache.cache)
+    assert len(cache.cache) == (n - 1) * math.factorial(n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_mirrored_memo_equals_the_unmirrored_recursion(n):
+    # letters above n/2 read off (w0 w w0, n - i) against the recursion run
+    # for every letter, on every descent pair
+    cache, memo = _SiExpansionCache(n), {}
+    for w in Permutation.all(n):
+        for i in range(1, n):
+            if w.index(i + 1) + 1 == w.index(i):
+                assert cache.expansion(w, i) == unmirrored_expansion(w, i, memo)
+    assert cache.cache == memo
+
+
+def test_the_recursion_runs_only_for_letters_up_to_half_n(monkeypatch):
+    # at n = 7 the letters 1, 2, 3 compute their 720 descent pairs each; the
+    # letters 4, 5, 6 read theirs off the mirror, so the memo still holds
+    # all 6 * 720 pairs
+    n = 7
+    computed = []
+    compute = _SiExpansionCache._compute
+
+    def counted(self, w, i):
+        computed.append(i)
+        return compute(self, w, i)
+    monkeypatch.setattr(_SiExpansionCache, "_compute", counted)
+    cache = _SiExpansionCache(n)
+    for w in Permutation.all(n):
+        for i in range(1, n):
+            cache.expansion(w, i)
+    assert len(computed) == 2160 and set(computed) == {1, 2, 3}
     assert len(cache.cache) == (n - 1) * math.factorial(n - 1)
 
 
@@ -429,6 +461,19 @@ def test_permutohedral_columns_are_the_memo_expansions_by_position(n):
         for i in range(1, n):
             expected = {w: cache.expansion(w, i) for w in degree_basis(h, k)}
             assert _by_permutation(generator_matrix(i, k, h)) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_mirrored_letters_have_conjugate_matrices(n):
+    # s_{n-i} on degree k is s_i with rows and columns renumbered through
+    # phi(u) = w0 u w0, which keeps the degree basis
+    h = HessenbergFunction.permutohedral(n)
+    w0 = Permutation.longest(n)
+    for k in range(n):
+        for i in range(1, n):
+            expected = {w0 * w * w0: {w0 * v * w0: c for v, c in column.items()}
+                        for w, column in _by_permutation(generator_matrix(i, k, h)).items()}
+            assert _by_permutation(generator_matrix(n - i, k, h)) == expected
 
 
 def test_si_expansion_degree_bookkeeping():
