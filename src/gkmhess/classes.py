@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
-from .gkm import GkmGraph, HessenbergFunction, coxeter_lengths, l_h
+from .gkm import GkmGraph, HessenbergFunction, l_h
 from .linalg import row_reduce
 from .perms import Permutation, young_subgroup
 from .polys import FIELD_BITS, MAX_EXPONENT, Coeff, MultiPoly, guard_bits, monomial_quotient, pack
@@ -427,23 +427,28 @@ def expand_in_basis(
     Repeatedly take the support element ``v`` of minimal Coxeter length
     (ties broken lexicographically), divide off the basis class at ``v``,
     and subtract.  Flow-up triangularity (every other support point of the
-    basis class is longer) makes the minimum strictly increase.  Lengths are
-    read from ``gkm.coxeter_lengths``, the view of the inversion table that
-    the degree bases of ``p.n`` already hold.
+    basis class is longer) makes the minimum strictly increase.  ``basis``
+    is read only through ``basis.get(v)``, at the points the elimination
+    reaches: a dict, or ``dot.FlowUpBasis``, which builds each class as it
+    is asked for.  Lengths are counted on the points met, once per call.
     """
-    length = coxeter_lengths(p.n)
+    length: dict[Permutation, int] = {}
+
+    def measured(points: frozenset[Permutation]) -> frozenset[Permutation]:
+        for u in points.difference(length):
+            length[u] = u.coxeter_length()
+        return points
+
     coefficients: dict[Permutation, MultiPoly] = {}
     current = p
     while not current.is_zero():
-        v = min(current.support(), key=lambda u: (length[u], u))
+        v = min(measured(current.support()), key=lambda u: (length[u], u))
         basis_class = basis.get(v)
         if basis_class is None:
             raise ExpansionError(f"no basis class available at {v}")
         lead = basis_class.value(v)
-        deeper = [
-            u for u in basis_class.support()
-            if (length[u], u) < (length[v], v)
-        ]
+        rank = (length[v], v)
+        deeper = [u for u in measured(basis_class.support()) if (length[u], u) < rank]
         if deeper:
             raise AssertionError(f"basis class at {v} is not flow-up: {deeper}")
         coeff = _divide_exact(current.value(v), lead)

@@ -35,12 +35,12 @@ from .classes import (EquivariantClass, RootProduct, expand_in_basis, gkm_check,
 from .decomp import verify_decomposition, verify_wz_completeness
 from .dot import (
     ActionMatrix,
+    FlowUpBasis,
     action_matrix,
     auxiliary_terms,
     dashed_rule_check,
     degree_basis,
     dot,
-    flow_up_basis,
     flow_up_class,
     full_flag_si_rule_check,
     generator_matrix,
@@ -239,7 +239,7 @@ def cmd_expand(args, config: RunConfig) -> int:
         _emit({"error": "input violates the edge divisibility condition",
                "edge": [str(violation.v), str(violation.w)]}, config)
         return 1
-    expansion = expand_in_basis(cls, flow_up_basis(h), h)
+    expansion = expand_in_basis(cls, FlowUpBasis(h), h)
     _emit(
         {
             "n": n,

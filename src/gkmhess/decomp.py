@@ -231,17 +231,16 @@ def w_z(a: Composition, z) -> Permutation:
     return result
 
 
-def descent_class(a: Composition) -> list[Permutation]:
-    target = tuple(a.descent_set())
-    return [w for w in Permutation.all(a.n) if w.descents() == target]
-
-
 def verify_wz_completeness(a: Composition) -> bool:
     """Lattice vertices vs composition-preserving coset translates.
 
     The two always agree; when the composition is a run of ones followed by
     at most one larger part they moreover exhaust the whole descent class,
-    which the check then also asserts.
+    which the check then also asserts.  The translates keep the generator's
+    descents, so once those are S = S(a) the translates lie in the descent
+    class, and they exhaust it when they are as many as its size
+    ``beta_n(S)``: by inclusion-exclusion, the signed sum over T in S of the
+    module dimension of the composition of T.  S_n is never scanned.
     """
     graph = composition_graph(a)
     from_graph = {w_z(a, z) for z in graph.vertices}
@@ -250,11 +249,16 @@ def verify_wz_completeness(a: Composition) -> bool:
     by_cosets = {
         v * w0 for v in reps if (v * w0).descents() == w0.descents()
     }
-    if from_graph != by_cosets:
+    marks = a.descent_set()
+    if from_graph != by_cosets or w0.descents() != marks:
         return False
     if sum(1 for p in a if p > 1) <= 1 and len(admissible_decomposition(a)) == 1:
-        return from_graph == set(descent_class(a))
-    return from_graph <= set(descent_class(a))
+        size = sum((-1) ** (len(marks) - k)
+                   * module_dimension(Composition.from_descent_set(t, a.n))
+                   for k in range(len(marks) + 1)
+                   for t in itertools.combinations(marks, k))
+        return len(from_graph) == size
+    return True
 
 
 # -- decomposition verification -------------------------------------------------

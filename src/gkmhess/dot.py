@@ -22,8 +22,9 @@ Evaluation at t = 0 commutes with permuting the variables and kills the root
 ``t_{i+1} - t_i``, so the recursion keeps no root term and acts on no
 coefficient.  The polynomial expansion, ``perm_si_action`` (``gkmhess dot
 --permutohedral``), expands the moved class ``dot(s_i, sigma_w)`` in the
-basis by ``expand_in_basis``, reading the basis classes as the elimination
-reaches them.
+basis by ``expand_in_basis``, reading the basis classes through
+``FlowUpBasis`` as the elimination reaches them, as ``gkmhess expand`` and
+the general-h matrices do.
 
 The recursion runs only for letters with ``2i <= n``; a letter above n/2 is
 read off its mirror under ``phi(u) = w0 u w0``, whose one-line form is
@@ -64,7 +65,6 @@ product by a matrix of one-term columns mostly copies columns.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -156,9 +156,19 @@ def flow_up_class(w: Permutation, h: HessenbergFunction) -> InterpolationResult:
     return result
 
 
-def flow_up_basis(h: HessenbergFunction) -> dict[Permutation, EquivariantClass]:
-    """One flow-up class per fixed point, as ``flow_up_class`` gives it."""
-    return {w: flow_up_class(w, h).cls for w in Permutation.all(h.n)}
+class FlowUpBasis:
+    """The flow-up basis of one h for ``expand_in_basis``: ``get(v)`` is the
+    class of ``flow_up_class(v, h)``, built when the elimination reaches v,
+    so an expansion builds only the classes it meets.  It holds no table of
+    S_n and is not iterable: a loop over it raises ``TypeError``."""
+
+    __iter__ = None
+
+    def __init__(self, h: HessenbergFunction):
+        self.h = h
+
+    def get(self, v: Permutation) -> EquivariantClass:
+        return flow_up_class(v, self.h).cls
 
 
 # -- permutohedral machinery --------------------------------------------------
@@ -352,20 +362,6 @@ def _check_generator(i: int, n: int) -> None:
         raise ValueError(f"generator s_{i} outside 1 <= i < n = {n}")
 
 
-class _ClassesOnDemand(dict):
-    """The permutohedral flow-up classes of one h, read as ``expand_in_basis``
-    asks for them, so an expansion builds only the classes it reaches."""
-
-    def __init__(self, h: HessenbergFunction):
-        super().__init__()
-        self.h = h
-
-    def __missing__(self, v: Permutation) -> EquivariantClass:
-        return flow_up_class(v, self.h).cls
-
-    get = dict.__getitem__
-
-
 def perm_si_action(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
     """Exact expansion of ``s_i . sigma_w`` over the permutohedral basis:
     the moved class ``dot(s_i, sigma_w)`` expanded by ``expand_in_basis``.
@@ -376,7 +372,7 @@ def perm_si_action(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
     _check_generator(i, n)
     h = HessenbergFunction.permutohedral(n)
     moved = dot(Permutation.simple(i, n), flow_up_class(w, h).cls)
-    return expand_in_basis(moved, _ClassesOnDemand(h), h)
+    return expand_in_basis(moved, FlowUpBasis(h), h)
 
 
 # -- action matrices -----------------------------------------------------------
@@ -396,14 +392,6 @@ class ActionMatrix:
 
     basis_order: tuple[Permutation, ...]
     columns: list[dict[int, Coeff]]
-
-    def entry(self, row: Permutation, col: Permutation) -> Coeff:
-        """The entry at basis permutations ``row``, ``col`` by bisection; 0 off the basis."""
-        order = self.basis_order
-        r, c = bisect_left(order, row), bisect_left(order, col)
-        if order[r:r + 1] != (row,) or order[c:c + 1] != (col,):
-            return 0
-        return self.columns[c].get(r, 0)
 
     def apply_vector(self, vec: dict[int, Coeff]) -> dict[int, Coeff]:
         """The image of ``vec``; a basis vector with the ``int`` 1 maps to
@@ -453,8 +441,10 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:
     ``_SiExpansionCache``, on integers at t = 0.  Full flag: the identity, the
     t = 0 image of ``full_flag_si_expansion``, whose only other term
     carries the root ``t_{i+1} - t_i``.  Any other h: ``reduce_to_ordinary``
-    of ``s_i . sigma_w`` over ``flow_up_basis(h)``.  Each column is keyed
-    by degree-basis position; a term outside the basis is an AssertionError.
+    of ``s_i . sigma_w`` over ``FlowUpBasis(h)``, which builds the classes of
+    the degree basis and those the eliminations reach, no others.  Each
+    column is keyed by degree-basis position; a term outside the basis is an
+    AssertionError.
     """
     _check_generator(i, h.n)
     order = degree_basis(h, k)
@@ -472,10 +462,10 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:
                 # a fixed or moved class keeps w's descents, so its degree
                 columns.append({position[moved]: 1})
     else:
-        basis = flow_up_basis(h)
+        basis = FlowUpBasis(h)
         si = Permutation.simple(i, h.n)
         for w in order:
-            image = reduce_to_ordinary(dot(si, basis[w]), k, h, basis)
+            image = reduce_to_ordinary(dot(si, basis.get(w)), k, h, basis)
             columns.append(_by_position(position, image, i, w, k))
     return ActionMatrix(order, columns)
 

@@ -16,11 +16,12 @@ Each n has one table of S_n, shared by every h of that n:
 with ``w(j) > w(i)``.  Pairs have one numbering, lexicographic, (1,2), ...,
 (1,n), (2,3), ..., which the table's recurrence needs and ``mask_of_pairs``
 gives.  ``l_h(w)`` is the popcount of ``w``'s mask and ``h``'s pairs, so the
-degree bases are read off the table, and the Coxeter length of ``w`` is the
-popcount of its whole mask, which ``coxeter_lengths`` keys by the table's
-own permutations.  ``verify_poincare`` derives its masks from the definition
-and never reads the table, so the two derivations of the Betti numbers stay
-independent.  ``l_h`` stays the definition that classes and the CLI read.
+degree bases are read off the table; ``degree_bases`` is its only reader in
+the package, and a question about one permutation, its Coxeter length
+included, is decided on that permutation.  ``verify_poincare`` derives its
+masks from the definition and never reads the table, so the two derivations
+of the Betti numbers stay independent.  ``l_h`` stays the definition that
+classes and the CLI read.
 """
 
 from __future__ import annotations
@@ -196,14 +197,6 @@ def _inversion_table(n: int) -> tuple[tuple[Permutation, ...], array]:
                 low = array("Q", map(or_, low, [1 << u.index(v) for u in
                                                 itertools.permutations(range(m - 1))]))
     return tuple(Permutation.all(n)), masks
-
-
-@cache
-def coxeter_lengths(n: int) -> dict[Permutation, int]:
-    """``w`` -> its Coxeter length, the popcount of its inversion-table mask,
-    keyed by the table's own permutations."""
-    perms, masks = _inversion_table(n)
-    return {w: mask.bit_count() for w, mask in zip(perms, masks)}
 
 
 @lru_cache(maxsize=16)

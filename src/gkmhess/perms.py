@@ -16,8 +16,9 @@ construction (products, inverses, the constructors below, ``Permutation.all``,
 ``young_subgroup``, moment-graph neighbours, support leaves) skips the check
 with ``tuple.__new__(Permutation, images)``.
 
-``coxeter_length`` is the definition of the length.  Work that runs over
-all of S_n reads lengths from the one table of S_n per n, kept in ``gkm``.
+``coxeter_length`` is the definition of the length, and every length the
+package needs is counted by it; the one table of S_n per n, kept in ``gkm``,
+serves the degree bases alone.
 """
 
 from __future__ import annotations

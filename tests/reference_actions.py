@@ -20,15 +20,20 @@ the reference for the master identity on root products.
 ``smooth_point_value`` is the product of the labels of the edges that leave
 a class's support at a point, and ``cycle_type_representative`` the
 permutation of a cycle type whose cycles are increasing runs of
-consecutive letters.
+consecutive letters.  ``flow_up_table`` holds every flow-up class of one h,
+the eager basis that the package no longer builds.  ``descent_class`` scans
+S_n for the permutations of one descent set, and
+``scanned_wz_completeness`` is the lattice check that compares the descent
+class with that scan instead of counting it.
 """
 
 from itertools import chain, combinations
 
+import gkmhess.decomp as decomp
 from gkmhess.classes import EquivariantClass, RootProduct, permutohedral_class
 from gkmhess.decomp import block_subgroups
 from gkmhess.dot import (AuxiliaryTerm, ActionMatrix, _expansion_cache, auxiliary_terms,
-                         degree_basis, dot)
+                         degree_basis, dot, flow_up_class)
 from gkmhess.gkm import GkmGraph
 from gkmhess.perms import Permutation, partitions, young_subgroup
 
@@ -275,3 +280,32 @@ def smooth_point_value(w, v, h, support):
     return RootProduct.of_labels(
         (a, b) for target, a, b in GkmGraph(h).neighbors(v) if target not in support
     ).expand(h.n)
+
+
+def flow_up_table(h):
+    """``{w: flow_up_class(w, h).cls}`` for every w of S_n."""
+    return {w: flow_up_class(w, h).cls for w in Permutation.all(h.n)}
+
+
+def descent_class(a):
+    """The permutations whose descent set is S(a), by a scan of S_n."""
+    target = a.descent_set()
+    return [w for w in Permutation.all(a.n) if w.descents() == target]
+
+
+def scanned_wz_completeness(a):
+    """Lattice vertices vs composition-preserving coset translates, each
+    compared with the descent class of a: equal to it when the composition
+    is a run of ones followed by at most one larger part, and inside it
+    otherwise.  The pieces are read off the ``decomp`` module, so a fault
+    planted there reaches this check too."""
+    graph = decomp.composition_graph(a)
+    from_graph = {decomp.w_z(a, z) for z in graph.vertices}
+    w0 = decomp.generator_permutation(a)
+    reps = decomp.symmetrizer_coset_reps(w0)
+    by_cosets = {v * w0 for v in reps if (v * w0).descents() == w0.descents()}
+    if from_graph != by_cosets:
+        return False
+    if sum(1 for p in a if p > 1) <= 1 and len(decomp.admissible_decomposition(a)) == 1:
+        return from_graph == set(descent_class(a))
+    return from_graph <= set(descent_class(a))

@@ -23,7 +23,7 @@ from gkmhess.gkm import GkmGraph, HessenbergFunction, l_h
 from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
 from gkmhess.reach import support_A
-from reference_actions import smooth_point_value
+from reference_actions import flow_up_table, smooth_point_value
 from reference_polys import TupleMultiPoly, divide_general
 
 
@@ -78,12 +78,10 @@ def _gkm_check_on_edge_sets(p, h):
 def test_gkm_check_matches_the_edge_set_walk(n):
     # every flow-up class of every h, as it is, with t1 added at one point
     # and with the value at one support point dropped
-    from gkmhess.dot import flow_up_basis
-
     perms = list(Permutation.all(n))
     count, verdicts = 0, set()
     for h in HessenbergFunction.all(n):
-        for w, cls in flow_up_basis(h).items():
+        for w, cls in flow_up_table(h).items():
             support = sorted(cls.support())
             added = cls + EquivariantClass(n, {perms[count % len(perms)]: MultiPoly.variable(0, n)})
             dropped = EquivariantClass(n, {v: p for v, p in cls.values.items()
@@ -345,6 +343,16 @@ def test_expand_outside_span_raises():
     bogus = EquivariantClass(2, {Permutation.longest(2): MultiPoly.one(2)})
     with pytest.raises(ExpansionError):
         expand_in_basis(bogus, basis, h)
+
+
+def test_expand_over_a_dict_without_a_class_it_reaches_raises():
+    # a dict basis is read as it stands: a point it has no class for is refused
+    h = HessenbergFunction.full_flag(3)
+    basis = {w: interpolate_class(w, h).cls for w in Permutation.all(3)}
+    w = Permutation.from_one_line("213")
+    target = basis.pop(w)
+    with pytest.raises(ExpansionError, match="no basis class available at 213"):
+        expand_in_basis(target, basis, h)
 
 
 def test_reduce_to_ordinary_examples():

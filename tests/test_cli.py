@@ -1033,6 +1033,25 @@ def test_internal_key_error_exits_one(monkeypatch, capsys):
     assert "error: internal KeyError: '1324'" in capsys.readouterr().err
 
 
+def test_key_error_inside_a_flow_up_class_exits_one_as_internal(monkeypatch, capsys):
+    # the on-demand basis passes a bug in building a class through; it is
+    # not read as a class missing from the basis
+    import importlib
+
+    from gkmhess import cli
+
+    def broken(w, h):
+        raise KeyError(str(w))
+
+    # the package's own ``dot`` is the function, so the module comes by name
+    monkeypatch.setattr(importlib.import_module("gkmhess.dot"), "flow_up_class", broken)
+    path = pathlib.Path(__file__).parent / "golden" / "class_2134_3344.json"
+    assert cli.main(["expand", "--input", str(path), "--h", "3,3,4,4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: internal KeyError: ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["class", "--permutohedral", "--w", "1324", "--n", "7"],
     ["dot", "--permutohedral", "--w", "1324", "--gen", "1", "--n", "7"],

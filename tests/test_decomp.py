@@ -2,7 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from reference_actions import min_length_coset_reps, walk_sigma_hat_vector
+from reference_actions import (descent_class, min_length_coset_reps, scanned_wz_completeness,
+                               walk_sigma_hat_vector)
 
 from gkmhess.classes import permutohedral_class, reduce_to_ordinary
 from gkmhess.decomp import (
@@ -10,7 +11,6 @@ from gkmhess.decomp import (
     block_subgroups,
     composition_graph,
     coset_orbit_vectors,
-    descent_class,
     erase,
     erased_composition,
     eulerian_number,
@@ -245,6 +245,34 @@ def test_wz_completeness_small():
     assert verify_wz_completeness(Composition((1, 2, 1)))
     for n in (2, 3, 4, 5):
         assert all(verify_wz_completeness(a) for a in Composition.all(n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_wz_completeness_counts_what_the_scan_of_the_descent_class_finds(n):
+    # the count of the descent class by inclusion-exclusion decides what the
+    # scan of S_n decides, on every composition
+    for a in Composition.all(n):
+        assert verify_wz_completeness(a) is scanned_wz_completeness(a) is True
+
+
+def test_a_generator_with_wrong_descents_fails_both_wz_checks(monkeypatch):
+    # with the identity as generator, the lattice and the coset translates
+    # still agree for some compositions; only the descent set tells them apart
+    import gkmhess.decomp as decomp
+
+    monkeypatch.setattr(decomp, "generator_permutation", lambda a: Permutation.identity(a.n))
+    agreeing = 0
+    for n in range(2, 6):
+        for a in Composition.all(n):
+            if len(a) == 1:
+                continue  # the identity is the generator of (n)
+            assert not verify_wz_completeness(a)
+            assert not scanned_wz_completeness(a)
+            w0 = Permutation.identity(n)
+            by_cosets = {v * w0 for v in symmetrizer_coset_reps(w0)
+                         if (v * w0).descents() == w0.descents()}
+            agreeing += {w_z(a, z) for z in composition_graph(a).vertices} == by_cosets
+    assert agreeing
 
 
 def test_wz_example_121():

@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_actions import (build_auxiliary_class, position_keyed_generator_matrix,
-                               unmirrored_expansion, walk_auxiliary_terms)
+from reference_actions import (build_auxiliary_class, flow_up_table,
+                               position_keyed_generator_matrix, unmirrored_expansion,
+                               walk_auxiliary_terms)
 
 from gkmhess.classes import (
     EquivariantClass,
+    expand_in_basis,
     gkm_check,
     interpolate_class,
     permutohedral_class,
@@ -19,12 +21,12 @@ from gkmhess.classes import (
 )
 from gkmhess.dot import (
     ActionMatrix,
+    FlowUpBasis,
     action_matrix,
     auxiliary_terms,
     dashed_rule_check,
     degree_basis,
     dot,
-    flow_up_basis,
     flow_up_class,
     full_flag_si_expansion,
     full_flag_si_rule_check,
@@ -519,15 +521,6 @@ def test_action_matrix_column_example():
     }
 
 
-def test_entry_bisects_the_basis_for_its_permutations():
-    # entry(row, col) answers for basis permutations, and 0 off the basis
-    m = generator_matrix(2, 1, HessenbergFunction.permutohedral(4))
-    columns = _by_permutation(m)
-    for col in Permutation.all(4):
-        for row in Permutation.all(4):
-            assert m.entry(row, col) == columns.get(col, {}).get(row, 0)
-
-
 def test_trace_of_identity_gives_poincare():
     h = HessenbergFunction.permutohedral(4)
     traces = [
@@ -639,6 +632,40 @@ def test_dot_rules_suite_reports_bugs_instead_of_skipping(monkeypatch):
         cli.verify_dot_rules(3, cli.RunConfig())
 
 
+def test_flow_up_basis_builds_what_it_is_asked_for_and_is_not_iterable():
+    h = HessenbergFunction((2, 3, 3, 4))
+    basis = FlowUpBasis(h)
+    w = Permutation.from_one_line("2143")
+    assert basis.get(w) is flow_up_class(w, h).cls
+    with pytest.raises(TypeError):
+        iter(basis)
+    with pytest.raises(TypeError):
+        for _ in basis:
+            pass
+
+
+def test_expand_interpolates_only_the_classes_it_reaches(monkeypatch, capsys):
+    # the class of 21345 under 3,3,4,5,5 needs a few of the 120 classes; the
+    # output is the corpus's, and the expansion over the whole table
+    from gkmhess import cli
+
+    golden = pathlib.Path(__file__).parent / "golden"
+    path = golden / "class_21345_33455.json"
+    calls = _count_interpolations(monkeypatch)
+    assert cli.main(["expand", "--input", str(path), "--h", "3,3,4,5,5"]) == 0
+    out = capsys.readouterr().out
+    assert 0 < len(calls) < math.factorial(5)
+    with open(golden / "parity.jsonl") as handle:
+        records = [json.loads(line) for line in handle]
+    [record] = [r for r in records
+                if r["args"] == f"expand --input tests/golden/{path.name} --h 3,3,4,5,5"]
+    assert hashlib.sha256(out.encode()).hexdigest() == record["stdout_sha256"]
+    h = HessenbergFunction.from_string("3,3,4,5,5")
+    target = flow_up_class(Permutation.from_one_line("21345"), h).cls
+    full = expand_in_basis(target, flow_up_table(h), h)
+    assert json.loads(out)["coefficients"] == {str(v): str(c) for v, c in full.items()}
+
+
 def test_action_matrix_interpolates_the_basis_once(monkeypatch):
     # a word with repeated letters, in every degree, interpolates each class
     # of the basis at most once, and still multiplies the letters in order
@@ -678,14 +705,14 @@ def test_flow_up_memo_is_bounded_and_drops_the_oldest_h(monkeypatch):
     calls = _count_interpolations(monkeypatch)
     functions = list(HessenbergFunction.all(3))
     for h in functions:
-        flow_up_basis(h)
+        flow_up_table(h)
     assert list(dot_module._bases) == functions[-_CACHE_BOUND:]
     # the permutohedral h takes its closed form and interpolates nothing
     interpolated = 6 * (len(functions) - 1)
     assert len(calls) == interpolated
-    flow_up_basis(functions[-1])
+    flow_up_table(functions[-1])
     assert len(calls) == interpolated
-    flow_up_basis(functions[0])
+    flow_up_table(functions[0])
     assert calls[-1] == (Permutation.longest(3), functions[0])
 
 
@@ -739,7 +766,7 @@ def test_action_matrix_holds_only_the_basis_order_and_columns():
 
 def test_reduce_to_ordinary_keeps_integral_values_int():
     h = HessenbergFunction((2, 3, 3, 4))
-    basis = flow_up_basis(h)
+    basis = flow_up_table(h)
     for k in range(len(h.pairs) + 1):
         for w in degree_basis(h, k):
             moved = dot(Permutation.simple(2, 4), basis[w])
@@ -756,7 +783,7 @@ def test_non_unique_classes_are_read_as_their_representatives(monkeypatch):
     assert result == interpolate_class(w, h) and not result.unique
     assert dashed_rule_check(Permutation.from_one_line("12354"), 1,
                              HessenbergFunction((1, 3, 5, 5, 5)))
-    basis = flow_up_basis(h)
+    basis = flow_up_table(h)
     assert basis[w] == result.cls
     k = l_h(w, h)
     order = degree_basis(h, k)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gkmhess.cli import _inversion_masks
-from gkmhess.gkm import _inversion_table, coxeter_lengths, mask_of_pairs
+from gkmhess.gkm import _inversion_table, mask_of_pairs
 from gkmhess.perms import (Composition, Permutation, compose, partitions, prefix_closed,
                            young_subgroup)
 
@@ -77,11 +77,11 @@ def test_reduced_word_rebuilds():
 @given(st.integers(min_value=1, max_value=7))
 @settings(max_examples=20, deadline=None)
 def test_length_table_matches_coxeter_length(n):
-    length = coxeter_lengths(n)
-    assert coxeter_lengths(n) is length
-    assert len(length) == math.factorial(n)
-    for w, value in length.items():
-        assert value == w.coxeter_length() == len(w.reduced_word())
+    # the popcount of each inversion-table mask is the Coxeter length
+    perms, masks = _inversion_table(n)
+    assert len(perms) == len(masks) == math.factorial(n)
+    for w, mask in zip(perms, masks):
+        assert mask.bit_count() == w.coxeter_length() == len(w.reduced_word())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -107,23 +107,41 @@ def test_transposition_bits_are_distinct_and_dense():
 
 
 def test_single_class_builds_no_inversion_table_in_a_fresh_interpreter():
-    # one flow-up class at n = 9 is decided on its own support: it reads
-    # neither the inversion table of S_9 nor its length view; the spy is the
-    # caches, in a fresh interpreter that no other test has touched
+    # one flow-up class at n = 9 is decided on its own support: it does not
+    # read the inversion table of S_9; the spy is the table's cache, in a
+    # fresh interpreter that no other test has touched
     code = """
 import contextlib, io
 from gkmhess import cli, gkm
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["class", "--h", "3,3,4,5,6,6,7,8,9", "--w", "213456789"]) == 0
-tables = (gkm._inversion_table, gkm.coxeter_lengths)
-print(*(table.cache_info().currsize for table in tables))
-gkm.coxeter_lengths(4)
-print(*(table.cache_info().currsize for table in tables))
+print(gkm._inversion_table.cache_info().currsize)
+gkm.degree_bases(gkm.HessenbergFunction.full_flag(4))
+print(gkm._inversion_table.cache_info().currsize)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=600, env={**os.environ, "PYTHONPATH": _SRC})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0 0", "1 1"]
+    assert proc.stdout.splitlines() == ["0", "1"]
+
+
+def test_expansions_build_no_inversion_table_in_a_fresh_interpreter():
+    # perm_si_action at n = 6 and gkmhess expand order the points they meet
+    # by their own Coxeter lengths, and build only the classes they reach
+    code = """
+import contextlib, io
+from gkmhess import cli, gkm
+from gkmhess.dot import perm_si_action
+from gkmhess.perms import Permutation
+perm_si_action(Permutation.from_one_line("215364"), 4)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["expand", "--input", %r, "--h", "3,3,4,5,5"]) == 0
+print(gkm._inversion_table.cache_info().currsize)
+""" % str(pathlib.Path(_SRC).parent / "tests" / "golden" / "class_21345_33455.json")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600, env={**os.environ, "PYTHONPATH": _SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0"]
 
 
 def test_single_class_work_builds_no_length_table():
@@ -132,11 +150,11 @@ def test_single_class_work_builds_no_length_table():
     from gkmhess.dot import full_flag_si_expansion
 
     # any call, a cache hit included, would move a counter
-    before = _inversion_table.cache_info(), coxeter_lengths.cache_info()
+    before = _inversion_table.cache_info()
     assert cli.main(["class", "--h", "3,3,4,5,6,6,7,8,9", "--w", "213456789"]) == 0
     full_flag_si_expansion(Permutation.from_one_line("3142"), 2)
     symmetrizer_coset_reps(Permutation.from_one_line("4312"))
-    assert (_inversion_table.cache_info(), coxeter_lengths.cache_info()) == before
+    assert _inversion_table.cache_info() == before
 
 
 not_a_permutation = st.lists(st.integers(0, 7), min_size=1, max_size=7).filter(
