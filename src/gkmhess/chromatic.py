@@ -20,9 +20,6 @@ m-basis chromatic side through the counted p-to-m transition alone, so no
 transition matrix is inverted.  Both are palindromic in t (the character
 side by hard Lefschetz), so the check compares degree by degree and also
 asks the characters to be palindromic; no mirrored statistic is tried.
-For the permutohedral family the module types produced by the
-erasing-marks decomposition match a closed product formula degree by
-degree.
 """
 
 from __future__ import annotations
@@ -32,13 +29,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .decomp import (
-    erased_composition,
-    eulerian_number,
-    expected_type_multiset,
-    g_set,
-    module_dimension,
-)
 from .dot import ActionMatrix, degree_basis, generator_matrix
 from .gkm import HessenbergFunction
 from .perms import partitions
@@ -265,41 +255,4 @@ def verify_shareshian_wachs(h: HessenbergFunction) -> SwReport:
     per_degree = [characters[k].omega() == graded[k] for k in range(top + 1)]
     palindromic = all(characters[k] == characters[top - k] for k in range(top + 1))
     return SwReport(h=h, n=h.n, agree=all(per_degree) and palindromic, per_degree=per_degree)
-
-
-@dataclass
-class ClosedExpansionReport:
-    n: int
-    agree_types: bool
-    agree_dims: bool
-    total_dimension: int
-
-    @property
-    def agree(self) -> bool:
-        return self.agree_types and self.agree_dims and self.total_dimension > 0
-
-
-def verify_closed_expansion(n: int) -> ClosedExpansionReport:
-    """Degree-by-degree module types of the erasing-marks decomposition
-    against the closed generating function, at the level of compositions,
-    plus the dimension bookkeeping (degree dimensions are the descent
-    counts; the total is n factorial)."""
-    agree_types = True
-    agree_dims = True
-    total = 0
-    for k in range(n):
-        observed = Counter(tuple(erased_composition(w.descent_composition()))
-                           for w in g_set(n, k))
-        dim = sum(count * module_dimension(a_hat) for a_hat, count in observed.items())
-        if observed != expected_type_multiset(n, k):
-            agree_types = False
-        if dim != eulerian_number(n, k):
-            agree_dims = False
-        total += dim
-    return ClosedExpansionReport(
-        n=n,
-        agree_types=agree_types,
-        agree_dims=agree_dims,
-        total_dimension=total if total == math.factorial(n) else 0,
-    )
 

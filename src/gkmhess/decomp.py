@@ -7,6 +7,8 @@ permutations with ``k`` descents whose class support contains the longest
 element; symmetrizing such a class over cosets of the block subgroup of its
 erased composition produces a generator whose orbit spans one permutation
 module, and the modules over all generators decompose the whole degree.
+The module types of each degree match a closed product formula, the
+generating function of ``expected_type_multiset``.
 
 The check runs in ordinary cohomology: a symmetrized class comes from the
 generator matrices of the dot action by a symmetrizer factorized along
@@ -227,7 +229,10 @@ def w_z(a: Composition, z) -> Permutation:
     for block, coords, offset in zip(graph.blocks, z, _offsets(graph.blocks)):
         for j, top in enumerate(coords):
             for z_j in range(top):
-                result = Permutation.simple(_block_edge_label(block, z_j, j) + offset, a.n) * result
+                label = _block_edge_label(block, z_j, j) + offset
+                if not 0 < label < a.n:  # a labelling fault, not the caller's
+                    raise AssertionError(f"label {label} of {tuple(a)} at {z} outside [1,{a.n - 1}]")
+                result = Permutation.simple(label, a.n) * result
     return result
 
 
@@ -437,30 +442,21 @@ class DecompositionReport:
 
 def expected_type_multiset(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Multiset of erased compositions in degree k from the generating
-    function: summands over tuples ``k_1..k_m >= 2`` with total ``n + 1``
-    contribute the composition ``(k_1, ..., k_{m-1}, k_m - 1)`` with
-    multiplicity the t^k coefficient of ``t^{m-1} prod [k_i - 1]_t``."""
+    function: each composition ``k_1..k_m`` of ``n + 1`` with every part at
+    least 2 contributes ``(k_1, ..., k_{m-1}, k_m - 1)`` with multiplicity
+    the t^k coefficient of ``t^{m-1} prod [k_i - 1]_t``."""
     out: dict[tuple[int, ...], int] = {}
-    for m in range(1, (n + 1) // 2 + 1):
-        for ks in _tuples_summing(n + 1, m, minimum=2):
-            coeffs = [1]
-            for ki in ks:
-                coeffs = _poly_mul(coeffs, [1] * (ki - 1))
-            shifted_degree = k - (m - 1)
-            if 0 <= shifted_degree < len(coeffs) and coeffs[shifted_degree]:
-                key = tuple(ks[:-1]) + (ks[-1] - 1,)
-                out[key] = out.get(key, 0) + coeffs[shifted_degree]
+    for ks in Composition.all(n + 1):
+        if min(ks) < 2:
+            continue
+        coeffs = [1]
+        for ki in ks:
+            coeffs = _poly_mul(coeffs, [1] * (ki - 1))
+        shifted_degree = k - (len(ks) - 1)
+        if 0 <= shifted_degree < len(coeffs) and coeffs[shifted_degree]:
+            key = tuple(ks[:-1]) + (ks[-1] - 1,)
+            out[key] = out.get(key, 0) + coeffs[shifted_degree]
     return out
-
-
-def _tuples_summing(total: int, parts: int, minimum: int):
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _tuples_summing(total - first, parts - 1, minimum):
-            yield (first,) + rest
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -485,6 +481,22 @@ def eulerian_number(n: int, k: int) -> int:
         padded = [0] + row + [0]
         row = [(j + 1) * padded[j + 1] + (m - j) * padded[j] for j in range(m)]
     return row[k] if 0 <= k < len(row) else 0
+
+
+def verify_closed_expansion(n: int) -> tuple[bool, int]:
+    """The module types of each degree, read off the generators' erased
+    compositions, against ``expected_type_multiset``, and the degree
+    dimensions against the descent counts.  Returns the verdict and the sum
+    of the module dimensions, or 0 where that sum is not n factorial."""
+    passed, total = True, 0
+    for k in range(n):
+        observed = Counter(tuple(erased_composition(w.descent_composition()))
+                           for w in g_set(n, k))
+        dim = sum(count * module_dimension(a_hat) for a_hat, count in observed.items())
+        if observed != expected_type_multiset(n, k) or dim != eulerian_number(n, k):
+            passed = False
+        total += dim
+    return passed, total if total == math.factorial(n) else 0
 
 
 def verify_decomposition(n: int, k: int) -> DecompositionReport:

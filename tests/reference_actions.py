@@ -24,9 +24,14 @@ consecutive letters.  ``flow_up_table`` holds every flow-up class of one h,
 the eager basis that the package no longer builds.  ``descent_class`` scans
 S_n for the permutations of one descent set, and
 ``scanned_wz_completeness`` is the lattice check that compares the descent
-class with that scan instead of counting it.
+class with that scan instead of counting it.  ``tuples_type_multiset`` is
+the generating function's tally over the tuples of ``tuples_summing``, one
+number of parts at a time, and ``reference_closed_expansion`` the genfunc
+check as three verdicts on that tally.
 """
 
+import math
+from collections import Counter
 from itertools import chain, combinations
 
 import gkmhess.decomp as decomp
@@ -309,3 +314,48 @@ def scanned_wz_completeness(a):
     if sum(1 for p in a if p > 1) <= 1 and len(decomp.admissible_decomposition(a)) == 1:
         return from_graph == set(descent_class(a))
     return from_graph <= set(descent_class(a))
+
+
+def tuples_summing(total, parts, minimum):
+    """The tuples of ``parts`` integers, each at least ``minimum``, summing to
+    ``total``, by recursion on the first part."""
+    if parts == 1:
+        if total >= minimum:
+            yield (total,)
+        return
+    for first in range(minimum, total - minimum * (parts - 1) + 1):
+        for rest in tuples_summing(total - first, parts - 1, minimum):
+            yield (first,) + rest
+
+
+def tuples_type_multiset(n, k):
+    """``decomp.expected_type_multiset`` over ``tuples_summing``: the tuples
+    of ``m`` parts at least 2 summing to ``n + 1``, for each ``m``."""
+    out = {}
+    for m in range(1, (n + 1) // 2 + 1):
+        for ks in tuples_summing(n + 1, m, minimum=2):
+            coeffs = [1]
+            for ki in ks:
+                coeffs = decomp._poly_mul(coeffs, [1] * (ki - 1))
+            shifted_degree = k - (m - 1)
+            if 0 <= shifted_degree < len(coeffs) and coeffs[shifted_degree]:
+                key = tuple(ks[:-1]) + (ks[-1] - 1,)
+                out[key] = out.get(key, 0) + coeffs[shifted_degree]
+    return out
+
+
+def reference_closed_expansion(n):
+    """(verdict, total dimension) of the genfunc check, with the types and
+    the dimensions decided apart against ``tuples_type_multiset`` and the
+    Eulerian numbers; the total is 0 unless it is n factorial."""
+    agree_types = agree_dims = True
+    total = 0
+    for k in range(n):
+        observed = Counter(tuple(decomp.erased_composition(w.descent_composition()))
+                           for w in decomp.g_set(n, k))
+        dim = sum(count * decomp.module_dimension(a_hat) for a_hat, count in observed.items())
+        agree_types = agree_types and observed == tuples_type_multiset(n, k)
+        agree_dims = agree_dims and dim == decomp.eulerian_number(n, k)
+        total += dim
+    total = total if total == math.factorial(n) else 0
+    return agree_types and agree_dims and total > 0, total

@@ -20,7 +20,7 @@ from gkmhess.cells import (
     path_monomial_exponents,
     prime_eigenvalues,
 )
-from gkmhess.chromatic import verify_closed_expansion, verify_shareshian_wachs
+from gkmhess.chromatic import verify_shareshian_wachs
 from gkmhess.classes import (
     gkm_check,
     interpolate_class,
@@ -34,6 +34,7 @@ from gkmhess.decomp import (
     g_set,
     generator_permutation,
     sigma_hat,
+    verify_closed_expansion,
     verify_decomposition,
     verify_wz_completeness,
     w_z,
@@ -361,7 +362,7 @@ def test_criterion_10_shareshian_wachs():
             if not result.agree:
                 failures.append((n, str(h)))
     for n in range(2, 7):
-        if not verify_closed_expansion(n).agree:
+        if not verify_closed_expansion(n)[0]:
             failures.append((n, "closed-expansion"))
     report("criterion 10: graded character identity and closed expansion", not failures)
 

@@ -358,11 +358,11 @@ def test_poincare_at_n4_matches_the_geometry_reference():
 # root product of a permutohedral class, or one with an extra root, a root
 # product that keeps its sign when a pair is swapped, a dropped auxiliary
 # summand, a mirror of the t = 0 recursion that is not conjugated back, a
-# wrong module type count, a wrong lattice permutation, a support short of
-# one point, a reachable minor read as 0 and a wrong minus-cell chart entry.
-# Each command prints its
-# suite, its exit code and either the verdict and failed checks of its report
-# or, with no report, its error line.
+# wrong module type count, a wrong lattice permutation, a lattice label one
+# too high, a support short of one point, a reachable minor read as 0 and a
+# wrong minus-cell chart entry.  Each command prints its suite, its exit code
+# and either the verdict and failed checks of its report or, with no report,
+# its error line.
 _PLANT_FAULT = """
 import contextlib, importlib, io, json, sys
 from gkmhess.classes import InterpolationResult, RootProduct
@@ -424,8 +424,13 @@ def type_multiset():
     def faulty(n, k):
         types = exact(n, k)
         return {**types, (5,): types[(5,)] + 1} if (n, k) == (5, 2) else types
-    for module in (chromatic, decomp):
-        module.expected_type_multiset = faulty
+    decomp.expected_type_multiset = faulty
+
+
+def wz_label():
+    # every lattice edge label one too high, which leaves [1, n - 1]
+    exact = decomp._block_edge_label
+    decomp._block_edge_label = lambda block, z_j, j: exact(block, z_j, j) + 1
 
 
 def wz_s1():
@@ -755,6 +760,13 @@ def test_wz_catches_a_wrong_lattice_permutation():
     _assert_all_fails(lines[1], "wz")
 
 
+def test_wz_exits_1_on_a_lattice_label_out_of_range():
+    # a broken invariant of the maths, not a usage error: exit 1, not 2
+    lines = _run_with_fault("wz-label", "wz --n 5", "all --n 5")
+    for line, suite in zip(lines, ("wz", "all")):
+        assert line.startswith(f"{suite} 1 error: internal AssertionError: label 5 of ")
+
+
 def test_supports_catch_a_missing_support_point():
     # 2143 has two points under 2,3,4,4: 2143 itself and 2413, the one dropped
     lines = _run_with_fault("support-point 2143 2,3,4,4", "supports --n 4", "all --n 4")
@@ -942,6 +954,9 @@ def test_determinism():
         ("gkm_graph_2344.json", ("gkm-graph", "--n", "4", "--h", "2,3,4,4")),
         # the permutohedral s_i action: the descent case, and ordinary matrices
         ("dot_21543_gen4.json", ("dot", "--permutohedral", "--w", "21543", "--gen", "4")),
+        # moved classes whose expansion runs past the first elimination step
+        ("dot_2143_2344_gen1.json", ("dot", "--h", "2,3,4,4", "--w", "2143", "--gen", "1")),
+        ("dot_21435_33455_gen1.json", ("dot", "--h", "3,3,4,5,5", "--w", "21435", "--gen", "1")),
         ("action_matrix_3142_k1.json",
          ("action-matrix", "--perm", "3142", "--k", "1", "--h", "permutohedral")),
         ("action_matrix_25143_k2.json",

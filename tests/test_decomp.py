@@ -1,9 +1,10 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from reference_actions import (descent_class, min_length_coset_reps, scanned_wz_completeness,
-                               walk_sigma_hat_vector)
+from reference_actions import (descent_class, min_length_coset_reps, reference_closed_expansion,
+                               scanned_wz_completeness, tuples_type_multiset, walk_sigma_hat_vector)
 
 from gkmhess.classes import permutohedral_class, reduce_to_ordinary
 from gkmhess.decomp import (
@@ -21,6 +22,7 @@ from gkmhess.decomp import (
     sigma_hat,
     sigma_hat_vector,
     symmetrizer_coset_reps,
+    verify_closed_expansion,
     verify_decomposition,
     verify_wz_completeness,
     w_z,
@@ -197,6 +199,17 @@ def test_w_z_invalid_vertex():
         w_z(Composition((1, 1, 4)), ((5, 0),))
 
 
+def test_w_z_raises_an_internal_error_on_a_label_out_of_range(monkeypatch):
+    # every edge label one too high: the top vertex of (1,1,3) reaches s_5 in S_5
+    import gkmhess.decomp as decomp
+
+    exact = decomp._block_edge_label
+    monkeypatch.setattr(decomp, "_block_edge_label", lambda block, z_j, j: exact(block, z_j, j) + 1)
+    message = re.escape("label 5 of (1, 1, 3) at ((2, 2),) outside [1,4]")
+    with pytest.raises(AssertionError, match=message):
+        w_z(Composition((1, 1, 3)), ((2, 2),))
+
+
 def test_w_z_counts_match_descent_classes():
     # single-big-part compositions enumerate their whole descent class
     for n in (4, 5):
@@ -292,6 +305,19 @@ def test_expected_type_multiset_n5_k2():
     assert expected_type_multiset(5, 2) == {
         (5,): 1, (2, 3): 1, (4, 1): 1, (3, 2): 2, (2, 2, 1): 1,
     }
+
+
+def test_expected_type_multiset_matches_the_tuple_enumeration():
+    # the same entries in the same order, and nothing outside the degrees
+    for n in range(11):
+        for k in range(-1, n + 1):
+            expected = tuples_type_multiset(n, k)
+            assert list(expected_type_multiset(n, k).items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_closed_expansion_matches_the_reference(n):
+    assert verify_closed_expansion(n) == reference_closed_expansion(n) == (True, math.factorial(n))
 
 
 def test_eulerian_numbers():
