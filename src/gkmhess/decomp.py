@@ -443,19 +443,19 @@ class DecompositionReport:
 def expected_type_multiset(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Multiset of erased compositions in degree k from the generating
     function: each composition ``k_1..k_m`` of ``n + 1`` with every part at
-    least 2 contributes ``(k_1, ..., k_{m-1}, k_m - 1)`` with multiplicity
-    the t^k coefficient of ``t^{m-1} prod [k_i - 1]_t``."""
+    least 2, read as ``k_i = c_i + 1`` off a composition ``c`` of ``n + 1 - m``,
+    contributes ``(k_1, ..., k_{m-1}, k_m - 1)`` with multiplicity the t^k
+    coefficient of ``t^{m-1} prod [k_i - 1]_t``."""
     out: dict[tuple[int, ...], int] = {}
-    for ks in Composition.all(n + 1):
-        if min(ks) < 2:
-            continue
-        coeffs = [1]
-        for ki in ks:
-            coeffs = _poly_mul(coeffs, [1] * (ki - 1))
-        shifted_degree = k - (len(ks) - 1)
-        if 0 <= shifted_degree < len(coeffs) and coeffs[shifted_degree]:
-            key = tuple(ks[:-1]) + (ks[-1] - 1,)
-            out[key] = out.get(key, 0) + coeffs[shifted_degree]
+    for m in range(1, (n + 1) // 2 + 1):
+        for c in Composition.all(n + 1 - m, m):
+            coeffs = [1]
+            for part in c:
+                coeffs = _poly_mul(coeffs, [1] * part)
+            shifted_degree = k - (m - 1)
+            if 0 <= shifted_degree < len(coeffs) and coeffs[shifted_degree]:
+                key = tuple(part + 1 for part in c[:-1]) + (c[-1],)
+                out[key] = out.get(key, 0) + coeffs[shifted_degree]
     return out
 
 
