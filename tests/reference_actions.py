@@ -27,7 +27,7 @@ S_n for the permutations of one descent set, and
 class with that scan instead of counting it.  ``tuples_type_multiset`` is
 the generating function's tally over the tuples of ``tuples_summing``, one
 number of parts at a time, and ``reference_closed_expansion`` the genfunc
-check as three verdicts on that tally.
+check with its types, dimensions and total decided apart.
 """
 
 import math
