@@ -233,7 +233,6 @@ def _cycle_blocks(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
 @dataclass
 class SwReport:
     h: HessenbergFunction
-    n: int
     agree: bool
     per_degree: list[bool]
 
@@ -254,5 +253,5 @@ def verify_shareshian_wachs(h: HessenbergFunction) -> SwReport:
     characters = [_power_sum_character(h, k) for k in range(top + 1)]
     per_degree = [characters[k].omega() == graded[k] for k in range(top + 1)]
     palindromic = all(characters[k] == characters[top - k] for k in range(top + 1))
-    return SwReport(h=h, n=h.n, agree=all(per_degree) and palindromic, per_degree=per_degree)
+    return SwReport(h=h, agree=all(per_degree) and palindromic, per_degree=per_degree)
 

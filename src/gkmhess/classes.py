@@ -371,7 +371,7 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
     """
     n = h.n
     degree = l_h(w, h)
-    support = support_A(w, h).members
+    support = support_A(w, h)
     graph = GkmGraph(h)
     length = {u: u.coxeter_length() for u in support}
     order = sorted(support, key=lambda u: (length[u], u))
@@ -420,7 +420,6 @@ class ExpansionError(RuntimeError):
 def expand_in_basis(
     p: EquivariantClass,
     basis: dict[Permutation, EquivariantClass],
-    h: HessenbergFunction,
 ) -> dict[Permutation, MultiPoly]:
     """Triangular elimination against a flow-up basis.
 
@@ -431,6 +430,7 @@ def expand_in_basis(
     is read only through ``basis.get(v)``, at the points the elimination
     reaches: a dict, or ``dot.FlowUpBasis``, which builds each class as it
     is asked for.  Lengths are counted on the points met, once per call.
+    No h is passed: it enters through the basis alone.
     """
     length: dict[Permutation, int] = {}
 
@@ -515,7 +515,7 @@ def reduce_to_ordinary(
     constants and survive, ``int`` where integral; coefficients at
     lower-degree points sit in the augmentation ideal and die.
     """
-    expansion = expand_in_basis(p, basis, h)
+    expansion = expand_in_basis(p, basis)
     out: dict[Permutation, Coeff] = {}
     for v, coeff in expansion.items():
         lv = l_h(v, h)

@@ -145,7 +145,7 @@ def cmd_gkm_graph(args, config: RunConfig) -> int:
 def cmd_support(args, config: RunConfig) -> int:
     w = args.w
     h = _parse_h_for(w, args.h, args.n)
-    members = support_A(w, h).sorted()
+    members = sorted(support_A(w, h))
     _emit(
         {"n": h.n, "h": list(h), "w": str(w), "support": [str(u) for u in members]},
         config,
@@ -239,7 +239,7 @@ def cmd_expand(args, config: RunConfig) -> int:
         _emit({"error": "input violates the edge divisibility condition",
                "edge": [str(violation.v), str(violation.w)]}, config)
         return 1
-    expansion = expand_in_basis(cls, FlowUpBasis(h), h)
+    expansion = expand_in_basis(cls, FlowUpBasis(h))
     _emit(
         {
             "n": n,
@@ -382,7 +382,7 @@ def verify_supports(n: int, config: RunConfig) -> dict:
     instances = _cell_instances(n, config, 4, 200)
     failures = []
     for h, w in instances:
-        if support_A(w, h).members != fixed_point_oracle(w, h):
+        if support_A(w, h) != fixed_point_oracle(w, h):
             failures.append({"w": str(w), "h": str(h)})
     return _result(
         "supports", not failures, instances=len(instances), failures=failures[:5]
@@ -520,7 +520,7 @@ def verify_classes(n: int, config: RunConfig) -> dict:
                 smooth_bad = v
         if not gkm_ok:
             failures.append({"w": str(w), "kind": "gkm"})
-        elif values.keys() != support_A(w, h).members:
+        elif values.keys() != support_A(w, h):
             failures.append({"w": str(w), "kind": "support"})
         elif not top_ok:
             failures.append({"w": str(w), "kind": "top-value"})
@@ -669,7 +669,7 @@ def _flow_up_basis_holds(h: HessenbergFunction) -> bool:
         return True
     for w in Permutation.all(h.n):
         cls = flow_up_class(w, h).cls
-        if not (gkm_check(cls, h)[0] and cls.support() == support_A(w, h).members
+        if not (gkm_check(cls, h)[0] and cls.support() == support_A(w, h)
                 and cls.value(w) == top_value(w, h) and cls.is_homogeneous(l_h(w, h))):
             return False
     return True

@@ -78,7 +78,6 @@ def g_set(n: int, k: int) -> list[Permutation]:
 class BlockSubgroups:
     """Value blocks of w (descent blocks) and of its erased composition."""
 
-    w: Permutation
     fine_blocks: tuple[frozenset[int], ...]   # J_s, one per descent block
     coarse_blocks: tuple[frozenset[int], ...]  # J-hat_t, per erased block
 
@@ -93,7 +92,7 @@ def block_subgroups(w: Permutation) -> BlockSubgroups:
         return tuple(frozenset(w(m) for m in range(a + 1, b + 1)) for a, b in zip(cuts, cuts[1:]))
 
     descents = w.descents()
-    return BlockSubgroups(w=w, fine_blocks=blocks(descents), coarse_blocks=blocks(erase(descents)))
+    return BlockSubgroups(fine_blocks=blocks(descents), coarse_blocks=blocks(erase(descents)))
 
 
 def symmetrizer_coset_reps(w: Permutation) -> list[Permutation]:

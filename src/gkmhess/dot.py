@@ -372,7 +372,7 @@ def perm_si_action(w: Permutation, i: int) -> dict[Permutation, MultiPoly]:
     _check_generator(i, n)
     h = HessenbergFunction.permutohedral(n)
     moved = dot(Permutation.simple(i, n), flow_up_class(w, h).cls)
-    return expand_in_basis(moved, FlowUpBasis(h), h)
+    return expand_in_basis(moved, FlowUpBasis(h))
 
 
 # -- action matrices -----------------------------------------------------------

@@ -238,8 +238,10 @@ class Composition(tuple):
             for k in range(1, n + 1):
                 yield from cls.all(n, k)
             return
+        if n < 1:
+            raise ValueError(f"compositions of {n}: the weight must be positive")
         for cut in itertools.combinations(range(1, n), parts - 1):
-            yield cls.from_descent_set(cut, n)
+            yield tuple.__new__(cls, [b - a for a, b in zip((0,) + cut, cut + (n,))])
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

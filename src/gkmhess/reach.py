@@ -14,14 +14,14 @@ perfect matching pairs b_k with such a t.  ``_reachable_subsets`` runs it
 over all subsets at once.  The fixed points of the closed minus cell
 attached to ``(w, h)`` are the permutations whose every prefix, pulled back
 through ``w``, is reachable from an initial segment, so ``support_A`` reads
-them off one table over the 2^n value sets.
+them off one table over the 2^n value sets and returns them as a
+``frozenset``, the shape ``cells.fixed_point_oracle`` returns too.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .gkm import HessenbergFunction
@@ -127,22 +127,6 @@ def j_family(w: Permutation, h: HessenbergFunction, j: int) -> set[tuple[int, ..
     return {combo for combo in itertools.combinations(range(1, h.n + 1), j) if table[_mask(combo)]}
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    w: Permutation
-    h: HessenbergFunction
-    members: frozenset[Permutation] = field(compare=False)
-
-    def __contains__(self, u) -> bool:
-        return tuple(u) in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def sorted(self) -> list[Permutation]:
-        return sorted(self.members)
-
-
 def _support_table(w: Permutation, h: HessenbergFunction) -> bytearray:
     """``table[U]`` is 1 exactly when the value set ``U`` pulls back through
     ``w`` to a set reachable from [|U|].  Pulling back is a relabelling, so
@@ -153,7 +137,7 @@ def _support_table(w: Permutation, h: HessenbergFunction) -> bytearray:
     )
 
 
-def support_A(w: Permutation, h: HessenbergFunction) -> SupportSet:
+def support_A(w: Permutation, h: HessenbergFunction) -> frozenset[Permutation]:
     """Fixed points of the closed minus cell of ``(w, h)``.
 
     ``u`` belongs when every index set ``{w^-1(u(1)), ..., w^-1(u(j))}`` is
@@ -161,4 +145,4 @@ def support_A(w: Permutation, h: HessenbergFunction) -> SupportSet:
     itself, reading each prefix's value set off ``_support_table``, and
     drops a prefix as soon as its set fails, which kills every extension.
     """
-    return SupportSet(w=w, h=h, members=frozenset(prefix_closed(h.n, _support_table(w, h).__getitem__)))
+    return frozenset(prefix_closed(h.n, _support_table(w, h).__getitem__))

@@ -561,7 +561,7 @@ def test_nonzero_minor_masks_match_j_families():
 def test_oracle_matches_support():
     for w_text in ("24135", "15342", "12345"):
         w = Permutation.from_one_line(w_text)
-        assert fixed_point_oracle(w, H5) == support_A(w, H5).members
+        assert fixed_point_oracle(w, H5) == support_A(w, H5)
 
 
 def test_supports_match_the_oracle_on_random_h_at_n6():
@@ -570,7 +570,20 @@ def test_supports_match_the_oracle_on_random_h_at_n6():
     for _ in range(20):
         h = HessenbergFunction.random(6, rng)
         w = rng.choice(perms)
-        assert support_A(w, h).members == fixed_point_oracle(w, h), (w, h)
+        assert support_A(w, h) == fixed_point_oracle(w, h), (w, h)
+
+
+def test_supports_compare_by_their_points():
+    # a support is its set of fixed points: two supports are equal exactly
+    # when they hold the same points, whatever (w, h) they came from
+    for h in HessenbergFunction.all(4):
+        for w in Permutation.all(4):
+            support = support_A(w, h)
+            assert support == fixed_point_oracle(w, h), (w, h)
+            assert support != frozenset(), (w, h)
+    w = Permutation.from_one_line("2143")
+    edgeless = support_A(w, HessenbergFunction((1, 2, 3, 4)))
+    assert edgeless == support_A(w, HessenbergFunction((2, 2, 4, 4))) == frozenset({w})
 
 
 def test_oracle_edgeless_case():

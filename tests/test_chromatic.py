@@ -17,7 +17,6 @@ from gkmhess.chromatic import (
     frobenius_of_degree,
     verify_shareshian_wachs,
 )
-from gkmhess.decomp import verify_closed_expansion
 from gkmhess.dot import ActionMatrix, action_matrix, generator_matrix
 from gkmhess.gkm import HessenbergFunction, poincare_coefficients
 from gkmhess.perms import Permutation
@@ -409,16 +408,3 @@ def test_chromatic_t1_matches_characters_233():
     lhs = graded[1].omega().to_basis("h")
     rhs = frobenius_of_degree(h, 1)
     assert lhs == rhs
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_closed_expansion(n):
-    assert verify_closed_expansion(n) == (True, _fact(n))
-
-
-def test_closed_expansion_n3_degrees():
-    from gkmhess.decomp import expected_type_multiset
-
-    assert expected_type_multiset(3, 0) == {(3,): 1}
-    assert expected_type_multiset(3, 1) == {(3,): 1, (2, 1): 1}
-    assert expected_type_multiset(3, 2) == {(3,): 1}

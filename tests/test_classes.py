@@ -177,7 +177,7 @@ def test_interpolated_classes_satisfy_flow_up_contract():
             cls = result.cls
             degree = l_h(w, h)
             assert cls.is_homogeneous(degree)
-            assert cls.support() <= support_A(w, h).members
+            assert cls.support() <= support_A(w, h)
             assert cls.value(w) == top_value(w, h)
             assert gkm_check(cls, h)[0]
 
@@ -193,7 +193,7 @@ def test_flow_up_contract_all_h_on_4():
             result = interpolate_class(w, h)
             cls = result.cls
             assert cls.is_homogeneous(l_h(w, h))
-            assert cls.support() <= support_fn(w, h).members
+            assert cls.support() <= support_fn(w, h)
             assert cls.value(w) == top_value(w, h)
             assert gkm_check(cls, h)[0]
             if not result.unique:
@@ -216,7 +216,7 @@ def test_interpolation_general_h_n5_spot_checks():
         result = interpolate_class(w, h)
         assert result.unique
         assert result.cls.is_homogeneous(l_h(w, h))
-        assert result.cls.support() <= support_fn(w, h).members
+        assert result.cls.support() <= support_fn(w, h)
         assert result.cls.value(w) == top_value(w, h)
         assert gkm_check(result.cls, h)[0]
 
@@ -267,7 +267,7 @@ def test_expand_single_basis_class():
     h = HessenbergFunction.permutohedral(4)
     basis = {w: permutohedral_class(w) for w in Permutation.all(4)}
     w = Permutation.from_one_line("1324")
-    expansion = expand_in_basis(basis[w], basis, h)
+    expansion = expand_in_basis(basis[w], basis)
     assert expansion == {w: MultiPoly.one(4)}
 
 
@@ -276,7 +276,7 @@ def test_expand_polynomial_multiple():
     basis = {w: permutohedral_class(w) for w in Permutation.all(4)}
     w = Permutation.from_one_line("1324")
     scalar = sum((MultiPoly.variable(k, 4) for k in range(4)), MultiPoly.zero(4))
-    expansion = expand_in_basis(basis[w].scale(scalar), basis, h)
+    expansion = expand_in_basis(basis[w].scale(scalar), basis)
     assert expansion == {w: scalar}
 
 
@@ -287,7 +287,7 @@ def test_expand_example_s2_sigma_1324():
     basis = {w: permutohedral_class(w) for w in Permutation.all(4)}
     w = Permutation.from_one_line("1324")
     moved = dot(Permutation.simple(2, 4), basis[w])
-    expansion = {str(v): c for v, c in expand_in_basis(moved, basis, h).items()}
+    expansion = {str(v): c for v, c in expand_in_basis(moved, basis).items()}
     one = MultiPoly.one(4)
     assert expansion == {
         "1234": lf(3, 2, 4),
@@ -310,7 +310,7 @@ def test_expand_products_round_trip():
                     for x in basis[u].support() & basis[v].support()
                 },
             )
-            expansion = expand_in_basis(product, basis, h)
+            expansion = expand_in_basis(product, basis)
             rebuilt = EquivariantClass.zero(3)
             for x, coeff in expansion.items():
                 rebuilt = rebuilt + basis[x].scale(coeff)
@@ -329,7 +329,7 @@ def test_expand_round_trip_random_classes(n):
                 if rng.random() < 0.5:
                     coeff = coeff * MultiPoly.variable(rng.randrange(n), n)
                 target = target + basis[w].scale(coeff)
-            expansion = expand_in_basis(target, basis, h)
+            expansion = expand_in_basis(target, basis)
             rebuilt = EquivariantClass.zero(n)
             for w, coeff in expansion.items():
                 rebuilt = rebuilt + basis[w].scale(coeff)
@@ -342,7 +342,7 @@ def test_expand_outside_span_raises():
     # constant 1 at the longest element only is divisible by nothing useful
     bogus = EquivariantClass(2, {Permutation.longest(2): MultiPoly.one(2)})
     with pytest.raises(ExpansionError):
-        expand_in_basis(bogus, basis, h)
+        expand_in_basis(bogus, basis)
 
 
 def test_expand_over_a_dict_without_a_class_it_reaches_raises():
@@ -352,7 +352,7 @@ def test_expand_over_a_dict_without_a_class_it_reaches_raises():
     w = Permutation.from_one_line("213")
     target = basis.pop(w)
     with pytest.raises(ExpansionError, match="no basis class available at 213"):
-        expand_in_basis(target, basis, h)
+        expand_in_basis(target, basis)
 
 
 def test_reduce_to_ordinary_examples():

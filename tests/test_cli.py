@@ -369,7 +369,6 @@ from gkmhess.classes import InterpolationResult, RootProduct
 from gkmhess.gkm import HessenbergFunction
 from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
-from gkmhess.reach import SupportSet
 
 # the package's own ``dot`` is the function, so the modules come by name
 cells, chromatic, cli, decomp, dot, gkm, reach = (
@@ -532,7 +531,7 @@ def support_point(w, h):
     def faulty(v, g):
         result = exact(v, g)
         if (v, g) == key:
-            result = SupportSet(v, g, result.members - {max(result.members)})
+            result = result - {max(result)}
         return result
     cli.support_A = faulty
 
@@ -903,7 +902,7 @@ def test_sw_failure_names_the_function_with_a_null_flag(monkeypatch, capsys):
     from gkmhess.chromatic import SwReport
 
     monkeypatch.setattr(cli, "verify_shareshian_wachs",
-                        lambda h: SwReport(h=h, n=h.n, agree=False, per_degree=[False]))
+                        lambda h: SwReport(h=h, agree=False, per_degree=[False]))
     assert cli.main(["verify", "sw", "--n", "3", "--h", "2,3,3"]) == 1
     [check] = json.loads(capsys.readouterr().out)["checks"]
     assert check["failures"] == [{"h": "2,3,3", "flag": None}]

@@ -152,7 +152,7 @@ def test_sigma_hat_support_and_values(n):
         for w in g_set(n, k):
             hat = sigma_hat(w)
             a_hat = erased_composition(w.descent_composition())
-            assert hat.support() == support_A(generator_permutation(a_hat), h).members
+            assert hat.support() == support_A(generator_permutation(a_hat), h)
             descents = w.descents()
             for u in hat.support():
                 expected = MultiPoly.one(n)
@@ -318,6 +318,11 @@ def test_expected_type_multiset_matches_the_tuple_enumeration():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_closed_expansion_matches_the_reference(n):
     assert verify_closed_expansion(n) == reference_closed_expansion(n) == (True, math.factorial(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_closed_expansion(n):
+    assert verify_closed_expansion(n) == (True, math.factorial(n))
 
 
 def test_eulerian_numbers():

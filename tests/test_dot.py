@@ -662,7 +662,7 @@ def test_expand_interpolates_only_the_classes_it_reaches(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == record["stdout_sha256"]
     h = HessenbergFunction.from_string("3,3,4,5,5")
     target = flow_up_class(Permutation.from_one_line("21345"), h).cls
-    full = expand_in_basis(target, flow_up_table(h), h)
+    full = expand_in_basis(target, flow_up_table(h))
     assert json.loads(out)["coefficients"] == {str(v): str(c) for v, c in full.items()}
 
 

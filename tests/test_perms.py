@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -212,6 +213,18 @@ def test_composition_validation():
 def test_all_compositions_count():
     assert sum(1 for _ in Composition.all(6)) == 32
     assert sorted(Composition.all(3, 2)) == [Composition((1, 2)), Composition((2, 1))]
+    # built straight from each cut, they are the checked construction's
+    # compositions in the same order and of the same type
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            built = list(Composition.all(n, k))
+            checked = [Composition.from_descent_set(cut, n)
+                       for cut in itertools.combinations(range(1, n), k - 1)]
+            assert built == checked
+            assert all(type(c) is Composition for c in built)
+        assert sum(1 for _ in Composition.all(n)) == 2 ** (n - 1)
+    with pytest.raises(ValueError, match="weight must be positive"):
+        list(Composition.all(0, 1))
 
 
 def test_partitions():
