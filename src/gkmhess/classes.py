@@ -20,12 +20,20 @@ divide the sum, and where each term leaves one root the sum is a linear
 form, decided on its coefficients.  Only a rest of another shape is
 expanded, and nothing is held from one sum to the next.
 
-For arbitrary ``h`` the flow-up class is reconstructed by exact linear
+For arbitrary ``h`` the flow-up class is reconstructed by exact
 interpolation over the support in one pass, processing fixed points in
-increasing Coxeter length with the shared exact kernel of ``linalg``.  Each
-free monomial of a vertex system becomes a new rational parameter, and a
-system that would constrain earlier parameters is refused, so every
-parameter is genuine freedom, which is reported.
+increasing Coxeter length.  The class vanishes off its support, so at a
+support point its value is divisible by the root product of the edges that
+leave the support (and of those to a point whose value is 0), and each
+vertex system is solved on the quotient by that product: one scalar per
+parameter where the product has the full degree, as at most points, and
+otherwise a small system over the cofactor's monomials, reduced with the
+shared exact kernel of ``linalg``.  The freedom at a point is the multiples
+of the product of all its constraining labels; each free monomial becomes a
+new rational parameter, the same monomials that the system over all
+monomials of the degree leaves free, and a system that would constrain
+earlier parameters is refused, so every parameter is genuine freedom, which
+is reported.
 """
 
 from __future__ import annotations
@@ -261,9 +269,12 @@ def permutohedral_class(w: Permutation) -> EquivariantClass:
 class InfeasibleInterpolationError(RuntimeError):
     """A flow-up condition that no unknown can meet: indicates a bug.
 
-    Either the top value fails an off-support edge, or a vertex system
-    reduces to a row without an unknown: ``0 = c``, or a relation among
-    earlier parameters, which the one-pass interpolation does not solve.
+    Either the top value fails an off-support edge, or at a vertex a value
+    across an edge does not fit the vanishing roots (it is not 0 where the
+    value must be, or not a multiple of the roots, or not the multiple that
+    another edge sets), or the cofactor's system reduces to a row without an
+    unknown: ``0 = c``, or a relation among earlier parameters, which the
+    one-pass interpolation does not solve.
     """
 
 
@@ -301,18 +312,121 @@ def _solve_vertex(
     Values are parameter polynomials ``{k: poly}`` meaning
     ``sum_k p_k * poly`` with ``p_0 = 1``.  Each constraint ``(a, b, rhs)``
     demands that the unknown agree with ``rhs`` after substituting
-    ``t_a := t_b`` (divisibility by ``t_a - t_b``).  Unknown monomials are
-    columns ``0..ncols-1`` and parameter ``k`` is column ``ncols + k``.
-    Returns the general solution, with one new parameter per free monomial,
-    and the next unused parameter.  Raises ``InfeasibleInterpolationError``
-    if a reduced row has no unknown column.
+    ``t_a := t_b`` (divisibility by ``t_a - t_b``).  The labels are pairwise
+    distinct roots, as those of the edges at one fixed point are, so they
+    are pairwise coprime.  Returns the general solution, with one new
+    parameter per free monomial, and the next unused parameter.
+
+    The value vanishes on the label of every edge whose ``rhs`` is 0 (an
+    edge off the support, or to a point whose value is 0), so it is
+    ``Pi * g`` with ``Pi`` the root product of those ``m`` labels:
+
+    * ``m > degree``: the value is 0;
+    * ``m == degree``: ``g`` is one scalar per parameter part, read off the
+      leading monomial of ``Pi`` under the first other edge's substitution,
+      and each other edge's ``rhs`` must be that scalar times ``Pi`` in full;
+    * otherwise ``g``, of degree ``degree - m``, solves the system of the
+      other edges, each ``rhs`` divided exactly by ``Pi`` under the edge's
+      substitution.
+
+    The solutions with every ``rhs`` 0 are the multiples of ``Pi_all``, the
+    product of all ``E`` labels: none below degree ``E``.  Up to ``degree``
+    they are ``Pi_all`` times the monomials of degree ``degree - E``; in
+    reduced echelon form, each pivot at its row's smallest monomial, these
+    rows are the new parameters, numbered from the largest pivot down, and
+    every part is reduced to 0 at the pivots.  That is the solution of the
+    system over all monomials of the degree reduced largest monomial first:
+    its pivots are the greedy basis from the largest monomial, so its free
+    monomials are the dual greedy basis from the smallest, the pivots here.
+
+    Raises ``InfeasibleInterpolationError`` where no value meets the
+    conditions: an edge ``rhs`` that is not 0 on a value forced to 0, is not
+    the scalar's multiple of ``Pi``, or leaves a remainder on ``Pi``, or a
+    reduced row of ``g``'s system without an unknown.  The conditions are
+    linear in the parameters, so these are the cases where some parameter
+    part has no solution, as in the system over all monomials.
     """
     if degree > MAX_EXPONENT:
         raise OverflowError(f"degree {degree} above the largest exponent {MAX_EXPONENT}")
+    vanishing, lower = [], []
+    for a, b, rhs in edge_constraints:
+        if any(not p.is_zero for p in rhs.values()):
+            lower.append((a, b, rhs))
+        else:
+            vanishing.append((a, b))
+    roots = RootProduct.of_labels(vanishing)
+    m = len(vanishing)
+    if m > degree:
+        for a, b, rhs in lower:
+            for k, p in rhs.items():
+                if not p.substitute_var(a, b).is_zero:
+                    raise InfeasibleInterpolationError(
+                        f"the value is 0, of degree {degree} below its {m} vanishing "
+                        f"roots, but p{k} across t{a} - t{b} is not")
+        return {}, next_param
+    factor = roots.expand(n)
+    if m == degree:
+        parts = {k: factor * c for k, c in _scalar_quotient(factor, lower).items()}
+    else:
+        g = _general_quotient(n, degree - m, factor, lower)
+        parts = {k: factor * part for k, part in g.items()}
+    spare = degree - m - len(lower)
+    if spare < 0:
+        return parts, next_param
+
+    all_roots = roots * RootProduct.of_labels((a, b) for a, b, _rhs in lower)
+    multiple = all_roots.expand(n).packed
+    null, _ = row_reduce([{mono + c: v for c, v in multiple.items()}
+                          for mono in _packed_monomials(n, spare)])
+    pivots = {pivot: MultiPoly.from_packed(n, row) for pivot, row in null.items()}
+    solution = {}
+    for k, part in parts.items():
+        for pivot, row in pivots.items():
+            coeff = part.packed.get(pivot)
+            if coeff:
+                part = part - row * coeff
+        if not part.is_zero:
+            solution[k] = part
+    for pid, pivot in enumerate(sorted(pivots, reverse=True), next_param):
+        solution[pid] = pivots[pivot]
+    return solution, next_param + len(pivots)
+
+
+def _scalar_quotient(factor: MultiPoly, lower) -> dict[int, Coeff]:
+    """The nonzero scalar ``c`` of each parameter part with ``c * factor``
+    equal to every ``rhs`` of ``lower`` under its edge's substitution."""
+    keys = set().union(*(rhs for _a, _b, rhs in lower))
+    scalars: dict[int, Coeff] = {}
+    for index, (a, b, rhs) in enumerate(lower):
+        divisor = factor.substitute_var(a, b).packed
+        if not index:
+            # the scalars are read off the first edge's leading monomial,
+            # whose coefficient in a product of roots is 1 or -1
+            lead = max(divisor)
+            sign = divisor[lead]
+        for k in keys:
+            p = rhs[k].substitute_var(a, b).packed if k in rhs else {}
+            if not index:
+                scalars[k] = p.get(lead, 0) * sign
+            c = scalars[k]
+            if p != ({mono: c * v for mono, v in divisor.items()} if c else {}):
+                first_a, first_b, _rhs = lower[0]
+                raise InfeasibleInterpolationError(
+                    f"p{k} across t{a} - t{b} is not {c} times the vanishing roots, "
+                    f"the scalar read off t{first_a} - t{first_b}")
+    return {k: c for k, c in scalars.items() if c}
+
+
+def _general_quotient(n: int, degree: int, factor: MultiPoly, lower) -> dict[int, MultiPoly]:
+    """A ``g`` of degree ``degree`` in each parameter part with ``factor * g``
+    equal to every ``rhs`` of ``lower`` under its edge's substitution, its
+    free monomials at 0.  Unknown monomials are columns ``0..ncols-1`` and
+    parameter ``k`` is column ``ncols + k``: a row says that its unknown
+    columns add up to its parameter columns."""
     monos = _packed_monomials(n, degree)
     ncols = len(monos)
-    rows: list[dict[int, Fraction]] = []
-    for a, b, rhs in edge_constraints:
+    rows: list[dict[int, Coeff]] = []
+    for a, b, rhs in lower:
         # the substitution t_a := t_b maps each unknown monomial to an image:
         # exponent field a moves onto field b, which the degree bounds
         shift_a, shift_b = FIELD_BITS * (n - a), FIELD_BITS * (n - b)
@@ -320,7 +434,16 @@ def _solve_vertex(
         for col, mono in enumerate(monos):
             e = mono >> shift_a & MAX_EXPONENT
             images.setdefault(mono + (e << shift_b) - (e << shift_a), {})[col] = 1
-        rhs_sub = {k: p.substitute_var(a, b).packed for k, p in rhs.items()}
+        divisor = factor.substitute_var(a, b)
+        rhs_sub = {}
+        for k, p in rhs.items():
+            p = p.substitute_var(a, b)
+            if not p.is_zero:
+                p = _divide_exact(p, divisor)
+                if p is None:
+                    raise InfeasibleInterpolationError(
+                        f"p{k} across t{a} - t{b} is not divisible by the vanishing roots")
+            rhs_sub[k] = p.packed
         touched = set(images)
         for p in rhs_sub.values():
             touched.update(p)
@@ -339,21 +462,12 @@ def _solve_vertex(
         raise InfeasibleInterpolationError(
             f"the edge conditions force {terms} = 0, with p0 = 1"
         )
-    free_cols = [col for col in range(ncols) if col not in pivots]
-    new_params = {col: next_param + idx for idx, col in enumerate(free_cols)}
-
-    # pivot monomials take the rhs parts and minus the free monomials
-    parts: dict[int, dict[int, Fraction]] = {}
+    parts: dict[int, dict[int, Coeff]] = {}
     for col, row in pivots.items():
         for k, coeff in row.items():
             if k >= ncols:
                 parts.setdefault(k - ncols, {})[monos[col]] = coeff
-            elif k != col:
-                parts.setdefault(new_params[k], {})[monos[col]] = -coeff
-    for col, pid in new_params.items():
-        parts.setdefault(pid, {})[monos[col]] = Fraction(1)
-    solution = {pid: MultiPoly.from_packed(n, bucket) for pid, bucket in parts.items()}
-    return solution, next_param + len(free_cols)
+    return {k: MultiPoly.from_packed(n, bucket) for k, bucket in parts.items()}
 
 
 def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationResult:
@@ -361,9 +475,10 @@ def interpolate_class(w: Permutation, h: HessenbergFunction) -> InterpolationRes
 
     Fixed points of the support are processed in increasing Coxeter length.
     At each one, the divisibility conditions along edges into already-known
-    values (including zero values off the support) form a small exact linear
-    system for the homogeneous value of degree ``l_h(w)``; each free monomial
-    becomes a new rational parameter.  A system that would constrain earlier
+    values (including zero values off the support) fix the homogeneous value
+    of degree ``l_h(w)``, solved by ``_solve_vertex`` on the quotient by the
+    roots it vanishes on; each free monomial becomes a new rational
+    parameter.  A system that would constrain earlier
     parameters raises ``InfeasibleInterpolationError`` naming the vertex, so
     the parameters are independent and their count is the reported freedom.
     The returned representative sets them all to zero, keeping its support

@@ -1,15 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkmhess import classes
 from gkmhess.classes import (
     EquivariantClass,
     GkmViolation,
     ExpansionError,
+    InfeasibleInterpolationError,
     RootProduct,
     _divide_general,
+    _solve_vertex,
     expand_in_basis,
     gkm_check,
     interpolate_class,
@@ -23,6 +27,7 @@ from gkmhess.gkm import GkmGraph, HessenbergFunction, l_h
 from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
 from gkmhess.reach import support_A
+import reference_interpolation
 from reference_actions import flow_up_table, smooth_point_value
 from reference_polys import TupleMultiPoly, divide_general
 
@@ -245,15 +250,11 @@ T1, T2 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
     ([(1, 2, {0: T1}), (1, 2, {0: T1 * 2})], r"\(-?1\)\*p0 = 0"),
 ], ids=["relation", "inconsistent"])
 def test_solve_vertex_raises_on_a_row_without_an_unknown(constraints, forced):
-    from gkmhess.classes import InfeasibleInterpolationError, _solve_vertex
-
     with pytest.raises(InfeasibleInterpolationError, match=forced):
         _solve_vertex(2, 1, constraints, 3)
 
 
 def test_interpolation_names_the_vertex_of_a_forced_relation(monkeypatch):
-    from gkmhess import classes
-
     def refuse(*args):
         raise classes.InfeasibleInterpolationError("forced")
 
@@ -261,6 +262,137 @@ def test_interpolation_names_the_vertex_of_a_forced_relation(monkeypatch):
     with pytest.raises(classes.InfeasibleInterpolationError,
                        match=r"^forced at v=132, for w=123, h=2,3,3$"):
         interpolate_class(Permutation.identity(3), HessenbergFunction((2, 3, 3)))
+
+
+T = [MultiPoly.variable(k, 3) for k in range(3)]
+
+
+@pytest.mark.parametrize("degree,constraints,message", [
+    # t1 - t2 and t1 - t3 vanish on a value of degree 1, so it is 0, but the
+    # edge t2 - t3 asks for t3
+    (1, [(1, 2, {}), (1, 3, {}), (2, 3, {0: T[1]})],
+     r"^the value is 0, of degree 1 below its 2 vanishing roots, but p0 across t2 - t3 is not$"),
+    # the value is c (t1 - t2): t3 - t2 across t1 - t3 sets c = 1, and
+    # 2 (t1 - t3) across t2 - t3 asks for c = 2
+    (1, [(1, 2, {}), (1, 3, {0: T[0] - T[1]}), (2, 3, {0: (T[0] - T[1]) * 2})],
+     r"^p0 across t2 - t3 is not 1 times the vanishing roots, the scalar read off t1 - t3$"),
+    # the value is (t1 - t2) g, and t3^2 across t1 - t3 is not a multiple of
+    # t3 - t2
+    (2, [(1, 2, {}), (1, 3, {0: T[0] * T[0]})],
+     r"^p0 across t1 - t3 is not divisible by the vanishing roots$"),
+], ids=["forced-zero", "scalar", "remainder"])
+def test_solve_vertex_raises_where_the_vanishing_roots_do_not_fit(degree, constraints, message):
+    with pytest.raises(InfeasibleInterpolationError, match=message):
+        _solve_vertex(3, degree, constraints, 1)
+    with pytest.raises(InfeasibleInterpolationError):
+        reference_interpolation._solve_vertex(3, degree, constraints, 1)
+
+
+def test_interpolation_names_the_vertex_where_the_roots_leave_a_remainder(monkeypatch):
+    # 43512 taken out of the support of 31425 puts its label t3 - t4 into the
+    # vanishing roots at 34512, which then divide no value across t1 - t5
+    w, h = Permutation.from_one_line("31425"), HessenbergFunction((3, 4, 5, 5, 5))
+    short = support_A(w, h) - {Permutation.from_one_line("43512")}
+    for module in (classes, reference_interpolation):
+        monkeypatch.setattr(module, "support_A", lambda v, g: short)
+    with pytest.raises(InfeasibleInterpolationError,
+                       match=r"^p0 across t1 - t5 is not divisible by the vanishing roots "
+                             r"at v=34512, for w=31425, h=3,4,5,5,5$"):
+        interpolate_class(w, h)
+    with pytest.raises(InfeasibleInterpolationError):
+        reference_interpolation.interpolate_class(w, h)
+
+
+def _assert_same_interpolation(w, h, monkeypatch):
+    """The quotient solve and the reference give the same class, freedom and
+    parametric value at every vertex."""
+    solves = {}
+    for module in (classes, reference_interpolation):
+        exact = module._solve_vertex
+        log = solves[module] = []
+        monkeypatch.setattr(module, "_solve_vertex",
+                            lambda *args, exact=exact, log=log: log.append(exact(*args)) or log[-1])
+    result = interpolate_class(w, h)
+    reference = reference_interpolation.interpolate_class(w, h)
+    assert result.cls == reference.cls and hash(result.cls) == hash(reference.cls)
+    assert result.free_parameters == reference.free_parameters
+    assert solves[classes] == solves[reference_interpolation]
+    return result
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quotient_solve_matches_the_reference(n, monkeypatch):
+    for h in HessenbergFunction.all(n):
+        for w in Permutation.all(n):
+            _assert_same_interpolation(w, h, monkeypatch)
+
+
+def test_quotient_solve_matches_the_reference_n5_sample(monkeypatch):
+    rng = random.Random(39)
+    pairs = [(Permutation.from_one_line("21345"), HessenbergFunction((3, 3, 4, 5, 5)))]
+    perms, hs = list(Permutation.all(5)), list(HessenbergFunction.all(5))
+    pairs += [(rng.choice(perms), rng.choice(hs)) for _ in range(80)]
+    free = [_assert_same_interpolation(w, h, monkeypatch).free_parameters for w, h in pairs]
+    # the sample meets three more classes with free parameters:
+    # 12435 under 2,4,5,5,5 (2), 52314 under 3,4,5,5,5 and 52134 under 1,4,4,5,5
+    assert free[0] == 5 and sorted(f for f in free[1:] if f) == [1, 1, 2]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_quotient_solve_raises_where_the_reference_raises(n, monkeypatch):
+    # every support short of one point or with one more: the two solves
+    # raise on the same instances and give the same class on the others
+    raised = 0
+    for h in HessenbergFunction.all(n):
+        for w in Permutation.all(n):
+            support = support_A(w, h)
+            changed = [support - {x} for x in support if x != w]
+            changed += [support | {x} for x in Permutation.all(n) if x not in support]
+            for points in changed:
+                outcomes = []
+                for module in (classes, reference_interpolation):
+                    monkeypatch.setattr(module, "support_A", lambda v, g, points=points: points)
+                    try:
+                        result = module.interpolate_class(w, h)
+                        outcomes.append((result.cls, result.free_parameters))
+                    except InfeasibleInterpolationError:
+                        outcomes.append("raised")
+                    except AssertionError:
+                        outcomes.append("w not length-minimal")
+                assert outcomes[0] == outcomes[1], (h, w, sorted(points ^ support))
+                raised += outcomes[0] == "raised"
+    assert raised
+
+
+def _freedom(w, h):
+    """The count of free parameters read off the moment graph: a point u of
+    the support after w with E_u constraining edges (to lower support points
+    and off the support) adds the C(d - E_u + n - 1, n - 1) monomials of
+    degree d - E_u, each times the product of their labels."""
+    n, d = h.n, l_h(w, h)
+    support = support_A(w, h)
+    graph = GkmGraph(h)
+    by_point = {}
+    for u in support - {w}:
+        length = u.coxeter_length()
+        edges = sum(1 for target, _a, _b in graph.neighbors(u)
+                    if target not in support or target.coxeter_length() < length)
+        if edges <= d:
+            by_point[str(u)] = math.comb(d - edges + n - 1, n - 1)
+    return by_point
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_free_parameters_are_the_freedom_count_of_the_moment_graph(n):
+    for h in HessenbergFunction.all(n):
+        for w in Permutation.all(n):
+            assert interpolate_class(w, h).free_parameters == sum(_freedom(w, h).values())
+
+
+def test_freedom_count_of_21345_under_33455():
+    w, h = Permutation.from_one_line("21345"), HessenbergFunction((3, 3, 4, 5, 5))
+    assert _freedom(w, h) == dict.fromkeys(["23415", "23451", "23514", "24513", "34512"], 1)
+    assert interpolate_class(w, h).free_parameters == 5
 
 
 def test_expand_single_basis_class():

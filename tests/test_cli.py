@@ -358,8 +358,9 @@ def test_poincare_at_n4_matches_the_geometry_reference():
 # root product of a permutohedral class, or one with an extra root, a root
 # product that keeps its sign when a pair is swapped, a dropped auxiliary
 # summand, a mirror of the t = 0 recursion that is not conjugated back, a
-# wrong module type count, a wrong lattice permutation, a lattice label one
-# too high, a support short of one point, a reachable minor read as 0 and a
+# vanishing root left out of one vertex system of an interpolation, a wrong
+# module type count, a wrong lattice permutation, a lattice label one too
+# high, a support short of one point, a reachable minor read as 0 and a
 # wrong minus-cell chart entry.  Each command prints its suite, its exit code
 # and either the verdict and failed checks of its report or, with no report,
 # its error line.
@@ -371,9 +372,9 @@ from gkmhess.perms import Permutation
 from gkmhess.polys import MultiPoly
 
 # the package's own ``dot`` is the function, so the modules come by name
-cells, chromatic, cli, decomp, dot, gkm, reach = (
+cells, chromatic, classes, cli, decomp, dot, gkm, reach = (
     importlib.import_module(f"gkmhess.{name}")
-    for name in ("cells", "chromatic", "cli", "decomp", "dot", "gkm", "reach"))
+    for name in ("cells", "chromatic", "classes", "cli", "decomp", "dot", "gkm", "reach"))
 
 
 def inversion_table(w, j, i):
@@ -450,6 +451,24 @@ def flow_up_class(w, h, v):
         return result
     for module in (cli, dot):
         module.flow_up_class = faulty
+
+
+def quotient_label(h, w, u, a, b):
+    # the off-support label t_a - t_b left out of the vanishing roots at the
+    # point u of the flow-up class of (w, h): the vertex system of u, which
+    # interpolate_class solves with (h, w, u) among its locals, loses that
+    # edge condition
+    exact = classes._solve_vertex
+    point = (HessenbergFunction.from_string(h), Permutation.from_one_line(w),
+             Permutation.from_one_line(u))
+    label = (int(a), int(b))
+
+    def faulty(n, degree, constraints, next_param):
+        caller = sys._getframe(1).f_locals
+        if (caller["h"], caller["w"], caller["u"]) == point:
+            constraints = [c for c in constraints if c[:2] != label]
+        return exact(n, degree, constraints, next_param)
+    classes._solve_vertex = faulty
 
 
 def permutohedral_class(w):
@@ -744,6 +763,25 @@ def test_sw_catches_a_wrong_general_flow_up_class():
                             "all --n 5 --h 3,3,4,5,5")
     assert lines[0] == "sw 1 False sw"
     _assert_all_fails(lines[1], "sw")
+
+
+def test_dot_rules_and_sw_catch_a_vanishing_root_left_out():
+    # 2143 under 2,3,3,4 has the support {2143, 2413}; at 2413 the edge to
+    # 4213, labelled t4 - t2, leaves it.  Without that root the value at
+    # 2413 gains a free parameter and comes out t1 - t2, not t4 - t2, which
+    # does not vanish across the edge: the dashed rule fails at (2143, 3),
+    # among others
+    lines = _run_with_fault("quotient-label 2,3,3,4 2143 2413 4 2", "dot-rules --n 4",
+                            "all --n 4")
+    assert lines[0] == "dot-rules 1 False dot-rules"
+    _assert_all_fails(lines[1], "dot-rules")
+    # the same fault at 32514, the edge to 52314 labelled t5 - t3, in the
+    # class of 32154 under 3,3,4,5,5: the s_i images leave the span of the
+    # basis, and the suite stops on the expansion's error
+    lines = _run_with_fault("quotient-label 3,3,4,5,5 32154 32514 5 3",
+                            "sw --n 5 --h 3,3,4,5,5", "all --n 5 --h 3,3,4,5,5")
+    error = "error: value at 51324 not divisible by the basis leading value"
+    assert lines == [f"sw 1 {error}", f"all 1 {error}"]
 
 
 def test_genfunc_and_decomposition_catch_a_wrong_type_multiset():

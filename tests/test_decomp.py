@@ -320,11 +320,6 @@ def test_closed_expansion_matches_the_reference(n):
     assert verify_closed_expansion(n) == reference_closed_expansion(n) == (True, math.factorial(n))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_closed_expansion(n):
-    assert verify_closed_expansion(n) == (True, math.factorial(n))
-
-
 def test_eulerian_numbers():
     assert [eulerian_number(4, k) for k in range(4)] == [1, 11, 11, 1]
     assert [eulerian_number(5, k) for k in range(5)] == [1, 26, 66, 26, 1]
