@@ -652,10 +652,11 @@ def verify_sw(n: int, config: RunConfig) -> dict:
             HessenbergFunction.permutohedral(n),
             HessenbergFunction.full_flag(n),
         ]
-    reports = [verify_shareshian_wachs(h) for h in functions]
-    # schema 1 keeps the "flag" field, which no check sets
-    failures = [{"h": str(r.h), "flag": None} for r in reports
-                if not (r.agree and _flow_up_basis_holds(r.h))]
+    # the classes first: a wrong class can leave the span of the basis, and
+    # the character check would then stop on the expansion's error.  Schema
+    # 1 keeps the "flag" field, which no check sets
+    failures = [{"h": str(h), "flag": None} for h in functions
+                if not (_flow_up_basis_holds(h) and verify_shareshian_wachs(h).agree)]
     return _result("sw", not failures, failures=failures)
 
 

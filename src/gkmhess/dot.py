@@ -20,11 +20,17 @@ One memoized recursion, ``_SiExpansionCache``, computes this expansion at
 t = 0, on integers: the ordinary action that ``generator_matrix`` needs.
 Evaluation at t = 0 commutes with permuting the variables and kills the root
 ``t_{i+1} - t_i``, so the recursion keeps no root term and acts on no
-coefficient.  The polynomial expansion, ``perm_si_action`` (``gkmhess dot
---permutohedral``), expands the moved class ``dot(s_i, sigma_w)`` in the
-basis by ``expand_in_basis``, reading the basis classes through
-``FlowUpBasis`` as the elimination reaches them, as ``gkmhess expand`` and
-the general-h matrices do.
+coefficient.  It never leaves a degree either: a one-term image keeps the
+descents of w, every auxiliary target passes the descent-set check of
+``auxiliary_terms``, and ``phi`` below keeps the number of descents.  So
+the recursion runs on positions in the degree basis: one object per n
+holds, per degree, the numbering of ``degree_basis``, the mirror as a list
+of positions, one table of one-term images per letter, and one memo keyed
+by degree, position and letter, with integers throughout.  The polynomial
+expansion, ``perm_si_action`` (``gkmhess dot --permutohedral``), expands
+the moved class ``dot(s_i, sigma_w)`` in the basis by ``expand_in_basis``,
+reading the basis classes through ``FlowUpBasis`` as the elimination
+reaches them, as ``gkmhess expand`` and the general-h matrices do.
 
 The recursion runs only for letters with ``2i <= n``; a letter above n/2 is
 read off its mirror under ``phi(u) = w0 u w0``, whose one-line form is
@@ -45,22 +51,25 @@ with ``des v = des w`` survive, as ``c_v`` is homogeneous of degree ``des w
 ``i+1`` directly left of ``i`` in w, ``n-i`` stands directly left of
 ``n-i+1`` in ``phi(w)``, so the mirror of a descent pair is a descent pair,
 and the t = 0 expansion of ``(w, i)`` is that of ``(phi(w), n-i)`` with every
-key mapped by phi.
+key mapped by phi: on positions, through the degree's mirror list.
 
-The first two cases are read in one place, ``_one_term_image``, by the
-recursion and by ``generator_matrix`` alike; only the descent case reaches
-the memo.  ``auxiliary_terms`` is the one walk over the auxiliary summands,
-read by the recursion and by the master identity of ``gkmhess verify
-dot-rules``, which moves the summands' root products and never builds the
-auxiliary class.  It builds one
-``AuxiliaryTerm`` tuple per ``(P, Q)`` and no other object per summand: a
-summand that needs no boundary correction has its ``tilde`` as target and
-one shared identity as mover, whose word the recursion does not apply.
+The first two cases are read in one place, ``_one_term_image``, once per
+degree and letter into the table that the recursion and
+``generator_matrix`` read alike; only the descent case reaches the memo.
+``auxiliary_terms`` is the one walk over the auxiliary summands, read by
+the recursion and by the master identity of ``gkmhess verify dot-rules``,
+which moves the summands' root products and never builds the auxiliary
+class.  It builds one ``AuxiliaryTerm`` tuple per ``(P, Q)`` and no other
+object per summand: a summand that needs no boundary correction has its
+``tilde`` as target and one shared identity as mover, whose word the
+recursion does not apply.
 ``generator_matrix`` numbers each column by position in the degree basis,
-the one numbering of every ``ActionMatrix``; a one-term column is the
-position of its one class with coefficient 1.  ``ActionMatrix.apply_vector``
-maps a basis vector with the ``int`` 1 to a copy of its column, so a
-product by a matrix of one-term columns mostly copies columns.
+the one numbering of every ``ActionMatrix`` and of the recursion; a
+one-term column is the position of its one class, read off the degree's
+table, with coefficient 1, and a descent column is a copy of its memo
+entry.  ``ActionMatrix.apply_vector`` maps a basis vector with the ``int``
+1 to a copy of its column, so a product by a matrix of one-term columns
+mostly copies columns.
 """
 
 from __future__ import annotations
@@ -244,14 +253,52 @@ def auxiliary_terms(w: Permutation, i: int) -> list[AuxiliaryTerm]:
     return terms
 
 
-class _SiExpansionCache:
-    """Memoized expansions of ``s_i . sigma_w`` at t = 0 over the basis classes.
+class _Degree:
+    """The numbering of one permutohedral degree that the t = 0 recursion
+    runs on: ``order`` is ``degree_basis`` of degree k and ``position`` its
+    inverse; ``mirror[p]`` is the position of ``_mirror(order[p])``; and
+    ``images[i][p]`` is the position of ``_one_term_image(order[p], i)``, or
+    -1 in the descent case (``images[0]`` is unused).  The recursion never
+    leaves the degree (see the module docstring), so a permutation that
+    would leave it is an AssertionError naming the image."""
 
-    Values are dicts mapping basis permutations to nonzero ``int``s, the
-    constant terms of the polynomial expansion.  Only the descent case is
-    memoized: the other two are one-term moves, ``_one_term_image``.  A
-    descent pair with ``2i > n`` is its mirror's entry with every key mapped
-    by ``_mirror`` (see the module docstring), stored under its own key, so
+    __slots__ = ("k", "order", "position", "mirror", "images")
+
+    def __init__(self, n: int, k: int):
+        self.k = k
+        self.order = degree_basis(HessenbergFunction.permutohedral(n), k)
+        self.position = {w: p for p, w in enumerate(self.order)}
+        self.mirror = [self.at(_mirror(w), w) for w in self.order]
+        self.images = [[]]
+        for i in range(1, n):
+            row = []
+            for w in self.order:
+                moved = _one_term_image(w, i)
+                row.append(-1 if moved is None else self.at(moved, w, i))
+            self.images.append(row)
+
+    def at(self, v: Permutation, w: Permutation, i: int = 0) -> int:
+        """The position of ``v``, a term of ``s_i . sigma_w``, or of
+        ``phi(w)`` where ``i`` is 0."""
+        p = self.position.get(v)
+        if p is None:
+            source = f"s_{i} . sigma_{w}" if i else f"phi({w})"
+            raise AssertionError(f"{source} leaves degree {self.k}: it reaches {v}")
+        return p
+
+
+class _SiExpansionCache:
+    """Memoized expansions of ``s_i . sigma_w`` at t = 0 over the basis
+    classes of one n, on positions in the degree basis.
+
+    Each degree k gets its own numbering, a ``_Degree``, built once; the
+    memo maps ``(k, p, i)`` to ``{q: c}``, the constant terms of the
+    polynomial expansion of ``s_i . sigma_{order[p]}`` with each class
+    ``order[q]``, ``c`` a nonzero ``int``.  Only the descent case is
+    memoized: the other two are one-term moves, read off the degree's
+    ``images``.  A descent pair with ``2i > n`` is the entry of
+    ``(mirror[p], n - i)`` with every position mapped through the mirror
+    list (see the module docstring), stored under its own key, so
     ``_compute`` runs only for letters with ``2i <= n``.  A recursion guard
     raises on re-entry for the same pair, which the underlying identities
     rule out in practice.
@@ -259,56 +306,76 @@ class _SiExpansionCache:
 
     def __init__(self, n: int):
         self.n = n
-        self.cache: dict[tuple[Permutation, int], dict[Permutation, int]] = {}
-        self.in_progress: set[tuple[Permutation, int]] = set()
+        self.cache: dict[tuple[int, int, int], dict[int, int]] = {}
+        self.in_progress: set[tuple[int, int, int]] = set()
+        self.degrees: dict[int, _Degree] = {}
 
-    def expansion(self, w: Permutation, i: int) -> dict[Permutation, int]:
-        moved = _one_term_image(w, i)
-        if moved is not None:
-            return {moved: 1}
-        key = (w, i)
+    def degree(self, k: int) -> _Degree:
+        degree = self.degrees.get(k)
+        if degree is None:
+            degree = self.degrees[k] = _Degree(self.n, k)
+        return degree
+
+    def expansion(self, k: int, p: int, i: int) -> dict[int, int]:
+        q = self.degree(k).images[i][p]
+        if q >= 0:
+            return {q: 1}
+        key = (k, p, i)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
         if key in self.in_progress:
+            w = self.degrees[k].order[p]
             raise RecursionError(f"cyclic expansion request at w={w}, i={i}")
         self.in_progress.add(key)
         try:
             if 2 * i > self.n:
-                mirrored = self.expansion(_mirror(w), self.n - i)
-                result = {_mirror(v): c for v, c in mirrored.items()}
+                mirror = self.degrees[k].mirror
+                mirrored = self.expansion(k, mirror[p], self.n - i)
+                result = {mirror[q]: c for q, c in mirrored.items()}
             else:
-                result = self._compute(w, i)
+                result = self._compute(k, p, i)
         finally:
             self.in_progress.discard(key)
         self.cache[key] = result
         return result
 
-    def _compute(self, w: Permutation, i: int) -> dict[Permutation, int]:
+    def _compute(self, k: int, p: int, i: int) -> dict[int, int]:
         """The descent case, ``i+1`` directly left of ``i``: each auxiliary
         summand other than ``sigma_w`` adds ``(1 - s_i) . summand``; the root
         term ``(t_{i+1} - t_i) sigma_{s_i w}`` is 0 at t = 0."""
-        result = {w: 1}
+        degree = self.degrees[k]
+        w, row = degree.order[p], degree.images[i]
+        result = {p: 1}
         for tilde, target, mover in auxiliary_terms(w, i):
             if tilde == w:
                 continue  # the (P~, empty) summand is sigma_w itself
-            if target is tilde:  # no correction: the mover is the identity
-                summand = {target: 1}
-            else:
-                summand = self._apply_word(mover.reduced_word(), {target: 1})
+            summand = {degree.at(target, w, i): 1}
+            if target is not tilde:  # a correction: apply the mover
+                summand = self._apply_word(k, mover.reduced_word(), summand)
             for v, coeff in summand.items():
                 result[v] = result.get(v, 0) + coeff
-                for u, inner in self.expansion(v, i).items():
+                q = row[v]
+                if q >= 0:
+                    result[q] = result.get(q, 0) - coeff
+                    continue
+                for u, inner in self.expansion(k, v, i).items():
                     result[u] = result.get(u, 0) - coeff * inner
         return {v: c for v, c in result.items() if c}
 
-    def _apply_word(self, word, expansion):
+    def _apply_word(self, k: int, word, expansion: dict[int, int]) -> dict[int, int]:
         """Apply ``s_{word[0]} ... s_{word[-1]}`` (left to right) to an expansion."""
+        images = self.degrees[k].images
         current = expansion
         for gen in reversed(word):
-            nxt: dict[Permutation, int] = {}
+            row = images[gen]
+            nxt: dict[int, int] = {}
             for v, coeff in current.items():
-                for target, inner in self.expansion(v, gen).items():
+                q = row[v]
+                if q >= 0:
+                    nxt[q] = nxt.get(q, 0) + coeff
+                    continue
+                for target, inner in self.expansion(k, v, gen).items():
                     nxt[target] = nxt.get(target, 0) + coeff * inner
             current = {v: c for v, c in nxt.items() if c}
         return current
@@ -436,49 +503,35 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:
     """Matrix of ``s_i`` on ordinary degree-2k cohomology.
 
     One route per family.  Permutohedral h: a column whose image is one
-    class (``_one_term_image``) is read off the positions of ``i`` and
-    ``i+1`` with coefficient 1; only a descent column runs the recursion,
-    ``_SiExpansionCache``, on integers at t = 0.  Full flag: the identity, the
-    t = 0 image of ``full_flag_si_expansion``, whose only other term
-    carries the root ``t_{i+1} - t_i``.  Any other h: ``reduce_to_ordinary``
-    of ``s_i . sigma_w`` over ``FlowUpBasis(h)``, which builds the classes of
-    the degree basis and those the eliminations reach, no others.  Each
-    column is keyed by degree-basis position; a term outside the basis is an
-    AssertionError.
+    class (``_one_term_image``) is the position in the degree's ``images``
+    table with coefficient 1; only a descent column runs the recursion,
+    ``_SiExpansionCache``, on integers at t = 0, and is a copy of its memo
+    entry.  Full flag: the identity, the t = 0 image of
+    ``full_flag_si_expansion``, whose only other term carries the root
+    ``t_{i+1} - t_i``.  Any other h: ``reduce_to_ordinary`` of ``s_i .
+    sigma_w`` over ``FlowUpBasis(h)``, which builds the classes of the
+    degree basis and those the eliminations reach, no others.  Each column
+    is keyed by degree-basis position; a permutohedral term outside the
+    basis is an AssertionError.
     """
     _check_generator(i, h.n)
     order = degree_basis(h, k)
-    if h.is_full_flag():
+    if h.is_full_flag() or not order:
         return ActionMatrix.identity(order)
-    position = {w: j for j, w in enumerate(order)}
-    columns = []
     if h.is_permutohedral():
         cache = _expansion_cache(h.n)
-        for w in order:
-            moved = _one_term_image(w, i)
-            if moved is None:
-                columns.append(_by_position(position, cache.expansion(w, i), i, w, k))
-            else:
-                # a fixed or moved class keeps w's descents, so its degree
-                columns.append({position[moved]: 1})
-    else:
-        basis = FlowUpBasis(h)
-        si = Permutation.simple(i, h.n)
-        for w in order:
-            image = reduce_to_ordinary(dot(si, basis.get(w)), k, h, basis)
-            columns.append(_by_position(position, image, i, w, k))
+        columns = [{q: 1} if q >= 0 else dict(cache.expansion(k, p, i))
+                   for p, q in enumerate(cache.degree(k).images[i])]
+        return ActionMatrix(order, columns)
+    # reduce_to_ordinary keeps only the v with l_h(v) = k, the degree basis
+    position = {w: j for j, w in enumerate(order)}
+    basis = FlowUpBasis(h)
+    si = Permutation.simple(i, h.n)
+    columns = []
+    for w in order:
+        image = reduce_to_ordinary(dot(si, basis.get(w)), k, h, basis)
+        columns.append({position[v]: c for v, c in image.items()})
     return ActionMatrix(order, columns)
-
-
-def _by_position(position: dict[Permutation, int], image: dict, i: int,
-                 w: Permutation, k: int) -> dict[int, Coeff]:
-    """The column of ``s_i . sigma_w = image``, keyed by degree-basis position."""
-    try:
-        return {position[v]: c for v, c in image.items()}
-    except KeyError as exc:
-        raise AssertionError(
-            f"s_{i} . sigma_{w} leaves degree {k}: it reaches {exc.args[0]}"
-        ) from None
 
 
 def action_matrix(u: Permutation, k: int, h: HessenbergFunction) -> ActionMatrix:

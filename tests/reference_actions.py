@@ -11,8 +11,8 @@ reading no expansion off its mirror, on the summands of
 ``min_length_coset_reps`` finds the shortest element of each coset of the
 fine block subgroup in the coarse one by a minimum search over Coxeter
 lengths.  ``position_keyed_generator_matrix`` assembles a permutohedral
-generator matrix by keying every memo expansion by position, one-term
-columns included.  ``half_word_traces`` takes each cycle type's trace from
+generator matrix by keying every ``unmirrored_expansion`` by position,
+one-term columns included.  ``half_word_traces`` takes each cycle type's trace from
 the two halves of its reduced word.  ``omega_through_e`` applies the
 involution by converting to the elementary basis and retagging.
 ``build_auxiliary_class`` sums the auxiliary summands as expanded classes,
@@ -37,8 +37,8 @@ from itertools import chain, combinations
 import gkmhess.decomp as decomp
 from gkmhess.classes import EquivariantClass, RootProduct, permutohedral_class
 from gkmhess.decomp import block_subgroups
-from gkmhess.dot import (AuxiliaryTerm, ActionMatrix, _expansion_cache, auxiliary_terms,
-                         degree_basis, dot, flow_up_class)
+from gkmhess.dot import (AuxiliaryTerm, ActionMatrix, auxiliary_terms, degree_basis, dot,
+                         flow_up_class)
 from gkmhess.gkm import GkmGraph
 from gkmhess.perms import Permutation, partitions, young_subgroup
 
@@ -205,15 +205,17 @@ def unmirrored_expansion(w, i, memo):
     return memo[(w, i)]
 
 
-def position_keyed_generator_matrix(i, k, h):
+def position_keyed_generator_matrix(i, k, h, memo=None):
     """Matrix of ``s_i`` on permutohedral degree 2k: each column is the
-    memo's t = 0 expansion ``expansion(w, i)``, keyed by position."""
+    unmirrored t = 0 expansion ``unmirrored_expansion(w, i, memo)``, keyed
+    by position in the degree basis, one-term columns included.  Pass one
+    ``memo`` to several calls of one n to share the recursion."""
     order = degree_basis(h, k)
-    cache = _expansion_cache(h.n)
+    memo = {} if memo is None else memo
     position = {w: j for j, w in enumerate(order)}
     columns = []
     for w in order:
-        image = cache.expansion(w, i)
+        image = unmirrored_expansion(w, i, memo)
         try:
             columns.append({position[v]: c for v, c in image.items()})
         except KeyError as exc:

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import importlib
 import json
 import math
 import pathlib
@@ -21,6 +23,7 @@ from gkmhess.classes import (
 )
 from gkmhess.dot import (
     ActionMatrix,
+    AuxiliaryTerm,
     FlowUpBasis,
     action_matrix,
     auxiliary_terms,
@@ -219,6 +222,33 @@ def test_si_expansion_sums_back_to_the_moved_class(n):
             assert total == dot(Permutation.simple(i, n), basis[w])
 
 
+@functools.cache
+def _degree_positions(n):
+    """``{w: (k, p)}``: the degree k of each w of S_n and its position p in
+    ``degree_basis``."""
+    h = HessenbergFunction.permutohedral(n)
+    return {w: (k, p) for k in range(n) for p, w in enumerate(degree_basis(h, k))}
+
+
+def _expansion_of(cache, w, i):
+    """``cache.expansion`` of ``(w, i)``, translated to permutations through
+    the degree basis."""
+    k, p = _degree_positions(len(w))[w]
+    order = degree_basis(HessenbergFunction.permutohedral(len(w)), k)
+    return {order[q]: c for q, c in cache.expansion(k, p, i).items()}
+
+
+def _memo_by_permutation(cache):
+    """The memo of ``cache`` keyed by ``(w, i)``, each entry keyed by
+    permutation."""
+    h = HessenbergFunction.permutohedral(cache.n)
+    memo = {}
+    for (k, p, i), entry in cache.cache.items():
+        order = degree_basis(h, k)
+        memo[(order[p], i)] = {order[q]: c for q, c in entry.items()}
+    return memo
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_every_descent_memo_entry_is_the_constant_terms(n):
     # the t = 0 recursion against the expanded moved class, on every pair
@@ -228,7 +258,7 @@ def test_every_descent_memo_entry_is_the_constant_terms(n):
         for i in range(1, n):
             if w.index(i + 1) + 1 == w.index(i):
                 constants = {v: c.constant_term() for v, c in perm_si_action(w, i).items()}
-                assert cache.expansion(w, i) == {v: c for v, c in constants.items() if c}
+                assert _expansion_of(cache, w, i) == {v: c for v, c in constants.items() if c}
     assert len(cache.cache) == (n - 1) * math.factorial(n - 1)
 
 
@@ -244,7 +274,7 @@ def permutation_and_generator(draw):
 def test_expansion_at_t0_is_the_constant_term(case):
     # the integer recursion gives the constant terms of the expanded moved class
     w, i = case
-    at_zero = _expansion_cache(len(w)).expansion(w, i)
+    at_zero = _expansion_of(_expansion_cache(len(w)), w, i)
     constants = {v: c.constant_term() for v, c in perm_si_action(w, i).items()}
     assert at_zero == {v: c for v, c in constants.items() if c}
     assert all(type(c) is int for c in at_zero.values())
@@ -252,7 +282,8 @@ def test_expansion_at_t0_is_the_constant_term(case):
 
 def test_expansion_caches_stay_within_their_bound():
     for n in range(2, 7):
-        _expansion_cache(n).expansion(Permutation.longest(n), 1)
+        # w0, the one permutation of the top degree n - 1
+        _expansion_cache(n).expansion(n - 1, 0, 1)
         assert len(_caches) <= _CACHE_BOUND
     # the newest cache is kept, and asking again returns the same object
     newest = _expansion_cache(6)
@@ -278,14 +309,19 @@ def test_only_the_descent_case_is_memoized():
     cache = _SiExpansionCache(n)
     for w in Permutation.all(n):
         for i in range(1, n):
-            expansion = cache.expansion(w, i)
+            expansion = _expansion_of(cache, w, i)
             j, k = w.index(i), w.index(i + 1)
             if j + 1 == k:
                 assert expansion == {w: 1}
             elif k + 1 != j:
                 assert expansion == {Permutation.simple(i, n) * w: 1}
-    assert all(w.index(i + 1) + 1 == w.index(i) for w, i in cache.cache)
+    assert all(w.index(i + 1) + 1 == w.index(i) for w, i in _memo_by_permutation(cache))
     assert len(cache.cache) == (n - 1) * math.factorial(n - 1)
+    # each degree's table of one-term images marks exactly the descent pairs
+    for degree in cache.degrees.values():
+        for i in range(1, n):
+            assert ([q < 0 for q in degree.images[i]]
+                    == [w.index(i + 1) + 1 == w.index(i) for w in degree.order])
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -296,8 +332,12 @@ def test_mirrored_memo_equals_the_unmirrored_recursion(n):
     for w in Permutation.all(n):
         for i in range(1, n):
             if w.index(i + 1) + 1 == w.index(i):
-                assert cache.expansion(w, i) == unmirrored_expansion(w, i, memo)
-    assert cache.cache == memo
+                assert _expansion_of(cache, w, i) == unmirrored_expansion(w, i, memo)
+    assert _memo_by_permutation(cache) == memo
+    # the mirror list of each degree is phi(u) = w0 u w0 on positions
+    w0 = Permutation.longest(n)
+    for degree in cache.degrees.values():
+        assert [degree.order[q] for q in degree.mirror] == [w0 * w * w0 for w in degree.order]
 
 
 def test_the_recursion_runs_only_for_letters_up_to_half_n(monkeypatch):
@@ -308,14 +348,16 @@ def test_the_recursion_runs_only_for_letters_up_to_half_n(monkeypatch):
     computed = []
     compute = _SiExpansionCache._compute
 
-    def counted(self, w, i):
+    def counted(self, k, p, i):
         computed.append(i)
-        return compute(self, w, i)
+        return compute(self, k, p, i)
     monkeypatch.setattr(_SiExpansionCache, "_compute", counted)
     cache = _SiExpansionCache(n)
-    for w in Permutation.all(n):
-        for i in range(1, n):
-            cache.expansion(w, i)
+    h = HessenbergFunction.permutohedral(n)
+    for k in range(n):
+        for p in range(len(degree_basis(h, k))):
+            for i in range(1, n):
+                cache.expansion(k, p, i)
     assert len(computed) == 2160 and set(computed) == {1, 2, 3}
     assert len(cache.cache) == (n - 1) * math.factorial(n - 1)
 
@@ -400,27 +442,58 @@ def test_generators_outside_the_group_are_rejected(h, i):
 
 
 def test_off_degree_term_in_a_column_is_an_error(monkeypatch):
-    # a memo entry with a term outside degree k must not be filtered away
+    # a term outside degree k must not be filtered away: in the package, a
+    # recursion summand whose target is the identity, raised where the target
+    # becomes a position; in the reference, a memo entry with that term
     n, i = 4, 1
     h = HessenbergFunction.permutohedral(n)
-    cache = _SiExpansionCache(n)
-    monkeypatch.setitem(_caches, n, cache)
+    dot_module = importlib.import_module("gkmhess.dot")  # the package exports dot()
+    monkeypatch.setitem(_caches, n, _SiExpansionCache(n))
     w = Permutation.from_one_line("2134")  # i+1 directly left of i, degree 1
-    cache.cache[(w, i)] = {w: 1, Permutation.identity(n): 1}
-    for assemble in (generator_matrix, position_keyed_generator_matrix):
+    identity = Permutation.identity(n)
+    exact, stray = dot_module.auxiliary_terms, AuxiliaryTerm(identity, identity, identity)
+    monkeypatch.setattr(dot_module, "auxiliary_terms",
+                        lambda v, j: exact(v, j) + [stray] if (v, j) == (w, i) else exact(v, j))
+    memo = {(w, i): {w: 1, identity: 1}}
+    for assemble in (generator_matrix,
+                     lambda i, k, h: position_keyed_generator_matrix(i, k, h, memo)):
         with pytest.raises(AssertionError,
                            match=r"s_1 \. sigma_2134 leaves degree 1: it reaches 1234$"):
             assemble(i, 1, h)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_generator_matrices_equal_the_position_keyed_assembly(n):
-    # one-term columns read off positions against every column from the memo
+@pytest.mark.parametrize("fault", ["one-term", "mirror"])
+def test_an_image_outside_the_degree_is_named(fault, monkeypatch):
+    # a one-term image or a mirror image off the degree raises an
+    # AssertionError naming it while the degree's tables are built, never a
+    # KeyError: here s_1 . sigma_2134 read as the identity's class, and phi
+    # read as w -> w0 w, which sends degree k to degree n - 1 - k
+    n = 4
     h = HessenbergFunction.permutohedral(n)
+    dot_module = importlib.import_module("gkmhess.dot")
+    monkeypatch.setitem(_caches, n, _SiExpansionCache(n))
+    w, identity = Permutation.from_one_line("2134"), Permutation.identity(n)
+    if fault == "one-term":
+        exact = dot_module._one_term_image
+        monkeypatch.setattr(dot_module, "_one_term_image",
+                            lambda v, j: identity if (v, j) == (w, 1) else exact(v, j))
+        message = r"s_1 \. sigma_2134 leaves degree 1: it reaches 1234$"
+    else:
+        monkeypatch.setattr(dot_module, "_mirror", lambda v: Permutation.longest(len(v)) * v)
+        message = r"phi\(1243\) leaves degree 1: it reaches 4312$"
+    with pytest.raises(AssertionError, match=message):
+        generator_matrix(1, 1, h)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_generator_matrices_equal_the_position_keyed_assembly(n):
+    # every column against the unmirrored recursion, run for every letter
+    # and keyed by position, one-term columns included
+    h, memo = HessenbergFunction.permutohedral(n), {}
     for k in range(n):
         for i in range(1, n):
             matrix = generator_matrix(i, k, h)
-            assert matrix == position_keyed_generator_matrix(i, k, h)
+            assert matrix == position_keyed_generator_matrix(i, k, h, memo)
             assert all(type(c) is int for column in matrix.columns for c in column.values())
 
 
@@ -456,13 +529,15 @@ def test_a_basis_vector_with_the_int_one_maps_to_a_copy_of_its_column():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_permutohedral_columns_are_the_memo_expansions_by_position(n):
-    # each column is the memo's t = 0 expansion, renumbered by the degree basis
+    # each column is the t = 0 expansion at its position, and a copy: the
+    # matrix shares no dict with the memo
     h = HessenbergFunction.permutohedral(n)
     cache = _expansion_cache(n)
     for k in range(n):
         for i in range(1, n):
-            expected = {w: cache.expansion(w, i) for w in degree_basis(h, k)}
-            assert _by_permutation(generator_matrix(i, k, h)) == expected
+            for p, column in enumerate(generator_matrix(i, k, h).columns):
+                expansion = cache.expansion(k, p, i)
+                assert column == expansion and column is not expansion
 
 
 @pytest.mark.parametrize("n", range(2, 7))
