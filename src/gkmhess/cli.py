@@ -706,8 +706,24 @@ def cmd_verify(args, config: RunConfig) -> int:
         _parse_h(args.h, args.n)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
-    for name in names:
-        checks.append(SUITES[name](args.n, config))
+    try:
+        for name in names:
+            checks.append(SUITES[name](args.n, config))
+    except (ValueError, FileNotFoundError):
+        # a usage error, such as an n beyond a table's bound, is no verdict:
+        # main prints it and exits 2, with nothing on stdout
+        raise
+    except Exception as exc:
+        # the checks that finished and the suite that raised go to stdout;
+        # main turns the exception into the exit code and the stderr line
+        checks.append({"name": name, "passed": False,
+                       "error": f"{type(exc).__name__}: {exc}"})
+        _emit_verify(args, config, checks)
+        raise
+    return _emit_verify(args, config, checks)
+
+
+def _emit_verify(args, config: RunConfig, checks: list[dict]) -> int:
     passed = all(c["passed"] for c in checks)
     _emit(
         {"suite": args.suite, "n": args.n, "seed": config.seed,

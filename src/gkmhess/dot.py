@@ -53,9 +53,15 @@ with ``des v = des w`` survive, as ``c_v`` is homogeneous of degree ``des w
 and the t = 0 expansion of ``(w, i)`` is that of ``(phi(w), n-i)`` with every
 key mapped by phi: on positions, through the degree's mirror list.
 
-The first two cases are read in one place, ``_one_term_image``, once per
+The first two cases are read in one place, ``_one_term_ranks``, once per
 degree and letter into the table that the recursion and
 ``generator_matrix`` read alike; only the descent case reaches the memo.
+The table is filled from lexicographic ranks, with no permutation built
+per move: when i and i+1 stand apart, ``s_i w`` differs from w in one
+Lehmer digit, at the earlier of their two positions, by one, so its rank
+is that of w plus or minus a factorial.  The ranks of each degree come from
+``gkm.degree_ranks``, the one walk of S_n that the degree bases are read
+off, and a moved rank becomes a position through the degree's ranks.
 ``auxiliary_terms`` is the one walk over the auxiliary summands, read by
 the recursion and by the master identity of ``gkmhess verify dot-rules``,
 which moves the summands' root products and never builds the auxiliary
@@ -65,17 +71,20 @@ object per summand: a summand that needs no boundary correction has its
 recursion does not apply.
 ``generator_matrix`` numbers each column by position in the degree basis,
 the one numbering of every ``ActionMatrix`` and of the recursion; a
-one-term column is the position of its one class, read off the degree's
-table, with coefficient 1, and a descent column is a copy of its memo
-entry.  ``ActionMatrix.apply_vector`` maps a basis vector with the ``int``
-1 to a copy of its column, so a product by a matrix of one-term columns
-mostly copies columns.
+one-term column is the unit column of its one class, taken from one list
+of unit dicts per degree that every generator matrix of the degree shares,
+and a descent column is a copy of its memo entry.  ``ActionMatrix.compose``
+puts the left factor's own column in place of a unit column of the right
+one, so a product by a matrix of one-term columns copies no column; columns
+may be shared between matrices and are never mutated.
+``ActionMatrix.apply_vector`` still returns a new dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from math import factorial
 from typing import NamedTuple
 
 from .classes import (
@@ -86,7 +95,7 @@ from .classes import (
     permutohedral_class,
     reduce_to_ordinary,
 )
-from .gkm import EdgeKind, HessenbergFunction, degree_bases, edge_kind
+from .gkm import EdgeKind, HessenbergFunction, degree_bases, degree_ranks, edge_kind
 from .perms import Permutation
 from .polys import Coeff, MultiPoly
 
@@ -256,45 +265,68 @@ def auxiliary_terms(w: Permutation, i: int) -> list[AuxiliaryTerm]:
 class _Degree:
     """The numbering of one permutohedral degree that the t = 0 recursion
     runs on: ``order`` is ``degree_basis`` of degree k and ``position`` its
-    inverse; ``mirror[p]`` is the position of ``_mirror(order[p])``; and
-    ``images[i][p]`` is the position of ``_one_term_image(order[p], i)``, or
-    -1 in the descent case (``images[0]`` is unused).  The recursion never
-    leaves the degree (see the module docstring), so a permutation that
-    would leave it is an AssertionError naming the image."""
+    inverse; ``mirror[p]`` is the position of ``_mirror(order[p])``;
+    ``images[i][p]`` is the position of the one class ``s_i .
+    sigma_{order[p]}`` equals, or -1 in the descent case (``images[0]`` is
+    unused); and ``units[q]`` is the unit column ``{q: 1}``, one dict per
+    position that every one-term column of the degree shares.
 
-    __slots__ = ("k", "order", "position", "mirror", "images")
+    The tables are filled from lexicographic ranks, with no permutation
+    built per move: ``_one_term_ranks`` is the one case split, and a moved
+    rank becomes a position through a map from the degree's ranks,
+    ``gkm.degree_ranks``, held only while the tables are filled.  The
+    recursion never leaves the degree (see the module docstring), so an
+    image outside it is an AssertionError naming the image, read off
+    ``Permutation.all`` at its rank, the one place a moved permutation is
+    built."""
+
+    __slots__ = ("k", "order", "position", "mirror", "images", "units")
 
     def __init__(self, n: int, k: int):
+        h = HessenbergFunction.permutohedral(n)
         self.k = k
-        self.order = degree_basis(HessenbergFunction.permutohedral(n), k)
+        self.order = degree_basis(h, k)
         self.position = {w: p for p, w in enumerate(self.order)}
         self.mirror = [self.at(_mirror(w), w) for w in self.order]
-        self.images = [[]]
-        for i in range(1, n):
-            row = []
-            for w in self.order:
-                moved = _one_term_image(w, i)
-                row.append(-1 if moved is None else self.at(moved, w, i))
-            self.images.append(row)
+        ranks = degree_ranks(h)[k]
+        # rank -> position for the fill alone; -1, the descent case, stays -1.
+        # The tables hold the position dict's own int objects, the keys of
+        # every memo entry and unit column too, so a dict lookup on a column's
+        # key finds an identical object and never compares two ints by value
+        slots = dict(zip(ranks, self.position.values()))
+        slots[-1] = -1
+        self.images = images = [[] for _ in range(n)]
+        try:
+            for w, rank in zip(self.order, ranks):
+                for i, moved in enumerate(_one_term_ranks(w, rank), 1):
+                    images[i].append(slots[moved])
+        except KeyError:
+            raise self._leaves(next(islice(Permutation.all(n), moved, None)), w, i) from None
+        self.units = [{q: 1} for q in self.position.values()]
 
     def at(self, v: Permutation, w: Permutation, i: int = 0) -> int:
         """The position of ``v``, a term of ``s_i . sigma_w``, or of
         ``phi(w)`` where ``i`` is 0."""
         p = self.position.get(v)
         if p is None:
-            source = f"s_{i} . sigma_{w}" if i else f"phi({w})"
-            raise AssertionError(f"{source} leaves degree {self.k}: it reaches {v}")
+            raise self._leaves(v, w, i)
         return p
+
+    def _leaves(self, v: Permutation, w: Permutation, i: int) -> AssertionError:
+        source = f"s_{i} . sigma_{w}" if i else f"phi({w})"
+        return AssertionError(f"{source} leaves degree {self.k}: it reaches {v}")
 
 
 class _SiExpansionCache:
     """Memoized expansions of ``s_i . sigma_w`` at t = 0 over the basis
     classes of one n, on positions in the degree basis.
 
-    Each degree k gets its own numbering, a ``_Degree``, built once; the
-    memo maps ``(k, p, i)`` to ``{q: c}``, the constant terms of the
-    polynomial expansion of ``s_i . sigma_{order[p]}`` with each class
-    ``order[q]``, ``c`` a nonzero ``int``.  Only the descent case is
+    Each degree k gets its own numbering and tables, a ``_Degree``, built
+    from the degree's ranks the first time the degree is asked for, so a
+    command that asks for one degree builds only that one.  The memo maps
+    ``(k, p, i)`` to ``{q: c}``, the constant terms of the polynomial
+    expansion of ``s_i . sigma_{order[p]}`` with each class ``order[q]``,
+    ``c`` a nonzero ``int``.  Only the descent case is
     memoized: the other two are one-term moves, read off the degree's
     ``images``.  A descent pair with ``2i > n`` is the entry of
     ``(mirror[p], n - i)`` with every position mapped through the mirror
@@ -387,22 +419,35 @@ def _mirror(w: Permutation) -> Permutation:
     return tuple.__new__(Permutation, [top - x for x in reversed(w)])
 
 
-def _one_term_image(w: Permutation, i: int) -> Permutation | None:
-    """The one class ``s_i . sigma_w`` equals, read off the positions of
-    ``i`` and ``i+1`` in ``w``; ``None`` in the descent case.
+def _one_term_ranks(w: Permutation, rank: int) -> list[int]:
+    """For i = 1, ..., n-1 in turn, the lexicographic rank of the one class
+    ``s_i . sigma_w`` equals, given the rank of w; -1 in the descent case,
+    ``i+1`` directly left of ``i``.
 
-    With ``i`` directly left of ``i+1`` the class is fixed; when the two
-    are not adjacent the descent pattern is unchanged and the class moves
-    to ``sigma_{s_i w}``.  Both images have coefficient 1.
+    With ``i`` directly left of ``i+1`` the class is fixed.  When the two
+    stand apart it moves to ``sigma_{s_i w}``, with coefficient 1, and
+    swapping the values i and i+1 changes one Lehmer digit of w, that of
+    the earlier of their two positions, by one: every other position sees
+    both values on the same side, and no value lies between them.  So with
+    i at 0-based position j left of i+1 the rank rises by ``(n-1-j)!``, and
+    with i+1 at position j left of i it falls by ``(n-1-j)!``.
     """
-    j, k = w.index(i), w.index(i + 1)
-    if j + 1 == k:
-        return w
-    if k + 1 == j:
-        return None
-    images = list(w)
-    images[j], images[k] = i + 1, i
-    return tuple.__new__(Permutation, images)
+    n = len(w)
+    where = [0] * (n + 1)
+    for j, v in enumerate(w):
+        where[v] = j
+    ranks = []
+    for i in range(1, n):
+        j, k = where[i], where[i + 1]
+        if k == j + 1:
+            ranks.append(rank)
+        elif j == k + 1:
+            ranks.append(-1)
+        elif j < k:
+            ranks.append(rank + factorial(n - 1 - j))
+        else:
+            ranks.append(rank - factorial(n - 1 - k))
+    return ranks
 
 
 # One expansion cache per n.
@@ -455,6 +500,11 @@ class ActionMatrix:
     have equal columns.  Entries are exact: ``int`` where integral,
     ``Fraction`` otherwise.  Mixed ``int``/``Fraction`` arithmetic is exact,
     so products and traces stay ``int`` as long as the entries are.
+
+    Columns may be shared between matrices: the permutohedral generator
+    matrices of one degree share their unit columns, and ``compose`` reuses
+    the left factor's columns.  So no column is ever mutated; a changed
+    matrix is built from new dicts, and ``apply_vector`` returns one.
     """
 
     basis_order: tuple[Permutation, ...]
@@ -481,8 +531,18 @@ class ActionMatrix:
         return out
 
     def compose(self, other: "ActionMatrix") -> "ActionMatrix":
-        """Matrix of ``self`` after ``other`` (self @ other)."""
-        return ActionMatrix(self.basis_order, [self.apply_vector(vec) for vec in other.columns])
+        """Matrix of ``self`` after ``other`` (self @ other).  A unit column
+        ``{q: 1}`` of ``other``, with the ``int`` 1, becomes ``self``'s own
+        column q, shared and not copied; any other column is a new dict."""
+        columns, product = self.columns, []
+        for vec in other.columns:
+            if len(vec) == 1:
+                [(col, coeff)] = vec.items()
+                if coeff == 1 and type(coeff) is int:
+                    product.append(columns[col])
+                    continue
+            product.append(self.apply_vector(vec))
+        return ActionMatrix(self.basis_order, product)
 
     @classmethod
     def identity(cls, basis_order: tuple[Permutation, ...]) -> "ActionMatrix":
@@ -503,10 +563,10 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:
     """Matrix of ``s_i`` on ordinary degree-2k cohomology.
 
     One route per family.  Permutohedral h: a column whose image is one
-    class (``_one_term_image``) is the position in the degree's ``images``
-    table with coefficient 1; only a descent column runs the recursion,
-    ``_SiExpansionCache``, on integers at t = 0, and is a copy of its memo
-    entry.  Full flag: the identity, the t = 0 image of
+    class, the position q in the degree's ``images`` table, is the degree's
+    shared unit column ``units[q]``; only a descent column runs the
+    recursion, ``_SiExpansionCache``, on integers at t = 0, and is a copy of
+    its memo entry.  Full flag: the identity, the t = 0 image of
     ``full_flag_si_expansion``, whose only other term carries the root
     ``t_{i+1} - t_i``.  Any other h: ``reduce_to_ordinary`` of ``s_i .
     sigma_w`` over ``FlowUpBasis(h)``, which builds the classes of the
@@ -520,8 +580,10 @@ def generator_matrix(i: int, k: int, h: HessenbergFunction) -> ActionMatrix:
         return ActionMatrix.identity(order)
     if h.is_permutohedral():
         cache = _expansion_cache(h.n)
-        columns = [{q: 1} if q >= 0 else dict(cache.expansion(k, p, i))
-                   for p, q in enumerate(cache.degree(k).images[i])]
+        degree = cache.degree(k)
+        units = degree.units
+        columns = [units[q] if q >= 0 else dict(cache.expansion(k, p, i))
+                   for p, q in enumerate(degree.images[i])]
         return ActionMatrix(order, columns)
     # reduce_to_ordinary keeps only the v with l_h(v) = k, the degree basis
     position = {w: j for j, w in enumerate(order)}

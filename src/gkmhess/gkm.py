@@ -16,12 +16,15 @@ Each n has one table of S_n, shared by every h of that n:
 with ``w(j) > w(i)``.  Pairs have one numbering, lexicographic, (1,2), ...,
 (1,n), (2,3), ..., which the table's recurrence needs and ``mask_of_pairs``
 gives.  ``l_h(w)`` is the popcount of ``w``'s mask and ``h``'s pairs, so the
-degree bases are read off the table; ``degree_bases`` is its only reader in
-the package, and a question about one permutation, its Coxeter length
-included, is decided on that permutation.  ``verify_poincare`` derives its
-masks from the definition and never reads the table, so the two derivations
-of the Betti numbers stay independent.  ``l_h`` stays the definition that
-classes and the CLI read.
+degrees are read off the table.  The one walk per h, ``degree_ranks``,
+files each permutation's index in the table, its lexicographic rank, by
+degree; it is the table's only reader in the package.  The degree bases
+(``degree_bases``) and the Betti numbers are read off those ranks, and the
+one-term tables of ``dot`` read the ranks themselves.  A question about one
+permutation, its Coxeter length included, is decided on that permutation.
+``verify_poincare`` derives its masks from the definition and never reads
+the table, so the two derivations of the Betti numbers stay independent.
+``l_h`` stays the definition that classes and the CLI read.
 """
 
 from __future__ import annotations
@@ -200,24 +203,35 @@ def _inversion_table(n: int) -> tuple[tuple[Permutation, ...], array]:
 
 
 @lru_cache(maxsize=16)
+def degree_ranks(h: HessenbergFunction) -> tuple[memoryview, ...]:
+    """For k = 0..top, the lexicographic ranks of the ``w`` with ``l_h(w) =
+    k`` (their indices in ``Permutation.all``), ascending and read-only.
+    This is the one walk of the table for h: each index goes in the degree
+    of the popcount of its inversion-table mask and
+    ``mask_of_pairs(h.pairs)``.  ``verify_poincare`` checks the counts
+    against out-degrees from masks it derives itself, so it never reads the
+    table it checks."""
+    masks = _inversion_table(h.n)[1]
+    pair_mask = mask_of_pairs(h.pairs, h.n)
+    # an index of the table is a lexicographic rank; 11! < 2**32
+    ranks = [array("I") for _ in range(len(h.pairs) + 1)]
+    for rank, mask in enumerate(masks):
+        ranks[(mask & pair_mask).bit_count()].append(rank)
+    return tuple(memoryview(degree).toreadonly() for degree in ranks)
+
+
+@lru_cache(maxsize=16)
 def degree_bases(h: HessenbergFunction) -> tuple[tuple[Permutation, ...], ...]:
     """For k = 0..top, the ``w`` with ``l_h(w) = k`` in the order of
-    ``Permutation.all``: each ``w`` goes in the degree of the popcount of its
-    inversion-table mask and ``mask_of_pairs(h.pairs)``.  Every h of one n
-    shares the table's ``Permutation`` objects.  ``verify_poincare`` checks
-    the counts against out-degrees from masks it derives itself, so it never
-    reads the table it checks."""
-    perms, masks = _inversion_table(h.n)
-    pair_mask = mask_of_pairs(h.pairs, h.n)
-    bases: list[list[Permutation]] = [[] for _ in range(len(h.pairs) + 1)]
-    for w, mask in zip(perms, masks):
-        bases[(mask & pair_mask).bit_count()].append(w)
-    return tuple(map(tuple, bases))
+    ``Permutation.all``, read off ``degree_ranks(h)``.  Every h of one n
+    shares the table's ``Permutation`` objects."""
+    perms = _inversion_table(h.n)[0]
+    return tuple(tuple(map(perms.__getitem__, degree)) for degree in degree_ranks(h))
 
 
 def poincare_coefficients(h: HessenbergFunction) -> tuple[int, ...]:
     """Coefficient of q^{2k} is the number of w with l_h(w) = k."""
-    return tuple(map(len, degree_bases(h)))
+    return tuple(map(len, degree_ranks(h)))
 
 
 class EdgeKind(Enum):

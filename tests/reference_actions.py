@@ -12,8 +12,12 @@ reading no expansion off its mirror, on the summands of
 fine block subgroup in the coarse one by a minimum search over Coxeter
 lengths.  ``position_keyed_generator_matrix`` assembles a permutohedral
 generator matrix by keying every ``unmirrored_expansion`` by position,
-one-term columns included.  ``half_word_traces`` takes each cycle type's trace from
-the two halves of its reduced word.  ``omega_through_e`` applies the
+one-term columns included.  ``one_term_image`` reads the one class of a
+one-term move off the positions of i and i+1, as a permutation, against
+which the package's tables of ranks are checked, and ``copying_compose``
+multiplies two action matrices with a new dict for every column.
+``half_word_traces`` takes each cycle type's trace from the two halves of
+its reduced word.  ``omega_through_e`` applies the
 involution by converting to the elementary basis and retagging.
 ``build_auxiliary_class`` sums the auxiliary summands as expanded classes,
 the reference for the master identity on root products.
@@ -203,6 +207,39 @@ def unmirrored_expansion(w, i, memo):
                 result[u] = result.get(u, 0) - c * d
     memo[(w, i)] = {v: c for v, c in result.items() if c}
     return memo[(w, i)]
+
+
+def one_term_image(w, i):
+    """The one class ``s_i . sigma_w`` equals, read off the positions of
+    ``i`` and ``i+1`` in ``w``; ``None`` in the descent case.
+
+    With ``i`` directly left of ``i+1`` the class is fixed; when the two
+    are not adjacent the descent pattern is unchanged and the class moves
+    to ``sigma_{s_i w}``, built by swapping the two values.  Both images
+    have coefficient 1.
+    """
+    j, k = w.index(i), w.index(i + 1)
+    if j + 1 == k:
+        return w
+    if k + 1 == j:
+        return None
+    images = list(w)
+    images[j], images[k] = i + 1, i
+    return Permutation(images)
+
+
+def copying_compose(left, right):
+    """``left @ right`` with every column a new dict: each entry of a
+    column of ``right`` scales a column of ``left``, and zero sums are
+    dropped."""
+    columns = []
+    for vec in right.columns:
+        out = {}
+        for col, coeff in vec.items():
+            for row, val in left.columns[col].items():
+                out[row] = out.get(row, 0) + coeff * val
+        columns.append({row: c for row, c in out.items() if c})
+    return ActionMatrix(left.basis_order, columns)
 
 
 def position_keyed_generator_matrix(i, k, h, memo=None):

@@ -412,9 +412,16 @@ def s1_matrix():
 def s2_column(w):
     # s_2 . sigma_w read as sigma_w itself, where 2 and 3 stand apart in w
     # and the class moves to sigma_{s_2 w}: one one-term column of every s_2
-    # permutohedral matrix, and one move of the t = 0 recursion
-    exact, w_0 = dot._one_term_image, Permutation.from_one_line(w)
-    dot._one_term_image = lambda v, i: v if (v, i) == (w_0, 2) else exact(v, i)
+    # permutohedral matrix, and one move of the t = 0 recursion; the rank of
+    # the image for the letter 2 becomes w's own
+    exact, w_0 = dot._one_term_ranks, Permutation.from_one_line(w)
+
+    def faulty(v, rank):
+        ranks = exact(v, rank)
+        if v == w_0:
+            ranks[1] = rank
+        return ranks
+    dot._one_term_ranks = faulty
 
 
 def type_multiset():
@@ -610,6 +617,8 @@ for command in sys.argv[2:]:
         report = json.loads(out.getvalue())
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         print(suite, code, report["passed"], ",".join(failed))
+        if err.getvalue():  # a suite raised after the report was printed
+            print(suite, code, err.getvalue().strip())
     else:
         print(suite, code, err.getvalue().strip())
 """
@@ -706,10 +715,13 @@ def test_matrix_suites_catch_a_dropped_recursion_summand():
 def test_coxeter_and_sw_catch_a_mirror_that_is_not_conjugated():
     # w0 w has n - 1 - k descents where w has k, so the mirror list of the
     # first degree built names an image outside it, and every suite that
-    # reads a permutohedral matrix stops on that broken invariant (exit 1)
+    # reads a permutohedral matrix stops on that broken invariant (exit 1);
+    # each report names the suite that raised as failed, before the error line
     lines = _run_with_fault("mirror-unconjugated", "coxeter --n 5", "sw --n 5", "all --n 5")
     error = "error: internal AssertionError: phi(12345) leaves degree 0: it reaches 54321"
-    assert lines == [f"coxeter 1 {error}", f"sw 1 {error}", f"all 1 {error}"]
+    assert lines == ["coxeter 1 False coxeter", f"coxeter 1 {error}",
+                     "sw 1 False sw", f"sw 1 {error}",
+                     "all 1 False coxeter", f"all 1 {error}"]
 
 
 def test_dot_rules_catch_a_swapped_pair_that_keeps_its_sign():
@@ -797,10 +809,30 @@ def test_wz_catches_a_wrong_lattice_permutation():
 
 
 def test_wz_exits_1_on_a_lattice_label_out_of_range():
-    # a broken invariant of the maths, not a usage error: exit 1, not 2
+    # a broken invariant of the maths, not a usage error: exit 1, not 2;
+    # each report names wz as failed, and the error line follows it
     lines = _run_with_fault("wz-label", "wz --n 5", "all --n 5")
-    for line, suite in zip(lines, ("wz", "all")):
-        assert line.startswith(f"{suite} 1 error: internal AssertionError: label 5 of ")
+    assert len(lines) == 4
+    for reported, error, suite in zip(lines[::2], lines[1::2], ("wz", "all")):
+        assert reported == f"{suite} 1 False wz"
+        assert error.startswith(f"{suite} 1 error: internal AssertionError: label 5 of ")
+
+
+def test_verify_all_reports_the_suites_before_one_that_raises():
+    # verify all prints the ten suites that finished, all passing, and wz
+    # as failed with the exception that stopped it, then exits 1
+    [line] = _run_with_fault("wz-label", "gkmhess verify all --n 5")
+    code, stdout = line.split(" ", 1)
+    report = json.loads(stdout)
+    assert code == "1" and report["passed"] is False
+    *finished, raised = report["checks"]
+    assert [c["name"] for c in finished] == [
+        "supports", "minors", "cell-charts", "classes", "poincare", "dot-rules",
+        "coxeter", "decomposition", "genfunc", "sw"]
+    assert all(c["passed"] for c in finished)
+    assert set(raised) == {"name", "passed", "error"}
+    assert raised["name"] == "wz" and raised["passed"] is False
+    assert raised["error"].startswith("AssertionError: label 5 of ")
 
 
 def test_supports_catch_a_missing_support_point():
@@ -931,7 +963,22 @@ def test_internal_assertion_error_exits_one(error, monkeypatch, capsys):
     assert cli.main(["verify", "poincare", "--n", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: internal {error}: planted\n"
+    # the report names the suite that raised, and nothing passed
+    assert json.loads(captured.out) == {
+        "schema": 1, "suite": "poincare", "n": 3, "seed": 0, "passed": False,
+        "checks": [{"name": "poincare", "passed": False, "error": f"{error}: planted"}]}
+
+
+def test_a_usage_error_inside_a_suite_exits_two_with_no_report(capsys):
+    # the inversion table's bound is reached inside the suite, through the
+    # degree bases; a usage error prints no verdict, unlike an internal error
+    from gkmhess import cli
+
+    assert cli.main(["verify", "coxeter", "--n", "12"]) == 2
+    captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err == ("error: inversion table needs n <= 11 "
+                            "(C(n,2) bits in 64), got n = 12\n")
 
 
 def test_sw_failure_names_the_function_with_a_null_flag(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import hashlib
 import importlib
@@ -9,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_actions import (build_auxiliary_class, flow_up_table,
-                               position_keyed_generator_matrix, unmirrored_expansion,
-                               walk_auxiliary_terms)
+from reference_actions import (build_auxiliary_class, copying_compose, flow_up_table,
+                               one_term_image, position_keyed_generator_matrix,
+                               unmirrored_expansion, walk_auxiliary_terms)
 
 from gkmhess.classes import (
     EquivariantClass,
@@ -40,7 +41,6 @@ from gkmhess.dot import (
     _CACHE_BOUND,
     _caches,
     _expansion_cache,
-    _one_term_image,
     _SiExpansionCache,
 )
 from gkmhess.gkm import EdgeKind, HessenbergFunction, edge_kind, l_h, poincare_coefficients
@@ -466,17 +466,18 @@ def test_off_degree_term_in_a_column_is_an_error(monkeypatch):
 def test_an_image_outside_the_degree_is_named(fault, monkeypatch):
     # a one-term image or a mirror image off the degree raises an
     # AssertionError naming it while the degree's tables are built, never a
-    # KeyError: here s_1 . sigma_2134 read as the identity's class, and phi
-    # read as w -> w0 w, which sends degree k to degree n - 1 - k
+    # KeyError: here s_1 . sigma_2134 read as the class of rank 0, the
+    # identity's, and phi read as w -> w0 w, which sends degree k to degree
+    # n - 1 - k
     n = 4
     h = HessenbergFunction.permutohedral(n)
     dot_module = importlib.import_module("gkmhess.dot")
     monkeypatch.setitem(_caches, n, _SiExpansionCache(n))
     w, identity = Permutation.from_one_line("2134"), Permutation.identity(n)
     if fault == "one-term":
-        exact = dot_module._one_term_image
-        monkeypatch.setattr(dot_module, "_one_term_image",
-                            lambda v, j: identity if (v, j) == (w, 1) else exact(v, j))
+        exact = dot_module._one_term_ranks
+        monkeypatch.setattr(dot_module, "_one_term_ranks",
+                            lambda v, r: [0] + exact(v, r)[1:] if v == w else exact(v, r))
         message = r"s_1 \. sigma_2134 leaves degree 1: it reaches 1234$"
     else:
         monkeypatch.setattr(dot_module, "_mirror", lambda v: Permutation.longest(len(v)) * v)
@@ -504,13 +505,78 @@ def test_one_term_images_are_the_one_term_expansions(n):
     one = MultiPoly.one(n)
     for w in Permutation.all(n):
         for i in range(1, n):
-            image = _one_term_image(w, i)
+            image = one_term_image(w, i)
             descent = w.index(i + 1) + 1 == w.index(i)
             assert (image is None) == descent
             if image is not None:
                 assert perm_si_action(w, i) == {image: one}
                 expected = w if w.index(i) + 1 == w.index(i + 1) else Permutation.simple(i, n) * w
                 assert image == expected
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rank_filled_tables_equal_the_reference_positions(n):
+    # each degree's table, filled from lexicographic ranks, against the
+    # position of the reference's one permutation, for every letter; -1
+    # exactly at the descent pairs, i+1 directly left of i
+    cache = _SiExpansionCache(n)
+    for k in range(n):
+        degree = cache.degree(k)
+        position = {w: p for p, w in enumerate(degree.order)}
+        for i in range(1, n):
+            images = [one_term_image(w, i) for w in degree.order]
+            assert degree.images[i] == [-1 if v is None else position[v] for v in images]
+            assert ([q < 0 for q in degree.images[i]]
+                    == [w.index(i + 1) + 1 == w.index(i) for w in degree.order])
+        assert degree.units == [{q: 1} for q in range(len(degree.order))]
+        # one int object per position, shared by the tables and the columns
+        positions = list(degree.position.values())
+        assert all(q is positions[q] for row in degree.images[1:] for q in row if q >= 0)
+        assert all(next(iter(unit)) is q for unit, q in zip(degree.units, positions))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_compose_equals_a_copying_composition(n):
+    # every ordered pair of generators in every degree; neither factor
+    # changes, and a shared column is the left factor's own
+    h = HessenbergFunction.permutohedral(n)
+    for k in range(n):
+        matrices = {i: generator_matrix(i, k, h) for i in range(1, n)}
+        before = {i: copying_compose(ActionMatrix.identity(m.basis_order), m)
+                  for i, m in matrices.items()}
+        for left in matrices.values():
+            for right in matrices.values():
+                product = left.compose(right)
+                assert product == copying_compose(left, right)
+                for column, vec in zip(product.columns, right.columns):
+                    if list(vec.values()) == [1]:
+                        [q] = vec
+                        assert column is left.columns[q]
+        assert matrices == before
+
+
+def test_generator_matrices_survive_the_suites_that_share_their_columns(monkeypatch):
+    # after the traces, the decomposition of every degree and the Coxeter
+    # relations have multiplied the matrices of n = 6, each generator matrix
+    # built from the used cache equals one built from a fresh cache
+    from gkmhess import cli
+    from gkmhess.chromatic import verify_shareshian_wachs
+    from gkmhess.decomp import verify_decomposition
+
+    n = 6
+    h = HessenbergFunction.permutohedral(n)
+    assert verify_shareshian_wachs(h).agree
+    for k in range(n):
+        assert verify_decomposition(n, k).passed
+    assert cli.verify_coxeter(n, cli.RunConfig.from_args(
+        argparse.Namespace(seed=0, format="json")))["passed"]
+    used = _expansion_cache(n)
+    held = {(i, k): generator_matrix(i, k, h) for k in range(n) for i in range(1, n)}
+    monkeypatch.setitem(_caches, n, _SiExpansionCache(n))
+    for (i, k), matrix in held.items():
+        assert matrix == generator_matrix(i, k, h)
+    for degree in used.degrees.values():
+        assert degree.units == [{q: 1} for q in range(len(degree.order))]
 
 
 def test_a_basis_vector_with_the_int_one_maps_to_a_copy_of_its_column():

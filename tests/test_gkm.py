@@ -10,6 +10,7 @@ from gkmhess.gkm import (
     HessenbergFunction,
     _inversion_table,
     degree_bases,
+    degree_ranks,
     edge_kind,
     l_h,
     poincare_coefficients,
@@ -227,6 +228,20 @@ def test_degree_bases_match_an_l_h_scan(n):
 def test_degree_bases_match_an_l_h_scan_on_a_sample_at_n7():
     for h in random.Random(22).sample(list(HessenbergFunction.all(7)), 20):
         assert degree_bases(h) == _l_h_scan(h)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_degree_ranks_are_the_lexicographic_indices(n):
+    # the walk files each w's index in Permutation.all, degree by degree,
+    # for every h
+    index = {w: r for r, w in enumerate(Permutation.all(n))}
+    for h in (HessenbergFunction.permutohedral(n), HessenbergFunction.full_flag(n),
+              HessenbergFunction.random(n, random.Random(n))):
+        ranks = degree_ranks(h)
+        assert [list(degree) for degree in ranks] == [[index[w] for w in basis]
+                                                      for basis in degree_bases(h)]
+        assert all(degree.readonly for degree in ranks)
+        assert poincare_coefficients(h) == tuple(map(len, ranks))
 
 
 def test_every_h_of_one_n_shares_the_table_permutations():
